@@ -44,9 +44,12 @@ def parse_dims(text: str) -> Tuple[int, int, int]:
 
 
 def matrix_count(class_id: int, dims) -> int:
-    region = build_hexagon(*dims)
-    q = quotient_graph(region, CLASSES[class_id])
-    return weighted_matching_sum(q)
+    """Count by determinant/Pfaffian; a box the class does not fix holds no
+    invariant partition, so it counts 0, as by formula and oracle."""
+    cls = CLASSES[class_id]
+    if not cls.box_fixed(dims):
+        return 0
+    return weighted_matching_sum(quotient_graph(build_hexagon(*dims), cls))
 
 
 def q_matrix_count(dims) -> QPoly:

@@ -1,10 +1,35 @@
 """Exact arithmetic kernels: big-integer and q-polynomial matrices.
 
-Determinants use fraction-free (Bareiss) elimination, so every intermediate
-value stays inside Z or Z[q] and the result is exact.  Pfaffians are
-recovered as exact square roots of the determinant (Pf^2 = Det holds for
-every antisymmetric matrix), permanents use Ryser inclusion-exclusion, and
-Hafnians a direct recursion over the first unmatched index.
+Determinants and Pfaffians share one elimination kernel.  ``pfaffian_abs``
+runs it on the skew matrix itself; ``det`` runs it on the skew block
+``[[0, M], [-M^T, 0]]``, whose Pfaffian is +-det M.  The kernel eliminates
+the sparse skew matrix over F_p for 31-bit primes p, pivoting on 2x2 blocks
+(a vertex of minimum degree and its neighbour of minimum degree), and
+returns the signed Pfaffian mod p.  Arithmetic in F_p is exact, so a pivot
+that vanishes mod p only changes which pivot is taken: every prime gives
+the true residue, and none is "unlucky".
+
+Results over Z are rebuilt by the Chinese remainder theorem with symmetric
+residues.  The number of primes is fixed in advance by a proven bound B on
+the result's magnitude: the CRT stops once the modulus exceeds 2B, and never
+because the residues look stable.  Then the result is the unique integer of
+magnitude below half the modulus with the computed residues, so it is exact.
+The bounds, for an n x n matrix with entries a_ij:
+
+* det over Z: Hadamard, |det M| <= prod_i ||row_i||_2, compared through
+  squares in integers (modulus^2 > 4 prod_i sum_j a_ij^2).
+* Pf over Z: the square root of the Hadamard bound, since Pf^2 = det
+  (modulus^4 > 16 prod_i sum_j a_ij^2).
+* Z[q]: the degree is at most D = sum_i max_j deg a_ij (halved for Pf), so
+  D + 1 evaluations at q = 1, ..., D + 1 mod p and interpolation give the
+  result mod p.  Each coefficient obeys Goldstein-Graham,
+  |c_k| <= prod_i (sum_j ||a_ij||_1^2)^(1/2): on |q| = 1 every entry has
+  modulus at most ||a_ij||_1, Hadamard bounds |det M(q)| there, and no
+  coefficient exceeds the maximum modulus on the unit circle.  Pf again
+  takes the square root.
+
+Permanents use Ryser inclusion-exclusion and Hafnians a direct recursion
+over the first unmatched index; both are brute-force references.
 
 Rows and columns carry unordered label sets, so only the absolute
 determinant / absolute Pfaffian is well defined; all public entry points
@@ -18,10 +43,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
+from itertools import compress
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, "QPoly"]
-
 
 class QPoly:
     """Univariate polynomial in q with arbitrary-precision int coefficients."""
@@ -192,14 +219,6 @@ def _is_zero(x: Scalar) -> bool:
     return (not x) if isinstance(x, QPoly) else x == 0
 
 
-def _div_exact(a: Scalar, b: Scalar) -> Scalar:
-    if isinstance(a, QPoly) or isinstance(b, QPoly):
-        return _as_poly(a).div_exact(b)
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError(f"inexact integer division {a} / {b}")
-    return q
-
 
 @dataclass(frozen=True)
 class ExactMatrix:
@@ -264,61 +283,6 @@ def integer_sqrt(n: int) -> int:
         raise ValueError(f"{n} is not a perfect square")
     return r
 
-
-def poly_sqrt(p: QPoly) -> QPoly:
-    """Exact square root in Z[q]; raises if p is not a perfect square."""
-    if p.is_zero():
-        return QPoly()
-    low, deg = p.low_degree(), p.degree()
-    if low % 2 or deg % 2:
-        raise ValueError("polynomial is not a perfect square")
-    m, half = low // 2, deg // 2
-    r = [0] * (half + 1)
-    r[m] = integer_sqrt(p.coefficient(low))
-    lead2 = 2 * r[m]
-    for k in range(1, half - m + 1):
-        s = sum(r[m + i] * r[m + k - i] for i in range(1, k))
-        num = p.coefficient(low + k) - s
-        c, rem = divmod(num, lead2)
-        if rem:
-            raise ValueError("polynomial is not a perfect square")
-        r[m + k] = c
-    root = QPoly(r)
-    if root * root != p:
-        raise ValueError("polynomial is not a perfect square")
-    return root
-
-
-def det(m: ExactMatrix) -> Scalar:
-    """Absolute determinant (sign-normalized for polynomial matrices).
-
-    Fraction-free elimination: the division at every step is exact over the
-    coefficient ring, so there is no intermediate fraction or rounding.
-    """
-    if not m.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    n = m.nrows
-    poly_mode = m.is_poly()
-    if n == 0:
-        return QPoly.const(1) if poly_mode else 1
-    a = [[(_as_poly(x) if poly_mode else x) for x in row] for row in m.entries]
-    zero: Scalar = QPoly() if poly_mode else 0
-    prev: Scalar = QPoly.const(1) if poly_mode else 1
-    for k in range(n - 1):
-        if _is_zero(a[k][k]):
-            piv = next((r for r in range(k + 1, n) if not _is_zero(a[r][k])), None)
-            if piv is None:
-                return zero
-            a[k], a[piv] = a[piv], a[k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            akk = a[k][k]
-            for j in range(k + 1, n):
-                a[i][j] = _div_exact(a[i][j] * akk - aik * a[k][j], prev)
-            a[i][k] = zero
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return d.sign_normalized() if poly_mode else abs(d)
 
 
 def permanent(m: ExactMatrix) -> Scalar:
@@ -387,28 +351,260 @@ def hafnian(m: ExactMatrix) -> Scalar:
     return rec(tuple(range(n)))
 
 
-def _check_skew(m: ExactMatrix):
+# ---------------------------------------------------------------------------
+# the elimination kernel
+# ---------------------------------------------------------------------------
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7, deterministic below 3 215 031 751."""
+    if n < 2:
+        return False
+    for b in (2, 3, 5, 7):
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in (2, 3, 5, 7):
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _prime(k: int) -> int:
+    """The k-th prime below 2^31 counting down, with _prime(0) = 2^31 - 1."""
+    n = (1 << 31) - 1 if k == 0 else _prime(k - 1) - 2
+    while not _is_prime(n):
+        n -= 2
+    return n
+
+
+def _pf_mod(n: int, triples, p: int, plan=()):
+    """Signed Pfaffian mod p of the n x n skew matrix with A[i][j] = a and
+    A[j][i] = -a for each (i, j, a), a reduced mod p; n is even.
+
+    Takes the pivot pairs of ``plan`` while each pivot is nonzero mod p, then
+    picks its own: a vertex u of minimum degree and its neighbour v of
+    minimum degree.  Eliminating (u, v) is the 2x2 Schur update
+    A[i][j] += (A[v][i] A[u][j] - A[u][i] A[v][j]) / A[u][v] over the
+    neighbours of u and v; on a bipartite block it is sparse LU, fill stays
+    between rows and columns.  Entries that become 0 mod p are dropped, so
+    degrees count nonzeros.  The Pfaffian is the product of the pivots
+    times the sign of the permutation that lists them in order.  Returns the
+    Pfaffian and the pivot pairs used.
+    """
+    rows = [{} for _ in range(n)]
+    for i, j, a in triples:
+        if a:
+            rows[i][j] = a
+            rows[j][i] = p - a
+    used = []
+    heap = None  # (degree, vertex), stale entries skipped; built on the first own pick
+    pf = 1
+    for k in range(n // 2):
+        if k < len(plan):
+            u, v = plan[k]
+            a = rows[u].get(v)
+            if not a:
+                plan = ()
+        if k >= len(plan):
+            if heap is None:
+                heap = [(len(r), i) for i, r in enumerate(rows) if r is not None]
+                heapify(heap)
+            while True:
+                d, u = heappop(heap)
+                if rows[u] is not None and len(rows[u]) == d:
+                    break
+            ru = rows[u]
+            if not ru:
+                return 0, used
+            v = min(ru, key=lambda j: len(rows[j]))
+            a = ru[v]
+        used.append((u, v))
+        pf = pf * a % p
+        ru, rv = rows[u], rows[v]
+        rows[u] = rows[v] = None
+        del ru[v], rv[u]
+        ainv = pow(a, -1, p)
+        # row i += (A[v][i] / a) * row u, then row i -= (A[u][i] / a) * row v
+        for scale, add, gone, f in ((rv, ru, v, ainv), (ru, rv, u, p - ainv)):
+            for i, ai in scale.items():
+                ri = rows[i]
+                del ri[gone]
+                c = ai * f % p
+                for j, aj in add.items():
+                    x = (ri.get(j, 0) + c * aj) % p
+                    if x:
+                        ri[j] = x
+                    else:
+                        del ri[j]
+        if heap is not None:
+            for i in (*ru, *rv):
+                heappush(heap, (len(rows[i]), i))
+    order = [x for pair in used for x in pair]
+    return (pf if _is_even(order) else p - pf) % p, used
+
+
+def _is_even(perm) -> bool:
+    """Whether the permutation perm of range(len(perm)) is even: it is a
+    product of len(perm) - (number of cycles) transpositions."""
+    seen = [False] * len(perm)
+    transpositions = len(perm)
+    for i in range(len(perm)):
+        if not seen[i]:
+            transpositions -= 1
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+    return transpositions % 2 == 0
+
+
+def _interpolate(ys, p: int):
+    """Coefficients, lowest first, of the polynomial over F_p of degree
+    below len(ys) that takes the value ys[t] at t + 1."""
+    c = list(ys)
+    n = len(c)
+    for k in range(1, n):  # Newton divided differences; nodes k apart differ by k
+        ik = pow(k, -1, p)
+        c[k:] = [(b - a) * ik % p for a, b in zip(c[k - 1:-1], c[k:])]
+    poly = [c[-1]]
+    for t in range(n - 2, -1, -1):  # poly = poly * (q - (t + 1)) + c[t]
+        poly = [(lo - (t + 1) * hi) % p for lo, hi in zip([0] + poly, poly + [0])]
+        poly[0] = (poly[0] + c[t]) % p
+    return poly
+
+
+def _pfaffian(n: int, triples, power: int, bound: int, degree):
+    """Signed Pfaffian of the n x n skew matrix given by ``triples`` (i, j, a),
+    exact, as a list of coefficients (one for an integer matrix).
+
+    The entries a are integers, or, when ``degree`` bounds the degree of the
+    Pfaffian, tuples ((k, c_k), ...) of nonzero coefficients.  Every
+    coefficient c of the result obeys |c|^power <= bound, so the CRT stops
+    once modulus^power exceeds 2^power * bound.  The pivot plan of the first
+    elimination is replayed on every later prime and evaluation point.
+    """
+    if n == 0:
+        return [1]
+    if bound == 0:  # a zero row
+        return [0]
+    plan = []
+
+    def pf_mod(entries, p):
+        pf, used = _pf_mod(n, entries, p, plan)
+        if not plan:
+            plan.extend(used)
+        return pf
+
+    if degree is None:
+
+        def residues_mod(p):
+            return [pf_mod([(i, j, a % p) for i, j, a in triples], p)]
+
+    else:
+        if degree + 1 >= 1 << 30:
+            raise ValueError(f"degree bound {degree} leaves too few evaluation points")
+        polys = sorted({terms for _, _, terms in triples})
+        index = {terms: k for k, terms in enumerate(polys)}
+        keyed = [(i, j, index[terms]) for i, j, terms in triples]
+        top = max(t for terms in polys for t, _ in terms)
+
+        def residues_mod(p):
+            ys = []
+            for x in range(1, degree + 2):
+                pw = [pow(x, t, p) for t in range(top + 1)]
+                at_x = [sum(c * pw[t] for t, c in terms) % p for terms in polys]
+                ys.append(pf_mod([(i, j, at_x[k]) for i, j, k in keyed], p))
+            return _interpolate(ys, p)
+
+    residues, modulus, k = None, 1, 0
+    while modulus**power <= bound << power:
+        p = _prime(k)
+        k += 1
+        vals = residues_mod(p)
+        if residues is None:
+            residues = vals
+        else:
+            inv = pow(modulus, -1, p)
+            residues = [r + modulus * ((v - r) * inv % p) for r, v in zip(residues, vals)]
+        modulus *= p
+    return [r - modulus if 2 * r > modulus else r for r in residues]
+
+
+def _nonzeros(m: ExactMatrix):
+    """The nonzero entries (i, j, a) of m, and whether m is over Z[q]."""
+    nz = [
+        (i, j, row[j])
+        for i, row in enumerate(m.entries)
+        for j in compress(range(len(row)), row)
+    ]
+    poly = any(isinstance(a, QPoly) for _, _, a in nz) if nz else m.is_poly()
+    return nz, poly
+
+
+def _result(coeffs, poly: bool) -> Scalar:
+    return QPoly(coeffs).sign_normalized() if poly else abs(coeffs[0])
+
+
+def _bounds(n: int, nz, poly: bool):
+    """prod_i sum_j a_ij^2 over the rows (with ||a_ij||_1 for polynomials),
+    the row-wise degree sum, and the entries as the kernel takes them."""
+    sq = [0] * n
+    if not poly:
+        for i, _, a in nz:
+            sq[i] += a * a
+        return math.prod(sq), None, nz
+    top = [0] * n
+    out = []
+    for i, j, a in nz:
+        cs = _as_poly(a).coeffs
+        sq[i] += sum(map(abs, cs)) ** 2
+        top[i] = max(top[i], len(cs) - 1)
+        out.append((i, j, tuple((t, c) for t, c in enumerate(cs) if c)))
+    return math.prod(sq), sum(top), out
+
+
+def det(m: ExactMatrix) -> Scalar:
+    """Absolute determinant (sign-normalized for polynomial matrices): the
+    kernel's Pfaffian of [[0, M], [-M^T, 0]], which is +-det M."""
+    if not m.is_square():
+        raise ValueError("determinant of a non-square matrix")
+    n = m.nrows
+    nz, poly = _nonzeros(m)
+    bound, degree, entries = _bounds(n, nz, poly)
+    block = [(i, n + j, a) for i, j, a in entries]
+    return _result(_pfaffian(2 * n, block, 2, bound, degree), poly)
+
+
+def _check_skew(m: ExactMatrix, nz):
     if not m.is_square():
         raise ValueError("Pfaffian of a non-square matrix")
-    n = m.nrows
-    for i in range(n):
-        if not _is_zero(m.entries[i][i]):
+    for i, j, a in nz:
+        if i == j:
             raise ValueError("nonzero diagonal in a skew matrix")
-        for j in range(i + 1, n):
-            if m.entries[i][j] != -1 * m.entries[j][i]:
-                raise ValueError("matrix is not skew-symmetric")
+        if m.entries[j][i] != -a:
+            raise ValueError("matrix is not skew-symmetric")
 
 
 def pfaffian_abs(m: ExactMatrix) -> Scalar:
-    """Absolute Pfaffian of a skew-symmetric matrix.
-
-    Computed as the exact square root of the determinant, which is a perfect
-    square for every skew matrix; odd dimension gives 0 (no perfect matching).
-    """
-    _check_skew(m)
-    if m.nrows % 2:
-        return QPoly() if m.is_poly() else 0
-    d = det(m)
-    if isinstance(d, QPoly):
-        return poly_sqrt(d).sign_normalized()
-    return integer_sqrt(d)
+    """Absolute Pfaffian of a skew-symmetric matrix (sign-normalized for
+    polynomial matrices); odd dimension gives 0 (no perfect matching)."""
+    nz, poly = _nonzeros(m)
+    _check_skew(m, nz)
+    n = m.nrows
+    if n % 2:
+        return QPoly() if poly else 0
+    bound, degree, entries = _bounds(n, nz, poly)
+    upper = [(i, j, a) for i, j, a in entries if i < j]
+    half = None if degree is None else degree // 2
+    return _result(_pfaffian(n, upper, 4, bound, half), poly)

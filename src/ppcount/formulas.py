@@ -67,13 +67,6 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class FormulaResult:
-    class_id: int
-    dims: Tuple[int, int, int]
-    value: int
-
-
 def _n1(a: int, b: int, c: int) -> int:
     H = hyperfactorial
     return _exact_div(H(a + b + c) * H(a) * H(b) * H(c), H(a + b) * H(a + c) * H(b + c))
@@ -186,10 +179,6 @@ def n_class(class_id: int, dims: Tuple[int, int, int]) -> int:
     if class_id == 10:
         return _n10(a // 2) if a % 2 == 0 else 0
     raise AssertionError
-
-
-def n_class_result(class_id: int, dims) -> FormulaResult:
-    return FormulaResult(class_id, tuple(dims), n_class(class_id, dims))
 
 
 # ---------------------------------------------------------------------------

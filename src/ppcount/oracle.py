@@ -59,10 +59,6 @@ def enumerate_partitions(a: int, b: int, c: int) -> Iterator[Heights]:
     yield from rec(0, (c,) * b, [])
 
 
-def count_partitions(a: int, b: int, c: int) -> int:
-    return sum(1 for _ in enumerate_partitions(a, b, c))
-
-
 def volume(heights: Heights) -> int:
     return sum(sum(r) for r in heights)
 

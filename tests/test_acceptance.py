@@ -10,7 +10,7 @@ from itertools import combinations
 
 from conftest import random_planar_bipartite, random_planar_graph
 
-from ppcount.cli import q_matrix_count
+from ppcount.cli import compute_count, q_matrix_count
 from ppcount.exactalg import ExactMatrix, det, hafnian, permanent, pfaffian_abs
 from ppcount.formulas import binomial, n_class, ratio_identities
 from ppcount.hexgrid import build_graph, build_hexagon
@@ -183,3 +183,20 @@ def test_criterion_8_parity_gadget_contract():
                     want = 1 if k % 2 == want_parity else 0
                     ok = ok and got == want
     _report("criterion 8: parity gadget contract, up to 8 attachments", ok)
+
+
+def test_matrix_route_equals_formula_on_larger_cubes():
+    cells = [
+        (cid, (n, n, n))
+        for cid in sorted(CLASSES)
+        for n in range(5, 9)
+        if CLASSES[cid].box_fixed((n, n, n))
+    ]
+    assert len(cells) == 40
+    cells.append((1, (12, 12, 12)))
+    bad = [
+        (cid, dims)
+        for cid, dims in cells
+        if compute_count(cid, dims, "matrix") != n_class(cid, dims)
+    ]
+    _report("matrix route = formula on every fixed cube 5..8 and class 1 at 12^3", not bad)

@@ -50,6 +50,12 @@ def test_count_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("method", ["formula", "matrix", "oracle"])
+def test_count_box_not_fixed_by_class_is_zero(method, capsys):
+    code, out, err = run(capsys, "count", "--class", "2", "--dims", "1,2,3", "--method", method)
+    assert (code, out.strip(), err) == (0, "0", "")
+
+
 def test_verify_small(capsys):
     code, out, err = run(capsys, "verify", "--max-side", "2")
     assert code == 0

@@ -1,3 +1,4 @@
+import math
 from itertools import permutations
 
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import strategies as st
 from ppcount.exactalg import (
     ExactMatrix,
     QPoly,
+    _pf_mod,
+    _pfaffian,
+    _prime,
     det,
     hafnian,
     integer_sqrt,
     permanent,
     pfaffian_abs,
-    poly_sqrt,
 )
 
 
@@ -30,6 +33,48 @@ def det_cofactor(rows):
     return total
 
 
+def bareiss(rows):
+    """Signed determinant by fraction-free elimination (Bareiss 1968) over Z
+    or Z[q]: every division is exact, so it is the kernel's reference."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            piv = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if piv is None:
+                return 0 * a[0][0]
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                if isinstance(num, QPoly):
+                    a[i][j] = num.div_exact(prev)
+                else:
+                    q, r = divmod(num, prev)
+                    assert r == 0
+                    a[i][j] = q
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def pf_expand(rows):
+    """Signed Pfaffian by expansion along the first row."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    total = 0
+    for j in range(1, n):
+        if rows[0][j]:
+            keep = [k for k in range(1, n) if k != j]
+            minor = [[rows[r][c] for c in keep] for r in keep]
+            total += (-1) ** (j + 1) * rows[0][j] * pf_expand(minor)
+    return total
+
+
 def permanent_brute(rows):
     n = len(rows)
     total = 0
@@ -42,10 +87,26 @@ def permanent_brute(rows):
 
 
 small_int = st.integers(min_value=-6, max_value=6)
+big_int = st.integers(min_value=-(2**40), max_value=2**40)
+small_poly = st.lists(st.integers(min_value=-3, max_value=3), max_size=3).map(QPoly)
+big_poly = st.lists(big_int, max_size=3).map(QPoly)
 
 
-def square(n):
-    return st.lists(st.lists(small_int, min_size=n, max_size=n), min_size=n, max_size=n)
+def square(n, elements=small_int):
+    return st.lists(st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def sized_square(max_n, elements):
+    return st.integers(min_value=0, max_value=max_n).flatmap(lambda n: square(n, elements))
+
+
+def skew(max_n, elements):
+    """Skew matrices of even size up to max_n, as row lists."""
+    def build(n):
+        k = n * (n - 1) // 2
+        return st.lists(elements, min_size=k, max_size=k).map(lambda vals: skew_from_upper(vals, n))
+
+    return st.integers(min_value=0, max_value=max_n // 2).flatmap(lambda h: build(2 * h))
 
 
 class TestDet:
@@ -158,11 +219,11 @@ class TestPfaffian:
         m = ExactMatrix.from_rows(skew_from_upper(vals, 4))
         assert pfaffian_abs(m) == abs(a12 * a34 - a13 * a24 + a14 * a23)
 
-    @given(st.lists(small_int, min_size=15, max_size=15))
-    @settings(max_examples=30, deadline=None)
-    def test_pf_squared_is_det(self, vals):
-        m = ExactMatrix.from_rows(skew_from_upper(vals, 6))
-        assert pfaffian_abs(m) ** 2 == det(m)
+    @given(skew(10, small_int))
+    @settings(max_examples=40, deadline=None)
+    def test_pf_squared_is_det(self, rows):
+        m = ExactMatrix.from_rows(rows)
+        assert pfaffian_abs(m) ** 2 == det(m) == abs(bareiss(rows))
 
     @given(square(3))
     @settings(max_examples=40, deadline=None)
@@ -192,6 +253,75 @@ class TestIntegerSqrt:
         assert integer_sqrt(d) == pfaffian_abs(m)
 
 
+class TestKernel:
+    @given(sized_square(8, small_int))
+    @settings(max_examples=80, deadline=None)
+    def test_det_matches_bareiss_over_z(self, rows):
+        assert det(ExactMatrix.from_rows(rows)) == abs(bareiss(rows))
+
+    @given(sized_square(6, big_int))
+    @settings(max_examples=40, deadline=None)
+    def test_det_matches_bareiss_with_large_entries(self, rows):
+        assert det(ExactMatrix.from_rows(rows)) == abs(bareiss(rows))
+
+    @given(sized_square(4, small_poly) | sized_square(3, big_poly))
+    @settings(max_examples=80, deadline=None)
+    def test_det_matches_bareiss_over_zq(self, rows):
+        expected = QPoly.const(1) if not rows else bareiss(rows)
+        assert det(ExactMatrix.from_rows(rows)) == expected.sign_normalized()
+
+    @given(skew(8, big_int))
+    @settings(max_examples=40, deadline=None)
+    def test_signed_pfaffian_matches_expansion(self, rows):
+        # entries up to 2^40 need several primes; the signed result checks
+        # the pivot sign and the negative symmetric residues
+        n = len(rows)
+        upper = [(i, j, rows[i][j]) for i in range(n) for j in range(i + 1, n) if rows[i][j]]
+        bound = 1
+        for r in rows:
+            bound *= sum(x * x for x in r)
+        assert _pfaffian(n, upper, 4, bound, None) == [pf_expand(rows)]
+
+    @given(skew(6, small_poly))
+    @settings(max_examples=40, deadline=None)
+    def test_pf_squared_is_det_over_zq(self, rows):
+        m = ExactMatrix.from_rows(rows)
+        pf = pfaffian_abs(m)
+        assert pf * pf == det(m)
+
+    def test_plan_replay_falls_back_when_a_pivot_vanishes(self):
+        p0, p1 = _prime(0), _prime(1)
+        assert p0 == 2**31 - 1
+        # Pf = a01 a23 - a02 a13 + a03 a12, and a01 = 2^31 - 1 vanishes mod p0
+        triples = [(0, 1, p0), (2, 3, 1), (0, 2, 1), (1, 3, 1)]
+        exact = p0 - 1
+        plan = [(0, 1), (2, 3)]
+        pf1, used1 = _pf_mod(4, [(i, j, a % p1) for i, j, a in triples], p1, plan)
+        assert used1 == plan and pf1 == exact % p1
+        pf0, used0 = _pf_mod(4, [(i, j, a % p0) for i, j, a in triples], p0, plan)
+        assert used0[0] != plan[0] and pf0 == exact % p0
+
+    def test_entries_that_vanish_mod_a_prime(self):
+        p0, p1 = _prime(0), _prime(1)
+        for rows in ([[p0]], [[p1]], [[p1, 1], [1, 1]], [[p0, 1, 0], [2, p0, p1], [0, -p1, 3]]):
+            assert det(ExactMatrix.from_rows(rows)) == abs(bareiss(rows))
+        m = ExactMatrix.from_rows(skew_from_upper([p0, 1, 0, 1, 1, p1], 4))
+        assert pfaffian_abs(m) == abs(p0 * p1 - 1 + 0)
+
+    def test_prime_list_is_prime_descending_and_deterministic(self):
+        def is_prime(n):
+            return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        primes = [_prime(k) for k in range(6)]
+        assert primes[0] == 2**31 - 1
+        assert all(2**30 < p < 2**31 and is_prime(p) for p in primes)
+        for hi, lo in zip(primes, primes[1:]):
+            assert lo < hi
+            assert not any(is_prime(x) for x in range(lo + 1, hi))
+        _prime.cache_clear()
+        assert [_prime(k) for k in range(6)] == primes
+
+
 class TestQPoly:
     def test_str_ascending(self):
         assert str(QPoly((1, 2, 1))) == "1 + 2*q + q^2"
@@ -211,13 +341,3 @@ class TestQPoly:
         if r.is_zero():
             return
         assert (p * r).div_exact(r) == p
-
-    @given(st.lists(small_int, min_size=1, max_size=5))
-    @settings(max_examples=60, deadline=None)
-    def test_poly_sqrt_of_square(self, xs):
-        p = QPoly(xs)
-        assert poly_sqrt(p * p) == p.sign_normalized()
-
-    def test_poly_sqrt_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            poly_sqrt(QPoly((0, 1)))
