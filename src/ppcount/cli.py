@@ -91,12 +91,11 @@ def compute_count(class_id: int, dims, method: str, q_flag: bool = False):
     if method == "ratios":
         if class_id not in RATIO_CLASSES:
             raise UsageError(f"method 'ratios' supports classes {RATIO_CLASSES}")
-        return n_class_via_ratios(class_id, dims)
+        try:
+            return n_class_via_ratios(class_id, dims)
+        except ValueError as e:  # a fixed box the telescoping does not reach
+            raise UsageError(str(e)) from None
     raise UsageError(f"unknown method {method!r}")
-
-
-def format_value(v) -> str:
-    return str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +199,10 @@ def format_table(rows, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _weight_str(w) -> str:
-    return str(w)
-
-
 def graph_to_json(g: PlanarMultigraph, signs=None, heads=None) -> str:
     edges = []
     for e in sorted(g.edges, key=lambda e: e.eid):
-        rec = {"u": str(e.u), "v": str(e.v), "w": _weight_str(e.weight), "id": e.eid}
+        rec = {"u": str(e.u), "v": str(e.v), "w": str(e.weight), "id": e.eid}
         if signs is not None:
             rec["sign"] = signs[e.eid]
         if heads is not None:
@@ -227,7 +222,7 @@ def graph_to_json(g: PlanarMultigraph, signs=None, heads=None) -> str:
 def graph_to_dot(g: PlanarMultigraph, signs=None, heads=None) -> str:
     lines = ["graph G {"]
     for e in sorted(g.edges, key=lambda e: e.eid):
-        attrs = [f'label="{_weight_str(e.weight)}"']
+        attrs = [f'label="{e.weight}"']
         if signs is not None:
             attrs.append(f'sign="{signs[e.eid]}"')
         if heads is not None:
@@ -244,6 +239,10 @@ def run_export(kind: str, class_id: Optional[int], dims, fmt: str, attrs: str) -
     elif kind == "quotient":
         if class_id is None:
             raise UsageError("--class is required for quotient export")
+        if class_id not in CLASSES:
+            raise UsageError(f"class must be 1..10, got {class_id}")
+        if not CLASSES[class_id].box_fixed(dims):
+            raise UsageError(f"box {dims} is not fixed by class {class_id}")
         g = quotient_graph(region, CLASSES[class_id])
     else:
         raise UsageError(f"unknown export kind {kind!r}")
@@ -318,16 +317,19 @@ def main(argv=None) -> int:
                     "dims": list(parse_dims(args.dims)),
                     "method": args.method,
                     "q": bool(args.q),
-                    "value": format_value(value),
+                    "value": str(value),
                 }
                 print(json.dumps(payload, sort_keys=True))
             else:
-                print(format_value(value))
+                print(value)
             return 0
         if args.cmd == "verify":
             classes = None
             if args.classes:
-                classes = [int(x) for x in args.classes.split(",")]
+                try:
+                    classes = [int(x) for x in args.classes.split(",")]
+                except ValueError:
+                    raise UsageError(f"bad class list {args.classes!r}") from None
                 if any(c not in CLASSES for c in classes):
                     raise UsageError(f"bad class list {args.classes!r}")
             if args.max_side < 0:

@@ -263,16 +263,6 @@ class ExactMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def to_jsonable(self):
-        def enc(x):
-            return str(x) if isinstance(x, QPoly) else x
-
-        return {
-            "rows": [str(l) for l in self.row_labels],
-            "cols": [str(l) for l in self.col_labels],
-            "entries": [[enc(x) for x in r] for r in self.entries],
-        }
-
 
 def integer_sqrt(n: int) -> int:
     """Exact integer square root; raises on non-squares."""

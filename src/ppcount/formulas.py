@@ -263,8 +263,14 @@ def ratio_identities(a: int, b: int, c: int) -> List[RatioCheck]:
 
 
 def n_class_via_ratios(class_id: int, dims: Tuple[int, int, int]) -> int:
-    """Counts for classes 1, 3, 5, 9 by telescoping their ratio identities."""
+    """Counts for classes 1, 3, 5, 9 by telescoping their ratio identities.
+
+    Boxes not fixed by the class give 0, as in ``n_class``; fixed boxes the
+    telescoping does not reach raise ValueError.
+    """
     a, b, c = dims
+    if class_id in (3, 9) and not a == b == c:
+        return 0  # only cubes are fixed by the rotation
     if class_id == 1:
         val = Fraction(1)
         while a > 0 and b > 0:
@@ -275,8 +281,6 @@ def n_class_via_ratios(class_id: int, dims: Tuple[int, int, int]) -> int:
             raise ArithmeticError("telescoped ratio is not an integer")
         return int(val)
     if class_id == 3:
-        if not (a == b == c):
-            raise ValueError("cyclic class needs a cubic box")
         if a == 0:
             return 1
         val = Fraction(2)  # the two cyclic partitions of the unit cube
@@ -297,7 +301,7 @@ def n_class_via_ratios(class_id: int, dims: Tuple[int, int, int]) -> int:
             raise ArithmeticError("telescoped ratio is not an integer")
         return int(val)
     if class_id == 9:
-        if not (a == b == c) or a % 2:
+        if a % 2:
             raise ValueError("cyclic self-complementary telescoping needs an even cube")
         val = Fraction(1)
         for k in range(a // 2):

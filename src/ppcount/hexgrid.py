@@ -172,6 +172,8 @@ class PlanarMultigraph:
         self.bipartition = bipartition
         self.bachelor = bachelor
         self.meta = meta or {}
+        self._faces = None  # validated faces, kept after the first check
+        self._components = None
         if bipartition is not None:
             blk, wht = bipartition
             for e in self.edges:
@@ -212,7 +214,10 @@ class PlanarMultigraph:
     def degree(self, v) -> int:
         return len(self.rotation.get(v, []))
 
-    def components(self) -> List[set]:
+    def components(self) -> Tuple[frozenset, ...]:
+        """Vertex sets of the connected components, found once per graph."""
+        if self._components is not None:
+            return self._components
         seen = set()
         comps = []
         for v in self.vertices:
@@ -222,13 +227,15 @@ class PlanarMultigraph:
             stack = [v]
             while stack:
                 w = stack.pop()
-                for u in self.neighbors(w):
+                for d in self.rotation.get(w, ()):
+                    u = self.dart_head(d)
                     if u not in comp:
                         comp.add(u)
                         stack.append(u)
             seen |= comp
-            comps.append(comp)
-        return comps
+            comps.append(frozenset(comp))
+        self._components = tuple(comps)
+        return self._components
 
     def subgraph(self, keep) -> "PlanarMultigraph":
         keep = set(keep)
@@ -250,41 +257,50 @@ class PlanarMultigraph:
 
     # -- embedding ----------------------------------------------------------
 
-    def faces(self) -> List[List[Dart]]:
-        """Orbits of the next-dart permutation; each dart lies in one face."""
-        pos: Dict[Dart, Tuple[object, int]] = {}
-        for v, darts in self.rotation.items():
-            for i, d in enumerate(darts):
-                if d in pos:
-                    raise EmbeddingError(f"dart {d} appears twice in the rotation")
-                pos[d] = (v, i)
-        for e in self.edges:
-            for side in (0, 1):
-                if (e.eid, side) not in pos:
-                    raise EmbeddingError(f"edge {e.eid} missing a rotation slot")
-        unused = set(pos)
-        out = []
-        while unused:
-            d0 = min(unused)
-            face = []
-            d = d0
-            while True:
-                face.append(d)
-                unused.discard(d)
+    def _trace_faces(self) -> List[List[Dart]]:
+        """Orbits of the next-dart permutation; each dart lies in one face.
+
+        The dart after d in its face is the one after d's twin in the
+        rotation at the twin's vertex.  Faces come in the order of their
+        smallest darts, each traced from that dart: a sweep over the sorted
+        darts skips those already used.
+        """
+        succ: Dict[Dart, Dart] = {}
+        for ring in self.rotation.values():
+            for i, d in enumerate(ring):
                 twin = (d[0], 1 - d[1])
-                v, i = pos[twin]
-                ring = self.rotation[v]
-                d = ring[(i + 1) % len(ring)]
-                if d == d0:
-                    break
-                if d not in unused:
+                if twin in succ:
+                    raise EmbeddingError(f"dart {d} appears twice in the rotation")
+                succ[twin] = ring[(i + 1) % len(ring)]
+        for e in self.edges:  # the keys of succ are the twins of all darts
+            if (e.eid, 0) not in succ or (e.eid, 1) not in succ:
+                raise EmbeddingError(f"edge {e.eid} missing a rotation slot")
+        used = set()
+        out = []
+        for d0 in sorted(d for ring in self.rotation.values() for d in ring):
+            if d0 in used:
+                continue
+            face = [d0]
+            used.add(d0)
+            d = succ[d0]
+            while d != d0:
+                if d in used:
                     raise EmbeddingError("face tracing revisited a dart")
+                face.append(d)
+                used.add(d)
+                d = succ[d]
             out.append(face)
         return out
 
-    def assert_valid_embedding(self):
-        """Face-trace and check V - E + F = 2 on every connected component."""
-        faces = self.faces()
+    def assert_valid_embedding(self) -> List[List[Dart]]:
+        """Face-trace and check V - E + F = 2 on every connected component.
+
+        Runs once per graph (graphs are immutable); later calls return the
+        faces it validated.  Callers must not modify them.
+        """
+        if self._faces is not None:
+            return self._faces
+        faces = self._trace_faces()
         comp_of = {}
         for ci, comp in enumerate(self.components()):
             for v in comp:
@@ -305,6 +321,7 @@ class PlanarMultigraph:
                 raise EmbeddingError(
                     f"component {ci}: V-E+F = {nv[ci]}-{ne[ci]}+{nf[ci]} != 2"
                 )
+        self._faces = faces
         return faces
 
 
@@ -319,16 +336,6 @@ _DOWN_ORDER = (0, 1, 2)
 _UP_ORDER = (2, 0, 1)
 
 
-def _edge_axis(e: Edge) -> int:
-    """Which coordinate changes across the edge (0, 1, or 2)."""
-    du = e.u
-    dv = e.v
-    for i in range(3):
-        if du[i] != dv[i]:
-            return i
-    raise ValueError(f"degenerate edge {e}")
-
-
 def build_graph(region: HexRegion, q_weights: bool = False) -> PlanarMultigraph:
     """The adjacency graph Z(a,b,c) with its planar rotation system.
 
@@ -341,10 +348,12 @@ def build_graph(region: HexRegion, q_weights: bool = False) -> PlanarMultigraph:
     edges: List[Edge] = []
     at_down: Dict[Triangle, Dict[int, int]] = {}
     at_up: Dict[Triangle, Dict[int, int]] = {}
+    up_of = {u: u for u in region.ups}
     for t in region.downs:
-        for ax, d in enumerate(AXES):
-            u = Triangle(t.x + d.x, t.y + d.y, t.z + d.z)
-            if u in region:
+        x, y, z = t
+        for ax, key in enumerate(((x + 1, y, z), (x, y + 1, z), (x, y, z + 1))):
+            u = up_of.get(key)
+            if u is not None:
                 w: object = 1
                 if q_weights and ax == 2:
                     w = QPoly.q_power(t.x)

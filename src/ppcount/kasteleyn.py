@@ -106,10 +106,7 @@ def flat_signing(g: PlanarMultigraph) -> SignedGraph:
             dual[f0].append((f1, e.eid))
             dual[f1].append((f0, e.eid))
 
-    def nonflat_set():
-        return {fi for fi in range(len(faces)) if not face_state(fi)[2]}
-
-    bad = nonflat_set()
+    bad = {fi for fi in range(len(faces)) if not face_state(fi)[2]}
     guard = 0
     while bad:
         guard += 1
@@ -135,12 +132,17 @@ def flat_signing(g: PlanarMultigraph) -> SignedGraph:
             queue = nxt
         if target is None:
             raise FlatnessError("non-flat faces cannot be paired in the dual graph")
+        # a flip changes only the two faces of the flipped edge
         fi = target
         while prev[fi][0] is not None:
-            _, eid = prev[fi]
+            fj, eid = prev[fi]
             signs[eid] = -signs[eid]
-            fi = prev[fi][0]
-        bad = nonflat_set()
+            for fk in (fi, fj):
+                if face_state(fk)[2]:
+                    bad.discard(fk)
+                else:
+                    bad.add(fk)
+            fi = fj
     return SignedGraph(g, signs)
 
 
@@ -231,10 +233,6 @@ def flat_orientation(g: PlanarMultigraph) -> OrientedGraph:
 def check_flat_orientation(og: OrientedGraph) -> FlatReport:
     g = og.graph
     faces = g.assert_valid_embedding()
-    face_of_dart = {}
-    for fi, f in enumerate(faces):
-        for d in f:
-            face_of_dart[d] = fi
     comp_of = {}
     for ci, comp in enumerate(g.components()):
         for v in comp:
@@ -257,6 +255,18 @@ def check_flat_orientation(og: OrientedGraph) -> FlatReport:
     return FlatReport(tuple(reports), flat)
 
 
+def _matrix(g: PlanarMultigraph, rows, cols, cells) -> ExactMatrix:
+    """The rows x cols matrix whose (i, j) entry sums w over the cells
+    (i, j, w); over Z[q] when some edge weight of g is a QPoly.  Every entry
+    has the one type of the ring, so no entry needs to be inspected."""
+    poly = any(isinstance(e.weight, QPoly) for e in g.edges)
+    zero = QPoly() if poly else 0
+    m = [[zero] * len(cols) for _ in rows]
+    for i, j, w in cells:
+        m[i][j] = m[i][j] + w
+    return ExactMatrix(tuple(map(tuple, m)), tuple(rows), tuple(cols))
+
+
 def bipartite_matrix(sg: SignedGraph) -> Optional[ExactMatrix]:
     """Signed bipartite adjacency matrix; None signals zero matchings
     (unequal color classes make the matrix non-square)."""
@@ -273,13 +283,11 @@ def bipartite_matrix(sg: SignedGraph) -> Optional[ExactMatrix]:
         return None
     ri = {v: i for i, v in enumerate(rows)}
     ci = {v: i for i, v in enumerate(cols)}
-    poly = any(isinstance(e.weight, QPoly) for e in g.edges)
-    zero = QPoly() if poly else 0
-    m = [[zero for _ in cols] for _ in rows]
+    cells = []
     for e in g.edges:
         r, c = (e.u, e.v) if e.u in ri else (e.v, e.u)
-        m[ri[r]][ci[c]] = m[ri[r]][ci[c]] + sg.signs[e.eid] * e.weight
-    return ExactMatrix.from_rows(m, tuple(rows), tuple(cols))
+        cells.append((ri[r], ci[c], sg.signs[e.eid] * e.weight))
+    return _matrix(g, rows, cols, cells)
 
 
 def unsigned_bipartite_matrix(g: PlanarMultigraph) -> Optional[ExactMatrix]:
@@ -292,30 +300,24 @@ def skew_matrix(og: OrientedGraph) -> ExactMatrix:
     g = og.graph
     vs = sorted(g.vertices, key=str)
     idx = {v: i for i, v in enumerate(vs)}
-    poly = any(isinstance(e.weight, QPoly) for e in g.edges)
-    zero = QPoly() if poly else 0
-    m = [[zero for _ in vs] for _ in vs]
+    cells = []
     for e in g.edges:
         head = og.heads[e.eid]
         tail = e.u if head == e.v else e.v
         i, j = idx[tail], idx[head]
-        m[i][j] = m[i][j] + e.weight
-        m[j][i] = m[j][i] - e.weight
-    return ExactMatrix.from_rows(m, tuple(vs), tuple(vs))
+        cells += ((i, j, e.weight), (j, i, -e.weight))
+    return _matrix(g, vs, vs, cells)
 
 
 def symmetric_matrix(g: PlanarMultigraph) -> ExactMatrix:
     """Plain symmetric weighted adjacency matrix (Hafnian oracle input)."""
     vs = sorted(g.vertices, key=str)
     idx = {v: i for i, v in enumerate(vs)}
-    poly = any(isinstance(e.weight, QPoly) for e in g.edges)
-    zero = QPoly() if poly else 0
-    m = [[zero for _ in vs] for _ in vs]
+    cells = []
     for e in g.edges:
         i, j = idx[e.u], idx[e.v]
-        m[i][j] = m[i][j] + e.weight
-        m[j][i] = m[j][i] + e.weight
-    return ExactMatrix.from_rows(m, tuple(vs), tuple(vs))
+        cells += ((i, j, e.weight), (j, i, e.weight))
+    return _matrix(g, vs, vs, cells)
 
 
 def weighted_matching_sum(g: PlanarMultigraph):
@@ -326,12 +328,13 @@ def weighted_matching_sum(g: PlanarMultigraph):
     """
     poly = any(isinstance(e.weight, QPoly) for e in g.edges)
     total = QPoly.const(1) if poly else 1
-    for comp in g.components():
+    comps = g.components()
+    for comp in comps:
         if len(comp) % 2:
             return QPoly() if poly else 0
         if len(comp) == 0:
             continue
-        sub = g.subgraph(comp)
+        sub = g if len(comps) == 1 else g.subgraph(comp)
         if sub.n_edges == 0:
             return QPoly() if poly else 0
         if g.bipartition is not None:

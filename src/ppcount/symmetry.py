@@ -144,17 +144,40 @@ def group_elements(cls: SymmetryClass) -> Tuple[SymmetryElement, ...]:
     return _closure(tuple(cls.generators))
 
 
+def _image_fn(g: SymmetryElement, bounds):
+    """The coordinate map of g on triangles of a region with these bounds
+    (no region check)."""
+    i, j, k = g.perm
+    if g.comp:
+        X, Y, Z = bounds
+        return lambda t: (X - t[i], Y - t[j], Z - t[k])
+    return lambda t: (t[i], t[j], t[k])
+
+
 def act_triangle(g: SymmetryElement, t: Triangle, region: HexRegion) -> Triangle:
     """Image of a triangle; requires the box to be fixed by g."""
     if not box_fixed(g, region.abc):
         raise BoxError(f"H{region.abc} is not fixed by {g}")
-    s = Triangle(t[g.perm[0]], t[g.perm[1]], t[g.perm[2]])
-    if g.comp:
-        X, Y, Z = region.bounds
-        s = Triangle(X - s.x, Y - s.y, Z - s.z)
+    s = Triangle(*_image_fn(g, region.bounds)(t))
     if s not in region:
         raise EmbeddingError(f"symmetry image {s} left the region")
     return s
+
+
+def _act_region(g: SymmetryElement, region: HexRegion) -> Dict[Triangle, Triangle]:
+    """act_triangle on every triangle of the region, as a map: the box is
+    checked once, and each image against the region's triangle set."""
+    if not box_fixed(g, region.abc):
+        raise BoxError(f"H{region.abc} is not fixed by {g}")
+    image = _image_fn(g, region.bounds)
+    canon = {t: t for t in region.triangles}
+    out = {}
+    for t in region.triangles:
+        s = canon.get(image(t))
+        if s is None:
+            raise EmbeddingError(f"symmetry image of {t} left the region")
+        out[t] = s
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +341,7 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     G = group_elements(cls)
     Z = build_graph(region)
     verts = region.triangles
-    act = {g: {t: act_triangle(g, t, region) for t in verts} for g in G}
+    act = {g: _act_region(g, region) for g in G}
     stab = {t: frozenset(g for g in G if act[g][t] == t) for t in verts}
 
     edge_of = {}
@@ -363,6 +386,7 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     for e in surviving:
         inc.setdefault(e.u, []).append(e)
         inc.setdefault(e.v, []).append(e)
+    bachelor_ends = {v for v, _ in surviving_b}
     removed = set()
     removed_eids = set()
     for v in sorted(fixed):
@@ -377,7 +401,7 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
         w = e.v if e.u == v else e.u
         if w not in fixed or len(inc.get(w, [])) != 1:
             raise EmbeddingError(f"fixed vertex {v} is not cleanly paired")
-        if any((v, s) in surviving_b or (w, s) in surviving_b for s in reversed_ids):
+        if v in bachelor_ends or w in bachelor_ends:
             raise EmbeddingError("paired fixed vertex also holds a bachelor edge")
         removed.update((v, w))
         removed_eids.add(e.eid)
@@ -447,11 +471,10 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
 
     reps = sorted({orb_of[t] for t in kept})
     qvertices = [_orbit_label(r) for r in reps]
-    orbit_members: Dict[str, tuple] = {}
-    for r in reps:
-        orbit_members[_orbit_label(r)] = tuple(
-            sorted(t for t in kept if orb_of[t] == r)
-        )
+    members_of: Dict[Triangle, List[Triangle]] = {r: [] for r in reps}
+    for t in kept:  # sorted, so each member list comes out sorted
+        members_of[orb_of[t]].append(t)
+    orbit_members = {_orbit_label(r): tuple(members_of[r]) for r in reps}
 
     # Reflections reverse the local rotation sense, so rotations must be read
     # off orbit members lying in consistently-oriented chambers (the sectors
@@ -461,15 +484,14 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     rot_source: Dict[str, Triangle] = {}
     on_axis: set = set()
     for label, members in orbit_members.items():
-        parities = {t: parity_of(t) for t in members}
-        plus = [t for t in members if parities[t] == 0]
-        if plus:
-            rot_source[label] = min(plus)
-        elif all(p is None for p in parities.values()):
-            rot_source[label] = min(members)
+        # the first member in a positive chamber is the smallest such one
+        src = next((t for t in members if parity_of(t) == 0), None)
+        if src is None:
+            if any(parity_of(t) is not None for t in members):
+                raise EmbeddingError("orbit misses the positively oriented chambers")
+            src = members[0]
             on_axis.add(label)
-        else:
-            raise EmbeddingError("orbit misses the positively oriented chambers")
+        rot_source[label] = src
 
     rotation: Dict[object, List[Dart]] = {}
     for r in reps:

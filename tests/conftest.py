@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 import pytest
 
-from ppcount.hexgrid import Edge, PlanarMultigraph
+from ppcount.hexgrid import Edge, PlanarMultigraph, build_hexagon
+from ppcount.symmetry import CLASSES, quotient_graph
 
 
 def graph_from_points(points, pairs, bipartition=None, weights=None):
@@ -103,3 +105,15 @@ def random_planar_graph(rng: random.Random) -> PlanarMultigraph:
 @pytest.fixture
 def rng():
     return random.Random(20250808)
+
+
+@pytest.fixture(scope="session")
+def small_quotients():
+    """(class id, box, quotient graph) for every box with sides <= 6 that
+    the class fixes."""
+    return [
+        (cid, dims, quotient_graph(build_hexagon(*dims), CLASSES[cid]))
+        for cid in sorted(CLASSES)
+        for dims in itertools.product(range(7), repeat=3)
+        if CLASSES[cid].box_fixed(dims)
+    ]

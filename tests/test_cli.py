@@ -56,6 +56,27 @@ def test_count_box_not_fixed_by_class_is_zero(method, capsys):
     assert (code, out.strip(), err) == (0, "0", "")
 
 
+def test_count_ratios_box_not_fixed_by_class_is_zero(capsys):
+    code, out, err = run(capsys, "count", "--class", "3", "--dims", "1,2,3", "--method", "ratios")
+    assert (code, out.strip(), err) == (0, "0", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--class", "5", "--dims", "1,2,3", "--method", "ratios"),
+        ("count", "--class", "9", "--dims", "3,3,3", "--method", "ratios"),
+        ("export", "--kind", "quotient", "--class", "2", "--dims", "1,2,3"),
+        ("export", "--kind", "quotient", "--class", "11", "--dims", "1,1,1"),
+        ("verify", "--max-side", "1", "--classes", "1,x"),
+    ],
+)
+def test_unanswerable_requests_exit_2_with_an_error_line(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_verify_small(capsys):
     code, out, err = run(capsys, "verify", "--max-side", "2")
     assert code == 0

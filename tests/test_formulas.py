@@ -164,6 +164,9 @@ def test_via_ratios_matches_closed_forms():
         assert n_class_via_ratios(3, (a, a, a)) == n_class(3, (a, a, a))
         if a % 2 == 0:
             assert n_class_via_ratios(9, (a, a, a)) == n_class(9, (a, a, a))
+    for dims in [(1, 2, 3), (2, 2, 4), (0, 0, 1)]:  # not fixed: no invariant partition
+        assert n_class_via_ratios(3, dims) == n_class(3, dims) == 0
+        assert n_class_via_ratios(9, dims) == n_class(9, dims) == 0
     for a in range(0, 9, 2):
         for b in range(0, 9, 2):
             for c in range(0, 9, 2):

@@ -1,5 +1,7 @@
 import pytest
 
+from conftest import grid_graph, random_planar_bipartite, random_planar_graph, wheel_graph
+
 from ppcount.exactalg import QPoly
 from ppcount.formulas import n_class
 from ppcount.hexgrid import (
@@ -16,7 +18,7 @@ from ppcount.oracle import (
     q_sum,
     weighted_matching_sum_brute,
 )
-from ppcount.symmetry import KAPPA, act_triangle
+from ppcount.symmetry import KAPPA, act_triangle, build_parity_gadget, gadget_multigraph
 
 
 def test_smallest_hexagon():
@@ -144,3 +146,51 @@ def test_graph_is_bipartite_flagged():
     assert len(blk) == len(wht) == 12
     for e in g.edges:
         assert (e.u in blk) != (e.v in blk)
+
+
+def reference_faces(g):
+    """The face tracer the sorted sweep replaced: it starts each face at
+    min(unused), which costs O(faces * darts).  Kept as the reference."""
+    pos = {}
+    for v, darts in g.rotation.items():
+        for i, d in enumerate(darts):
+            pos[d] = (v, i)
+    unused = set(pos)
+    out = []
+    while unused:
+        d0 = min(unused)
+        face = []
+        d = d0
+        while True:
+            face.append(d)
+            unused.discard(d)
+            v, i = pos[(d[0], 1 - d[1])]
+            ring = g.rotation[v]
+            d = ring[(i + 1) % len(ring)]
+            if d == d0:
+                break
+        out.append(face)
+    return out
+
+
+def test_faces_match_reference_on_small_graphs(rng):
+    graphs = [grid_graph(r, c) for r in range(1, 5) for c in range(1, 6)]
+    graphs += [grid_graph(3, 4, diagonals={(0, 0), (1, 2)}), wheel_graph(5), wheel_graph(6)]
+    graphs += [random_planar_bipartite(rng) for _ in range(25)]
+    graphs += [random_planar_graph(rng) for _ in range(25)]
+    graphs += [build_graph(build_hexagon(*dims)) for dims in [(1, 1, 1), (2, 3, 4), (4, 4, 4)]]
+    graphs += [gadget_multigraph(build_parity_gadget(n, p)) for n in (1, 4, 9) for p in ("odd", "even")]
+    for g in graphs:
+        assert g.assert_valid_embedding() == reference_faces(g)
+
+
+def test_faces_match_reference_on_quotients(small_quotients):
+    for cid, dims, q in small_quotients:
+        assert q.assert_valid_embedding() == reference_faces(q), (cid, dims)
+
+
+def test_embedding_is_validated_once_and_kept():
+    g = build_graph(build_hexagon(2, 2, 2))
+    faces = g.assert_valid_embedding()
+    assert g.assert_valid_embedding() is faces
+    assert g.components() is g.components()

@@ -7,6 +7,7 @@ from conftest import graph_from_points, grid_graph, random_planar_bipartite, ran
 from ppcount.exactalg import det, hafnian, permanent, pfaffian_abs
 from ppcount.hexgrid import build_graph, build_hexagon
 from ppcount.kasteleyn import (
+    FlatnessError,
     SignedGraph,
     bipartite_matrix,
     check_flat_orientation,
@@ -15,6 +16,7 @@ from ppcount.kasteleyn import (
     flat_signing,
     skew_matrix,
     symmetric_matrix,
+    two_coloring,
     unsigned_bipartite_matrix,
     weighted_matching_sum,
 )
@@ -219,3 +221,92 @@ def test_unequal_classes_signal_no_matchings():
     g = grid_graph(1, 3)
     assert bipartite_matrix(SignedGraph(g, {e.eid: 1 for e in g.edges})) is None
     assert weighted_matching_sum(grid_graph(2, 3)) == count_perfect_matchings(grid_graph(2, 3))
+
+
+def reference_flat_signing(g):
+    """The flat signing before flips updated only the faces they touch: it
+    recomputes the whole non-flat face set after every dual path flip,
+    O(faces^2).  Kept as the reference."""
+    if g.n_vertices % 2:
+        raise ValueError("flat signing needs an even number of vertices")
+    if two_coloring(g) is None:
+        raise ValueError("flat signing requires a bipartite graph")
+    faces = g.assert_valid_embedding()
+    signs = {e.eid: 1 for e in g.edges}
+    face_of_dart = {d: fi for fi, f in enumerate(faces) for d in f}
+    dual = {fi: [] for fi in range(len(faces))}
+    for e in g.edges:
+        f0, f1 = face_of_dart[(e.eid, 0)], face_of_dart[(e.eid, 1)]
+        if f0 != f1:
+            dual[f0].append((f1, e.eid))
+            dual[f1].append((f0, e.eid))
+
+    def nonflat_set():
+        out = set()
+        for fi, f in enumerate(faces):
+            neg = sum(1 for d in f if signs[d[0]] < 0)
+            if (neg % 2 == 1) != (len(f) % 4 == 0):
+                out.add(fi)
+        return out
+
+    bad = nonflat_set()
+    guard = 0
+    while bad:
+        guard += 1
+        if guard > 4 * len(faces) + 8:
+            raise FlatnessError("flat signing failed to converge")
+        start = min(bad)
+        prev = {start: (None, None)}
+        queue = [start]
+        target = None
+        while queue and target is None:
+            nxt = []
+            for fi in queue:
+                for fj, eid in dual[fi]:
+                    if fj not in prev:
+                        prev[fj] = (fi, eid)
+                        if fj != start and fj in bad:
+                            target = fj
+                            break
+                        nxt.append(fj)
+                if target is not None:
+                    break
+            queue = nxt
+        if target is None:
+            raise FlatnessError("non-flat faces cannot be paired in the dual graph")
+        fi = target
+        while prev[fi][0] is not None:
+            _, eid = prev[fi]
+            signs[eid] = -signs[eid]
+            fi = prev[fi][0]
+        bad = nonflat_set()
+    return signs
+
+
+def _assert_signing_matches_reference(g):
+    try:
+        want = reference_flat_signing(g)
+    except (ValueError, FlatnessError) as exc:
+        with pytest.raises(type(exc)):
+            flat_signing(g)
+        return
+    assert flat_signing(g).signs == want
+
+
+def test_flat_signing_matches_reference_on_small_graphs(rng):
+    graphs = [grid_graph(r, c) for r in range(1, 6) for c in range(1, 7)]
+    graphs += [cycle_graph(k) for k in (4, 6, 8, 10)]
+    graphs += [random_planar_bipartite(rng) for _ in range(40)]
+    graphs += [random_planar_graph(rng) for _ in range(10)]
+    graphs += [build_graph(build_hexagon(*dims)) for dims in [(1, 1, 1), (2, 3, 4), (3, 3, 3)]]
+    flips = 0
+    for g in graphs:
+        _assert_signing_matches_reference(g)
+        if g.bipartition is not None and g.n_vertices % 2 == 0:
+            flips += sum(1 for s in flat_signing(g).signs.values() if s < 0)
+    assert flips > 0  # the grids' square faces need sign flips
+
+
+def test_flat_signing_matches_reference_on_quotients(small_quotients):
+    for _, _, q in small_quotients:
+        _assert_signing_matches_reference(q)

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -171,7 +172,7 @@ def test_gadget_examples():
 
 
 @pytest.mark.parametrize("parity", ["odd", "even"])
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_gadget_contract_exhaustive(n, parity):
     g = build_parity_gadget(n, parity)
     gadget_multigraph(g).assert_valid_embedding()
@@ -180,6 +181,22 @@ def test_gadget_contract_exhaustive(n, parity):
         for removed in combinations(g.attachments, k):
             want = 1 if k % 2 == want_parity else 0
             assert _gadget_matchings_minus(g, set(removed)) == want
+
+
+# Quotients use gadgets with up to 24 attachments (class 4 at 12^3), too
+# many subsets to try them all: these sizes check a seeded sample.
+@pytest.mark.parametrize("parity", ["odd", "even"])
+@pytest.mark.parametrize("n", range(13, 25))
+def test_gadget_contract_sampled(n, parity):
+    g = build_parity_gadget(n, parity)
+    gadget_multigraph(g).assert_valid_embedding()
+    want_parity = 1 if parity == "odd" else 0
+    rng = random.Random(1000 * n + len(parity))
+    samples = [(), tuple(g.attachments)]
+    samples += [tuple(rng.sample(g.attachments, rng.randrange(n + 1))) for _ in range(200)]
+    for removed in samples:
+        want = 1 if len(removed) % 2 == want_parity else 0
+        assert _gadget_matchings_minus(g, set(removed)) == want
 
 
 def test_gadget_rejects_bad_arguments():
