@@ -16,9 +16,16 @@ Z345 = ("--kind", "z", "--dims", "3,4,5")
 C3_5 = ("--kind", "quotient", "--class", "3", "--dims", "5,5,5")
 C7_4 = ("--kind", "quotient", "--class", "7", "--dims", "4,4,4")
 C10_4 = ("--kind", "quotient", "--class", "10", "--dims", "4,4,4")
+# classes 2, 4 and 5 carry parity gadgets; class 6 at 3x3x4 removes fixed pairs
+C2_332 = ("--kind", "quotient", "--class", "2", "--dims", "3,3,2")
+C4_4 = ("--kind", "quotient", "--class", "4", "--dims", "4,4,4")
+C5_345 = ("--kind", "quotient", "--class", "5", "--dims", "3,4,5")
+C6_334 = ("--kind", "quotient", "--class", "6", "--dims", "3,3,4")
+C8_6 = ("--kind", "quotient", "--class", "8", "--dims", "6,6,6")
+C9_4 = ("--kind", "quotient", "--class", "9", "--dims", "4,4,4")
 
-# (graph, --with, --format) -> sha256 of standard output.  Classes 7 and 10
-# have no sign export: their quotients are not bipartite.
+# (graph, --with, --format) -> sha256 of standard output.  Only classes 1, 3,
+# 6 and 8 have a sign export: the other quotients carry no bipartition.
 GOLDEN = {
     (Z345, "signs", "json"): "d65bdb356b0829e9c9a7a83e9d00a19893b5f57896cfe648c3dea5b371e18dcb",
     (Z345, "signs", "dot"): "341c57953f73b48b51f172eeb00638badf2bd39fec7d9d43dc5825f3521c417a",
@@ -40,6 +47,34 @@ GOLDEN = {
     (C10_4, "orientation", "dot"): "0c1b202a1cdc5271a8cbbae854eb7a8c57e491214fc4cb43e5129acd113b33cd",
     (C10_4, "none", "json"): "37f0f87f0fc2576111defb7e5a8bb98acef64958827e90092894553a304fe503",
     (C10_4, "none", "dot"): "8a502bb7c24a5dcab124f86aa8bfcf10a207dc7bd0c0b6ae5e68fb992948a9b2",
+    (C2_332, "none", "json"): "b244df7a805fc19ab3829ec5b7a0b84a78b0196a7018da4f7f067fed52c2d671",
+    (C2_332, "none", "dot"): "942905014c238c59745633827c0723e5133241d84f4a7bf7ddfb892b5cfd5432",
+    (C2_332, "orientation", "json"): "784e6d2d01a1fa68d3fde27ffcad87b547e9cf8aef818bdbb3e6b1885f200fb1",
+    (C2_332, "orientation", "dot"): "2ba820df9ef6aa4c6e75b68ec6ec3028d7158c9cf9ce91c77fed103e73d17a8f",
+    (C4_4, "none", "json"): "08a88e75713d452e04b8eb8717aa814d10cf59680d86a59d2b70341ab8bb261d",
+    (C4_4, "none", "dot"): "9a9365c61649152d978310b47215cb1670f9a39ec15213335e8bb762947d1314",
+    (C4_4, "orientation", "json"): "cd5f14d59e1c0e49ee9e1d7c63023a25d53c322fa83f67925a6e6deef42c7216",
+    (C4_4, "orientation", "dot"): "9aa74a4684bd4978fb1f8597f410387bde54a69eaccd1c13ae88400f40b59105",
+    (C5_345, "none", "json"): "494a572a6d61f851ce49b199373f0c72873a035ee64cb58f9918c0ef560dcdd6",
+    (C5_345, "none", "dot"): "cd3f7cd6d031aa6d86efcfae17862594241c2d2400b850cd050f696815d7cddf",
+    (C5_345, "orientation", "json"): "d4809b15ae7fead37aa6598b0db27b78dc314e4729c8f12581e395ef33978bf2",
+    (C5_345, "orientation", "dot"): "05f5406c473c8c9da9b721fb9fc29e494be67a6aee938bcd2f1865de686a7563",
+    (C6_334, "signs", "json"): "8082f48206f74dbda5b837d8f434787aeace0406afe5ed30806c632431652386",
+    (C6_334, "signs", "dot"): "ab5b16f13ccf6e764e49e5cf48e77bbf8d2e1ea60c41e26de6a6ae20d643c8e6",
+    (C6_334, "orientation", "json"): "6b5dca78b628cb00a96d4fb0edbe062d57bb3fdef20fc7b97f251a42b4c6048b",
+    (C6_334, "orientation", "dot"): "d5e259d4d45f839158bdc5056e5002872264e757d4860baf841186fbd60782d3",
+    (C6_334, "none", "json"): "412832150be23bcbf3dd5ff9e097c29828cb62df5c57da9555db92e2cc330cdd",
+    (C6_334, "none", "dot"): "36af09b769a5dbc7c4bc85fd2c097b9d53bf2b0890a792e04cca4c3600b122c2",
+    (C8_6, "signs", "json"): "6ace224c25071799aaa4c67fd565cef4dc3e93413d9717356edd347059a31819",
+    (C8_6, "signs", "dot"): "ac9e70470fda4506d811951a611e9c1779ff4fa723c01ae0aa5a5bac2883f865",
+    (C8_6, "orientation", "json"): "a851532927a8a765358fb9fe1e4ca6c061b5831cb5dc0eb62b5052764cb345b7",
+    (C8_6, "orientation", "dot"): "dbb027e9878f976481031ef5c4d591cab41c3985a8c816ca65f9d7feec417489",
+    (C8_6, "none", "json"): "9b67ec62275365c176a82b9781e06a12851888cb4d94d266094062907c136090",
+    (C8_6, "none", "dot"): "528c5bb9823600d38c247334159e6fb096f37e1619de3100cbb8751eda45a3cd",
+    (C9_4, "none", "json"): "52ee0fd21fdfad971b9cd81d66508bd791dc71a3c7dc1d63cf96c6b23798689c",
+    (C9_4, "none", "dot"): "23c8cf000bb22ddeba239f48f608c70a70378bef8e6c11edb3c5354fa4509e4d",
+    (C9_4, "orientation", "json"): "6da7181e344c6ca82eb47cae907c28b871a2d3e6fc94264296bac77ecf89fb98",
+    (C9_4, "orientation", "dot"): "4ca615be3e8cdd15249efeae6570a7604a975b25aa9387358dac8278b1420e07",
 }
 
 
