@@ -17,21 +17,26 @@ reflection through two edge midpoints (transpose-complementation).
 
 Quotient graphs: given a subgroup G fixing the box, ``quotient_graph``
 builds a graph whose perfect matchings are in bijection with the
-G-invariant matchings of Z(a,b,c).  The pipeline: edges reversed by some
-group element are rerouted to a "bachelorhood" vertex; edges whose
-stabilizer does not contain a non-bachelor endpoint's stabilizer are
-deleted; vertices fixed by a transpose-complement reflection pair up into
-isolated forced edges and are dropped; the rest is quotiented by orbits
-(keeping parallel edges); finally the bachelorhood vertex, if it kept any
-edges, is replaced by a planar parity gadget so that ordinary perfect
-matchings reproduce the matchings-with-bachelors count.
+G-invariant matchings of Z(a,b,c).  It makes one pass over the vertex
+orbits and one over the edge orbits, and prunes by orbit sizes, once per
+orbit.  An edge e = (u, v) that no element reverses has stab(e) =
+stab(u) & stab(v); it survives when stab(u) = stab(v), which holds exactly
+when |Ge| = |Gu| = |Gv|.  An edge that some element
+reverses is rerouted to a "bachelorhood" vertex; its half (v, e) survives
+when stab(v) fixes e, that is, when |G(v, e)| = |Gv| (the two halves of a
+reversed edge form one orbit, of size 2|Ge|).  Vertices fixed by a
+transpose-complement reflection pair up into isolated forced edges and are
+dropped; the rest is quotiented by orbits (keeping parallel edges, dropping
+loops); finally the bachelorhood vertex, if it kept any edges, is replaced
+by a planar parity gadget so that ordinary perfect matchings reproduce the
+matchings-with-bachelors count.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .hexgrid import (
     Dart,
@@ -323,8 +328,6 @@ def gadget_multigraph(g: ParityGadget) -> PlanarMultigraph:
 # the quotient construction
 # ---------------------------------------------------------------------------
 
-BACHELOR = "bachelor"
-
 
 def _is_transposition(perm) -> bool:
     return sum(1 for i in range(3) if perm[i] == i) == 1
@@ -340,256 +343,168 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
         raise BoxError(f"H{region.abc} is not fixed by class {cls.id}")
     G = group_elements(cls)
     Z = build_graph(region)
-    verts = region.triangles
     act = {g: _act_region(g, region) for g in G}
-    stab = {t: frozenset(g for g in G if act[g][t] == t) for t in verts}
+    maps = tuple(act.values())
+    refl0 = [act[g] for g in G if not g.comp and _is_transposition(g.perm)]
 
+    # vertex orbits, sorted, each found from its smallest member; fixedness
+    # by a transpose-complement reflection is an orbit property
+    orbit_of: Dict[Triangle, Tuple[Triangle, ...]] = {}
+    reps: List[Triangle] = []
+    fixed = set()
+    for t in region.triangles:
+        if t not in orbit_of:
+            orbit = tuple(sorted({m[t] for m in maps}))
+            for s in orbit:
+                orbit_of[s] = orbit
+            reps.append(t)
+            if any(m[t] == t for m in refl0):
+                fixed.update(orbit)
+
+    # edge orbits, each found from its smallest edge id, and pruned by the
+    # orbit-size rule: |Ge| = |Gu| = |Gv| for an ordinary edge, and
+    # |G(v, e)| = 2|Ge| = |Gv| for the halves of a reversed one
     edge_of = {}
     for e in Z.edges:
-        edge_of[(e.u, e.v)] = e
-        edge_of[(e.v, e.u)] = e
-
-    def edge_image(g, e):
-        img = edge_of.get((act[g][e.u], act[g][e.v]))
-        if img is None:
-            raise EmbeddingError("group element does not preserve adjacency")
-        return img
-
-    # reversed edges: some element fixes the edge but swaps its endpoints
-    reversed_ids = set()
+        edge_of[(e.u, e.v)] = edge_of[(e.v, e.u)] = e.eid
+    ordinary: List[Tuple[Edge, set]] = []  # (smallest edge, orbit ids)
+    bachelor: List[Tuple[Edge, set]] = []
+    kept_ids = set()  # ordinary edges that survive pruning
+    bachelor_ids = set()  # reversed edges whose halves survive
+    done = set()
     for e in Z.edges:
-        for g in G:
-            if g.comp and act[g][e.u] == e.v and act[g][e.v] == e.u:
-                reversed_ids.add(e.eid)
-                break
-
-    # stabilizer pruning (ordinary edges): survivors need equal endpoint stabilizers
-    surviving: List[Edge] = []
-    for e in Z.edges:
-        if e.eid in reversed_ids:
+        if e.eid in done:
             continue
-        if stab[e.u] == stab[e.v]:
-            surviving.append(e)
-
-    # stabilizer pruning (bachelor half-edges, identified by their source edge)
-    surviving_b = set()
-    for eid in sorted(reversed_ids):
-        e = Z.edge_by_id[eid]
-        for v in (e.u, e.v):
-            if all(edge_image(g, e).eid == eid for g in stab[v]):
-                surviving_b.add((v, eid))
+        eorbit = set()
+        rev = False
+        for m in maps:
+            mu, mv = m[e.u], m[e.v]
+            img = edge_of.get((mu, mv))
+            if img is None:
+                raise EmbeddingError("group element does not preserve adjacency")
+            eorbit.add(img)
+            rev = rev or (mu == e.v and mv == e.u)
+        done |= eorbit
+        n = len(orbit_of[e.u])
+        if rev:
+            if 2 * len(eorbit) == n:
+                bachelor.append((e, eorbit))
+                bachelor_ids |= eorbit
+        elif len(eorbit) == n == len(orbit_of[e.v]):
+            ordinary.append((e, eorbit))
+            kept_ids |= eorbit
 
     # transpose-complement-fixed vertices pair into forced isolated edges
-    refl0 = [g for g in G if not g.comp and _is_transposition(g.perm)]
-    fixed = {t for t in verts if any(act[g][t] == t for g in refl0)}
-    inc: Dict[Triangle, List[Edge]] = {}
-    for e in surviving:
-        inc.setdefault(e.u, []).append(e)
-        inc.setdefault(e.v, []).append(e)
-    bachelor_ends = {v for v, _ in surviving_b}
+    def ids_at(v, ids):
+        return [eid for eid, _ in Z.rotation[v] if eid in ids]
+
     removed = set()
-    removed_eids = set()
     for v in sorted(fixed):
         if v in removed:
             continue
-        ev = inc.get(v, [])
+        ev = ids_at(v, kept_ids)
         if not ev:
             continue  # bachelor-only or isolated; handled downstream
         if len(ev) != 1:
             raise EmbeddingError(f"fixed vertex {v} kept {len(ev)} edges")
-        e = ev[0]
+        e = Z.edge_by_id[ev[0]]
         w = e.v if e.u == v else e.u
-        if w not in fixed or len(inc.get(w, [])) != 1:
+        if w not in fixed or len(ids_at(w, kept_ids)) != 1:
             raise EmbeddingError(f"fixed vertex {v} is not cleanly paired")
-        if v in bachelor_ends or w in bachelor_ends:
+        if ids_at(v, bachelor_ids) or ids_at(w, bachelor_ids):
             raise EmbeddingError("paired fixed vertex also holds a bachelor edge")
         removed.update((v, w))
-        removed_eids.add(e.eid)
-    for v in removed:
-        for g in G:
-            if act[g][v] not in removed:
-                raise EmbeddingError("fixed-pair removal is not orbit-closed")
-
-    kept = [t for t in verts if t not in removed]
-    surviving = [
-        e
-        for e in surviving
-        if e.eid not in removed_eids and e.u not in removed and e.v not in removed
-    ]
-
-    # orbits of vertices and edges
-    orb_of: Dict[Triangle, Triangle] = {}
-    for t in kept:
-        if t in orb_of:
-            continue
-        orbit = frozenset(act[g][t] for g in G)
-        rep = min(orbit)
-        for s in orbit:
-            orb_of[s] = rep
-    surviving_ids = {e.eid for e in surviving}
-    eorb_of: Dict[int, FrozenSet[int]] = {}
-    for e in surviving:
-        if e.eid in eorb_of:
-            continue
-        oe = frozenset(edge_image(g, e).eid for g in G)
-        if not oe <= surviving_ids:
-            raise EmbeddingError("edge pruning is not orbit-closed")
-        for eid2 in oe:
-            eorb_of[eid2] = oe
-    borb_of: Dict[Tuple[Triangle, int], FrozenSet] = {}
-    for bd in surviving_b:
-        if bd in borb_of:
-            continue
-        v, src = bd
-        e = Z.edge_by_id[src]
-        ob = frozenset((act[g][v], edge_image(g, e).eid) for g in G)
-        if not ob <= surviving_b:
-            raise EmbeddingError("bachelor-edge pruning is not orbit-closed")
-        for x in ob:
-            borb_of[x] = ob
-
-    # quotient edges: one per orbit; loops can never be matched, drop them
-    norb_list = sorted({oe for oe in eorb_of.values()}, key=lambda oe: min(oe))
-    qedges: List[Edge] = []
-    qedge_of_orbit: Dict[FrozenSet[int], int] = {}
-    for oe in norb_list:
-        e = Z.edge_by_id[min(oe)]
-        ru, rv = orb_of[e.u], orb_of[e.v]
-        if ru == rv:
-            continue
-        qeid = len(qedges)
-        qedges.append(Edge(qeid, _orbit_label(ru), _orbit_label(rv)))
-        qedge_of_orbit[oe] = qeid
-
-    borb_list = sorted({ob for ob in borb_of.values()}, key=lambda ob: min(ob))
-    qbedge_of_orbit: Dict[FrozenSet, int] = {}
-    for ob in borb_list:
-        v, src = min(ob)
-        qeid = len(qedges)
-        qedges.append(Edge(qeid, _orbit_label(orb_of[v]), BACHELOR))
-        qbedge_of_orbit[ob] = qeid
-
-    reps = sorted({orb_of[t] for t in kept})
+    if any(s not in removed for v in removed for s in orbit_of[v]):
+        raise EmbeddingError("fixed-pair removal is not orbit-closed")
+    reps = [r for r in reps if r not in removed]
     qvertices = [_orbit_label(r) for r in reps]
-    members_of: Dict[Triangle, List[Triangle]] = {r: [] for r in reps}
-    for t in kept:  # sorted, so each member list comes out sorted
-        members_of[orb_of[t]].append(t)
-    orbit_members = {_orbit_label(r): tuple(members_of[r]) for r in reps}
+
+    # final numbering: ordinary quotient edges by their smallest Z edge id
+    # (loops can never be matched, so they are dropped), then the bachelor
+    # edges in border order, each wired to its gadget attachment, then the
+    # gadget's own edges
+    qedges: List[Edge] = []
+    qedge_of: Dict[int, int] = {}  # Z edge id -> quotient edge id
+
+    def add_edge(eorbit, u, v):
+        for eid in eorbit:
+            qedge_of[eid] = len(qedges)
+        qedges.append(Edge(len(qedges), u, v))
+
+    for e, eorbit in ordinary:
+        if e.u in removed:  # removal is orbit-closed
+            continue
+        ru, rv = orbit_of[e.u][0], orbit_of[e.v][0]
+        if ru != rv:
+            add_edge(eorbit, _orbit_label(ru), _orbit_label(rv))
+
+    rays = _axis_rays(region, G, act)
+    gadget_rotation: Dict[object, List[Dart]] = {}
+    if bachelor:
+        # replace the bachelorhood vertex by a parity gadget whose
+        # attachments follow the bachelor edges along the chamber boundary
+        border = _bachelor_order(region, Z, rays, bachelor)
+        gadget = build_parity_gadget(len(border), "odd" if len(reps) % 2 else "even")
+        glabel = {v: f"g{v[1:]}" for v in gadget.vertices}
+        ext_at = {}
+        for att, (e, eorbit) in zip(gadget.attachments, border):
+            ext_at[att] = len(qedges)
+            add_edge(eorbit, _orbit_label(orbit_of[e.u][0]), glabel[att])
+        offset = len(qedges)
+        gm = gadget_multigraph(gadget)
+        qedges += [Edge(offset + e.eid, glabel[e.u], glabel[e.v]) for e in gm.edges]
+        for v in gadget.vertices:
+            darts = [(offset + eid, side) for eid, side in gm.rotation[v]]
+            if v in ext_at:
+                darts.append((ext_at[v], 1))  # slot 4: the external edge
+            gadget_rotation[glabel[v]] = darts
 
     # Reflections reverse the local rotation sense, so rotations must be read
     # off orbit members lying in consistently-oriented chambers (the sectors
     # cut out by the reflection axes alternate in orientation).
-    rays = _axis_rays(region, G, act, verts)
     parity_of = _chamber_parity_fn(region, rays)
-    rot_source: Dict[str, Triangle] = {}
-    on_axis: set = set()
-    for label, members in orbit_members.items():
+    rotation: Dict[object, List[Dart]] = {}
+    for r, label in zip(reps, qvertices):
+        members = orbit_of[r]
         # the first member in a positive chamber is the smallest such one
         src = next((t for t in members if parity_of(t) == 0), None)
-        if src is None:
+        on_axis = src is None
+        if on_axis:
             if any(parity_of(t) is not None for t in members):
                 raise EmbeddingError("orbit misses the positively oriented chambers")
             src = members[0]
-            on_axis.add(label)
-        rot_source[label] = src
-
-    rotation: Dict[object, List[Dart]] = {}
-    for r in reps:
-        label = _orbit_label(r)
-        src_v = rot_source[label]
-        darts: List[Dart] = []
-        seen = set()
-        for d in Z.rotation[src_v]:
-            e = Z.edge_by_id[d[0]]
-            if e.eid in reversed_ids:
-                key = borb_of.get((src_v, e.eid))
-                if key is None:
-                    continue  # pruned bachelor half
-                qeid = qbedge_of_orbit[key]
-            else:
-                oe = eorb_of.get(e.eid)
-                if oe is None or oe not in qedge_of_orbit:
-                    continue  # pruned edge or dropped loop
-                qeid = qedge_of_orbit[oe]
-            if qeid in seen:
+        darts = []
+        for eid, _ in Z.rotation[src]:
+            qeid = qedge_of.get(eid)
+            if qeid is None:
+                continue  # pruned or removed edge, or dropped loop
+            if any(qeid == d[0] for d in darts):
                 raise EmbeddingError(f"quotient edge met {label} twice")
-            seen.add(qeid)
-            qe = qedges[qeid]
-            darts.append((qeid, 0 if qe.u == label else 1))
-        if label in on_axis and len(darts) > 1:
+            darts.append((qeid, 0 if qedges[qeid].u == label else 1))
+        if on_axis and len(darts) > 1:
             raise EmbeddingError(f"axis vertex {label} kept {len(darts)} edges")
         rotation[label] = darts
+    rotation.update(gadget_rotation)
 
-    meta = {"class": cls.id, "orbit": orbit_members}
-
-    if not qbedge_of_orbit:
-        bip = None
-        if all(not g.comp for g in G):
-            ups = frozenset(_orbit_label(r) for r in reps if sum(r) == region.up_sum)
-            downs = frozenset(set(qvertices) - ups)
-            bip = (ups, downs)
-        g = PlanarMultigraph(qvertices, qedges, rotation, bipartition=bip, meta=meta)
-        g.assert_valid_embedding()
-        return g
-
-    # order the bachelor edges along the reflection-axis boundary, then
-    # replace the bachelorhood vertex by a parity gadget
-    border = _bachelor_order(region, Z, rays, borb_list, qbedge_of_orbit)
-    n_attach = len(border)
-    parity = "odd" if len(qvertices) % 2 == 1 else "even"
-    gadget = build_parity_gadget(n_attach, parity)
-    glabel = {v: f"g{v[1:]}" for v in gadget.vertices}
-
-    # rebuild with contiguous ids: ordinary quotient edges first, then the
-    # bachelor edges rewired to their attachment points, then gadget edges
-    id_map = {}
-    final_edges = []
-    for e in qedges:
-        if e.v != BACHELOR:
-            id_map[e.eid] = len(final_edges)
-            final_edges.append(Edge(len(final_edges), e.u, e.v, e.weight))
-    for k, qeid in enumerate(border):
-        old = qedges[qeid]
-        att = glabel[gadget.attachments[k]]
-        id_map[qeid] = len(final_edges)
-        final_edges.append(Edge(len(final_edges), old.u, att))
-    gadget_edge_ids = {}
-    for (u, v) in gadget.edges:
-        eid = len(final_edges)
-        gadget_edge_ids[(u, v)] = eid
-        final_edges.append(Edge(eid, glabel[u], glabel[v]))
-
-    frotation: Dict[object, List[Dart]] = {}
-    for label, darts in rotation.items():
-        frotation[label] = [(id_map[eid], side) for eid, side in darts]
-    ext_at = {gadget.attachments[k]: id_map[border[k]] for k in range(n_attach)}
-    for v in gadget.vertices:
-        slots = []
-        for (u, w) in gadget.edges:
-            if v == u:
-                slots.append((_gadget_rank(int(u[1:]), int(w[1:])), (gadget_edge_ids[(u, w)], 0)))
-            elif v == w:
-                slots.append((_gadget_rank(int(w[1:]), int(u[1:])), (gadget_edge_ids[(u, w)], 1)))
-        if v in ext_at:
-            slots.append((4, (ext_at[v], 1)))
-        frotation[glabel[v]] = [d for _, d in sorted(slots)]
-
-    fvertices = qvertices + [glabel[v] for v in gadget.vertices]
-    g = PlanarMultigraph(fvertices, final_edges, frotation, meta=meta)
-    if g.n_vertices % 2:
+    bip = None
+    if not bachelor and all(not g.comp for g in G):
+        ups = frozenset(_orbit_label(r) for r in reps if sum(r) == region.up_sum)
+        bip = (ups, frozenset(qvertices) - ups)
+    g = PlanarMultigraph(qvertices + list(gadget_rotation), qedges, rotation, bip)
+    if bachelor and g.n_vertices % 2:
         raise EmbeddingError("gadget parity failed to even out the vertex count")
     g.assert_valid_embedding()
     return g
 
 
-def _axis_rays(region, G, act, verts) -> List[Tuple[int, int]]:
+def _axis_rays(region, G, act) -> List[Tuple[int, int]]:
     """Primitive directions (both halves) of the reflection axes of G."""
     cx, cy = center2(region)
     dirs = set()
     for g in G:
         if perm_sign(g.perm) == 1:
             continue
-        for t in verts:
+        for t in region.triangles:
             p, q = position2(t), position2(act[g][t])
             d = (p[0] + q[0] - cx, p[1] + q[1] - cy)
             if d != (0, 0):
@@ -624,40 +539,39 @@ def _chamber_parity_fn(region, rays):
     return parity_of
 
 
-def _bachelor_order(region, Z, rays, borb_list, qbedge_of_orbit) -> List[int]:
-    """Quotient bachelor edges in planar order along the chamber boundary.
+def _bachelor_order(region, Z, rays, orbits):
+    """Bachelor edge orbits in planar order along the chamber boundary.
 
     Rerouted (reversed) edges have their midpoints on the reflection axes or
     at the center.  The quotient surface is the positively oriented base
     chamber; its boundary runs in along the largest-angle axis ray, through
     the center, and out along the smallest-angle ray.  Every bachelor orbit
     has exactly one representative midpoint on that boundary, and walking it
-    gives the cyclic attachment order for the gadget.
+    gives the cyclic attachment order for the gadget.  An orbit is a pair
+    (smallest edge, ids of the orbit's Z edges), as ``quotient_graph``
+    collects them.
     """
-    if len(borb_list) == 1:
-        return [qbedge_of_orbit[borb_list[0]]]
+    if len(orbits) == 1:
+        return orbits
     if not rays:
         raise EmbeddingError("multiple bachelor edges without reflection axes")
     cx, cy = center2(region)
     ray_in, ray_out = rays[-1], rays[0]
-    keyed = []
-    for ob in borb_list:
+
+    def key(orbit):
         mids = set()
-        for (_, src) in ob:
-            e = Z.edge_by_id[src]
+        for eid in orbit[1]:
+            e = Z.edge_by_id[eid]
             pu, pv = position2(e.u), position2(e.v)
             mids.add((pu[0] + pv[0] - cx, pu[1] + pv[1] - cy))
         if (0, 0) in mids:
-            key = (1, 0)  # the center sits between the two boundary rays
-        else:
-            on_in = [m for m in mids if primitive_dir(m) == ray_in]
-            on_out = [m for m in mids if primitive_dir(m) == ray_out]
-            if on_in:
-                key = (0, -min(radius2(m) for m in on_in))
-            elif on_out:
-                key = (2, min(radius2(m) for m in on_out))
-            else:
-                raise EmbeddingError("bachelor midpoint off the chamber boundary")
-        keyed.append((key, min(ob), ob))
-    keyed.sort(key=lambda kv: (kv[0], kv[1]))
-    return [qbedge_of_orbit[ob] for _, _, ob in keyed]
+            return (1, 0)  # the center sits between the two boundary rays
+        on_in = [m for m in mids if primitive_dir(m) == ray_in]
+        if on_in:
+            return (0, -min(radius2(m) for m in on_in))
+        on_out = [m for m in mids if primitive_dir(m) == ray_out]
+        if on_out:
+            return (2, min(radius2(m) for m in on_out))
+        raise EmbeddingError("bachelor midpoint off the chamber boundary")
+
+    return sorted(orbits, key=key)
