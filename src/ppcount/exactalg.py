@@ -31,9 +31,10 @@ The bounds, for an n x n matrix with entries a_ij:
 Permanents use Ryser inclusion-exclusion and Hafnians a direct recursion
 over the first unmatched index; both are brute-force references.
 
-Rows and columns carry unordered label sets, so only the absolute
-determinant / absolute Pfaffian is well defined; all public entry points
-return nonnegative integers or sign-normalized polynomials (lowest-degree
+Rows and columns stand for unordered vertex sets (the matrix builders order
+them by label only to be deterministic), so only the absolute determinant /
+absolute Pfaffian is well defined; all public entry points return
+nonnegative integers or sign-normalized polynomials (lowest-degree
 coefficient positive).
 
 Everything here is pure and immutable; safe to call from multiple threads.
@@ -222,28 +223,19 @@ def _is_zero(x: Scalar) -> bool:
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Dense matrix over Z or Z[q] with unordered row/column labels."""
+    """Dense matrix over Z or Z[q]."""
 
     entries: tuple
-    row_labels: tuple
-    col_labels: tuple
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence[Scalar]], row_labels=None, col_labels=None):
+    def from_rows(rows: Sequence[Sequence[Scalar]]):
         rows = [tuple(r) for r in rows]
-        nr = len(rows)
         nc = len(rows[0]) if rows else 0
         if any(len(r) != nc for r in rows):
             raise ValueError("ragged rows")
         if any(isinstance(x, QPoly) for r in rows for x in r):
             rows = [tuple(_as_poly(x) for x in r) for r in rows]
-        if row_labels is None:
-            row_labels = tuple(range(nr))
-        if col_labels is None:
-            col_labels = tuple(range(nc))
-        if len(row_labels) != nr or len(col_labels) != nc:
-            raise ValueError("label count mismatch")
-        return ExactMatrix(tuple(rows), tuple(row_labels), tuple(col_labels))
+        return ExactMatrix(tuple(rows))
 
     @property
     def nrows(self):

@@ -161,7 +161,6 @@ class PlanarMultigraph:
         rotation: Dict[object, List[Dart]],
         bipartition: Optional[Tuple[frozenset, frozenset]] = None,
         bachelor=None,
-        meta: Optional[dict] = None,
     ):
         self.vertices = list(vertices)
         self.edges = list(edges)
@@ -171,7 +170,6 @@ class PlanarMultigraph:
         self.rotation = {v: list(ds) for v, ds in rotation.items()}
         self.bipartition = bipartition
         self.bachelor = bachelor
-        self.meta = meta or {}
         self._faces = None  # validated faces, kept after the first check
         self._components = None
         if bipartition is not None:

@@ -74,11 +74,25 @@ def two_coloring(g: PlanarMultigraph) -> Optional[Tuple[frozenset, frozenset]]:
     return (blk, frozenset(set(g.vertices) - blk))
 
 
-def _face_signing_flat(face, signs, g) -> Tuple[int, int, bool]:
+def _face_of_dart(faces) -> Dict[Tuple[int, int], int]:
+    return {d: fi for fi, f in enumerate(faces) for d in f}
+
+
+def _face_signing_flat(face, signs) -> Tuple[int, int, bool]:
     sides = len(face)
     neg = sum(1 for d in face if signs[d[0]] < 0)
     want_odd = sides % 4 == 0
     return sides, neg, (neg % 2 == 1) == want_odd
+
+
+def _against(g: PlanarMultigraph, face, heads) -> int:
+    """Darts of the face whose edge is directed against the tracing sense."""
+    n = 0
+    for eid, side in face:
+        e = g.edge_by_id[eid]
+        if heads[eid] != (e.v if side == 0 else e.u):
+            n += 1
+    return n
 
 
 def flat_signing(g: PlanarMultigraph) -> SignedGraph:
@@ -89,14 +103,10 @@ def flat_signing(g: PlanarMultigraph) -> SignedGraph:
         raise ValueError("flat signing requires a bipartite graph")
     faces = g.assert_valid_embedding()
     signs = {e.eid: 1 for e in g.edges}
-
-    face_of_dart = {}
-    for fi, f in enumerate(faces):
-        for d in f:
-            face_of_dart[d] = fi
+    face_of_dart = _face_of_dart(faces)
 
     def face_state(fi):
-        return _face_signing_flat(faces[fi], signs, g)
+        return _face_signing_flat(faces[fi], signs)
 
     # dual adjacency through edges with two distinct incident faces
     dual: Dict[int, List[Tuple[int, int]]] = {fi: [] for fi in range(len(faces))}
@@ -131,7 +141,12 @@ def flat_signing(g: PlanarMultigraph) -> SignedGraph:
                     break
             queue = nxt
         if target is None:
-            raise FlatnessError("non-flat faces cannot be paired in the dual graph")
+            # by Euler's formula, a component with edges has an odd number
+            # of non-flat faces exactly when it has an odd number of vertices
+            raise ValueError(
+                "a component has an odd number of vertices, so the graph has "
+                "no perfect matching"
+            )
         # a flip changes only the two faces of the flipped edge
         fi = target
         while prev[fi][0] is not None:
@@ -150,7 +165,7 @@ def check_flat_signing(sg: SignedGraph) -> FlatReport:
     faces = sg.graph.assert_valid_embedding()
     reports = []
     for f in faces:
-        sides, neg, ok = _face_signing_flat(f, sg.signs, sg.graph)
+        sides, neg, ok = _face_signing_flat(f, sg.signs)
         reports.append(FaceReport(sides, neg, ok))
     return FlatReport(tuple(reports), all(r.flat for r in reports))
 
@@ -161,11 +176,7 @@ def flat_orientation(g: PlanarMultigraph) -> OrientedGraph:
         raise ValueError("flat orientation needs an even number of vertices")
     faces = g.assert_valid_embedding()
     heads = {e.eid: e.v for e in g.edges}  # start with the stored direction
-
-    face_of_dart = {}
-    for fi, f in enumerate(faces):
-        for d in f:
-            face_of_dart[d] = fi
+    face_of_dart = _face_of_dart(faces)
 
     for comp in g.components():
         comp_edges = [e for e in g.edges if e.u in comp]
@@ -213,17 +224,8 @@ def flat_orientation(g: PlanarMultigraph) -> OrientedGraph:
         if len(order) != len(comp_faces):
             raise EmbeddingError("dual co-tree does not span the faces")
 
-        def against(face_idx) -> int:
-            n = 0
-            for eid, side in faces[face_idx]:
-                e = g.edge_by_id[eid]
-                traversed_head = e.v if side == 0 else e.u
-                if heads[eid] != traversed_head:
-                    n += 1
-            return n
-
         for fi in reversed(order[1:]):  # leaves towards the root face
-            if against(fi) % 2 == 0:
+            if _against(g, faces[fi], heads) % 2 == 0:
                 eid = parent_edge[fi]
                 e = g.edge_by_id[eid]
                 heads[eid] = e.u if heads[eid] == e.v else e.v
@@ -240,12 +242,7 @@ def check_flat_orientation(og: OrientedGraph) -> FlatReport:
     reports = []
     evens_per_comp: Dict[int, int] = {}
     for f in faces:
-        n = 0
-        for eid, side in f:
-            e = g.edge_by_id[eid]
-            traversed_head = e.v if side == 0 else e.u
-            if og.heads[eid] != traversed_head:
-                n += 1
+        n = _against(g, f, og.heads)
         ok = n % 2 == 1
         reports.append(FaceReport(len(f), n, ok))
         if not ok:
@@ -255,16 +252,16 @@ def check_flat_orientation(og: OrientedGraph) -> FlatReport:
     return FlatReport(tuple(reports), flat)
 
 
-def _matrix(g: PlanarMultigraph, rows, cols, cells) -> ExactMatrix:
-    """The rows x cols matrix whose (i, j) entry sums w over the cells
+def _matrix(g: PlanarMultigraph, nrows, ncols, cells) -> ExactMatrix:
+    """The nrows x ncols matrix whose (i, j) entry sums w over the cells
     (i, j, w); over Z[q] when some edge weight of g is a QPoly.  Every entry
     has the one type of the ring, so no entry needs to be inspected."""
     poly = any(isinstance(e.weight, QPoly) for e in g.edges)
     zero = QPoly() if poly else 0
-    m = [[zero] * len(cols) for _ in rows]
+    m = [[zero] * ncols for _ in range(nrows)]
     for i, j, w in cells:
         m[i][j] = m[i][j] + w
-    return ExactMatrix(tuple(map(tuple, m)), tuple(rows), tuple(cols))
+    return ExactMatrix(tuple(map(tuple, m)))
 
 
 def bipartite_matrix(sg: SignedGraph) -> Optional[ExactMatrix]:
@@ -287,7 +284,7 @@ def bipartite_matrix(sg: SignedGraph) -> Optional[ExactMatrix]:
     for e in g.edges:
         r, c = (e.u, e.v) if e.u in ri else (e.v, e.u)
         cells.append((ri[r], ci[c], sg.signs[e.eid] * e.weight))
-    return _matrix(g, rows, cols, cells)
+    return _matrix(g, len(rows), len(cols), cells)
 
 
 def unsigned_bipartite_matrix(g: PlanarMultigraph) -> Optional[ExactMatrix]:
@@ -306,7 +303,7 @@ def skew_matrix(og: OrientedGraph) -> ExactMatrix:
         tail = e.u if head == e.v else e.v
         i, j = idx[tail], idx[head]
         cells += ((i, j, e.weight), (j, i, -e.weight))
-    return _matrix(g, vs, vs, cells)
+    return _matrix(g, len(vs), len(vs), cells)
 
 
 def symmetric_matrix(g: PlanarMultigraph) -> ExactMatrix:
@@ -317,7 +314,7 @@ def symmetric_matrix(g: PlanarMultigraph) -> ExactMatrix:
     for e in g.edges:
         i, j = idx[e.u], idx[e.v]
         cells += ((i, j, e.weight), (j, i, e.weight))
-    return _matrix(g, vs, vs, cells)
+    return _matrix(g, len(vs), len(vs), cells)
 
 
 def weighted_matching_sum(g: PlanarMultigraph):

@@ -177,6 +177,16 @@ def test_export_with_signs_and_orientation(capsys):
     assert all("head" in e for e in json.loads(out)["edges"])
 
 
+def test_export_signs_with_an_isolated_vertex(capsys):
+    # the class-6 quotient at 1x1x1 has two isolated vertices beside an edge
+    code, out, _ = run(
+        capsys, "export", "--kind", "quotient", "--class", "6", "--dims", "1,1,1",
+        "--format", "json", "--with", "signs",
+    )
+    assert code == 0
+    assert [e["sign"] for e in json.loads(out)["edges"]] == [1]
+
+
 def test_export_invalid_combination(capsys):
     code, _, _ = run(
         capsys, "export", "--kind", "quotient", "--class", "5", "--dims", "2,2,2",

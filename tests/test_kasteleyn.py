@@ -216,6 +216,18 @@ def test_flat_signing_rejects_bad_inputs():
         flat_signing(grid_graph(1, 3, flag_bipartite=False))  # odd vertex count
 
 
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 1), (3, 3, 1)])
+def test_flat_signing_odd_component_is_a_value_error(dims):
+    # an even vertex count in all, but components of 1 and 2n+1 vertices: the
+    # odd component with edges has an odd number of non-flat faces, which
+    # cannot all be paired off
+    q = quotient_graph(build_hexagon(*dims), CLASSES[7])
+    assert q.n_vertices % 2 == 0
+    assert sorted(len(c) % 2 for c in q.components()) == [1, 1]
+    with pytest.raises(ValueError, match="odd number of vertices"):
+        flat_signing(q)
+
+
 def test_unequal_classes_signal_no_matchings():
     # a path on three vertices: 2 vs 1 color classes
     g = grid_graph(1, 3)
@@ -273,7 +285,7 @@ def reference_flat_signing(g):
                     break
             queue = nxt
         if target is None:
-            raise FlatnessError("non-flat faces cannot be paired in the dual graph")
+            raise ValueError("a component has an odd number of vertices")
         fi = target
         while prev[fi][0] is not None:
             _, eid = prev[fi]
