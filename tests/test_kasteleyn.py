@@ -218,9 +218,9 @@ def test_flat_signing_rejects_bad_inputs():
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 1), (3, 3, 1)])
 def test_flat_signing_odd_component_is_a_value_error(dims):
-    # an even vertex count in all, but components of 1 and 2n+1 vertices: the
-    # odd component with edges has an odd number of non-flat faces, which
-    # cannot all be paired off
+    # an even vertex count in all, but two odd components (1 and 3 vertices
+    # at 1x1x1): the one with edges has an odd number of non-flat faces,
+    # which cannot all be paired off
     q = quotient_graph(build_hexagon(*dims), CLASSES[7])
     assert q.n_vertices % 2 == 0
     assert sorted(len(c) % 2 for c in q.components()) == [1, 1]
