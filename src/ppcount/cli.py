@@ -14,15 +14,10 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .exactalg import QPoly, det
+from .exactalg import QPoly
 from .formulas import n_class, n_class_via_ratios
 from .hexgrid import PlanarMultigraph, build_hexagon, build_graph, q_weight_graph
-from .kasteleyn import (
-    bipartite_matrix,
-    flat_orientation,
-    flat_signing,
-    weighted_matching_sum,
-)
+from .kasteleyn import flat_orientation, flat_signing, weighted_matching_sum
 from .oracle import count_symmetric, q_sum
 from .symmetry import CLASSES, quotient_graph
 
@@ -55,20 +50,10 @@ def matrix_count(class_id: int, dims) -> int:
 def q_matrix_count(dims) -> QPoly:
     """Normalized q-weighted determinant: coefficient of q^k counts volume-k
     partitions; the weight of the empty partition is divided out."""
-    region = build_hexagon(*dims)
-    g = q_weight_graph(region)
-    if g.n_vertices == 0:
-        return QPoly.const(1)
-    sg = flat_signing(g)
-    m = bipartite_matrix(sg)
-    if m is None:
-        return QPoly()
-    d = det(m)
-    if isinstance(d, int):
-        d = QPoly.const(d)
-    if d.is_zero():
-        return d
-    return d.shift(-d.low_degree()).sign_normalized()
+    d = weighted_matching_sum(q_weight_graph(build_hexagon(*dims)))
+    if isinstance(d, int):  # no edges carry a q-weight
+        return QPoly.const(d)
+    return d.shift(-d.low_degree())
 
 
 def compute_count(class_id: int, dims, method: str, q_flag: bool = False):

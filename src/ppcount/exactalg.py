@@ -1,5 +1,11 @@
 """Exact arithmetic kernels: big-integer and q-polynomial matrices.
 
+An ``ExactMatrix`` is sparse: its size, its nonzero entries (i, j, a) in
+row-major order, and a ring flag (Z or Z[q]) fixed when it is built.  The
+one constructor, ``ExactMatrix.from_cells``, sums the cells that share a
+position (parallel edges), drops zeros and sorts; ``entries`` is a dense
+view for the brute-force references.
+
 Determinants and Pfaffians share one elimination kernel.  ``pfaffian_abs``
 runs it on the skew matrix itself; ``det`` runs it on the skew block
 ``[[0, M], [-M^T, 0]]``, whose Pfaffian is +-det M.  The kernel eliminates
@@ -46,7 +52,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, "QPoly"]
@@ -223,37 +229,48 @@ def _is_zero(x: Scalar) -> bool:
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Dense matrix over Z or Z[q]."""
+    """Sparse nrows x ncols matrix: its nonzero entries (i, j, a) in
+    row-major order, over Z, or over Z[q] when ``poly`` is set (then every
+    a is a QPoly)."""
 
-    entries: tuple
+    nrows: int
+    ncols: int
+    nonzeros: tuple
+    poly: bool
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence[Scalar]]):
+    def from_cells(nrows: int, ncols: int, cells, poly: bool) -> "ExactMatrix":
+        """The matrix whose (i, j) entry sums a over the cells (i, j, a)."""
+        zero = QPoly() if poly else 0
+        at = {}
+        for i, j, a in cells:
+            ij = i, j
+            at[ij] = at.get(ij, zero) + a
+        row_major = sorted(at.items(), key=itemgetter(0))
+        nz = tuple((i, j, a) for (i, j), a in row_major if a)
+        return ExactMatrix(nrows, ncols, nz, poly)
+
+    @staticmethod
+    def from_rows(rows: Sequence[Sequence[Scalar]]) -> "ExactMatrix":
         rows = [tuple(r) for r in rows]
         nc = len(rows[0]) if rows else 0
         if any(len(r) != nc for r in rows):
             raise ValueError("ragged rows")
-        if any(isinstance(x, QPoly) for r in rows for x in r):
-            rows = [tuple(_as_poly(x) for x in r) for r in rows]
-        return ExactMatrix(tuple(rows))
+        poly = any(isinstance(x, QPoly) for r in rows for x in r)
+        cells = ((i, j, x) for i, r in enumerate(rows) for j, x in enumerate(r))
+        return ExactMatrix.from_cells(len(rows), nc, cells, poly)
 
     @property
-    def nrows(self):
-        return len(self.entries)
-
-    @property
-    def ncols(self):
-        return len(self.entries[0]) if self.entries else 0
+    def entries(self) -> tuple:
+        """The dense rows, zeros included."""
+        zero = QPoly() if self.poly else 0
+        rows = [[zero] * self.ncols for _ in range(self.nrows)]
+        for i, j, a in self.nonzeros:
+            rows[i][j] = a
+        return tuple(map(tuple, rows))
 
     def is_square(self):
         return self.nrows == self.ncols
-
-    def is_poly(self):
-        return any(isinstance(x, QPoly) for r in self.entries for x in r)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
 
 
 def integer_sqrt(n: int) -> int:
@@ -309,15 +326,15 @@ def hafnian(m: ExactMatrix) -> Scalar:
     n = m.nrows
     if n > 16:
         raise ValueError(f"hafnian limited to 16x16, got {n}")
+    ent = m.entries
     for i in range(n):
         for j in range(n):
-            if m.entries[i][j] != m.entries[j][i]:
+            if ent[i][j] != ent[j][i]:
                 raise ValueError("hafnian of a non-symmetric matrix")
     if n % 2:
         return 0
     if n == 0:
         return 1
-    ent = m.entries
 
     def rec(idx):
         if not idx:
@@ -523,17 +540,6 @@ def _pfaffian(n: int, triples, power: int, bound: int, degree):
     return [r - modulus if 2 * r > modulus else r for r in residues]
 
 
-def _nonzeros(m: ExactMatrix):
-    """The nonzero entries (i, j, a) of m, and whether m is over Z[q]."""
-    nz = [
-        (i, j, row[j])
-        for i, row in enumerate(m.entries)
-        for j in compress(range(len(row)), row)
-    ]
-    poly = any(isinstance(a, QPoly) for _, _, a in nz) if nz else m.is_poly()
-    return nz, poly
-
-
 def _result(coeffs, poly: bool) -> Scalar:
     return QPoly(coeffs).sign_normalized() if poly else abs(coeffs[0])
 
@@ -549,7 +555,7 @@ def _bounds(n: int, nz, poly: bool):
     top = [0] * n
     out = []
     for i, j, a in nz:
-        cs = _as_poly(a).coeffs
+        cs = a.coeffs
         sq[i] += sum(map(abs, cs)) ** 2
         top[i] = max(top[i], len(cs) - 1)
         out.append((i, j, tuple((t, c) for t, c in enumerate(cs) if c)))
@@ -562,31 +568,30 @@ def det(m: ExactMatrix) -> Scalar:
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
     n = m.nrows
-    nz, poly = _nonzeros(m)
-    bound, degree, entries = _bounds(n, nz, poly)
+    bound, degree, entries = _bounds(n, m.nonzeros, m.poly)
     block = [(i, n + j, a) for i, j, a in entries]
-    return _result(_pfaffian(2 * n, block, 2, bound, degree), poly)
+    return _result(_pfaffian(2 * n, block, 2, bound, degree), m.poly)
 
 
-def _check_skew(m: ExactMatrix, nz):
+def _check_skew(m: ExactMatrix):
     if not m.is_square():
         raise ValueError("Pfaffian of a non-square matrix")
-    for i, j, a in nz:
+    at = {(i, j): a for i, j, a in m.nonzeros}
+    for (i, j), a in at.items():
         if i == j:
             raise ValueError("nonzero diagonal in a skew matrix")
-        if m.entries[j][i] != -a:
+        if at.get((j, i), 0) != -a:
             raise ValueError("matrix is not skew-symmetric")
 
 
 def pfaffian_abs(m: ExactMatrix) -> Scalar:
     """Absolute Pfaffian of a skew-symmetric matrix (sign-normalized for
     polynomial matrices); odd dimension gives 0 (no perfect matching)."""
-    nz, poly = _nonzeros(m)
-    _check_skew(m, nz)
+    _check_skew(m)
     n = m.nrows
     if n % 2:
-        return QPoly() if poly else 0
-    bound, degree, entries = _bounds(n, nz, poly)
+        return QPoly() if m.poly else 0
+    bound, degree, entries = _bounds(n, m.nonzeros, m.poly)
     upper = [(i, j, a) for i, j, a in entries if i < j]
     half = None if degree is None else degree // 2
-    return _result(_pfaffian(n, upper, 4, bound, half), poly)
+    return _result(_pfaffian(n, upper, 4, bound, half), m.poly)

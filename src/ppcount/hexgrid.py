@@ -160,7 +160,6 @@ class PlanarMultigraph:
         edges: Iterable[Edge],
         rotation: Dict[object, List[Dart]],
         bipartition: Optional[Tuple[frozenset, frozenset]] = None,
-        bachelor=None,
     ):
         self.vertices = list(vertices)
         self.edges = list(edges)
@@ -169,7 +168,6 @@ class PlanarMultigraph:
             raise ValueError("duplicate edge ids")
         self.rotation = {v: list(ds) for v, ds in rotation.items()}
         self.bipartition = bipartition
-        self.bachelor = bachelor
         self._faces = None  # validated faces, kept after the first check
         self._components = None
         if bipartition is not None:
@@ -248,9 +246,8 @@ class PlanarMultigraph:
         if self.bipartition is not None:
             blk, wht = self.bipartition
             bip = (blk & keep, wht & keep)
-        bach = self.bachelor if self.bachelor in keep else None
         return PlanarMultigraph(
-            [v for v in self.vertices if v in keep], edges, rot, bip, bach
+            [v for v in self.vertices if v in keep], edges, rot, bip
         )
 
     # -- embedding ----------------------------------------------------------

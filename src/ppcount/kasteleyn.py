@@ -252,16 +252,9 @@ def check_flat_orientation(og: OrientedGraph) -> FlatReport:
     return FlatReport(tuple(reports), flat)
 
 
-def _matrix(g: PlanarMultigraph, nrows, ncols, cells) -> ExactMatrix:
-    """The nrows x ncols matrix whose (i, j) entry sums w over the cells
-    (i, j, w); over Z[q] when some edge weight of g is a QPoly.  Every entry
-    has the one type of the ring, so no entry needs to be inspected."""
-    poly = any(isinstance(e.weight, QPoly) for e in g.edges)
-    zero = QPoly() if poly else 0
-    m = [[zero] * ncols for _ in range(nrows)]
-    for i, j, w in cells:
-        m[i][j] = m[i][j] + w
-    return ExactMatrix(tuple(map(tuple, m)))
+def _is_poly(g: PlanarMultigraph) -> bool:
+    """Whether g's weights lie in Z[q], so its matrices are over Z[q]."""
+    return any(isinstance(e.weight, QPoly) for e in g.edges)
 
 
 def bipartite_matrix(sg: SignedGraph) -> Optional[ExactMatrix]:
@@ -284,7 +277,7 @@ def bipartite_matrix(sg: SignedGraph) -> Optional[ExactMatrix]:
     for e in g.edges:
         r, c = (e.u, e.v) if e.u in ri else (e.v, e.u)
         cells.append((ri[r], ci[c], sg.signs[e.eid] * e.weight))
-    return _matrix(g, len(rows), len(cols), cells)
+    return ExactMatrix.from_cells(len(rows), len(cols), cells, _is_poly(g))
 
 
 def unsigned_bipartite_matrix(g: PlanarMultigraph) -> Optional[ExactMatrix]:
@@ -303,7 +296,7 @@ def skew_matrix(og: OrientedGraph) -> ExactMatrix:
         tail = e.u if head == e.v else e.v
         i, j = idx[tail], idx[head]
         cells += ((i, j, e.weight), (j, i, -e.weight))
-    return _matrix(g, len(vs), len(vs), cells)
+    return ExactMatrix.from_cells(len(vs), len(vs), cells, _is_poly(g))
 
 
 def symmetric_matrix(g: PlanarMultigraph) -> ExactMatrix:
@@ -314,7 +307,7 @@ def symmetric_matrix(g: PlanarMultigraph) -> ExactMatrix:
     for e in g.edges:
         i, j = idx[e.u], idx[e.v]
         cells += ((i, j, e.weight), (j, i, e.weight))
-    return _matrix(g, len(vs), len(vs), cells)
+    return ExactMatrix.from_cells(len(vs), len(vs), cells, _is_poly(g))
 
 
 def weighted_matching_sum(g: PlanarMultigraph):
@@ -323,14 +316,12 @@ def weighted_matching_sum(g: PlanarMultigraph):
     Bipartite-flagged graphs go through the determinant; everything else
     through the Pfaffian.  Connected components multiply.
     """
-    poly = any(isinstance(e.weight, QPoly) for e in g.edges)
+    poly = _is_poly(g)
     total = QPoly.const(1) if poly else 1
     comps = g.components()
     for comp in comps:
         if len(comp) % 2:
             return QPoly() if poly else 0
-        if len(comp) == 0:
-            continue
         sub = g if len(comps) == 1 else g.subgraph(comp)
         if sub.n_edges == 0:
             return QPoly() if poly else 0

@@ -98,17 +98,15 @@ def q_sum(a: int, b: int, c: int) -> QPoly:
 
 
 def enumerate_matchings(
-    g: PlanarMultigraph, with_bachelors: bool = False, max_vertices: int = 34
+    g: PlanarMultigraph, max_vertices: int = 34
 ) -> Iterator[FrozenSet[int]]:
-    """All (perfect or bachelor-exempt) matchings, as frozensets of edge ids.
+    """All perfect matchings, as frozensets of edge ids.
 
-    Backtracks on the lowest uncovered non-bachelor vertex.  The bachelorhood
-    vertex, when flagged, may be matched to any subset of its edges.
+    Backtracks on the lowest uncovered vertex.
     """
     if g.n_vertices > max_vertices:
         raise SizeLimitError(f"{g.n_vertices} vertices exceeds limit {max_vertices}")
-    bach = g.bachelor if with_bachelors else None
-    order = sorted((v for v in g.vertices if v != bach), key=str)
+    order = sorted(g.vertices, key=str)
     covered: set = set()
     chosen: List[int] = []
 
@@ -123,13 +121,7 @@ def enumerate_matchings(
             if e.u == e.v:
                 continue
             w = g.other_end(e, v)
-            if w == bach:
-                covered.add(v)
-                chosen.append(e.eid)
-                yield from rec(pos + 1)
-                chosen.pop()
-                covered.discard(v)
-            elif w not in covered:
+            if w not in covered:
                 covered.update((v, w))
                 chosen.append(e.eid)
                 yield from rec(pos + 1)
@@ -140,7 +132,7 @@ def enumerate_matchings(
 
 
 def count_perfect_matchings(g: PlanarMultigraph) -> int:
-    """Fast bitmask backtracking count of perfect matchings (no bachelor)."""
+    """Fast bitmask backtracking count of perfect matchings."""
     n = g.n_vertices
     if n == 0:
         return 1

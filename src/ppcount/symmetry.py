@@ -169,20 +169,23 @@ def act_triangle(g: SymmetryElement, t: Triangle, region: HexRegion) -> Triangle
     return s
 
 
-def _act_region(g: SymmetryElement, region: HexRegion) -> Dict[Triangle, Triangle]:
-    """act_triangle on every triangle of the region, as a map: the box is
-    checked once, and each image against the region's triangle set."""
-    if not box_fixed(g, region.abc):
-        raise BoxError(f"H{region.abc} is not fixed by {g}")
-    image = _image_fn(g, region.bounds)
+def _act_region(G, region: HexRegion) -> Dict[SymmetryElement, Dict[Triangle, Triangle]]:
+    """act_triangle of each element of G on every triangle of the region, as
+    one map per element: the box is checked once per element, and each image
+    against the region's triangle set."""
     canon = {t: t for t in region.triangles}
-    out = {}
-    for t in region.triangles:
-        s = canon.get(image(t))
-        if s is None:
-            raise EmbeddingError(f"symmetry image of {t} left the region")
-        out[t] = s
-    return out
+    act = {}
+    for g in G:
+        if not box_fixed(g, region.abc):
+            raise BoxError(f"H{region.abc} is not fixed by {g}")
+        image = _image_fn(g, region.bounds)
+        out = act[g] = {}
+        for t in region.triangles:
+            s = canon.get(image(t))
+            if s is None:
+                raise EmbeddingError(f"symmetry image of {t} left the region")
+            out[t] = s
+    return act
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +346,7 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
         raise BoxError(f"H{region.abc} is not fixed by class {cls.id}")
     G = group_elements(cls)
     Z = build_graph(region)
-    act = {g: _act_region(g, region) for g in G}
+    act = _act_region(G, region)
     maps = tuple(act.values())
     refl0 = [act[g] for g in G if not g.comp and _is_transposition(g.perm)]
 

@@ -123,6 +123,10 @@ class TestDet:
         with pytest.raises(ValueError):
             det(ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
 
+    def test_zero_matrix_keeps_its_ring(self):
+        d = det(ExactMatrix.from_rows([[QPoly(), QPoly()], [QPoly(), QPoly()]]))
+        assert isinstance(d, QPoly) and d.is_zero()
+
     @given(square(5))
     @settings(max_examples=60, deadline=None)
     def test_matches_cofactor_expansion(self, rows):
@@ -207,6 +211,11 @@ class TestPfaffian:
     def test_odd_dimension_is_zero(self):
         m = skew_from_upper([1, 2, 3], 3)
         assert pfaffian_abs(ExactMatrix.from_rows(m)) == 0
+
+    def test_odd_dimension_keeps_its_ring(self):
+        m = skew_from_upper([QPoly.q_power(1), QPoly.const(2), 0], 3)
+        pf = pfaffian_abs(ExactMatrix.from_rows(m))
+        assert isinstance(pf, QPoly) and pf.is_zero()
 
     def test_rejects_non_skew(self):
         with pytest.raises(ValueError):

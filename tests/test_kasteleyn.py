@@ -4,8 +4,8 @@ import pytest
 
 from conftest import graph_from_points, grid_graph, random_planar_bipartite, random_planar_graph, wheel_graph
 
-from ppcount.exactalg import det, hafnian, permanent, pfaffian_abs
-from ppcount.hexgrid import build_graph, build_hexagon
+from ppcount.exactalg import ExactMatrix, det, hafnian, permanent, pfaffian_abs
+from ppcount.hexgrid import build_graph, build_hexagon, q_weight_graph
 from ppcount.kasteleyn import (
     FlatnessError,
     SignedGraph,
@@ -322,3 +322,28 @@ def test_flat_signing_matches_reference_on_small_graphs(rng):
 def test_flat_signing_matches_reference_on_quotients(small_quotients):
     for _, _, q in small_quotients:
         _assert_signing_matches_reference(q)
+
+
+def _builder_matrices(g):
+    """The matrices the three builders make of g, where they apply."""
+    out = [symmetric_matrix(g)]
+    if g.n_vertices % 2 == 0:
+        out.append(skew_matrix(flat_orientation(g)))
+    if two_coloring(g) is not None:
+        out.append(unsigned_bipartite_matrix(g))
+    return [m for m in out if m is not None]
+
+
+@pytest.mark.parametrize("weighted", [build_graph, q_weight_graph])
+def test_builders_give_the_canonical_sparse_form_on_z_graphs(weighted):
+    for dims in [(1, 1, 1), (2, 3, 4), (3, 3, 3), (4, 2, 5)]:
+        g = weighted(build_hexagon(*dims))
+        for m in _builder_matrices(g) + [bipartite_matrix(flat_signing(g))]:
+            assert m.poly == (weighted is q_weight_graph)
+            assert ExactMatrix.from_rows(m.entries) == m
+
+
+def test_builders_give_the_canonical_sparse_form_on_quotients(small_quotients):
+    for _, _, q in small_quotients:
+        for m in _builder_matrices(q):
+            assert ExactMatrix.from_rows(m.entries) == m

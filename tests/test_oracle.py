@@ -1,7 +1,5 @@
 import pytest
 
-from conftest import graph_from_points
-
 from ppcount.exactalg import QPoly
 from ppcount.hexgrid import build_graph, build_hexagon, q_weight_graph
 from ppcount.oracle import (
@@ -96,18 +94,6 @@ def test_matching_size_limit():
     with pytest.raises(SizeLimitError):
         list(enumerate_matchings(g))
     assert sum(1 for _ in enumerate_matchings(g, max_vertices=60)) == 980
-
-
-def test_bachelor_matchings_on_a_triangle():
-    # triangle with one bachelorhood corner: the two non-bachelor vertices
-    # pair with each other, or both hang off the bachelorhood vertex
-    points = {"A": (0, 0), "B": (1, 0), "C": (0.5, 1)}
-    g = graph_from_points(points, [("A", "B"), ("B", "C"), ("C", "A")])
-    g.bachelor = "C"
-    found = sorted(tuple(sorted(m)) for m in enumerate_matchings(g, with_bachelors=True))
-    assert len(found) == 2
-    assert (0,) in found  # the single edge A-B
-    assert (1, 2) in found  # both A and B matched to the bachelorhood vertex
 
 
 def test_matching_to_partition_flat_box():

@@ -216,7 +216,6 @@ def test_trivial_quotient_is_the_plain_graph():
         r = build_hexagon(*dims)
         q = quotient_graph(r, CLASSES[1])
         assert q.n_vertices == len(r.triangles)
-        assert q.bachelor is None
         assert count_perfect_matchings(q) == count_symmetric(1, *dims)
 
 
