@@ -117,12 +117,12 @@ def boxes_for_class(class_id: int, max_side: int):
     return out
 
 
-def run_verify(max_side: int, classes=None, methods=("formula", "matrix", "oracle")) -> RunReport:
+def run_verify(max_side: int, classes=None) -> RunReport:
     report = RunReport()
     for class_id in sorted(classes or CLASSES):
         for dims in boxes_for_class(class_id, max_side):
             values = {}
-            for method in methods:
+            for method in ("formula", "matrix", "oracle"):
                 t0 = time.perf_counter()
                 values[method] = compute_count(class_id, dims, method)
                 dt = int((time.perf_counter() - t0) * 1e6)
@@ -185,34 +185,34 @@ def format_table(rows, fmt: str) -> str:
 
 
 def graph_to_json(g: PlanarMultigraph, signs=None, heads=None) -> str:
+    """Vertices are named by their labels, and listed sorted by name."""
+    name = [str(x) for x in g.labels]
     edges = []
     for e in sorted(g.edges, key=lambda e: e.eid):
-        rec = {"u": str(e.u), "v": str(e.v), "w": str(e.weight), "id": e.eid}
+        rec = {"u": name[e.u], "v": name[e.v], "w": str(e.weight), "id": e.eid}
         if signs is not None:
             rec["sign"] = signs[e.eid]
         if heads is not None:
-            rec["head"] = str(heads[e.eid])
+            rec["head"] = name[heads[e.eid]]
         edges.append(rec)
     data = {
-        "vertices": sorted(str(v) for v in g.vertices),
+        "vertices": sorted(name),
         "edges": edges,
-        "rotation": {
-            str(v): [eid for eid, _ in g.rotation.get(v, [])]
-            for v in sorted(g.vertices, key=str)
-        },
+        "rotation": {name[v]: [eid for eid, _ in ring] for v, ring in enumerate(g.rotation)},
     }
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def graph_to_dot(g: PlanarMultigraph, signs=None, heads=None) -> str:
+    name = [str(x) for x in g.labels]
     lines = ["graph G {"]
     for e in sorted(g.edges, key=lambda e: e.eid):
         attrs = [f'label="{e.weight}"']
         if signs is not None:
             attrs.append(f'sign="{signs[e.eid]}"')
         if heads is not None:
-            attrs.append(f'head="{heads[e.eid]}"')
-        lines.append(f'  "{e.u}" -- "{e.v}" [{", ".join(attrs)}];')
+            attrs.append(f'head="{name[heads[e.eid]]}"')
+        lines.append(f'  "{name[e.u]}" -- "{name[e.v]}" [{", ".join(attrs)}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -337,8 +337,11 @@ def main(argv=None) -> int:
                 args.kind, args.class_id, parse_dims(args.dims), args.format, args.attrs
             )
             if args.output:
-                with open(args.output, "w") as fh:
-                    fh.write(text)
+                try:
+                    with open(args.output, "w") as fh:
+                        fh.write(text)
+                except OSError as e:
+                    raise UsageError(f"cannot write {args.output}: {e.strerror}") from None
             else:
                 sys.stdout.write(text)
             return 0

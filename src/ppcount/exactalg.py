@@ -38,7 +38,7 @@ Permanents use Ryser inclusion-exclusion and Hafnians a direct recursion
 over the first unmatched index; both are brute-force references.
 
 Rows and columns stand for unordered vertex sets (the matrix builders order
-them by label only to be deterministic), so only the absolute determinant /
+them by vertex id only to be deterministic), so only the absolute determinant /
 absolute Pfaffian is well defined; all public entry points return
 nonnegative integers or sign-normalized polynomials (lowest-degree
 coefficient positive).

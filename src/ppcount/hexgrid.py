@@ -148,25 +148,30 @@ Dart = Tuple[int, int]  # (edge id, side); side 0 sits at edge.u, side 1 at edge
 class PlanarMultigraph:
     """Vertices, parallel-capable edges, and a rotation system.
 
-    rotation[v] lists the darts at v in counterclockwise order; a dart is
-    (edge id, side) with side 0 at the edge's u endpoint.  The rotation
-    system defines the embedding: faces are traced from it and validated
-    against Euler's formula per connected component.
+    A vertex is an integer id 0..n-1, and so are edge endpoints and the
+    members of the two bipartition classes; labels[v] names vertex v for
+    export only.  rotation[v] lists the darts at v in counterclockwise order;
+    a dart is (edge id, side) with side 0 at the edge's u endpoint.  The
+    rotation system defines the embedding: faces are traced from it and
+    validated against Euler's formula per connected component.
     """
 
     def __init__(
         self,
-        vertices: Iterable,
+        labels: Iterable,
         edges: Iterable[Edge],
-        rotation: Dict[object, List[Dart]],
+        rotation: Iterable[List[Dart]],
         bipartition: Optional[Tuple[frozenset, frozenset]] = None,
     ):
-        self.vertices = list(vertices)
+        self.labels = list(labels)
+        self.vertices = range(len(self.labels))
         self.edges = list(edges)
         self.edge_by_id = {e.eid: e for e in self.edges}
         if len(self.edge_by_id) != len(self.edges):
             raise ValueError("duplicate edge ids")
-        self.rotation = {v: list(ds) for v, ds in rotation.items()}
+        self.rotation = [list(ds) for ds in rotation]
+        if len(self.rotation) != len(self.labels):
+            raise ValueError("one rotation per vertex is required")
         self.bipartition = bipartition
         self._faces = None  # validated faces, kept after the first check
         self._components = None
@@ -180,75 +185,75 @@ class PlanarMultigraph:
 
     @property
     def n_vertices(self):
-        return len(self.vertices)
+        return len(self.labels)
 
     @property
     def n_edges(self):
         return len(self.edges)
 
-    def dart_tail(self, d: Dart):
+    def dart_tail(self, d: Dart) -> int:
         e = self.edge_by_id[d[0]]
         return e.u if d[1] == 0 else e.v
 
-    def dart_head(self, d: Dart):
+    def dart_head(self, d: Dart) -> int:
         e = self.edge_by_id[d[0]]
         return e.v if d[1] == 0 else e.u
 
-    def edges_at(self, v) -> List[Edge]:
-        return [self.edge_by_id[eid] for eid, _ in self.rotation.get(v, [])]
+    def edges_at(self, v: int) -> List[Edge]:
+        return [self.edge_by_id[eid] for eid, _ in self.rotation[v]]
 
-    def other_end(self, e: Edge, v):
+    def other_end(self, e: Edge, v: int) -> int:
         if e.u == v:
             return e.v
         if e.v == v:
             return e.u
         raise ValueError(f"{v} is not an endpoint of {e}")
 
-    def neighbors(self, v) -> List[object]:
-        return [self.other_end(e, v) for e in self.edges_at(v)]
+    def neighbors(self, v: int) -> List[int]:
+        return [self.dart_head(d) for d in self.rotation[v]]
 
-    def degree(self, v) -> int:
-        return len(self.rotation.get(v, []))
+    def degree(self, v: int) -> int:
+        return len(self.rotation[v])
 
     def components(self) -> Tuple[frozenset, ...]:
-        """Vertex sets of the connected components, found once per graph."""
+        """Id sets of the connected components, found once per graph."""
         if self._components is not None:
             return self._components
-        seen = set()
+        seen = [False] * self.n_vertices
         comps = []
         for v in self.vertices:
-            if v in seen:
+            if seen[v]:
                 continue
-            comp = {v}
-            stack = [v]
-            while stack:
-                w = stack.pop()
-                for d in self.rotation.get(w, ()):
+            seen[v] = True
+            comp = [v]
+            for w in comp:  # grows while it is walked
+                for d in self.rotation[w]:
                     u = self.dart_head(d)
-                    if u not in comp:
-                        comp.add(u)
-                        stack.append(u)
-            seen |= comp
+                    if not seen[u]:
+                        seen[u] = True
+                        comp.append(u)
             comps.append(frozenset(comp))
         self._components = tuple(comps)
         return self._components
 
     def subgraph(self, keep) -> "PlanarMultigraph":
-        keep = set(keep)
-        edges = [e for e in self.edges if e.u in keep and e.v in keep]
+        """The graph induced on the ids in keep, renumbered 0..k-1 in order;
+        edge ids and labels are kept."""
+        old = sorted(set(keep))
+        new = {v: i for i, v in enumerate(old)}
+        edges = [
+            Edge(e.eid, new[e.u], new[e.v], e.weight)
+            for e in self.edges
+            if e.u in new and e.v in new
+        ]
         eids = {e.eid for e in edges}
-        rot = {
-            v: [d for d in self.rotation.get(v, []) if d[0] in eids]
-            for v in self.vertices
-            if v in keep
-        }
+        rot = [[d for d in self.rotation[v] if d[0] in eids] for v in old]
         bip = None
         if self.bipartition is not None:
-            blk, wht = self.bipartition
-            bip = (blk & keep, wht & keep)
-        return PlanarMultigraph(
-            [v for v in self.vertices if v in keep], edges, rot, bip
-        )
+            bip = tuple(
+                frozenset(new[v] for v in part if v in new) for part in self.bipartition
+            )
+        return PlanarMultigraph([self.labels[v] for v in old], edges, rot, bip)
 
     # -- embedding ----------------------------------------------------------
 
@@ -261,7 +266,7 @@ class PlanarMultigraph:
         darts skips those already used.
         """
         succ: Dict[Dart, Dart] = {}
-        for ring in self.rotation.values():
+        for ring in self.rotation:
             for i, d in enumerate(ring):
                 twin = (d[0], 1 - d[1])
                 if twin in succ:
@@ -272,7 +277,7 @@ class PlanarMultigraph:
                 raise EmbeddingError(f"edge {e.eid} missing a rotation slot")
         used = set()
         out = []
-        for d0 in sorted(d for ring in self.rotation.values() for d in ring):
+        for d0 in sorted(d for ring in self.rotation for d in ring):
             if d0 in used:
                 continue
             face = [d0]
@@ -296,15 +301,14 @@ class PlanarMultigraph:
         if self._faces is not None:
             return self._faces
         faces = self._trace_faces()
-        comp_of = {}
-        for ci, comp in enumerate(self.components()):
+        comps = self.components()
+        comp_of = [0] * self.n_vertices
+        for ci, comp in enumerate(comps):
             for v in comp:
                 comp_of[v] = ci
-        nv = [0] * (max(comp_of.values()) + 1 if comp_of else 0)
+        nv = [len(comp) for comp in comps]
         ne = [0] * len(nv)
         nf = [0] * len(nv)
-        for v in self.vertices:
-            nv[comp_of[v]] += 1
         for e in self.edges:
             ne[comp_of[e.u]] += 1
         for f in faces:
@@ -334,43 +338,39 @@ _UP_ORDER = (2, 0, 1)
 def build_graph(region: HexRegion, q_weights: bool = False) -> PlanarMultigraph:
     """The adjacency graph Z(a,b,c) with its planar rotation system.
 
-    Edges always run from a down triangle (edge.u) to an up one (edge.v).
+    Vertex i is region.triangles[i], which is also its label.  Edges always
+    run from a down triangle (edge.u) to an up one (edge.v).
     With q_weights=True the edges whose z-coordinate changes get weight q^x;
     those matched edges are the "column top" lozenges, and x counts the
     column steps, so the weight of a matching is q^(partition volume) times
     a constant absorbed by normalization against the empty partition.
     """
+    tri = region.triangles
+    idx = {t: i for i, t in enumerate(tri)}
     edges: List[Edge] = []
-    at_down: Dict[Triangle, Dict[int, int]] = {}
-    at_up: Dict[Triangle, Dict[int, int]] = {}
-    up_of = {u: u for u in region.ups}
+    slots: List[Dict[int, int]] = [{} for _ in tri]  # id -> axis -> edge id
     for t in region.downs:
         x, y, z = t
+        i = idx[t]
         for ax, key in enumerate(((x + 1, y, z), (x, y + 1, z), (x, y, z + 1))):
-            u = up_of.get(key)
-            if u is not None:
+            j = idx.get(key)
+            if j is not None:
                 w: object = 1
                 if q_weights and ax == 2:
-                    w = QPoly.q_power(t.x)
+                    w = QPoly.q_power(x)
                 elif q_weights:
                     w = QPoly.const(1)
                 eid = len(edges)
-                edges.append(Edge(eid, t, u, w))
-                at_down.setdefault(t, {})[ax] = eid
-                at_up.setdefault(u, {})[ax] = eid
-    rotation: Dict[object, List[Dart]] = {}
-    for t in region.downs:
-        slots = at_down.get(t, {})
-        rotation[t] = [(slots[ax], 0) for ax in _DOWN_ORDER if ax in slots]
-    for t in region.ups:
-        slots = at_up.get(t, {})
-        rotation[t] = [(slots[ax], 1) for ax in _UP_ORDER if ax in slots]
-    g = PlanarMultigraph(
-        region.triangles,
-        edges,
-        rotation,
-        bipartition=(frozenset(region.ups), frozenset(region.downs)),
-    )
+                edges.append(Edge(eid, i, j, w))
+                slots[i][ax] = slots[j][ax] = eid
+    ups = frozenset(i for i, t in enumerate(tri) if sum(t) == region.up_sum)
+    rotation = [
+        [(s[ax], 1) for ax in _UP_ORDER if ax in s]
+        if i in ups
+        else [(s[ax], 0) for ax in _DOWN_ORDER if ax in s]
+        for i, s in enumerate(slots)
+    ]
+    g = PlanarMultigraph(tri, edges, rotation, (ups, frozenset(range(len(tri))) - ups))
     g.assert_valid_embedding()
     return g
 

@@ -36,7 +36,7 @@ class SignedGraph:
 @dataclass(frozen=True)
 class OrientedGraph:
     graph: PlanarMultigraph
-    heads: dict  # edge id -> head vertex label
+    heads: dict  # edge id -> head vertex id
 
 
 @dataclass(frozen=True)
@@ -56,22 +56,22 @@ def two_coloring(g: PlanarMultigraph) -> Optional[Tuple[frozenset, frozenset]]:
     """BFS 2-coloring; None if an odd cycle exists."""
     if g.bipartition is not None:
         return g.bipartition
-    color: Dict[object, int] = {}
+    color: List[Optional[int]] = [None] * g.n_vertices
     for start in g.vertices:
-        if start in color:
+        if color[start] is not None:
             continue
         color[start] = 0
         stack = [start]
         while stack:
             v = stack.pop()
             for u in g.neighbors(v):
-                if u not in color:
+                if color[u] is None:
                     color[u] = 1 - color[v]
                     stack.append(u)
                 elif color[u] == color[v]:
                     return None
-    blk = frozenset(v for v, c in color.items() if c == 0)
-    return (blk, frozenset(set(g.vertices) - blk))
+    blk = frozenset(v for v, c in enumerate(color) if c == 0)
+    return (blk, frozenset(g.vertices) - blk)
 
 
 def _face_of_dart(faces) -> Dict[Tuple[int, int], int]:
@@ -183,7 +183,7 @@ def flat_orientation(g: PlanarMultigraph) -> OrientedGraph:
         if not comp_edges:
             continue
         # primal spanning tree (BFS)
-        root = min(comp, key=lambda v: str(v))
+        root = min(comp)
         seen = {root}
         tree: set = set()
         frontier = [root]
@@ -235,7 +235,7 @@ def flat_orientation(g: PlanarMultigraph) -> OrientedGraph:
 def check_flat_orientation(og: OrientedGraph) -> FlatReport:
     g = og.graph
     faces = g.assert_valid_embedding()
-    comp_of = {}
+    comp_of = [0] * g.n_vertices
     for ci, comp in enumerate(g.components()):
         for v in comp:
             comp_of[v] = ci
@@ -259,25 +259,26 @@ def _is_poly(g: PlanarMultigraph) -> bool:
 
 def bipartite_matrix(sg: SignedGraph) -> Optional[ExactMatrix]:
     """Signed bipartite adjacency matrix; None signals zero matchings
-    (unequal color classes make the matrix non-square)."""
+    (unequal color classes make the matrix non-square).  The rows are the
+    color class holding vertex 0, the columns the other, both in id order."""
     g = sg.graph
     coloring = two_coloring(g)
     if coloring is None:
         raise ValueError("bipartite matrix of a non-bipartite graph")
     blk, wht = coloring
-    if g.vertices and min(map(str, g.vertices)) not in set(map(str, blk)):
+    if 0 in wht:
         blk, wht = wht, blk
-    rows = sorted(blk, key=str)
-    cols = sorted(wht, key=str)
-    if len(rows) != len(cols):
+    if len(blk) != len(wht):
         return None
-    ri = {v: i for i, v in enumerate(rows)}
-    ci = {v: i for i, v in enumerate(cols)}
+    pos = [0] * g.n_vertices  # a vertex's place in its color class
+    for part in (blk, wht):
+        for i, v in enumerate(sorted(part)):
+            pos[v] = i
     cells = []
     for e in g.edges:
-        r, c = (e.u, e.v) if e.u in ri else (e.v, e.u)
-        cells.append((ri[r], ci[c], sg.signs[e.eid] * e.weight))
-    return ExactMatrix.from_cells(len(rows), len(cols), cells, _is_poly(g))
+        r, c = (e.u, e.v) if e.u in blk else (e.v, e.u)
+        cells.append((pos[r], pos[c], sg.signs[e.eid] * e.weight))
+    return ExactMatrix.from_cells(len(blk), len(wht), cells, _is_poly(g))
 
 
 def unsigned_bipartite_matrix(g: PlanarMultigraph) -> Optional[ExactMatrix]:
@@ -286,28 +287,23 @@ def unsigned_bipartite_matrix(g: PlanarMultigraph) -> Optional[ExactMatrix]:
 
 def skew_matrix(og: OrientedGraph) -> ExactMatrix:
     """Antisymmetric incidence matrix: entry (i,j) sums w over edges i->j
-    minus w over edges j->i."""
+    minus w over edges j->i; row i is vertex i."""
     g = og.graph
-    vs = sorted(g.vertices, key=str)
-    idx = {v: i for i, v in enumerate(vs)}
     cells = []
     for e in g.edges:
-        head = og.heads[e.eid]
-        tail = e.u if head == e.v else e.v
-        i, j = idx[tail], idx[head]
+        j = og.heads[e.eid]
+        i = e.u if j == e.v else e.v
         cells += ((i, j, e.weight), (j, i, -e.weight))
-    return ExactMatrix.from_cells(len(vs), len(vs), cells, _is_poly(g))
+    return ExactMatrix.from_cells(g.n_vertices, g.n_vertices, cells, _is_poly(g))
 
 
 def symmetric_matrix(g: PlanarMultigraph) -> ExactMatrix:
-    """Plain symmetric weighted adjacency matrix (Hafnian oracle input)."""
-    vs = sorted(g.vertices, key=str)
-    idx = {v: i for i, v in enumerate(vs)}
+    """Plain symmetric weighted adjacency matrix (Hafnian oracle input);
+    row i is vertex i."""
     cells = []
     for e in g.edges:
-        i, j = idx[e.u], idx[e.v]
-        cells += ((i, j, e.weight), (j, i, e.weight))
-    return ExactMatrix.from_cells(len(vs), len(vs), cells, _is_poly(g))
+        cells += ((e.u, e.v, e.weight), (e.v, e.u, e.weight))
+    return ExactMatrix.from_cells(g.n_vertices, g.n_vertices, cells, _is_poly(g))
 
 
 def weighted_matching_sum(g: PlanarMultigraph):

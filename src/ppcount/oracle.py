@@ -102,31 +102,30 @@ def enumerate_matchings(
 ) -> Iterator[FrozenSet[int]]:
     """All perfect matchings, as frozensets of edge ids.
 
-    Backtracks on the lowest uncovered vertex.
+    Backtracks on the lowest uncovered vertex id.
     """
-    if g.n_vertices > max_vertices:
-        raise SizeLimitError(f"{g.n_vertices} vertices exceeds limit {max_vertices}")
-    order = sorted(g.vertices, key=str)
-    covered: set = set()
+    n = g.n_vertices
+    if n > max_vertices:
+        raise SizeLimitError(f"{n} vertices exceeds limit {max_vertices}")
+    covered = [False] * n
     chosen: List[int] = []
 
-    def rec(pos: int) -> Iterator[FrozenSet[int]]:
-        while pos < len(order) and order[pos] in covered:
-            pos += 1
-        if pos == len(order):
+    def rec(v: int) -> Iterator[FrozenSet[int]]:
+        while v < n and covered[v]:
+            v += 1
+        if v == n:
             yield frozenset(chosen)
             return
-        v = order[pos]
         for e in g.edges_at(v):
             if e.u == e.v:
                 continue
             w = g.other_end(e, v)
-            if w not in covered:
-                covered.update((v, w))
+            if not covered[w]:
+                covered[v] = covered[w] = True
                 chosen.append(e.eid)
-                yield from rec(pos + 1)
+                yield from rec(v + 1)
                 chosen.pop()
-                covered.difference_update((v, w))
+                covered[v] = covered[w] = False
 
     yield from rec(0)
 
@@ -138,14 +137,12 @@ def count_perfect_matchings(g: PlanarMultigraph) -> int:
         return 1
     if n % 2:
         return 0
-    vs = sorted(g.vertices, key=str)
-    idx = {v: i for i, v in enumerate(vs)}
     adj = [0] * n
     mult: Dict[Tuple[int, int], int] = {}
     for e in g.edges:
-        if e.u == e.v:
+        i, j = e.u, e.v
+        if i == j:
             continue
-        i, j = idx[e.u], idx[e.v]
         adj[i] |= 1 << j
         adj[j] |= 1 << i
         key = (min(i, j), max(i, j))
@@ -196,6 +193,7 @@ def matching_to_partition(
     order of decreasing x, and the height follows from x = b-1-j+k.
     """
     g = graph if graph is not None else build_graph(region)
+    tri = g.labels  # Z labels its vertices by their triangles
     a, b, c = region.abc
     eids = set(matching)
     covered: set = set()
@@ -210,9 +208,10 @@ def matching_to_partition(
     by_diag: Dict[int, List[int]] = {}
     for eid in eids:
         e = g.edge_by_id[eid]
-        if e.u.z != e.v.z:  # column-top class
-            d = a - 1 - e.u.z
-            by_diag.setdefault(d, []).append(e.u.x)
+        u, v = tri[e.u], tri[e.v]
+        if u.z != v.z:  # column-top class
+            d = a - 1 - u.z
+            by_diag.setdefault(d, []).append(u.x)
     heights = [[0] * b for _ in range(a)]
     tops = 0
     for d, xs in by_diag.items():

@@ -110,9 +110,6 @@ class SymmetryClass:
     def box_fixed(self, box) -> bool:
         return all(box_fixed(g, box) for g in self.generators)
 
-    def group(self) -> Tuple[SymmetryElement, ...]:
-        return group_elements(self)
-
 
 CLASSES: Dict[int, SymmetryClass] = {
     1: SymmetryClass(1, "P", ()),
@@ -169,22 +166,23 @@ def act_triangle(g: SymmetryElement, t: Triangle, region: HexRegion) -> Triangle
     return s
 
 
-def _act_region(G, region: HexRegion) -> Dict[SymmetryElement, Dict[Triangle, Triangle]]:
+def _act_region(G, region: HexRegion) -> Dict[SymmetryElement, List[int]]:
     """act_triangle of each element of G on every triangle of the region, as
-    one map per element: the box is checked once per element, and each image
-    against the region's triangle set."""
-    canon = {t: t for t in region.triangles}
+    one map per element from a triangle's index in region.triangles to its
+    image's: the box is checked once per element, and each image against the
+    region's triangle set."""
+    idx = {t: i for i, t in enumerate(region.triangles)}
     act = {}
     for g in G:
         if not box_fixed(g, region.abc):
             raise BoxError(f"H{region.abc} is not fixed by {g}")
         image = _image_fn(g, region.bounds)
-        out = act[g] = {}
+        out = act[g] = []
         for t in region.triangles:
-            s = canon.get(image(t))
+            s = idx.get(image(t))
             if s is None:
                 raise EmbeddingError(f"symmetry image of {t} left the region")
-            out[t] = s
+            out.append(s)
     return act
 
 
@@ -278,14 +276,14 @@ class ParityGadget:
     has exactly one perfect matching when |X| has the declared parity and
     none otherwise.  Realized as a row of triangles (path c1..cm with chords
     between consecutive even-indexed vertices, attachments at the odd ones),
-    plus one extra path vertex for the even-parity variant.
+    plus one extra path vertex for the even-parity variant; c_k has id k-1.
     """
 
     n_attach: int
     parity: str
-    vertices: Tuple[str, ...]
-    edges: Tuple[Tuple[str, str], ...]
-    attachments: Tuple[str, ...]
+    vertices: Tuple[int, ...]
+    edges: Tuple[Tuple[int, int], ...]
+    attachments: Tuple[int, ...]
 
 
 def build_parity_gadget(n_attach: int, parity: str) -> ParityGadget:
@@ -294,11 +292,10 @@ def build_parity_gadget(n_attach: int, parity: str) -> ParityGadget:
     if parity not in ("odd", "even"):
         raise ValueError("parity must be 'odd' or 'even'")
     m = 2 * n_attach - 1 + (1 if parity == "even" else 0)
-    vs = tuple(f"c{i}" for i in range(1, m + 1))
-    edges = [(f"c{i}", f"c{i + 1}") for i in range(1, m)]
-    edges += [(f"c{i}", f"c{i + 2}") for i in range(2, m - 1, 2)]
-    attach = tuple(f"c{i}" for i in range(1, 2 * n_attach, 2))
-    return ParityGadget(n_attach, parity, vs, tuple(edges), attach)
+    edges = [(i, i + 1) for i in range(m - 1)]
+    edges += [(i, i + 2) for i in range(1, m - 2, 2)]
+    attach = tuple(range(0, 2 * n_attach - 1, 2))
+    return ParityGadget(n_attach, parity, tuple(range(m)), tuple(edges), attach)
 
 
 def _gadget_rank(me: int, other: int) -> int:
@@ -318,13 +315,12 @@ def _gadget_rank(me: int, other: int) -> int:
 def gadget_multigraph(g: ParityGadget) -> PlanarMultigraph:
     """The gadget alone, with its planar rotation system."""
     edges = [Edge(i, u, v) for i, (u, v) in enumerate(g.edges)]
-    rot = {v: [] for v in g.vertices}
+    rot = [[] for _ in g.vertices]
     for e in edges:
-        iu, iv = int(e.u[1:]), int(e.v[1:])
-        rot[e.u].append((_gadget_rank(iu, iv), (e.eid, 0)))
-        rot[e.v].append((_gadget_rank(iv, iu), (e.eid, 1)))
-    rotation = {v: [d for _, d in sorted(rs)] for v, rs in rot.items()}
-    return PlanarMultigraph(g.vertices, edges, rotation)
+        rot[e.u].append((_gadget_rank(e.u, e.v), (e.eid, 0)))
+        rot[e.v].append((_gadget_rank(e.v, e.u), (e.eid, 1)))
+    rotation = [[d for _, d in sorted(rs)] for rs in rot]
+    return PlanarMultigraph([f"c{v + 1}" for v in g.vertices], edges, rotation)
 
 
 # ---------------------------------------------------------------------------
@@ -336,27 +332,28 @@ def _is_transposition(perm) -> bool:
     return sum(1 for i in range(3) if perm[i] == i) == 1
 
 
-def _orbit_label(rep: Triangle) -> str:
-    return f"o({rep.x},{rep.y},{rep.z})"
-
-
 def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
-    """Graph whose perfect matchings count the cls-invariant tilings of H(a,b,c)."""
+    """Graph whose perfect matchings count the cls-invariant tilings of H(a,b,c).
+
+    The parity gadget's vertices, if any, take the first ids (labels gK);
+    the orbits follow in the order of their smallest triangles (o(x,y,z)).
+    """
     if not cls.box_fixed(region.abc):
         raise BoxError(f"H{region.abc} is not fixed by class {cls.id}")
     G = group_elements(cls)
     Z = build_graph(region)
+    tri = region.triangles  # Z's vertex i is tri[i]
     act = _act_region(G, region)
     maps = tuple(act.values())
     refl0 = [act[g] for g in G if not g.comp and _is_transposition(g.perm)]
 
     # vertex orbits, sorted, each found from its smallest member; fixedness
     # by a transpose-complement reflection is an orbit property
-    orbit_of: Dict[Triangle, Tuple[Triangle, ...]] = {}
-    reps: List[Triangle] = []
+    orbit_of: List[Tuple[int, ...]] = [()] * Z.n_vertices
+    reps: List[int] = []
     fixed = set()
-    for t in region.triangles:
-        if t not in orbit_of:
+    for t in Z.vertices:
+        if not orbit_of[t]:
             orbit = tuple(sorted({m[t] for m in maps}))
             for s in orbit:
                 orbit_of[s] = orbit
@@ -409,18 +406,27 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
         if not ev:
             continue  # bachelor-only or isolated; handled downstream
         if len(ev) != 1:
-            raise EmbeddingError(f"fixed vertex {v} kept {len(ev)} edges")
-        e = Z.edge_by_id[ev[0]]
-        w = e.v if e.u == v else e.u
+            raise EmbeddingError(f"fixed vertex {tri[v]} kept {len(ev)} edges")
+        w = Z.other_end(Z.edge_by_id[ev[0]], v)
         if w not in fixed or len(ids_at(w, kept_ids)) != 1:
-            raise EmbeddingError(f"fixed vertex {v} is not cleanly paired")
+            raise EmbeddingError(f"fixed vertex {tri[v]} is not cleanly paired")
         if ids_at(v, bachelor_ids) or ids_at(w, bachelor_ids):
             raise EmbeddingError("paired fixed vertex also holds a bachelor edge")
         removed.update((v, w))
     if any(s not in removed for v in removed for s in orbit_of[v]):
         raise EmbeddingError("fixed-pair removal is not orbit-closed")
     reps = [r for r in reps if r not in removed]
-    qvertices = [_orbit_label(r) for r in reps]
+
+    # replace the bachelorhood vertex by a parity gadget whose attachments
+    # follow the bachelor edges along the chamber boundary; the gadget's
+    # vertices take the first ids
+    rays = _axis_rays(region, G, act)
+    n_gadget = 0
+    if bachelor:
+        border = _bachelor_order(region, Z, rays, bachelor)
+        gadget = build_parity_gadget(len(border), "odd" if len(reps) % 2 else "even")
+        n_gadget = len(gadget.vertices)
+    qid = {r: n_gadget + i for i, r in enumerate(reps)}  # Z id -> quotient id
 
     # final numbering: ordinary quotient edges by their smallest Z edge id
     # (loops can never be matched, so they are dropped), then the bachelor
@@ -439,41 +445,29 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
             continue
         ru, rv = orbit_of[e.u][0], orbit_of[e.v][0]
         if ru != rv:
-            add_edge(eorbit, _orbit_label(ru), _orbit_label(rv))
+            add_edge(eorbit, qid[ru], qid[rv])
 
-    rays = _axis_rays(region, G, act)
-    gadget_rotation: Dict[object, List[Dart]] = {}
+    rotation: List[List[Dart]] = []
     if bachelor:
-        # replace the bachelorhood vertex by a parity gadget whose
-        # attachments follow the bachelor edges along the chamber boundary
-        border = _bachelor_order(region, Z, rays, bachelor)
-        gadget = build_parity_gadget(len(border), "odd" if len(reps) % 2 else "even")
-        glabel = {v: f"g{v[1:]}" for v in gadget.vertices}
-        ext_at = {}
-        for att, (e, eorbit) in zip(gadget.attachments, border):
-            ext_at[att] = len(qedges)
-            add_edge(eorbit, _orbit_label(orbit_of[e.u][0]), glabel[att])
-        offset = len(qedges)
         gm = gadget_multigraph(gadget)
-        qedges += [Edge(offset + e.eid, glabel[e.u], glabel[e.v]) for e in gm.edges]
-        for v in gadget.vertices:
-            darts = [(offset + eid, side) for eid, side in gm.rotation[v]]
-            if v in ext_at:
-                darts.append((ext_at[v], 1))  # slot 4: the external edge
-            gadget_rotation[glabel[v]] = darts
+        offset = len(qedges) + len(border)
+        rotation = [[(offset + eid, side) for eid, side in ring] for ring in gm.rotation]
+        for att, (e, eorbit) in zip(gadget.attachments, border):
+            rotation[att].append((len(qedges), 1))  # slot 4: the external edge
+            add_edge(eorbit, qid[orbit_of[e.u][0]], att)
+        qedges += [Edge(offset + e.eid, e.u, e.v) for e in gm.edges]
 
     # Reflections reverse the local rotation sense, so rotations must be read
     # off orbit members lying in consistently-oriented chambers (the sectors
     # cut out by the reflection axes alternate in orientation).
     parity_of = _chamber_parity_fn(region, rays)
-    rotation: Dict[object, List[Dart]] = {}
-    for r, label in zip(reps, qvertices):
+    for r in reps:
         members = orbit_of[r]
         # the first member in a positive chamber is the smallest such one
-        src = next((t for t in members if parity_of(t) == 0), None)
+        src = next((t for t in members if parity_of(tri[t]) == 0), None)
         on_axis = src is None
         if on_axis:
-            if any(parity_of(t) is not None for t in members):
+            if any(parity_of(tri[t]) is not None for t in members):
                 raise EmbeddingError("orbit misses the positively oriented chambers")
             src = members[0]
         darts = []
@@ -482,18 +476,19 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
             if qeid is None:
                 continue  # pruned or removed edge, or dropped loop
             if any(qeid == d[0] for d in darts):
-                raise EmbeddingError(f"quotient edge met {label} twice")
-            darts.append((qeid, 0 if qedges[qeid].u == label else 1))
+                raise EmbeddingError(f"quotient edge met orbit {tri[r]} twice")
+            darts.append((qeid, 0 if qedges[qeid].u == qid[r] else 1))
         if on_axis and len(darts) > 1:
-            raise EmbeddingError(f"axis vertex {label} kept {len(darts)} edges")
-        rotation[label] = darts
-    rotation.update(gadget_rotation)
+            raise EmbeddingError(f"axis orbit {tri[r]} kept {len(darts)} edges")
+        rotation.append(darts)
 
+    labels = [f"g{v + 1}" for v in range(n_gadget)]
+    labels += [f"o({tri[r].x},{tri[r].y},{tri[r].z})" for r in reps]
     bip = None
     if not bachelor and all(not g.comp for g in G):
-        ups = frozenset(_orbit_label(r) for r in reps if sum(r) == region.up_sum)
-        bip = (ups, frozenset(qvertices) - ups)
-    g = PlanarMultigraph(qvertices + list(gadget_rotation), qedges, rotation, bip)
+        ups = frozenset(qid[r] for r in reps if sum(tri[r]) == region.up_sum)
+        bip = (ups, frozenset(qid.values()) - ups)
+    g = PlanarMultigraph(labels, qedges, rotation, bip)
     if bachelor and g.n_vertices % 2:
         raise EmbeddingError("gadget parity failed to even out the vertex count")
     g.assert_valid_embedding()
@@ -503,12 +498,13 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
 def _axis_rays(region, G, act) -> List[Tuple[int, int]]:
     """Primitive directions (both halves) of the reflection axes of G."""
     cx, cy = center2(region)
+    tri = region.triangles
     dirs = set()
     for g in G:
         if perm_sign(g.perm) == 1:
             continue
-        for t in region.triangles:
-            p, q = position2(t), position2(act[g][t])
+        for t, s in zip(tri, act[g]):
+            p, q = position2(t), position2(tri[s])
             d = (p[0] + q[0] - cx, p[1] + q[1] - cy)
             if d != (0, 0):
                 dirs.add(primitive_dir(d))
@@ -559,13 +555,14 @@ def _bachelor_order(region, Z, rays, orbits):
     if not rays:
         raise EmbeddingError("multiple bachelor edges without reflection axes")
     cx, cy = center2(region)
+    tri = region.triangles  # Z's vertex i is tri[i]
     ray_in, ray_out = rays[-1], rays[0]
 
     def key(orbit):
         mids = set()
         for eid in orbit[1]:
             e = Z.edge_by_id[eid]
-            pu, pv = position2(e.u), position2(e.v)
+            pu, pv = position2(tri[e.u]), position2(tri[e.v])
             mids.add((pu[0] + pv[0] - cx, pu[1] + pv[1] - cy))
         if (0, 0) in mids:
             return (1, 0)  # the center sits between the two boundary rays

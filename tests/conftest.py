@@ -13,19 +13,27 @@ from ppcount.symmetry import CLASSES, quotient_graph
 
 
 def graph_from_points(points, pairs, bipartition=None, weights=None):
-    """Straight-line embedded graph: rotations sorted by angle at each vertex."""
+    """Straight-line embedded graph: rotations sorted by angle at each vertex.
+
+    The point names, sorted, are the vertex labels, so vertex i is the i-th
+    name; pairs and bipartition are given by name.
+    """
+    labels = sorted(points)
+    vid = {p: i for i, p in enumerate(labels)}
     edges = []
     for i, (u, v) in enumerate(pairs):
         w = 1 if weights is None else weights[i]
-        edges.append(Edge(i, u, v, w))
-    rot = {v: [] for v in points}
+        edges.append(Edge(i, vid[u], vid[v], w))
+    rot = [[] for _ in labels]
     for e in edges:
         for end, side, other in ((e.u, 0, e.v), (e.v, 1, e.u)):
-            dx = points[other][0] - points[end][0]
-            dy = points[other][1] - points[end][1]
+            dx = points[labels[other]][0] - points[labels[end]][0]
+            dy = points[labels[other]][1] - points[labels[end]][1]
             rot[end].append((math.atan2(dy, dx) % (2 * math.pi), (e.eid, side)))
-    rotation = {v: [d for _, d in sorted(rs)] for v, rs in rot.items()}
-    g = PlanarMultigraph(sorted(points), edges, rotation, bipartition=bipartition)
+    rotation = [[d for _, d in sorted(rs)] for rs in rot]
+    if bipartition is not None:
+        bipartition = tuple(frozenset(vid[p] for p in part) for part in bipartition)
+    g = PlanarMultigraph(labels, edges, rotation, bipartition=bipartition)
     g.assert_valid_embedding()
     return g
 

@@ -69,6 +69,7 @@ def test_count_ratios_box_not_fixed_by_class_is_zero(capsys):
         ("export", "--kind", "quotient", "--class", "2", "--dims", "1,2,3"),
         ("export", "--kind", "quotient", "--class", "11", "--dims", "1,1,1"),
         ("verify", "--max-side", "1", "--classes", "1,x"),
+        ("export", "--kind", "z", "--dims", "1,1,1", "-o", "."),
     ],
 )
 def test_unanswerable_requests_exit_2_with_an_error_line(argv, capsys):

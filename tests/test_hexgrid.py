@@ -18,7 +18,14 @@ from ppcount.oracle import (
     q_sum,
     weighted_matching_sum_brute,
 )
-from ppcount.symmetry import KAPPA, act_triangle, build_parity_gadget, gadget_multigraph
+from ppcount.symmetry import (
+    CLASSES,
+    KAPPA,
+    act_triangle,
+    build_parity_gadget,
+    gadget_multigraph,
+    quotient_graph,
+)
 
 
 def test_smallest_hexagon():
@@ -152,7 +159,7 @@ def reference_faces(g):
     """The face tracer the sorted sweep replaced: it starts each face at
     min(unused), which costs O(faces * darts).  Kept as the reference."""
     pos = {}
-    for v, darts in g.rotation.items():
+    for v, darts in enumerate(g.rotation):
         for i, d in enumerate(darts):
             pos[d] = (v, i)
     unused = set(pos)
@@ -194,3 +201,54 @@ def test_embedding_is_validated_once_and_kept():
     faces = g.assert_valid_embedding()
     assert g.assert_valid_embedding() is faces
     assert g.components() is g.components()
+
+
+def _assert_id_contract(g):
+    """Vertices are the ids 0..n-1, with one label and one rotation each;
+    every edge endpoint is an id, and every dart at a vertex starts there."""
+    n = g.n_vertices
+    assert list(g.vertices) == list(range(n))
+    assert len(g.labels) == len(g.rotation) == n
+    for e in g.edges:
+        assert 0 <= e.u < n and 0 <= e.v < n
+    for v, ring in enumerate(g.rotation):
+        assert all(g.dart_tail(d) == v for d in ring)
+    if g.bipartition is not None:
+        blk, wht = g.bipartition
+        assert blk | wht == set(range(n)) and not blk & wht
+
+
+def test_z_vertex_ids_follow_the_triangle_order():
+    region = build_hexagon(2, 3, 4)
+    g = build_graph(region)
+    _assert_id_contract(g)
+    assert g.labels == list(region.triangles)
+
+
+def test_quotient_numbers_the_gadget_first():
+    q = quotient_graph(build_hexagon(4, 4, 4), CLASSES[4])
+    _assert_id_contract(q)
+    n_gadget = sum(1 for x in q.labels if x.startswith("g"))
+    assert n_gadget > 0
+    assert q.labels[:n_gadget] == [f"g{k}" for k in range(1, n_gadget + 1)]
+    orbits = q.labels[n_gadget:]
+    assert all(x.startswith("o(") for x in orbits)
+    assert orbits == sorted(orbits, key=lambda x: tuple(map(int, x[2:-1].split(","))))
+
+
+@pytest.mark.parametrize("cid", [6, 7])
+def test_subgraph_renumbers_and_keeps_edge_ids_and_labels(cid):
+    q = quotient_graph(build_hexagon(3, 3, 3), CLASSES[cid])
+    comps = q.components()
+    assert len(comps) > 1
+    for comp in comps:
+        sub = q.subgraph(comp)
+        _assert_id_contract(sub)
+        old = sorted(comp)
+        assert sub.labels == [q.labels[v] for v in old]
+        assert [e.eid for e in sub.edges] == [e.eid for e in q.edges if e.u in comp]
+        for e in sub.edges:
+            f = q.edge_by_id[e.eid]
+            assert (old[e.u], old[e.v], e.weight) == (f.u, f.v, f.weight)
+        assert sub.rotation == [q.rotation[v] for v in old]
+        assert (sub.bipartition is None) == (q.bipartition is None)

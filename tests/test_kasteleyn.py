@@ -347,3 +347,11 @@ def test_builders_give_the_canonical_sparse_form_on_quotients(small_quotients):
     for _, _, q in small_quotients:
         for m in _builder_matrices(q):
             assert ExactMatrix.from_rows(m.entries) == m
+
+
+def test_flat_orientation_is_flat_on_quotients_and_z_graphs(small_quotients):
+    graphs = [q for _, _, q in small_quotients if q.n_vertices % 2 == 0]
+    # 6 x 6 x 6 has coordinates up to 11, where label order and id order differ
+    graphs += [build_graph(build_hexagon(*dims)) for dims in [(1, 1, 1), (2, 3, 4), (6, 6, 6)]]
+    for g in graphs:
+        assert check_flat_orientation(flat_orientation(g)).flat

@@ -122,17 +122,18 @@ def test_triangle_and_partition_actions_are_equivariant():
     box = (2, 2, 2)
     r = build_hexagon(*box)
     g = build_graph(r)
+    tri = g.labels
     edge_of = {}
     for e in g.edges:
-        edge_of[(e.u, e.v)] = e.eid
-        edge_of[(e.v, e.u)] = e.eid
+        edge_of[(tri[e.u], tri[e.v])] = e.eid
+        edge_of[(tri[e.v], tri[e.u])] = e.eid
     for elem in group_elements(CLASSES[10]):
         for m in enumerate_matchings(g):
             mapped = frozenset(
                 edge_of[
                     (
-                        act_triangle(elem, g.edge_by_id[eid].u, r),
-                        act_triangle(elem, g.edge_by_id[eid].v, r),
+                        act_triangle(elem, tri[g.edge_by_id[eid].u], r),
+                        act_triangle(elem, tri[g.edge_by_id[eid].v], r),
                     )
                 ]
                 for eid in m
