@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .exactalg import QPoly
-from .formulas import n_class, n_class_via_ratios
+from .formulas import n_class, n_class_via_ratios, q_box_product
 from .hexgrid import PlanarMultigraph, build_hexagon, build_graph, q_weight_graph
 from .kasteleyn import flat_orientation, flat_signing, weighted_matching_sum
 from .oracle import count_symmetric, q_sum
@@ -62,6 +62,8 @@ def compute_count(class_id: int, dims, method: str, q_flag: bool = False):
     if q_flag:
         if class_id != 1:
             raise UsageError("q-enumeration is only supported for class 1")
+        if method == "formula":
+            return q_box_product(*dims)
         if method == "matrix":
             return q_matrix_count(dims)
         if method == "oracle":

@@ -26,13 +26,31 @@ The bounds, for an n x n matrix with entries a_ij:
   squares in integers (modulus^2 > 4 prod_i sum_j a_ij^2).
 * Pf over Z: the square root of the Hadamard bound, since Pf^2 = det
   (modulus^4 > 16 prod_i sum_j a_ij^2).
-* Z[q]: the degree is at most D = sum_i max_j deg a_ij (halved for Pf), so
-  D + 1 evaluations at q = 1, ..., D + 1 mod p and interpolation give the
-  result mod p.  Each coefficient obeys Goldstein-Graham,
+* Z[q]: each coefficient obeys Goldstein-Graham,
   |c_k| <= prod_i (sum_j ||a_ij||_1^2)^(1/2): on |q| = 1 every entry has
   modulus at most ||a_ij||_1, Hadamard bounds |det M(q)| there, and no
   coefficient exceeds the maximum modulus on the unit circle.  Pf again
   takes the square root.
+
+Over Z[q] the result is found mod p by evaluation and interpolation across
+a proven degree window [L, U], by bipartite assignment duality on the
+n x n skew matrix A the kernel eliminates.  Take potentials with
+u_i + v_j >= deg a_ij on every nonzero a_ij.  A term of the Leibniz
+expansion of det A picks one nonzero in each row and each column, so its
+degree is at most sum_i u_i + sum_j v_j = U.  Likewise potentials with
+u_i + v_j <= lowdeg a_ij give every term degree at least L.  The potentials
+come from a sparse min-cost assignment (successive shortest paths), but the
+proof rests only on their dual feasibility, which is checked on every
+nonzero (an infeasible pair raises), not on the assignment code.  Since
+Pf^2 = det A, the Pfaffian's terms lie in degrees ceil(L/2) .. floor(U/2),
+so Pf(x) x^-ceil(L/2) is a polynomial of degree at most
+floor(U/2) - ceil(L/2), found from that many evaluations plus one, at
+x = 1, 2, ...; the low zero coefficients are prepended after.  For det M
+the skew block's assignments split into one of M and one of M^T, so its
+window is twice M's and halving gives M's window exactly.  When the support
+of A has no perfect matching, every Leibniz term vanishes and the result is
+the zero polynomial, with no elimination.  The integer route runs none of
+this.
 
 Permanents use Ryser inclusion-exclusion and Hafnians a direct recursion
 over the first unmatched index; both are brute-force references.
@@ -129,11 +147,11 @@ class QPoly:
         if self.is_zero() or o.is_zero():
             return QPoly()
         out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
+        terms = [(j, b) for j, b in enumerate(o.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        out[i + j] += a * b
+                for j, b in terms:
+                    out[i + j] += a * b
         return QPoly(out)
 
     __rmul__ = __mul__
@@ -152,6 +170,7 @@ class QPoly:
         if qd < 0:
             raise ArithmeticError("inexact polynomial division")
         quot = [0] * (qd + 1)
+        terms = [(j, b) for j, b in enumerate(d.coeffs) if b]
         for k in range(qd, -1, -1):
             top = rem[k + dd]
             if top == 0:
@@ -160,7 +179,7 @@ class QPoly:
             if r:
                 raise ArithmeticError("inexact polynomial division")
             quot[k] = c
-            for j, b in enumerate(d.coeffs):
+            for j, b in terms:
                 rem[k + j] -= c * b
         if any(rem):
             raise ArithmeticError("inexact polynomial division")
@@ -483,15 +502,97 @@ def _interpolate(ys, p: int):
     return poly
 
 
-def _pfaffian(n: int, triples, power: int, bound: int, degree):
+def _assignment_duals(n: int, arcs):
+    """Potentials (u, v) of a min-cost perfect assignment of rows 0..n-1 to
+    columns 0..n-1 over the arcs (i, j, c): u_i + v_j <= c on every arc, and
+    sum(u) + sum(v) is the minimum cost.  None when no perfect assignment
+    exists.
+
+    Successive shortest paths: each row in turn is matched along the
+    shortest alternating path (Dijkstra over a heap) under the reduced costs
+    c - u_i - v_j >= 0.  Then every node settled before the free column at
+    distance d moves its potential by d minus its own distance, which keeps
+    every reduced cost nonnegative and makes the matched arcs tight.
+    """
+    adj = [[] for _ in range(n)]
+    for i, j, c in arcs:
+        adj[i].append((j, c))
+    if not all(adj):
+        return None
+    u = [min(c for _, c in row) for row in adj]
+    v = [0] * n
+    row_of = [-1] * n  # the row matched to each column
+    col_of = [-1] * n  # the column matched to each row
+    for s in range(n):
+        settled = {}  # column -> its distance from row s
+        reach = {}
+        pred = {}
+        heap = []
+        i, d = s, 0
+        while True:
+            for j, c in adj[i]:
+                if j not in settled:
+                    dj = d + c - u[i] - v[j]
+                    if j not in reach or dj < reach[j]:
+                        reach[j] = dj
+                        pred[j] = i
+                        heappush(heap, (dj, j))
+            while heap and heap[0][1] in settled:
+                heappop(heap)
+            if not heap:
+                return None
+            d, j = heappop(heap)
+            settled[j] = d
+            if row_of[j] < 0:
+                break
+            i = row_of[j]  # a matched arc is tight: its row is at distance d too
+        u[s] += d
+        for k, dk in settled.items():
+            if k != j:
+                u[row_of[k]] += d - dk
+                v[k] -= d - dk
+        while j >= 0:  # flip the alternating path back to row s
+            i = pred[j]
+            row_of[j], col_of[i], j = i, j, col_of[i]
+    return u, v
+
+
+def _degree_window(n: int, triples):
+    """(lo, hi) such that the Pfaffian of the n x n skew matrix given by
+    ``triples`` (i, j, terms), terms ((k, c_k), ...) in increasing k, has
+    all its terms in q^lo .. q^hi; None when its support has no perfect
+    matching, so that the Pfaffian is 0.
+
+    The bound rests only on the dual feasibility checked here, on every
+    nonzero: with u_i + v_j <= lowdeg a_ij, every term of the Leibniz
+    expansion of det A = Pf^2 has degree >= sum(u) + sum(v) = L; with
+    s_i + t_j >= deg a_ij, degree <= sum(s) + sum(t) = U.  Halving gives
+    ceil(L/2) <= lowdeg Pf and deg Pf <= floor(U/2).
+    """
+    arcs = [(i, j, terms[0][0], terms[-1][0]) for i, j, terms in triples]
+    arcs += [(j, i, lo, hi) for i, j, lo, hi in arcs]
+    low = _assignment_duals(n, [(i, j, lo) for i, j, lo, _ in arcs])
+    if low is None:
+        return None
+    u, v = low
+    s, t = ([-x for x in w] for w in _assignment_duals(n, [(i, j, -hi) for i, j, _, hi in arcs]))
+    for i, j, lo, hi in arcs:
+        if u[i] + v[j] > lo or s[i] + t[j] < hi:
+            raise ArithmeticError("degree potentials are not dual feasible")
+    return (sum(u) + sum(v) + 1) // 2, (sum(s) + sum(t)) // 2
+
+
+def _pfaffian(n: int, triples, power: int, bound: int, poly: bool):
     """Signed Pfaffian of the n x n skew matrix given by ``triples`` (i, j, a),
     exact, as a list of coefficients (one for an integer matrix).
 
-    The entries a are integers, or, when ``degree`` bounds the degree of the
-    Pfaffian, tuples ((k, c_k), ...) of nonzero coefficients.  Every
+    The entries a are integers, or, when ``poly`` is set, tuples
+    ((k, c_k), ...) of nonzero coefficients in increasing k.  Every
     coefficient c of the result obeys |c|^power <= bound, so the CRT stops
-    once modulus^power exceeds 2^power * bound.  The pivot plan of the first
-    elimination is replayed on every later prime and evaluation point.
+    once modulus^power exceeds 2^power * bound.  Over Z[q] the Pfaffian is
+    evaluated only across its degree window (``_degree_window``).  The pivot
+    plan of the first elimination is replayed on every later prime and
+    evaluation point.
     """
     if n == 0:
         return [1]
@@ -505,25 +606,33 @@ def _pfaffian(n: int, triples, power: int, bound: int, degree):
             plan.extend(used)
         return pf
 
-    if degree is None:
+    low = 0
+    if not poly:
 
         def residues_mod(p):
             return [pf_mod([(i, j, a % p) for i, j, a in triples], p)]
 
     else:
-        if degree + 1 >= 1 << 30:
-            raise ValueError(f"degree bound {degree} leaves too few evaluation points")
+        window = _degree_window(n, triples)
+        if window is None or window[1] < window[0]:
+            return [0]  # no perfect matching, or an odd-only window for Pf^2
+        low, high = window
+        points = high - low + 1
+        if points >= 1 << 30:
+            raise ValueError(f"degree window of {points} leaves too few evaluation points")
         polys = sorted({terms for _, _, terms in triples})
         index = {terms: k for k, terms in enumerate(polys)}
         keyed = [(i, j, index[terms]) for i, j, terms in triples]
-        top = max(t for terms in polys for t, _ in terms)
+        top = max(terms[-1][0] for terms in polys)
 
         def residues_mod(p):
+            # Pf(x) x^-low has degree <= high - low: interpolate it on x = 1..points
             ys = []
-            for x in range(1, degree + 2):
+            for x in range(1, points + 1):
                 pw = [pow(x, t, p) for t in range(top + 1)]
                 at_x = [sum(c * pw[t] for t, c in terms) % p for terms in polys]
-                ys.append(pf_mod([(i, j, at_x[k]) for i, j, k in keyed], p))
+                pf = pf_mod([(i, j, at_x[k]) for i, j, k in keyed], p)
+                ys.append(pf * pow(x, -low, p) % p)
             return _interpolate(ys, p)
 
     residues, modulus, k = None, 1, 0
@@ -537,7 +646,7 @@ def _pfaffian(n: int, triples, power: int, bound: int, degree):
             inv = pow(modulus, -1, p)
             residues = [r + modulus * ((v - r) * inv % p) for r, v in zip(residues, vals)]
         modulus *= p
-    return [r - modulus if 2 * r > modulus else r for r in residues]
+    return [0] * low + [r - modulus if 2 * r > modulus else r for r in residues]
 
 
 def _result(coeffs, poly: bool) -> Scalar:
@@ -546,20 +655,18 @@ def _result(coeffs, poly: bool) -> Scalar:
 
 def _bounds(n: int, nz, poly: bool):
     """prod_i sum_j a_ij^2 over the rows (with ||a_ij||_1 for polynomials),
-    the row-wise degree sum, and the entries as the kernel takes them."""
+    and the entries as the kernel takes them."""
     sq = [0] * n
     if not poly:
         for i, _, a in nz:
             sq[i] += a * a
-        return math.prod(sq), None, nz
-    top = [0] * n
+        return math.prod(sq), nz
     out = []
     for i, j, a in nz:
         cs = a.coeffs
         sq[i] += sum(map(abs, cs)) ** 2
-        top[i] = max(top[i], len(cs) - 1)
         out.append((i, j, tuple((t, c) for t, c in enumerate(cs) if c)))
-    return math.prod(sq), sum(top), out
+    return math.prod(sq), out
 
 
 def det(m: ExactMatrix) -> Scalar:
@@ -568,9 +675,9 @@ def det(m: ExactMatrix) -> Scalar:
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
     n = m.nrows
-    bound, degree, entries = _bounds(n, m.nonzeros, m.poly)
+    bound, entries = _bounds(n, m.nonzeros, m.poly)
     block = [(i, n + j, a) for i, j, a in entries]
-    return _result(_pfaffian(2 * n, block, 2, bound, degree), m.poly)
+    return _result(_pfaffian(2 * n, block, 2, bound, m.poly), m.poly)
 
 
 def _check_skew(m: ExactMatrix):
@@ -591,7 +698,6 @@ def pfaffian_abs(m: ExactMatrix) -> Scalar:
     n = m.nrows
     if n % 2:
         return QPoly() if m.poly else 0
-    bound, degree, entries = _bounds(n, m.nonzeros, m.poly)
+    bound, entries = _bounds(n, m.nonzeros, m.poly)
     upper = [(i, j, a) for i, j, a in entries if i < j]
-    half = None if degree is None else degree // 2
-    return _result(_pfaffian(n, upper, 4, bound, half), m.poly)
+    return _result(_pfaffian(n, upper, 4, bound, m.poly), m.poly)

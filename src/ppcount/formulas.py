@@ -7,6 +7,9 @@ argument stays nonnegative), and staggered factorials F_k(n) = n(n-k)(n-2k)...
 exactly; a symmetry class returns 0 on boxes it does not fix and on boxes
 where a parity obstruction rules out any invariant partition (odd volume for
 complementation, odd height for transpose-complementation).
+
+Class 1 also has MacMahon's volume generating function, the formula route
+of q-enumeration (``q_box_product``).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
+from .exactalg import QPoly
 from .symmetry import CLASSES
 
 binomial = math.comb
@@ -179,6 +183,27 @@ def n_class(class_id: int, dims: Tuple[int, int, int]) -> int:
     if class_id == 10:
         return _n10(a // 2) if a % 2 == 0 else 0
     raise AssertionError
+
+
+def q_box_product(a: int, b: int, c: int) -> QPoly:
+    """MacMahon's box product prod_{i,j,k} (1 - q^(i+j+k-1)) / (1 - q^(i+j+k-2))
+    over the a x b x c box: the coefficient of q^k counts the plane
+    partitions of volume k.
+
+    The product over k telescopes to prod_{i,j} (1 - q^(i+j+c-1)) /
+    (1 - q^(i+j-1)).  It is built one i at a time, since the partial
+    product up to i is the polynomial of the i x b x c box: multiply by the
+    row's numerator factors, then divide its denominator factors out exactly.
+    """
+    if a < 0 or b < 0 or c < 0:
+        raise ValueError(f"negative box side in {(a, b, c)}")
+    out = QPoly.const(1)
+    for i in range(1, a + 1):
+        for j in range(1, b + 1):
+            out = out * (1 - QPoly.q_power(i + j + c - 1))
+        for j in range(1, b + 1):
+            out = out.div_exact(1 - QPoly.q_power(i + j - 1))
+    return out
 
 
 # ---------------------------------------------------------------------------

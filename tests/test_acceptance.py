@@ -12,7 +12,7 @@ from conftest import random_planar_bipartite, random_planar_graph
 
 from ppcount.cli import compute_count, q_matrix_count
 from ppcount.exactalg import ExactMatrix, det, hafnian, permanent, pfaffian_abs
-from ppcount.formulas import binomial, n_class, ratio_identities
+from ppcount.formulas import binomial, n_class, q_box_product, ratio_identities
 from ppcount.hexgrid import build_graph, build_hexagon
 from ppcount.kasteleyn import (
     bipartite_matrix,
@@ -136,6 +136,17 @@ def test_criterion_5_q_enumeration():
         ok = ok and d == s
         ok = ok and d.subs(1) == n_class(1, dims)
     _report("criterion 5: normalized q-determinant = q-sum oracle, sides <= 3", ok)
+
+
+def test_q_matrix_route_equals_macmahon():
+    boxes = [*_boxes(4), (5, 5, 5), (6, 6, 6)]
+    bad = [dims for dims in boxes if q_matrix_count(dims) != q_box_product(*dims)]
+    _report("q-determinant = MacMahon's box product, sides <= 4 and 5^3, 6^3", not bad)
+
+
+def test_macmahon_equals_q_sum():
+    bad = [dims for dims in _boxes(3) if q_box_product(*dims) != q_sum(*dims)]
+    _report("MacMahon's box product = q-sum oracle, sides <= 3", not bad)
 
 
 def test_criterion_6_ratio_identities():

@@ -26,6 +26,14 @@ def test_count_q_polynomial(capsys):
     assert code == 0 and out.strip() == "1 + q"
 
 
+def test_count_q_default_method_is_the_formula(capsys):
+    code, out, err = run(capsys, "count", "--class", "1", "--dims", "2,2,2", "--q")
+    assert (code, err) == (0, "")
+    assert out.strip() == "1 + q + 3*q^2 + 3*q^3 + 4*q^4 + 3*q^5 + 3*q^6 + q^7 + q^8"
+    _, by_matrix, _ = run(capsys, "count", "--class", "1", "--dims", "2,2,2", "--q", "--method", "matrix")
+    assert out == by_matrix
+
+
 def test_count_json(capsys):
     code, out, _ = run(capsys, "count", "--class", "3", "--dims", "2,2,2", "--json")
     assert code == 0

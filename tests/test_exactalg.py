@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppcount import exactalg
 from ppcount.exactalg import (
     ExactMatrix,
     QPoly,
+    _assignment_duals,
+    _bounds,
+    _degree_window,
     _pf_mod,
     _pfaffian,
     _prime,
@@ -17,6 +21,9 @@ from ppcount.exactalg import (
     permanent,
     pfaffian_abs,
 )
+from ppcount.formulas import q_box_product
+from ppcount.hexgrid import build_hexagon, q_weight_graph
+from ppcount.kasteleyn import bipartite_matrix, flat_signing
 
 
 def det_cofactor(rows):
@@ -90,6 +97,11 @@ small_int = st.integers(min_value=-6, max_value=6)
 big_int = st.integers(min_value=-(2**40), max_value=2**40)
 small_poly = st.lists(st.integers(min_value=-3, max_value=3), max_size=3).map(QPoly)
 big_poly = st.lists(big_int, max_size=3).map(QPoly)
+# times q^k, so that the lowest degree is above 0 and coefficients have gaps
+shifted_poly = st.tuples(small_poly, st.integers(min_value=0, max_value=4)).map(
+    lambda pk: pk[0].shift(pk[1])
+)
+zq_entry = small_poly | shifted_poly
 
 
 def square(n, elements=small_int):
@@ -273,8 +285,8 @@ class TestKernel:
     def test_det_matches_bareiss_with_large_entries(self, rows):
         assert det(ExactMatrix.from_rows(rows)) == abs(bareiss(rows))
 
-    @given(sized_square(4, small_poly) | sized_square(3, big_poly))
-    @settings(max_examples=80, deadline=None)
+    @given(sized_square(4, zq_entry) | sized_square(3, big_poly))
+    @settings(max_examples=120, deadline=None)
     def test_det_matches_bareiss_over_zq(self, rows):
         expected = QPoly.const(1) if not rows else bareiss(rows)
         assert det(ExactMatrix.from_rows(rows)) == expected.sign_normalized()
@@ -289,14 +301,98 @@ class TestKernel:
         bound = 1
         for r in rows:
             bound *= sum(x * x for x in r)
-        assert _pfaffian(n, upper, 4, bound, None) == [pf_expand(rows)]
+        assert _pfaffian(n, upper, 4, bound, False) == [pf_expand(rows)]
 
-    @given(skew(6, small_poly))
-    @settings(max_examples=40, deadline=None)
+    @given(skew(6, zq_entry))
+    @settings(max_examples=80, deadline=None)
     def test_pf_squared_is_det_over_zq(self, rows):
         m = ExactMatrix.from_rows(rows)
         pf = pfaffian_abs(m)
         assert pf * pf == det(m)
+
+    @given(sized_square(5, st.none() | st.integers(min_value=-5, max_value=9)))
+    @settings(max_examples=150, deadline=None)
+    def test_assignment_duals_are_feasible_and_optimal(self, costs):
+        n = len(costs)
+        arcs = [(i, j, c) for i, row in enumerate(costs) for j, c in enumerate(row) if c is not None]
+        sums = [
+            sum(costs[i][p[i]] for i in range(n))
+            for p in permutations(range(n))
+            if all(costs[i][p[i]] is not None for i in range(n))
+        ]
+        duals = _assignment_duals(n, arcs)
+        if not sums:
+            assert duals is None
+            return
+        u, v = duals
+        assert all(u[i] + v[j] <= c for i, j, c in arcs)
+        assert sum(u) + sum(v) == min(sums)
+
+    def test_no_perfect_matching_is_zero_without_elimination(self, monkeypatch):
+        # no zero row or column, but rows 1 and 2 both meet only column 0
+        q = QPoly.q_power(1)
+        rows = [[q, 1, q * q], [1 + q, 0, 0], [q, 0, 0]]
+
+        def eliminate(*args):
+            raise AssertionError("eliminated a matrix with no perfect matching")
+
+        monkeypatch.setattr(exactalg, "_pf_mod", eliminate)
+        d = det(ExactMatrix.from_rows(rows))
+        assert isinstance(d, QPoly) and d.is_zero()
+        assert bareiss(rows).is_zero()
+
+    def test_empty_pfaffian_window_is_zero(self):
+        # two disjoint triangles: the 3-cycles cover every vertex, so the
+        # assignment exists, but all its terms have odd degree 1 and cancel
+        q = QPoly.q_power(1)
+        m = ExactMatrix.from_rows(skew_from_upper([q, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1], 6))
+        _, entries = _bounds(6, m.nonzeros, True)
+        assert _degree_window(6, [(i, j, t) for i, j, t in entries if i < j]) == (1, 0)
+        pf = pfaffian_abs(m)
+        assert isinstance(pf, QPoly) and pf.is_zero()
+        assert det(m).is_zero()
+
+    def test_degree_window_is_the_volume_span(self):
+        # the window of det M is the Pfaffian window of its skew block
+        for a in range(5):
+            for b in range(5):
+                for c in range(5):
+                    g = q_weight_graph(build_hexagon(a, b, c))
+                    if g.n_vertices == 0:
+                        continue
+                    m = bipartite_matrix(flat_signing(g))
+                    n = m.nrows
+                    _, entries = _bounds(n, m.nonzeros, True)
+                    window = _degree_window(2 * n, [(i, n + j, t) for i, j, t in entries])
+                    d = det(m)
+                    assert d.shift(-d.low_degree()) == q_box_product(a, b, c)
+                    assert window == (d.low_degree(), d.degree()), (a, b, c)
+
+    @pytest.mark.parametrize("call", [0, 1])
+    @pytest.mark.parametrize("kernel", ["det", "pf"])
+    def test_infeasible_potentials_raise(self, call, kernel, monkeypatch):
+        # one potential raised by 1 breaks u_i + v_j <= cost on a tight arc
+        honest = exactalg._assignment_duals
+        calls = []
+
+        def tampered(n, arcs):
+            u, v = honest(n, arcs)
+            if len(calls) == call:
+                u[0] += 1
+            calls.append(None)
+            return u, v
+
+        monkeypatch.setattr(exactalg, "_assignment_duals", tampered)
+        m = bipartite_matrix(flat_signing(q_weight_graph(build_hexagon(2, 2, 2))))
+        if kernel == "pf":
+            n, rows = m.nrows, m.entries
+            zero = [QPoly()] * n
+            m = ExactMatrix.from_rows(
+                [zero + list(rows[i]) for i in range(n)]
+                + [[-rows[j][i] for j in range(n)] + zero for i in range(n)]
+            )
+        with pytest.raises(ArithmeticError, match="dual feasible"):
+            det(m) if kernel == "det" else pfaffian_abs(m)
 
     def test_plan_replay_falls_back_when_a_pivot_vanishes(self):
         p0, p1 = _prime(0), _prime(1)

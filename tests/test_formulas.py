@@ -7,6 +7,7 @@ from ppcount.formulas import (
     hyperfactorial,
     n_class,
     n_class_via_ratios,
+    q_box_product,
     ratio_identities,
     staggered_factorial,
     staggered_hyperfactorial,
@@ -178,3 +179,15 @@ def test_via_ratios_rejects_unsupported():
         n_class_via_ratios(2, (2, 2, 2))
     with pytest.raises(ValueError):
         n_class_via_ratios(5, (1, 2, 2))
+
+
+def test_q_box_product_at_q_1_is_n1_and_symmetric():
+    for a in range(7):
+        for b in range(7):
+            for c in range(7):
+                p = q_box_product(a, b, c)
+                assert p.subs(1) == n_class(1, (a, b, c))
+                assert p.degree() == a * b * c and p.coeffs[0] == 1
+                assert p == q_box_product(c, a, b) == q_box_product(b, a, c)
+    with pytest.raises(ValueError):
+        q_box_product(1, -1, 1)
