@@ -1,8 +1,8 @@
 """Command-line front end: counting, verification, tables, graph export.
 
 Exit codes: 0 success / full agreement, 1 verification mismatch, 2 usage
-error.  All outputs are deterministic except the timing column of the
-verification CSV.
+error or a request over the oracle's size budget.  All outputs are
+deterministic except the timing column of the verification CSV.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .exactalg import QPoly
 from .formulas import n_class, n_class_via_ratios, q_box_product
 from .hexgrid import PlanarMultigraph, build_hexagon, build_graph, q_weight_graph
 from .kasteleyn import flat_orientation, flat_signing, weighted_matching_sum
-from .oracle import count_symmetric, q_sum
+from .oracle import SizeLimitError, check_budget, count_symmetric, q_sum
 from .symmetry import CLASSES, quotient_graph
 
 RATIO_CLASSES = (1, 3, 5, 9)
@@ -120,17 +120,26 @@ def boxes_for_class(class_id: int, max_side: int):
 
 
 def run_verify(max_side: int, classes=None) -> RunReport:
+    """Formula, matrix and oracle on every fixed (class, box) with sides up
+    to max_side; raises SizeLimitError before any work when a box is over
+    the oracle's budget."""
+    cells = [
+        (class_id, dims)
+        for class_id in sorted(classes or CLASSES)
+        for dims in boxes_for_class(class_id, max_side)
+    ]
+    for dims in sorted({dims for _, dims in cells}):
+        check_budget(*dims)
     report = RunReport()
-    for class_id in sorted(classes or CLASSES):
-        for dims in boxes_for_class(class_id, max_side):
-            values = {}
-            for method in ("formula", "matrix", "oracle"):
-                t0 = time.perf_counter()
-                values[method] = compute_count(class_id, dims, method)
-                dt = int((time.perf_counter() - t0) * 1e6)
-                report.records.append(RunRecord(class_id, dims, method, values[method], dt))
-            if len(set(values.values())) != 1:
-                report.mismatches.append((class_id, dims))
+    for class_id, dims in cells:
+        values = {}
+        for method in ("formula", "matrix", "oracle"):
+            t0 = time.perf_counter()
+            values[method] = compute_count(class_id, dims, method)
+            dt = int((time.perf_counter() - t0) * 1e6)
+            report.records.append(RunRecord(class_id, dims, method, values[method], dt))
+        if len(set(values.values())) != 1:
+            report.mismatches.append((class_id, dims))
     return report
 
 
@@ -348,7 +357,7 @@ def main(argv=None) -> int:
                 sys.stdout.write(text)
             return 0
         raise UsageError(f"unknown command {args.cmd!r}")
-    except UsageError as e:
+    except (UsageError, SizeLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

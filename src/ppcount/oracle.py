@@ -1,23 +1,39 @@
 """Brute-force ground truth: partition enumeration, symmetry filtering,
 q-sums, matching enumeration, and the matching <-> partition bijection.
 
-Everything in this module is deliberately naive; it is the independent
-reference the formula and determinant routes are checked against.
+This module is the independent reference the formula and determinant routes
+are checked against, so its counting stays naive: ``count_symmetric`` and
+``q_sum`` enumerate every plane partition in the box, and a partition counts
+as invariant only when each generator's full image equals it.  Nothing is
+pruned and nothing is kept from one call to the next.  What is done once per
+call rather than per partition is bookkeeping only: the rows under each bound
+are listed once, and each generator's action on the box
+(``symmetry.partition_map``) is built once.
+
+Both refuse, with ``SizeLimitError`` and before enumerating, a box holding
+more than ``MAX_PARTITIONS`` plane partitions (4x5x5 is admitted, 5x5x5 is
+not).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .exactalg import QPoly
+from .formulas import n_class
 from .hexgrid import HexRegion, PlanarMultigraph, build_graph
-from .symmetry import CLASSES, act_partition
+from .symmetry import CLASSES, partition_map
 
 Heights = Tuple[Tuple[int, ...], ...]
 
+# The most plane partitions count_symmetric and q_sum enumerate in one box:
+# 4x5x5 (1.7e7) is admitted, 5x5x5 (2.7e8) refused.
+MAX_PARTITIONS = 2 * 10**7
+
 
 class SizeLimitError(ValueError):
-    pass
+    """The requested enumeration exceeds the oracle's fixed size budget."""
 
 
 def _rows_at_most(bound: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
@@ -41,22 +57,33 @@ def enumerate_partitions(a: int, b: int, c: int) -> Iterator[Heights]:
     if a < 0 or b < 0 or c < 0:
         raise ValueError("negative box side")
     if a == 0:
-        yield ()
-        return
+        return iter([()])
     if b == 0:
-        yield ((),) * a
-        return
+        return iter([((),) * a])
+    # Rows come as 1-tuples, ready to append to a prefix.  Each top row
+    # bounds the second row once, so those lists are not kept; the rows under
+    # a deeper row are listed once per call and reused, each row held once.
+    below: Dict[Tuple[int, ...], List[Heights]] = {}
+    held: Dict[Tuple[int, ...], Heights] = {}
 
-    def rec(i: int, prev: Tuple[int, ...], acc: List[Tuple[int, ...]]):
-        if i == a:
-            yield tuple(acc)
-            return
-        for row in _rows_at_most(prev):
-            acc.append(row)
-            yield from rec(i + 1, row, acc)
-            acc.pop()
+    def rows_under(prefix: Heights) -> Iterable[Heights]:
+        bound = prefix[-1]
+        if len(prefix) == 1:
+            return ((row,) for row in _rows_at_most(bound))
+        rows = below.get(bound)
+        if rows is None:
+            rows = [held.setdefault(row, (row,)) for row in _rows_at_most(bound)]
+            below[bound] = rows
+        return rows
 
-    yield from rec(0, (c,) * b, [])
+    def extend(prefix: Heights) -> Iterator[Heights]:
+        """Every partition whose first rows are the prefix."""
+        if len(prefix) == a - 1:
+            return map(prefix.__add__, rows_under(prefix))
+        return chain.from_iterable(extend(prefix + row) for row in rows_under(prefix))
+
+    tops = ((row,) for row in _rows_at_most((c,) * b))
+    return tops if a == 1 else chain.from_iterable(map(extend, tops))
 
 
 def volume(heights: Heights) -> int:
@@ -70,22 +97,39 @@ def partition_json(heights: Heights) -> str:
     return json.dumps([list(r) for r in heights])
 
 
+def check_budget(a: int, b: int, c: int) -> None:
+    """Raise SizeLimitError when the box holds more than MAX_PARTITIONS
+    plane partitions, the most the oracle will enumerate.  The size comes
+    from MacMahon's product; it decides what to refuse, never an answer."""
+    n = n_class(1, (a, b, c))
+    if n > MAX_PARTITIONS:
+        raise SizeLimitError(
+            f"box {a}x{b}x{c} holds {n} plane partitions; the oracle "
+            f"enumerates at most {MAX_PARTITIONS}"
+        )
+
+
 def count_symmetric(class_id: int, a: int, b: int, c: int) -> int:
     """Number of partitions invariant under every generator of the class."""
     cls = CLASSES[class_id]
     box = (a, b, c)
     if not cls.box_fixed(box):
         return 0
-    gens = cls.generators
+    check_budget(a, b, c)
+    maps = [partition_map(g, box) for g in cls.generators]
     n = 0
     for pp in enumerate_partitions(a, b, c):
-        if all(act_partition(g, pp, box) == pp for g in gens):
+        for act in maps:
+            if act(pp) != pp:
+                break
+        else:
             n += 1
     return n
 
 
 def q_sum(a: int, b: int, c: int) -> QPoly:
     """Sum of q^(volume) over all plane partitions in the box."""
+    check_budget(a, b, c)
     coeffs = [0] * (a * b * c + 1)
     for pp in enumerate_partitions(a, b, c):
         coeffs[volume(pp)] += 1

@@ -191,33 +191,6 @@ def _act_region(G, region: HexRegion) -> Dict[SymmetryElement, List[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _tau_heights(h, box):
-    a, b, c = box
-    if a == 0 or b == 0:
-        return ((),) * b, (b, a, c)
-    return tuple(zip(*h)), (b, a, c)
-
-
-def _rho_heights(h, box):
-    a, b, c = box
-    out = tuple(
-        tuple(sum(1 for t in range(b) if h[j][t] > i) for j in range(a))
-        for i in range(c)
-    )
-    return out, (c, a, b)
-
-
-def _kappa_heights(h, box):
-    a, b, c = box
-    out = tuple(
-        tuple(c - h[a - 1 - i][b - 1 - j] for j in range(b)) for i in range(a)
-    )
-    return out, (a, b, c)
-
-
-_GENERATOR_HEIGHT_OPS = {TAU: _tau_heights, RHO: _rho_heights, KAPPA: _kappa_heights}
-
-
 @functools.lru_cache(maxsize=None)
 def _word(g: SymmetryElement) -> Tuple[SymmetryElement, ...]:
     """Shortest decomposition of g into the three generators (leftmost last)."""
@@ -235,16 +208,84 @@ def _word(g: SymmetryElement) -> Tuple[SymmetryElement, ...]:
     return words[g]
 
 
-def act_partition(g: SymmetryElement, heights, box):
-    """Image of a plane partition (height matrix) under g; box must be fixed."""
+class _RowImages(dict):
+    """The images of rows under one row function, memoised for the life of
+    one partition map; at most MAX_ROWS rows are kept, so a wide box met
+    row by row does not grow it without bound."""
+
+    MAX_ROWS = 4096
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, row):
+        img = self.fn(row)
+        if len(self) < self.MAX_ROWS:
+            self[row] = img
+        return img
+
+
+def _tau_map(a: int, b: int, c: int):
+    """Transposition: a x b x c heights to b x a x c."""
+    if a == 0 or b == 0:
+        empty = ((),) * b
+        return (lambda h: empty), (b, a, c)
+    return (lambda h: tuple(zip(*h))), (b, a, c)
+
+
+def _kappa_map(a: int, b: int, c: int):
+    """Complementation, a x b x c to itself: row i of the image is row
+    a-1-i complemented and reversed."""
+    minus = c.__sub__
+    image = _RowImages(lambda row: tuple(map(minus, reversed(row)))).__getitem__
+    return (lambda h: tuple(map(image, reversed(h)))), (a, b, c)
+
+
+def _rho_map(a: int, b: int, c: int):
+    """Rotation: a x b x c heights to c x a x b.  Entry (i, j) of the image
+    counts the heights of row j above i, so column j of the image is the
+    conjugate of row j, cut to length c."""
+    if a == 0:
+        empty = ((),) * c
+        return (lambda h: empty), (c, a, b)
+    levels = range(c)
+    column = _RowImages(lambda row: tuple(sum(v > i for v in row) for i in levels)).__getitem__
+    return (lambda h: tuple(zip(*map(column, h)))), (c, a, b)
+
+
+# generator -> builder of (its action on a box, the image box)
+_GENERATOR_MAPS = {TAU: _tau_map, RHO: _rho_map, KAPPA: _kappa_map}
+
+
+def partition_map(g: SymmetryElement, box):
+    """The action of g on plane partitions (height matrices) in the box, as
+    one function.  The box check, the decomposition of g into generators and
+    the check that the word returns to the same box run once, here."""
+    box = tuple(box)
     if not box_fixed(g, box):
         raise BoxError(f"box {box} is not fixed by {g}")
-    h, bx = heights, tuple(box)
+    steps = []
+    bx = box
     for gen in reversed(_word(g)):
-        h, bx = _GENERATOR_HEIGHT_OPS[gen](h, bx)
-    if bx != tuple(box):
+        step, bx = _GENERATOR_MAPS[gen](*bx)
+        steps.append(step)
+    if bx != box:
         raise EmbeddingError("partition action did not return to the same box")
-    return h
+    if len(steps) == 1:
+        return steps[0]
+
+    def act(h):
+        for step in steps:
+            h = step(h)
+        return h
+
+    return act
+
+
+def act_partition(g: SymmetryElement, heights, box):
+    """Image of a plane partition (height matrix) under g; box must be fixed."""
+    return partition_map(g, box)(heights)
 
 
 def is_plane_partition(heights, box) -> bool:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -84,6 +85,23 @@ def test_unanswerable_requests_exit_2_with_an_error_line(argv, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--class", "1", "--dims", "5,5,5", "--method", "oracle"),
+        ("count", "--class", "1", "--dims", "5,5,5", "--method", "oracle", "--q"),
+        ("verify", "--max-side", "5"),
+        ("verify", "--max-side", "5", "--classes", "10"),
+    ],
+)
+def test_oracle_over_budget_exits_2_at_once(argv, capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: box 5x5x5 ") and len(err.splitlines()) == 1
 
 
 def test_verify_small(capsys):

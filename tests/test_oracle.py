@@ -1,8 +1,11 @@
+import time
+
 import pytest
 
 from ppcount.exactalg import QPoly
 from ppcount.hexgrid import build_graph, build_hexagon, q_weight_graph
 from ppcount.oracle import (
+    MAX_PARTITIONS,
     SizeLimitError,
     count_perfect_matchings,
     count_symmetric,
@@ -38,6 +41,59 @@ def test_enumeration_order_is_deterministic():
     once = list(enumerate_partitions(2, 2, 1))
     again = list(enumerate_partitions(2, 2, 1))
     assert once == again == sorted(once)
+
+
+def _recursive_partitions(a, b, c):
+    """The plain recursive generator: rows in ascending lex order, each row
+    weakly decreasing and at most the row above, cell by cell."""
+
+    def rows_at_most(bound):
+        def rec(j, prev, acc):
+            if j == len(bound):
+                yield tuple(acc)
+                return
+            for v in range(0, min(prev, bound[j]) + 1):
+                yield from rec(j + 1, v, acc + [v])
+
+        yield from rec(0, bound[0] if bound else 0, [])
+
+    if a == 0:
+        yield ()
+        return
+    if b == 0:
+        yield ((),) * a
+        return
+
+    def rec(i, prev, acc):
+        if i == a:
+            yield tuple(acc)
+            return
+        for row in rows_at_most(prev):
+            yield from rec(i + 1, row, acc + [row])
+
+    yield from rec(0, (c,) * b, [])
+
+
+def test_enumeration_equals_the_recursive_generator_in_order():
+    boxes = [(a, b, c) for a in range(4) for b in range(4) for c in range(4)]
+    for box in boxes + [(4, 3, 2), (1, 5, 4), (2, 4, 3)]:
+        assert list(enumerate_partitions(*box)) == list(_recursive_partitions(*box)), box
+
+
+def test_oracle_refuses_boxes_over_the_budget_at_once():
+    t0 = time.perf_counter()
+    with pytest.raises(SizeLimitError):
+        count_symmetric(1, 5, 5, 5)
+    with pytest.raises(SizeLimitError):
+        q_sum(5, 5, 5)
+    assert time.perf_counter() - t0 < 1.0
+    # the budget admits 4x5x5 (16,818,516 partitions) and refuses 5^3
+    assert 16818516 <= MAX_PARTITIONS < 267227532
+
+
+def test_oracle_within_the_budget_still_answers():
+    assert count_symmetric(1, 4, 4, 4) == 232848
+    assert count_symmetric(3, 4, 4, 4) == 132
 
 
 def test_partition_json_roundtrip():

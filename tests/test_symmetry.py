@@ -15,12 +15,14 @@ from ppcount.symmetry import (
     BoxError,
     act_partition,
     act_triangle,
+    box_fixed,
     build_parity_gadget,
     compose,
     gadget_multigraph,
     group_elements,
     inverse,
     is_plane_partition,
+    partition_map,
     quotient_graph,
 )
 
@@ -149,6 +151,85 @@ def test_act_partition_rectangular_boxes():
         assert is_plane_partition(act_partition(KAPPA, pp, box), box)
     with pytest.raises(BoxError):
         act_partition(TAU, ((1, 0), (0, 0), (0, 0)), box)
+
+
+# The three generator actions cell by cell, as plain reference code for
+# partition_map: each returns the image heights and the image box.
+
+
+def _tau_reference(h, box):
+    a, b, c = box
+    if a == 0 or b == 0:
+        return ((),) * b, (b, a, c)
+    return tuple(zip(*h)), (b, a, c)
+
+
+def _rho_reference(h, box):
+    a, b, c = box
+    out = tuple(
+        tuple(sum(1 for t in range(b) if h[j][t] > i) for j in range(a)) for i in range(c)
+    )
+    return out, (c, a, b)
+
+
+def _kappa_reference(h, box):
+    a, b, c = box
+    out = tuple(tuple(c - h[a - 1 - i][b - 1 - j] for j in range(b)) for i in range(a))
+    return out, (a, b, c)
+
+
+def _reference_words():
+    """A word in TAU, RHO, KAPPA (applied left to right) for each of the 12
+    group elements, found breadth first."""
+    ops = {TAU: _tau_reference, RHO: _rho_reference, KAPPA: _kappa_reference}
+    words = {IDENTITY: ()}
+    frontier = [IDENTITY]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for gen in ops:
+                f = compose(gen, e)
+                if f not in words:
+                    words[f] = words[e] + (ops[gen],)
+                    nxt.append(f)
+        frontier = nxt
+    return words
+
+
+def _act_reference(word, h, box):
+    bx = box
+    for op in word:
+        h, bx = op(h, bx)
+    assert bx == box
+    return h
+
+
+EQUIVALENCE_BOXES = [
+    (a, b, c) for a in range(4) for b in range(4) for c in range(4)
+] + [(2, 2, 4), (3, 3, 4)]
+
+
+def test_partition_map_equals_the_generator_reference():
+    words = _reference_words()
+    assert len(words) == 12
+    for box in EQUIVALENCE_BOXES:
+        pps = list(enumerate_partitions(*box))
+        for g, word in words.items():
+            if not box_fixed(g, box):
+                continue
+            act = partition_map(g, box)
+            for pp in pps:
+                assert act(pp) == _act_reference(word, pp, box), (g, box, pp)
+
+
+def test_partition_map_requires_a_fixed_box():
+    for g in group_elements(CLASSES[10]):
+        for box in [(1, 2, 3), (2, 2, 3), (2, 1, 1)]:
+            if not box_fixed(g, box):
+                with pytest.raises(BoxError):
+                    partition_map(g, box)
+    with pytest.raises(BoxError):
+        partition_map(RHO, (2, 2, 1))
 
 
 # ---------------------------------------------------------------------------
