@@ -10,10 +10,10 @@ Determinants and Pfaffians share one elimination kernel.  ``pfaffian_abs``
 runs it on the skew matrix itself; ``det`` runs it on the skew block
 ``[[0, M], [-M^T, 0]]``, whose Pfaffian is +-det M.  The kernel eliminates
 the sparse skew matrix over F_p for 31-bit primes p, pivoting on 2x2 blocks
-(a vertex of minimum degree and its neighbour of minimum degree), and
-returns the signed Pfaffian mod p.  Arithmetic in F_p is exact, so a pivot
-that vanishes mod p only changes which pivot is taken: every prime gives
-the true residue, and none is "unlucky".
+(a vertex of minimum degree and its neighbour of minimum degree with a
+nonzero entry), and returns the signed Pfaffian mod p.  Arithmetic in F_p
+is exact, so a pivot that vanishes mod p only changes which pivot is taken:
+every prime gives the true residue, and none is "unlucky".
 
 Results over Z are rebuilt by the Chinese remainder theorem with symmetric
 residues.  The number of primes is fixed in advance by a proven bound B on
@@ -51,6 +51,31 @@ window is twice M's and halving gives M's window exactly.  When the support
 of A has no perfect matching, every Leibniz term vanishes and the result is
 the zero polynomial, with no elimination.  The integer route runs none of
 this.
+
+The kernel stores one value slot per unordered pair {i, j} of the support,
+A[i][j] for i < j: the Schur complement of a skew matrix is skew, so
+A[j][i] = -A[i][j] needs no copy, and a pivot's update is one loop over the
+pairs it touches.  A result needs several evaluations when the CRT bound
+asks for several primes, and over Z[q] at every point of the degree window
+too.  Their matrices share one support, so the elimination splits in two
+phases:
+
+* Symbolic, once per call: the first evaluation picks the pivots and
+  records each pivot's update as flat int lists (pivot slot, source slots,
+  destination slots) while it runs.  Fill takes new slots, and a slot whose
+  value is 0 there (an entry that is 0 mod the first prime or at the first
+  point, or fill that cancels) stays in the support, because it need not be
+  0 in another evaluation.  The permutation sign of the pivot order is
+  computed once, here.
+* Replay, every later evaluation: the recorded updates run over one flat
+  list of slot values, with no pivot search and no per-row dicts.  A
+  planned pivot that is 0 mod p in that evaluation sends it to a fresh
+  elimination of its own, so every residue stays exact.
+
+The number of primes is fixed in advance by the bound, and the number of
+points by the window, so a call knows how many evaluations it makes.  A
+call that makes only one (an integer result small enough for one prime)
+records nothing, since there would be nothing to replay.
 
 Permanents use Ryser inclusion-exclusion and Hafnians a direct recursion
 over the first unmatched index; both are brute-force references.
@@ -407,70 +432,126 @@ def _prime(k: int) -> int:
     return n
 
 
-def _pf_mod(n: int, triples, p: int, plan=()):
+def _pf_mod(n: int, pairs, vals, p: int, record: bool = False):
     """Signed Pfaffian mod p of the n x n skew matrix with A[i][j] = a and
-    A[j][i] = -a for each (i, j, a), a reduced mod p; n is even.
+    A[j][i] = -a for each (i, j) in ``pairs``, i < j, and a the value at the
+    same place in ``vals``, reduced mod p; n is even.
 
-    Takes the pivot pairs of ``plan`` while each pivot is nonzero mod p, then
-    picks its own: a vertex u of minimum degree and its neighbour v of
-    minimum degree.  Eliminating (u, v) is the 2x2 Schur update
-    A[i][j] += (A[v][i] A[u][j] - A[u][i] A[v][j]) / A[u][v] over the
-    neighbours of u and v; on a bipartite block it is sparse LU, fill stays
-    between rows and columns.  Entries that become 0 mod p are dropped, so
-    degrees count nonzeros.  The Pfaffian is the product of the pivots
-    times the sign of the permutation that lists them in order.  Returns the
-    Pfaffian and the pivot pairs used.
+    Each unordered pair {i, j} of the support holds one value slot, A[i][j]
+    for i < j; the pairs take slots 0, 1, ... in order, and fill takes new
+    ones.  A step picks a vertex u of minimum degree and its neighbour v of
+    minimum degree with A[u][v] nonzero, and eliminates the pair by the 2x2
+    Schur update.  A slot whose value becomes 0 stays in the support, so a
+    replay at another prime or point finds every slot it may need; degrees
+    count the support.  On a bipartite block this is sparse LU: fill stays
+    between rows and columns.  The Pfaffian is the product of the pivots
+    times the sign of the permutation that lists them in order.
+
+    Returns the Pfaffian and, when ``record`` is set, the program that
+    replays this elimination (``_replay``); the program is None when a row
+    runs out of nonzeros, so that the Pfaffian is 0 mod p.
     """
-    rows = [{} for _ in range(n)]
-    for i, j, a in triples:
-        if a:
-            rows[i][j] = a
-            rows[j][i] = p - a
-    used = []
-    heap = None  # (degree, vertex), stale entries skipped; built on the first own pick
+    adj = [{} for _ in range(n)]  # adj[i][j]: the slot of {i, j}
+    for s, (i, j) in enumerate(pairs):
+        adj[i][j] = adj[j][i] = s
+    val = list(vals)  # val[slot]: A[i][j] mod p for i < j
+
+    def degree(j):
+        return len(adj[j])
+
+    heap = [(len(r), i) for i, r in enumerate(adj)]  # (degree, vertex), stale entries skipped
+    heapify(heap)
+    order, pivots, steps = [], [], []
     pf = 1
-    for k in range(n // 2):
-        if k < len(plan):
-            u, v = plan[k]
-            a = rows[u].get(v)
-            if not a:
-                plan = ()
-        if k >= len(plan):
-            if heap is None:
-                heap = [(len(r), i) for i, r in enumerate(rows) if r is not None]
-                heapify(heap)
-            while True:
-                d, u = heappop(heap)
-                if rows[u] is not None and len(rows[u]) == d:
-                    break
-            ru = rows[u]
-            if not ru:
-                return 0, used
-            v = min(ru, key=lambda j: len(rows[j]))
-            a = ru[v]
-        used.append((u, v))
-        pf = pf * a % p
-        ru, rv = rows[u], rows[v]
-        rows[u] = rows[v] = None
-        del ru[v], rv[u]
+    for _ in range(n // 2):
+        while True:
+            d, u = heappop(heap)
+            if adj[u] is not None and len(adj[u]) == d:
+                break
+        au = adj[u]
+        v = min(au, key=degree, default=None)
+        if v is None or not val[au[v]]:
+            v = min((j for j, s in au.items() if val[s]), key=degree, default=None)
+            if v is None:
+                return 0, None
+        if v < u:
+            u, v = v, u
+        au, av = adj[u], adj[v]
+        adj[u] = adj[v] = None
+        s = au.pop(v)
+        del av[u]
+        pf = pf * val[s] % p
+        order += (u, v)
+        pivots.append(s)
+        for x in au:
+            del adj[x][u]
+        for x in av:
+            del adj[x][v]
+        if au and av:
+            # The Schur update adds (A[v][x] A[u][y] - A[u][x] A[v][y]) / A[u][v]
+            # to A[x][y].  One op per x ~ v, y ~ u, x != y adds the first term
+            # to the slot of {x, y}, and the op of the mirrored pair (y, x)
+            # brings the second.  With c[i] = val[xs[i]] / A[u][v] and
+            # c[i + nx] = -c[i], each op picks the sign that orients the
+            # three slots it reads and writes.
+            xs = list(av.values())
+            nx = len(xs)
+            ys = [(y, t, u < y) for y, t in au.items()]
+            dst, ci, src = [], [], []
+            for i, x in enumerate(av):
+                ax, vx = adj[x], v < x
+                for y, t, uy in ys:
+                    if x != y:
+                        d = ax.get(y)
+                        if d is None:
+                            d = ax[y] = adj[y][x] = len(val)
+                            val.append(0)
+                        dst.append(d)
+                        ci.append(i if (x < y) == (vx == uy) else i + nx)
+                        src.append(t)
+            ainv = pow(val[s], -1, p)
+            c = [val[t] * ainv % p for t in xs]
+            c += [p - e for e in c]
+            for d, k, t in zip(dst, ci, src):
+                val[d] = (val[d] + c[k] * val[t]) % p
+            if record:
+                steps.append((s, xs, dst, ci, src))
+        for i in (*au, *av):
+            heappush(heap, (len(adj[i]), i))
+    even = _is_even(order)
+    program = (len(val), pivots, steps, even) if record else None
+    return (pf if even else p - pf), program
+
+
+def _replay(program, vals, p: int):
+    """The Pfaffian mod p that ``_pf_mod`` finds on the support it recorded
+    ``program`` on, for the values ``vals`` (one per pair, in order, reduced
+    mod p), by the recorded steps alone; None when a planned pivot is 0 mod
+    p, and the caller eliminates afresh.
+
+    A step (s, xs, dst, ci, src) is one pivot's update as ``_pf_mod`` ran it:
+    with a = val[s] and c = [val[t] / a for t in xs] followed by their
+    negatives, val[dst[k]] += c[ci[k]] * val[src[k]] for every k.  Both
+    functions write this loop out: a function call per pivot costs more than
+    the update itself on many pivots, and slowed the replay by about 8%.
+    """
+    size, pivots, steps, even = program
+    val = vals + [0] * (size - len(vals))
+    for s, xs, dst, ci, src in steps:
+        a = val[s]
+        if not a:
+            return None
         ainv = pow(a, -1, p)
-        # row i += (A[v][i] / a) * row u, then row i -= (A[u][i] / a) * row v
-        for scale, add, gone, f in ((rv, ru, v, ainv), (ru, rv, u, p - ainv)):
-            for i, ai in scale.items():
-                ri = rows[i]
-                del ri[gone]
-                c = ai * f % p
-                for j, aj in add.items():
-                    x = (ri.get(j, 0) + c * aj) % p
-                    if x:
-                        ri[j] = x
-                    else:
-                        del ri[j]
-        if heap is not None:
-            for i in (*ru, *rv):
-                heappush(heap, (len(rows[i]), i))
-    order = [x for pair in used for x in pair]
-    return (pf if _is_even(order) else p - pf) % p, used
+        c = [val[t] * ainv % p for t in xs]
+        c += [p - e for e in c]
+        for d, k, t in zip(dst, ci, src):
+            val[d] = (val[d] + c[k] * val[t]) % p
+    pf = 1
+    for s in pivots:  # a pivot's slot is final once its pair is eliminated
+        pf = pf * val[s] % p
+    if not pf:
+        return None
+    return pf if even else p - pf
 
 
 def _is_even(perm) -> bool:
@@ -584,35 +665,26 @@ def _degree_window(n: int, triples):
 
 def _pfaffian(n: int, triples, power: int, bound: int, poly: bool):
     """Signed Pfaffian of the n x n skew matrix given by ``triples`` (i, j, a),
-    exact, as a list of coefficients (one for an integer matrix).
+    i < j, exact, as a list of coefficients (one for an integer matrix).
 
     The entries a are integers, or, when ``poly`` is set, tuples
     ((k, c_k), ...) of nonzero coefficients in increasing k.  Every
     coefficient c of the result obeys |c|^power <= bound, so the CRT stops
     once modulus^power exceeds 2^power * bound.  Over Z[q] the Pfaffian is
-    evaluated only across its degree window (``_degree_window``).  The pivot
-    plan of the first elimination is replayed on every later prime and
-    evaluation point.
+    evaluated only across its degree window (``_degree_window``).  When more
+    than one evaluation (prime, or prime and point) is due, the first
+    records its elimination and the later ones replay it.
     """
     if n == 0:
         return [1]
     if bound == 0:  # a zero row
         return [0]
-    plan = []
-
-    def pf_mod(entries, p):
-        pf, used = _pf_mod(n, entries, p, plan)
-        if not plan:
-            plan.extend(used)
-        return pf
-
-    low = 0
-    if not poly:
-
-        def residues_mod(p):
-            return [pf_mod([(i, j, a % p) for i, j, a in triples], p)]
-
-    else:
+    primes, modulus = [], 1
+    while modulus**power <= bound << power:
+        primes.append(_prime(len(primes)))
+        modulus *= primes[-1]
+    low, points = 0, 1
+    if poly:
         window = _degree_window(n, triples)
         if window is None or window[1] < window[0]:
             return [0]  # no perfect matching, or an odd-only window for Pf^2
@@ -620,25 +692,44 @@ def _pfaffian(n: int, triples, power: int, bound: int, poly: bool):
         points = high - low + 1
         if points >= 1 << 30:
             raise ValueError(f"degree window of {points} leaves too few evaluation points")
+    pairs = [(i, j) for i, j, _ in triples]
+    program = None
+    left = len(primes) * points  # evaluations not yet made
+
+    def pf_mod(vals, p):
+        nonlocal program, left
+        left -= 1
+        if program is None:
+            pf, program = _pf_mod(n, pairs, vals, p, record=left > 0)
+            return pf
+        pf = _replay(program, vals, p)
+        return _pf_mod(n, pairs, vals, p)[0] if pf is None else pf
+
+    if not poly:
+
+        def residues_mod(p):
+            return [pf_mod([a % p for _, _, a in triples], p)]
+
+    else:
         polys = sorted({terms for _, _, terms in triples})
         index = {terms: k for k, terms in enumerate(polys)}
-        keyed = [(i, j, index[terms]) for i, j, terms in triples]
+        keys = [index[terms] for _, _, terms in triples]
         top = max(terms[-1][0] for terms in polys)
 
         def residues_mod(p):
             # Pf(x) x^-low has degree <= high - low: interpolate it on x = 1..points
             ys = []
             for x in range(1, points + 1):
-                pw = [pow(x, t, p) for t in range(top + 1)]
+                pw = [1]
+                for _ in range(top):
+                    pw.append(pw[-1] * x % p)
                 at_x = [sum(c * pw[t] for t, c in terms) % p for terms in polys]
-                pf = pf_mod([(i, j, at_x[k]) for i, j, k in keyed], p)
+                pf = pf_mod([at_x[k] for k in keys], p)
                 ys.append(pf * pow(x, -low, p) % p)
             return _interpolate(ys, p)
 
-    residues, modulus, k = None, 1, 0
-    while modulus**power <= bound << power:
-        p = _prime(k)
-        k += 1
+    residues, modulus = None, 1
+    for p in primes:
         vals = residues_mod(p)
         if residues is None:
             residues = vals

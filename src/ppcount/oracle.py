@@ -8,7 +8,9 @@ as invariant only when each generator's full image equals it.  Nothing is
 pruned and nothing is kept from one call to the next.  What is done once per
 call rather than per partition is bookkeeping only: the rows under each bound
 are listed once, and each generator's action on the box
-(``symmetry.partition_map``) is built once.
+(``symmetry.partition_map``) is built once.  ``count_perfect_matchings``
+counts each set of uncovered vertices once per call, in a memo dropped when
+the call returns.
 
 Both refuse, with ``SizeLimitError`` and before enumerating, a box holding
 more than ``MAX_PARTITIONS`` plane partitions (4x5x5 is admitted, 5x5x5 is
@@ -175,7 +177,10 @@ def enumerate_matchings(
 
 
 def count_perfect_matchings(g: PlanarMultigraph) -> int:
-    """Fast bitmask backtracking count of perfect matchings."""
+    """Exact count of perfect matchings: each set of uncovered vertices, as a
+    bitmask, counts the matchings of its lowest vertex with an uncovered
+    neighbour times those of the set left over.  The counts are memoised on
+    the set, in a dict local to the call, so each set is counted once."""
     n = g.n_vertices
     if n == 0:
         return 1
@@ -193,18 +198,20 @@ def count_perfect_matchings(g: PlanarMultigraph) -> int:
         mult[key] = mult.get(key, 0) + 1
 
     full = (1 << n) - 1
+    memo = {0: 1}  # uncovered set -> its number of perfect matchings
 
     def rec(uncov: int) -> int:
-        if uncov == 0:
-            return 1
-        v = (uncov & -uncov).bit_length() - 1
-        total = 0
-        m = adj[v] & uncov
-        rest = uncov & ~(1 << v)
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            total += mult[(min(v, u), max(v, u))] * rec(rest & ~(1 << u))
+        total = memo.get(uncov)
+        if total is None:
+            v = (uncov & -uncov).bit_length() - 1
+            total = 0
+            m = adj[v] & uncov
+            rest = uncov & ~(1 << v)
+            while m:
+                u = (m & -m).bit_length() - 1
+                m &= m - 1
+                total += mult[(min(v, u), max(v, u))] * rec(rest & ~(1 << u))
+            memo[uncov] = total
         return total
 
     return rec(full)

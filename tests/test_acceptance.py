@@ -139,9 +139,9 @@ def test_criterion_5_q_enumeration():
 
 
 def test_q_matrix_route_equals_macmahon():
-    boxes = [*_boxes(4), (5, 5, 5), (6, 6, 6)]
+    boxes = [*_boxes(4), (5, 5, 5), (6, 6, 6), (7, 7, 7)]
     bad = [dims for dims in boxes if q_matrix_count(dims) != q_box_product(*dims)]
-    _report("q-determinant = MacMahon's box product, sides <= 4 and 5^3, 6^3", not bad)
+    _report("q-determinant = MacMahon's box product, sides <= 4 and 5^3, 6^3, 7^3", not bad)
 
 
 def test_macmahon_equals_q_sum():

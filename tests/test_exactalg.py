@@ -2,7 +2,7 @@ import math
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppcount import exactalg
@@ -15,6 +15,7 @@ from ppcount.exactalg import (
     _pf_mod,
     _pfaffian,
     _prime,
+    _replay,
     det,
     hafnian,
     integer_sqrt,
@@ -216,6 +217,27 @@ def skew_from_upper(vals, n):
     return m
 
 
+@st.composite
+def sparse_skew_lanes(draw):
+    """A sparse skew support on n <= 10 vertices, a small or 31-bit prime p,
+    and two value lists on it: one to record an elimination with, one to
+    replay it on.  Mod a small prime, entries that are 0 mod p and fill that
+    cancels are common."""
+    n = 2 * draw(st.integers(min_value=1, max_value=5))
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = draw(st.lists(st.sampled_from(upper), unique=True, max_size=3 * n))
+    p = draw(st.sampled_from([2, 3, 5, 7, _prime(0)]))
+    vals = st.lists(st.integers(min_value=-6, max_value=6), min_size=len(pairs), max_size=len(pairs))
+    return n, pairs, p, draw(vals), draw(vals)
+
+
+def skew_rows(n, pairs, vals):
+    m = [[0] * n for _ in range(n)]
+    for (i, j), a in zip(pairs, vals):
+        m[i][j], m[j][i] = a, -a
+    return m
+
+
 class TestPfaffian:
     def test_two_by_two(self):
         assert pfaffian_abs(ExactMatrix.from_rows([[0, 5], [-5, 0]])) == 5
@@ -337,6 +359,7 @@ class TestKernel:
             raise AssertionError("eliminated a matrix with no perfect matching")
 
         monkeypatch.setattr(exactalg, "_pf_mod", eliminate)
+        monkeypatch.setattr(exactalg, "_replay", eliminate)
         d = det(ExactMatrix.from_rows(rows))
         assert isinstance(d, QPoly) and d.is_zero()
         assert bareiss(rows).is_zero()
@@ -394,17 +417,94 @@ class TestKernel:
         with pytest.raises(ArithmeticError, match="dual feasible"):
             det(m) if kernel == "det" else pfaffian_abs(m)
 
+    @given(sparse_skew_lanes())
+    # fill that is 0 mod 7 in the recorded elimination and nonzero in the replay
+    @example(
+        (
+            6,
+            [(0, 1), (0, 2), (0, 3), (0, 5), (1, 4), (1, 5), (2, 3), (2, 4), (3, 4), (4, 5)],
+            7,
+            [1, 1, 1, 1, -1, 1, 1, 1, 2, 1],
+            [1, -1, 2, -1, -1, 3, -1, 1, 2, 2],
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_replay_equals_a_fresh_elimination(self, case):
+        n, pairs, p, first, later = case
+        first_p, later_p = [a % p for a in first], [a % p for a in later]
+        pf, program = _pf_mod(n, pairs, first_p, p, record=True)
+        assert pf == pf_expand(skew_rows(n, pairs, first)) % p
+        fresh, _ = _pf_mod(n, pairs, later_p, p)
+        assert fresh == pf_expand(skew_rows(n, pairs, later)) % p
+        if program is None:  # a row ran out of nonzeros: Pf = 0 mod p, nothing to replay
+            assert pf == 0
+            return
+        assert _replay(program, first_p, p) == pf
+        replayed = _replay(program, later_p, p)
+        assert replayed is None or replayed == fresh
+
     def test_plan_replay_falls_back_when_a_pivot_vanishes(self):
         p0, p1 = _prime(0), _prime(1)
         assert p0 == 2**31 - 1
         # Pf = a01 a23 - a02 a13 + a03 a12, and a01 = 2^31 - 1 vanishes mod p0
-        triples = [(0, 1, p0), (2, 3, 1), (0, 2, 1), (1, 3, 1)]
+        pairs = [(0, 1), (2, 3), (0, 2), (1, 3)]
+        entries = [p0, 1, 1, 1]
         exact = p0 - 1
-        plan = [(0, 1), (2, 3)]
-        pf1, used1 = _pf_mod(4, [(i, j, a % p1) for i, j, a in triples], p1, plan)
-        assert used1 == plan and pf1 == exact % p1
-        pf0, used0 = _pf_mod(4, [(i, j, a % p0) for i, j, a in triples], p0, plan)
-        assert used0[0] != plan[0] and pf0 == exact % p0
+        pf1, program = _pf_mod(4, pairs, [a % p1 for a in entries], p1, record=True)
+        pivots = program[1]
+        assert pivots == [0, 1] and pf1 == exact % p1  # the slots of (0, 1), (2, 3)
+        vals0 = [a % p0 for a in entries]
+        assert _replay(program, vals0, p0) is None
+        pf0, _ = _pf_mod(4, pairs, vals0, p0)
+        assert pf0 == exact % p0
+
+    def test_replay_falls_back_to_the_exact_result(self, monkeypatch):
+        # the first prime plans a pivot on the entry _prime(1), which vanishes
+        # at the second prime; the entry 2^31 - 1 vanishes at the first, so the
+        # plan keeps its slot though it holds 0 there
+        p0, p1 = _prime(0), _prime(1)
+        honest = exactalg._replay
+        fell_back = []
+
+        def replay(program, vals, p):
+            pf = honest(program, vals, p)
+            fell_back.append(pf is None)
+            return pf
+
+        monkeypatch.setattr(exactalg, "_replay", replay)
+        rows = skew_from_upper([p1, 1, p0, 1, 1, 1], 4)
+        assert pfaffian_abs(ExactMatrix.from_rows(rows)) == abs(pf_expand(rows)) == p1 + p0 - 1
+        assert fell_back == [True]
+        fell_back.clear()
+        rows = [[p1, 1], [p0, 1]]
+        assert det(ExactMatrix.from_rows(rows)) == abs(bareiss(rows)) == p0 - p1
+        assert fell_back == [True, False]
+
+    def test_one_evaluation_builds_no_program(self, monkeypatch):
+        honest, honest_replay = exactalg._pf_mod, exactalg._replay
+        recorded = []
+
+        def eliminate(n, pairs, vals, p, record=False):
+            recorded.append(record)
+            return honest(n, pairs, vals, p, record)
+
+        def replay(*args):
+            raise AssertionError("replayed a call that evaluates once")
+
+        monkeypatch.setattr(exactalg, "_pf_mod", eliminate)
+        monkeypatch.setattr(exactalg, "_replay", replay)
+        q = QPoly.q_power(1)
+        # one prime; one prime and the one point of the window q^2 .. q^2
+        assert det(ExactMatrix.from_rows([[2, 1], [1, 3]])) == 5
+        assert det(ExactMatrix.from_rows([[q, 0], [1, 2 * q]])) == QPoly.q_power(2, 2)
+        assert pfaffian_abs(ExactMatrix.from_rows(skew_from_upper([3, 1, 0, 0, 1, 2], 4))) == 5
+        assert recorded == [False, False, False]
+        # a call that evaluates more than once records its first elimination only
+        recorded.clear()
+        monkeypatch.setattr(exactalg, "_replay", honest_replay)
+        d = det(bipartite_matrix(flat_signing(q_weight_graph(build_hexagon(2, 2, 2)))))
+        assert d.shift(-d.low_degree()) == q_box_product(2, 2, 2)
+        assert recorded[:1] == [True] and True not in recorded[1:]
 
     def test_entries_that_vanish_mod_a_prime(self):
         p0, p1 = _prime(0), _prime(1)
