@@ -9,6 +9,7 @@ import random
 import pytest
 
 from ppcount.hexgrid import Edge, PlanarMultigraph, build_hexagon
+from ppcount.oracle import count_symmetric
 from ppcount.symmetry import CLASSES, quotient_graph
 
 
@@ -125,3 +126,15 @@ def small_quotients():
         for dims in itertools.product(range(7), repeat=3)
         if CLASSES[cid].box_fixed(dims)
     ]
+
+
+@pytest.fixture(scope="session")
+def oracle_counts():
+    """count_symmetric for every (class id, box) with sides <= 4 that the
+    class fixes, enumerated once for the tests that compare against it."""
+    return {
+        (cid, dims): count_symmetric(cid, *dims)
+        for cid in sorted(CLASSES)
+        for dims in itertools.product(range(5), repeat=3)
+        if CLASSES[cid].box_fixed(dims)
+    }

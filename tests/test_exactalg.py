@@ -16,6 +16,7 @@ from ppcount.exactalg import (
     _pfaffian,
     _prime,
     _replay,
+    _replay_block,
     det,
     hafnian,
     integer_sqrt,
@@ -219,7 +220,7 @@ def skew_from_upper(vals, n):
 
 @st.composite
 def sparse_skew_lanes(draw):
-    """A sparse skew support on n <= 10 vertices, a small or 31-bit prime p,
+    """A sparse skew support on n <= 10 vertices, a small or 30-bit prime p,
     and two value lists on it: one to record an elimination with, one to
     replay it on.  Mod a small prime, entries that are 0 mod p and fill that
     cancels are common."""
@@ -229,6 +230,16 @@ def sparse_skew_lanes(draw):
     p = draw(st.sampled_from([2, 3, 5, 7, _prime(0)]))
     vals = st.lists(st.integers(min_value=-6, max_value=6), min_size=len(pairs), max_size=len(pairs))
     return n, pairs, p, draw(vals), draw(vals)
+
+
+@st.composite
+def sparse_skew_blocks(draw):
+    """``sparse_skew_lanes`` with a block of 1..5 value lists to replay at
+    once in place of the one to replay."""
+    n, pairs, p, first, later = draw(sparse_skew_lanes())
+    k = len(pairs)
+    vals = st.lists(st.integers(min_value=-6, max_value=6), min_size=k, max_size=k)
+    return n, pairs, p, first, [later, *draw(st.lists(vals, max_size=4))]
 
 
 def skew_rows(n, pairs, vals):
@@ -443,10 +454,56 @@ class TestKernel:
         replayed = _replay(program, later_p, p)
         assert replayed is None or replayed == fresh
 
+    @given(sparse_skew_blocks())
+    # lane 1 plans a pivot on a01 = 0 mod 7, between lanes whose pivots hold
+    @example(
+        (4, [(0, 1), (2, 3), (0, 2), (1, 3)], 7, [2, 1, 1, 1], [[2, 3, 1, 1], [7, 1, 1, 1], [5, 6, 2, 4]])
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_block_replay_equals_a_fresh_elimination_per_lane(self, case):
+        n, pairs, p, first, lanes = case
+        _, program = _pf_mod(n, pairs, [a % p for a in first], p, record=True)
+        if program is None:
+            return
+        lanes = [[a % p for a in lane] for lane in lanes]
+        block = _replay_block(program, [list(v) for v in zip(*lanes)], p)
+        # a lane is None exactly where its own replay is, whatever the other lanes hold
+        assert block == [_replay(program, lane, p) for lane in lanes]
+        for pf, lane in zip(block, lanes):
+            assert pf is None or pf == _pf_mod(n, pairs, lane, p)[0]
+
+    @pytest.mark.parametrize("width", [1, 5, 27, 64])
+    def test_block_width_leaves_the_q_determinant_unchanged(self, width, monkeypatch):
+        # 3x3x3 takes one prime and a window of 28 points: the first records the
+        # program and the other 27 replay in blocks, the last of them partial for 5
+        honest = exactalg._replay_block
+        widths = []
+
+        def replay_block(program, vals, p):
+            widths.append(len(vals[0]))
+            return honest(program, vals, p)
+
+        monkeypatch.setattr(exactalg, "_BLOCK", width)
+        monkeypatch.setattr(exactalg, "_replay_block", replay_block)
+        d = det(bipartite_matrix(flat_signing(q_weight_graph(build_hexagon(3, 3, 3)))))
+        assert d.shift(-d.low_degree()) == q_box_product(3, 3, 3)
+        assert widths == [min(width, 27 - i) for i in range(0, 27, width)]
+
+    def test_window_that_reaches_the_smallest_prime_raises(self, monkeypatch):
+        # 2x2x2 takes the primes 13, 11, 7 for a window of 9 points: the first
+        # exceeds 9 and the last does not
+        monkeypatch.setattr(exactalg, "_prime", (13, 11, 7, 5, 3, 2).__getitem__)
+        m = bipartite_matrix(flat_signing(q_weight_graph(build_hexagon(1, 1, 2))))
+        d = det(m)  # 3 points, under every prime it takes
+        assert d.shift(-d.low_degree()) == q_box_product(1, 1, 2)
+        m = bipartite_matrix(flat_signing(q_weight_graph(build_hexagon(2, 2, 2))))
+        with pytest.raises(ValueError, match="too few evaluation points"):
+            det(m)
+
     def test_plan_replay_falls_back_when_a_pivot_vanishes(self):
         p0, p1 = _prime(0), _prime(1)
-        assert p0 == 2**31 - 1
-        # Pf = a01 a23 - a02 a13 + a03 a12, and a01 = 2^31 - 1 vanishes mod p0
+        assert p0 == 2**30 - 35
+        # Pf = a01 a23 - a02 a13 + a03 a12, and a01 = 2^30 - 35 vanishes mod p0
         pairs = [(0, 1), (2, 3), (0, 2), (1, 3)]
         entries = [p0, 1, 1, 1]
         exact = p0 - 1
@@ -460,7 +517,7 @@ class TestKernel:
 
     def test_replay_falls_back_to_the_exact_result(self, monkeypatch):
         # the first prime plans a pivot on the entry _prime(1), which vanishes
-        # at the second prime; the entry 2^31 - 1 vanishes at the first, so the
+        # at the second prime; the entry _prime(0) vanishes at the first, so the
         # plan keeps its slot though it holds 0 there
         p0, p1 = _prime(0), _prime(1)
         honest = exactalg._replay
@@ -518,8 +575,8 @@ class TestKernel:
             return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
         primes = [_prime(k) for k in range(6)]
-        assert primes[0] == 2**31 - 1
-        assert all(2**30 < p < 2**31 and is_prime(p) for p in primes)
+        assert primes[0] == 2**30 - 35
+        assert all(2**29 < p < 2**30 and is_prime(p) for p in primes)
         for hi, lo in zip(primes, primes[1:]):
             assert lo < hi
             assert not any(is_prime(x) for x in range(lo + 1, hi))
