@@ -1,8 +1,9 @@
 """Command-line front end: counting, verification, tables, graph export.
 
 Exit codes: 0 success / full agreement, 1 verification mismatch, 2 usage
-error or a request over the oracle's size budget.  All outputs are
-deterministic except the timing column of the verification CSV.
+error or a request over the oracle's or the q matrix route's size budget.
+All outputs are deterministic except the timing column of the verification
+CSV.
 """
 
 from __future__ import annotations
@@ -47,9 +48,34 @@ def matrix_count(class_id: int, dims) -> int:
     return weighted_matching_sum(quotient_graph(build_hexagon(*dims), cls))
 
 
+# The q matrix route's budget.  It evaluates a determinant of dimension
+# ab + bc + ca at abc + 1 points (the answer's degree is abc) per prime, and
+# its degree window costs a min-cost assignment that grows quadratically on
+# thin boxes.  Measured on a 2-vCPU VM, CPython 3.11: 10x10x10 (degree 1000,
+# dimension 300) 4.5-6.8 s, 9x9x12 4.8 s, 1x1x599 (dimension 1199) 5.2 s,
+# 1x2x399 4.8 s, 0x1x1200 1.6 s; past the limits 1x1x999 took 13.9 s and
+# 0x200x200 (dimension 40000, degree 0) 80 s.
+MAX_Q_DEGREE = 1000
+MAX_Q_DIMENSION = 1200
+
+
+def check_q_budget(a: int, b: int, c: int) -> None:
+    """Raise SizeLimitError, before Z is built, when the box is over the
+    q matrix route's budget."""
+    degree, dimension = a * b * c, a * b + b * c + c * a
+    if degree > MAX_Q_DEGREE or dimension > MAX_Q_DIMENSION:
+        raise SizeLimitError(
+            f"box {a}x{b}x{c} has q-degree {degree} and matrix dimension "
+            f"{dimension}; the q matrix route takes at most {MAX_Q_DEGREE} "
+            f"and {MAX_Q_DIMENSION}"
+        )
+
+
 def q_matrix_count(dims) -> QPoly:
     """Normalized q-weighted determinant: coefficient of q^k counts volume-k
-    partitions; the weight of the empty partition is divided out."""
+    partitions; the weight of the empty partition is divided out.  Raises
+    SizeLimitError for a box over the route's budget (``check_q_budget``)."""
+    check_q_budget(*dims)
     d = weighted_matching_sum(q_weight_graph(build_hexagon(*dims)))
     if isinstance(d, int):  # no edges carry a q-weight
         return QPoly.const(d)

@@ -34,6 +34,17 @@ The bounds, for an n x n matrix with entries a_ij:
   modulus at most ||a_ij||_1, Hadamard bounds |det M(q)| there, and no
   coefficient exceeds the maximum modulus on the unit circle.  Pf again
   takes the square root.
+* det over Z[q], certified by the caller: N = |det M(1)| (modulus > 2N),
+  passed to ``det`` as ``coeff_bound``.  It holds when M is the bipartite
+  matrix of a flat-signed plane graph whose edge weights have nonnegative
+  coefficients: by Kasteleyn, flatness gives every perfect matching the
+  same sign in det M, so det M(q) = +-sum over matchings of the weight
+  products, a polynomial with nonnegative coefficients that sum to N, and
+  so |c_k| <= N.  The kernel cannot see flatness, so
+  ``kasteleyn.weighted_matching_sum`` checks both facts on the signing it
+  uses, and gets N from the integer route at q = 1.  On the q boxes N has
+  about half the bits of Goldstein-Graham's bound (73 against 145 at
+  8x8x8), so the CRT takes about half the primes.
 
 Over Z[q] the result is found mod p by evaluation and interpolation across
 a proven degree window [L, U], by bipartite assignment duality on the
@@ -112,7 +123,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, "QPoly"]
 
@@ -735,7 +746,7 @@ def _pfaffian(n: int, triples, power: int, bound: int, poly: bool):
     """
     if n == 0:
         return [1]
-    if bound == 0:  # a zero row
+    if bound == 0:  # a zero row, or a caller-certified bound of 0
         return [0]
     primes, modulus = [], 1
     while modulus**power <= bound << power:
@@ -833,15 +844,24 @@ def _bounds(n: int, nz, poly: bool):
     return math.prod(sq), out
 
 
-def det(m: ExactMatrix) -> Scalar:
+def det(m: ExactMatrix, coeff_bound: Optional[int] = None) -> Scalar:
     """Absolute determinant (sign-normalized for polynomial matrices): the
-    kernel's Pfaffian of [[0, M], [-M^T, 0]], which is +-det M."""
+    kernel's Pfaffian of [[0, M], [-M^T, 0]], which is +-det M.
+
+    ``coeff_bound``, when given, is a bound B >= |c| on every coefficient c
+    of det M that the caller has proven, and the CRT stops once the modulus
+    exceeds 2B.  The kernel cannot check it: a bound below the truth gives a
+    wrong answer.  ``kasteleyn.weighted_matching_sum`` certifies one for a
+    flat-signed Z[q] matrix with nonnegative weights.  Without it the bound
+    is Hadamard over Z and Goldstein-Graham over Z[q].
+    """
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
     n = m.nrows
     bound, entries = _bounds(n, m.nonzeros, m.poly)
     block = [(i, n + j, a) for i, j, a in entries]
-    return _result(_pfaffian(2 * n, block, 2, bound, m.poly), m.poly)
+    power, bound = (2, bound) if coeff_bound is None else (1, coeff_bound)
+    return _result(_pfaffian(2 * n, block, power, bound, m.poly), m.poly)
 
 
 def _check_skew(m: ExactMatrix):

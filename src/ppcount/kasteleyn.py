@@ -306,11 +306,34 @@ def symmetric_matrix(g: PlanarMultigraph) -> ExactMatrix:
     return ExactMatrix.from_cells(g.n_vertices, g.n_vertices, cells, _is_poly(g))
 
 
+def _certified_coeff_bound(sg: SignedGraph, m: ExactMatrix) -> Optional[int]:
+    """N = |det m(1)|, which bounds every coefficient of det m over Z[q]
+    when m is ``bipartite_matrix(sg)``, sg is flat and every edge weight's
+    coefficients are >= 0: then every matching enters det m with one sign
+    (Kasteleyn), so det m(q) = +-sum_M w(M) has nonnegative coefficients
+    summing to N.  Both facts are checked here, on this signing; None when
+    either fails.  N comes from the integer route on m at q = 1."""
+    if not check_flat_signing(sg).flat:
+        return None
+    for e in sg.graph.edges:
+        cs = e.weight.coeffs if isinstance(e.weight, QPoly) else (e.weight,)
+        if any(c < 0 for c in cs):
+            return None
+    at_one = ((i, j, a.subs(1)) for i, j, a in m.nonzeros)
+    return det(ExactMatrix.from_cells(m.nrows, m.ncols, at_one, False))
+
+
 def weighted_matching_sum(g: PlanarMultigraph):
     """Total weight of perfect matchings via flat signing/orientation.
 
     Bipartite-flagged graphs go through the determinant; everything else
     through the Pfaffian.  Connected components multiply.
+
+    Over Z[q] the determinant's CRT stops at the coefficient bound
+    |det K(1)| that ``_certified_coeff_bound`` proves from the signing's
+    flatness and the weights' nonnegative coefficients, checked in the same
+    call; when either check fails, ``det`` falls back to Goldstein-Graham.
+    The Pfaffian branch always takes the kernel's own bound.
     """
     poly = _is_poly(g)
     total = QPoly.const(1) if poly else 1
@@ -322,10 +345,12 @@ def weighted_matching_sum(g: PlanarMultigraph):
         if sub.n_edges == 0:
             return QPoly() if poly else 0
         if g.bipartition is not None:
-            m = bipartite_matrix(flat_signing(sub))
+            sg = flat_signing(sub)
+            m = bipartite_matrix(sg)
             if m is None:
                 return QPoly() if poly else 0
-            total = total * det(m)
+            # N = 0 stops det before any Z[q] elimination
+            total = total * det(m, _certified_coeff_bound(sg, m) if poly else None)
         else:
             total = total * pfaffian_abs(skew_matrix(flat_orientation(sub)))
     if isinstance(total, QPoly):

@@ -35,7 +35,8 @@ MAX_PARTITIONS = 2 * 10**7
 
 
 class SizeLimitError(ValueError):
-    """The requested enumeration exceeds the oracle's fixed size budget."""
+    """The request exceeds a route's fixed size budget: the oracle's here,
+    or the q matrix route's (``cli.check_q_budget``)."""
 
 
 def _rows_at_most(bound: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:

@@ -139,7 +139,7 @@ def test_criterion_5_q_enumeration():
 
 
 def test_q_matrix_route_equals_macmahon():
-    # 6x7x8: a window of 337 points over 4 primes, not a multiple of the block width
+    # 6x7x8: a window of 337 points over 2 primes, not a multiple of the block width
     boxes = [*_boxes(4), (5, 5, 5), (6, 6, 6), (7, 7, 7), (6, 7, 8)]
     bad = [dims for dims in boxes if q_matrix_count(dims) != q_box_product(*dims)]
     _report("q-determinant = MacMahon's box product, sides <= 4 and 5^3, 6^3, 7^3, 6x7x8", not bad)

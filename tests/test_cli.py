@@ -104,6 +104,25 @@ def test_oracle_over_budget_exits_2_at_once(argv, capsys):
     assert err.startswith("error: box 5x5x5 ") and len(err.splitlines()) == 1
 
 
+def test_q_matrix_route_over_budget_exits_2_at_once(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "count", "--class", "1", "--dims", "60,60,60", "--q", "--method", "matrix")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: box 60x60x60 ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("dims", [(10, 10, 10), (1, 1, 599), (0, 1, 1200)])
+def test_q_budget_admits_the_measured_boxes(dims):
+    cli.check_q_budget(*dims)
+
+
+@pytest.mark.parametrize("dims", [(10, 10, 11), (1, 1, 600), (0, 1, 1201)])
+def test_q_budget_refuses_past_either_limit(dims):
+    with pytest.raises(cli.SizeLimitError):
+        cli.check_q_budget(*dims)
+
+
 def test_verify_small(capsys):
     code, out, err = run(capsys, "verify", "--max-side", "2")
     assert code == 0

@@ -402,6 +402,21 @@ class TestKernel:
                     assert d.shift(-d.low_degree()) == q_box_product(a, b, c)
                     assert window == (d.low_degree(), d.degree()), (a, b, c)
 
+    def test_certified_bound_leaves_the_q_determinant_unchanged(self):
+        # N = |det M(1)| bounds every coefficient of a flat-signed q-box matrix
+        for a in range(5):
+            for b in range(5):
+                for c in range(5):
+                    g = q_weight_graph(build_hexagon(a, b, c))
+                    if g.n_vertices == 0:
+                        continue
+                    m = bipartite_matrix(flat_signing(g))
+                    at_one = ((i, j, x.subs(1)) for i, j, x in m.nonzeros)
+                    count = det(ExactMatrix.from_cells(m.nrows, m.ncols, at_one, False))
+                    d = det(m)
+                    assert count == d.subs(1)
+                    assert det(m, coeff_bound=count) == d, (a, b, c)
+
     @pytest.mark.parametrize("call", [0, 1])
     @pytest.mark.parametrize("kernel", ["det", "pf"])
     def test_infeasible_potentials_raise(self, call, kernel, monkeypatch):

@@ -4,10 +4,13 @@ import pytest
 
 from conftest import graph_from_points, grid_graph, random_planar_bipartite, random_planar_graph, wheel_graph
 
+from ppcount import exactalg, kasteleyn
 from ppcount.exactalg import ExactMatrix, det, hafnian, permanent, pfaffian_abs
-from ppcount.hexgrid import build_graph, build_hexagon, q_weight_graph
+from ppcount.formulas import q_box_product
+from ppcount.hexgrid import Edge, PlanarMultigraph, build_graph, build_hexagon, q_weight_graph
 from ppcount.kasteleyn import (
     FlatnessError,
+    FlatReport,
     SignedGraph,
     bipartite_matrix,
     check_flat_orientation,
@@ -355,3 +358,45 @@ def test_flat_orientation_is_flat_on_quotients_and_z_graphs(small_quotients):
     graphs += [build_graph(build_hexagon(*dims)) for dims in [(1, 1, 1), (2, 3, 4), (6, 6, 6)]]
     for g in graphs:
         assert check_flat_orientation(flat_orientation(g)).flat
+
+
+def _q_primes(g, monkeypatch):
+    """The normalized q matching sum of g, and the primes its Z[q]
+    determinant took: ``_interpolate`` runs once per prime."""
+    honest = exactalg._interpolate
+    primes = []
+
+    def interpolate(ys, p):
+        primes.append(p)
+        return honest(ys, p)
+
+    monkeypatch.setattr(exactalg, "_interpolate", interpolate)
+    d = weighted_matching_sum(g)
+    return d.shift(-d.low_degree()), primes
+
+
+@pytest.mark.parametrize("n, count", [(5, 1), (8, 3)])
+def test_certified_bound_takes_fewer_primes(n, count, monkeypatch):
+    # Goldstein-Graham asks for 2 primes at 5^3 and 5 at 8^3
+    d, primes = _q_primes(q_weight_graph(build_hexagon(n, n, n)), monkeypatch)
+    assert d == q_box_product(n, n, n)
+    assert len(primes) == count
+
+
+def test_unflat_signing_falls_back_to_goldstein_graham(monkeypatch):
+    monkeypatch.setattr(kasteleyn, "check_flat_signing", lambda sg: FlatReport((), False))
+    d, primes = _q_primes(q_weight_graph(build_hexagon(5, 5, 5)), monkeypatch)
+    assert d == q_box_product(5, 5, 5)
+    assert len(primes) == 2
+
+
+def test_negative_weight_falls_back_to_goldstein_graham(monkeypatch):
+    # every matching takes one edge at vertex 0, so negating them all flips
+    # every matching's sign and leaves the sign-normalized sum unchanged
+    g = q_weight_graph(build_hexagon(5, 5, 5))
+    edges = [Edge(e.eid, e.u, e.v, -e.weight if 0 in (e.u, e.v) else e.weight) for e in g.edges]
+    assert any(c < 0 for e in edges for c in e.weight.coeffs)
+    g = PlanarMultigraph(g.labels, edges, g.rotation, g.bipartition)
+    d, primes = _q_primes(g, monkeypatch)
+    assert d == q_box_product(5, 5, 5)
+    assert len(primes) == 2
