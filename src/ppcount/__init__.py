@@ -5,11 +5,11 @@ determinants/Pfaffians of quotient matching graphs, and brute-force
 enumeration; the test suite holds them against each other.
 """
 
-from .exactalg import ExactMatrix, QPoly, det, hafnian, integer_sqrt, permanent, pfaffian_abs
+from .exactalg import ExactMatrix, QPoly, det, pfaffian_abs
 from .formulas import n_class, n_class_via_ratios, ratio_identities
 from .hexgrid import HexRegion, PlanarMultigraph, Triangle, build_graph, build_hexagon, q_weight_graph
 from .kasteleyn import flat_orientation, flat_signing, weighted_matching_sum
-from .oracle import count_symmetric, enumerate_partitions, matching_to_partition, q_sum
+from .oracle import count_symmetric, enumerate_partitions, q_sum
 from .symmetry import CLASSES, act_partition, act_triangle, build_parity_gadget, group_elements, quotient_graph
 
 __all__ = [
@@ -30,12 +30,8 @@ __all__ = [
     "flat_orientation",
     "flat_signing",
     "group_elements",
-    "hafnian",
-    "integer_sqrt",
-    "matching_to_partition",
     "n_class",
     "n_class_via_ratios",
-    "permanent",
     "pfaffian_abs",
     "q_sum",
     "q_weight_graph",

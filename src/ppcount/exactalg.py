@@ -4,7 +4,7 @@ An ``ExactMatrix`` is sparse: its size, its nonzero entries (i, j, a) in
 row-major order, and a ring flag (Z or Z[q]) fixed when it is built.  The
 one constructor, ``ExactMatrix.from_cells``, sums the cells that share a
 position (parallel edges), drops zeros and sorts; ``entries`` is a dense
-view for the brute-force references.
+view of it.
 
 Determinants and Pfaffians share one elimination kernel.  ``pfaffian_abs``
 runs it on the skew matrix itself; ``det`` runs it on the skew block
@@ -103,9 +103,6 @@ The number of primes is fixed in advance by the bound, and the number of
 points by the window, so a call knows how many evaluations it makes.  A
 call that makes only one (an integer result small enough for one prime)
 records nothing, since there would be nothing to replay.
-
-Permanents use Ryser inclusion-exclusion and Hafnians a direct recursion
-over the first unmatched index; both are brute-force references.
 
 Rows and columns stand for unordered vertex sets (the matrix builders order
 them by vertex id only to be deterministic), so only the absolute determinant /
@@ -293,11 +290,6 @@ def _as_poly(x) -> QPoly:
     raise TypeError(f"cannot coerce {type(x).__name__} to QPoly")
 
 
-def _is_zero(x: Scalar) -> bool:
-    return (not x) if isinstance(x, QPoly) else x == 0
-
-
-
 @dataclass(frozen=True)
 class ExactMatrix:
     """Sparse nrows x ncols matrix: its nonzero entries (i, j, a) in
@@ -342,83 +334,6 @@ class ExactMatrix:
 
     def is_square(self):
         return self.nrows == self.ncols
-
-
-def integer_sqrt(n: int) -> int:
-    """Exact integer square root; raises on non-squares."""
-    if n < 0:
-        raise ValueError("square root of a negative integer")
-    r = math.isqrt(n)
-    if r * r != n:
-        raise ValueError(f"{n} is not a perfect square")
-    return r
-
-
-
-def permanent(m: ExactMatrix) -> Scalar:
-    """Exact permanent by Ryser inclusion-exclusion; oracle use, n <= 20."""
-    if not m.is_square():
-        raise ValueError("permanent of a non-square matrix")
-    n = m.nrows
-    if n > 20:
-        raise ValueError(f"permanent limited to 20x20, got {n}")
-    if n == 0:
-        return 1
-    rows = m.entries
-    rs = [0 * rows[i][0] for i in range(n)]  # ring-generic zeros
-    total = 0 * rows[0][0]
-    pc = 0
-    for k in range(1, 1 << n):
-        diff = k & -k
-        j = diff.bit_length() - 1
-        gray = k ^ (k >> 1)
-        if gray & diff:
-            for i in range(n):
-                rs[i] = rs[i] + rows[i][j]
-            pc += 1
-        else:
-            for i in range(n):
-                rs[i] = rs[i] - rows[i][j]
-            pc -= 1
-        prod = rs[0]
-        for i in range(1, n):
-            prod = prod * rs[i]
-        if (n - pc) % 2 == 0:
-            total = total + prod
-        else:
-            total = total - prod
-    return total
-
-
-def hafnian(m: ExactMatrix) -> Scalar:
-    """Exact Hafnian: sum over unordered perfect matchings of the index set."""
-    if not m.is_square():
-        raise ValueError("hafnian of a non-square matrix")
-    n = m.nrows
-    if n > 16:
-        raise ValueError(f"hafnian limited to 16x16, got {n}")
-    ent = m.entries
-    for i in range(n):
-        for j in range(n):
-            if ent[i][j] != ent[j][i]:
-                raise ValueError("hafnian of a non-symmetric matrix")
-    if n % 2:
-        return 0
-    if n == 0:
-        return 1
-
-    def rec(idx):
-        if not idx:
-            return 1
-        i0 = idx[0]
-        tot = 0
-        for t in range(1, len(idx)):
-            a = ent[i0][idx[t]]
-            if not _is_zero(a):
-                tot = tot + a * rec(idx[1:t] + idx[t + 1:])
-        return tot
-
-    return rec(tuple(range(n)))
 
 
 # ---------------------------------------------------------------------------

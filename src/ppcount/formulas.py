@@ -302,19 +302,13 @@ def n_class_via_ratios(class_id: int, dims: Tuple[int, int, int]) -> int:
             a, b, c = a - 1, b - 1, c + 1
             val *= _ratio1(a, b, c)
         # base: an empty-width box holds exactly one (empty) partition
-        if val.denominator != 1:
-            raise ArithmeticError("telescoped ratio is not an integer")
-        return int(val)
-    if class_id == 3:
+    elif class_id == 3:
         if a == 0:
             return 1
         val = Fraction(2)  # the two cyclic partitions of the unit cube
         for k in range(1, a):
             val *= _ratio3(k)
-        if val.denominator != 1:
-            raise ArithmeticError("telescoped ratio is not an integer")
-        return int(val)
-    if class_id == 5:
+    elif class_id == 5:
         if a % 2 or b % 2 or c % 2:
             raise ValueError("self-complementary telescoping needs even sides")
         ha, hb, hc = a // 2, b // 2, c // 2
@@ -322,16 +316,14 @@ def n_class_via_ratios(class_id: int, dims: Tuple[int, int, int]) -> int:
         while ha > 0 and hb > 0:
             ha, hb, hc = ha - 1, hb - 1, hc + 1
             val *= _ratio1(ha, hb, hc) ** 2
-        if val.denominator != 1:
-            raise ArithmeticError("telescoped ratio is not an integer")
-        return int(val)
-    if class_id == 9:
+    elif class_id == 9:
         if a % 2:
             raise ValueError("cyclic self-complementary telescoping needs an even cube")
         val = Fraction(1)
         for k in range(a // 2):
             val *= _ratio9(k)
-        if val.denominator != 1:
-            raise ArithmeticError("telescoped ratio is not an integer")
-        return int(val)
-    raise ValueError(f"no ratio telescoping for class {class_id}")
+    else:
+        raise ValueError(f"no ratio telescoping for class {class_id}")
+    if val.denominator != 1:
+        raise ArithmeticError("telescoped ratio is not an integer")
+    return int(val)

@@ -41,10 +41,6 @@ class Edge(NamedTuple):
     weight: object = 1
 
 
-#: axis index -> unit vector added to a down triangle to reach its up neighbor
-AXES = (Triangle(1, 0, 0), Triangle(0, 1, 0), Triangle(0, 0, 1))
-
-
 class RegionError(ValueError):
     pass
 
@@ -100,25 +96,6 @@ class HexRegion:
 def build_hexagon(a: int, b: int, c: int) -> HexRegion:
     """All unit triangles of H(a,b,c), in deterministic (sorted) order."""
     return HexRegion(a, b, c)
-
-
-def orientation(t: Triangle, region: HexRegion) -> str:
-    if t not in region:
-        raise RegionError(f"{t} is not a triangle of {region}")
-    return "up" if sum(t) == region.up_sum else "down"
-
-
-def neighbors(t: Triangle, region: HexRegion) -> List[Triangle]:
-    """Adjacent triangles: +e_i from a down triangle, -e_i from an up one."""
-    if t not in region:
-        raise RegionError(f"{t} is not a triangle of {region}")
-    step = 1 if sum(t) == region.up_sum - 1 else -1
-    out = []
-    for d in AXES:
-        u = Triangle(t.x + step * d.x, t.y + step * d.y, t.z + step * d.z)
-        if u in region:
-            out.append(u)
-    return out
 
 
 def position2(t: Triangle) -> Tuple[int, int]:

@@ -232,26 +232,6 @@ def flat_orientation(g: PlanarMultigraph) -> OrientedGraph:
     return OrientedGraph(g, heads)
 
 
-def check_flat_orientation(og: OrientedGraph) -> FlatReport:
-    g = og.graph
-    faces = g.assert_valid_embedding()
-    comp_of = [0] * g.n_vertices
-    for ci, comp in enumerate(g.components()):
-        for v in comp:
-            comp_of[v] = ci
-    reports = []
-    evens_per_comp: Dict[int, int] = {}
-    for f in faces:
-        n = _against(g, f, og.heads)
-        ok = n % 2 == 1
-        reports.append(FaceReport(len(f), n, ok))
-        if not ok:
-            ci = comp_of[g.dart_tail(f[0])]
-            evens_per_comp[ci] = evens_per_comp.get(ci, 0) + 1
-    flat = all(k <= 1 for k in evens_per_comp.values())
-    return FlatReport(tuple(reports), flat)
-
-
 def _is_poly(g: PlanarMultigraph) -> bool:
     """Whether g's weights lie in Z[q], so its matrices are over Z[q]."""
     return any(isinstance(e.weight, QPoly) for e in g.edges)
@@ -281,10 +261,6 @@ def bipartite_matrix(sg: SignedGraph) -> Optional[ExactMatrix]:
     return ExactMatrix.from_cells(len(blk), len(wht), cells, _is_poly(g))
 
 
-def unsigned_bipartite_matrix(g: PlanarMultigraph) -> Optional[ExactMatrix]:
-    return bipartite_matrix(SignedGraph(g, {e.eid: 1 for e in g.edges}))
-
-
 def skew_matrix(og: OrientedGraph) -> ExactMatrix:
     """Antisymmetric incidence matrix: entry (i,j) sums w over edges i->j
     minus w over edges j->i; row i is vertex i."""
@@ -294,15 +270,6 @@ def skew_matrix(og: OrientedGraph) -> ExactMatrix:
         j = og.heads[e.eid]
         i = e.u if j == e.v else e.v
         cells += ((i, j, e.weight), (j, i, -e.weight))
-    return ExactMatrix.from_cells(g.n_vertices, g.n_vertices, cells, _is_poly(g))
-
-
-def symmetric_matrix(g: PlanarMultigraph) -> ExactMatrix:
-    """Plain symmetric weighted adjacency matrix (Hafnian oracle input);
-    row i is vertex i."""
-    cells = []
-    for e in g.edges:
-        cells += ((e.u, e.v, e.weight), (e.v, e.u, e.weight))
     return ExactMatrix.from_cells(g.n_vertices, g.n_vertices, cells, _is_poly(g))
 
 

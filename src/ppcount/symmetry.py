@@ -83,18 +83,6 @@ def inverse(g: SymmetryElement) -> SymmetryElement:
     return SymmetryElement(tuple(inv), g.comp)
 
 
-def perm_sign(perm: Tuple[int, int, int]) -> int:
-    """+1 for even permutations, -1 for odd."""
-    s = 1
-    p = list(perm)
-    for i in range(3):
-        if p[i] != i:
-            j = p.index(i)
-            p[i], p[j] = p[j], p[i]
-            s = -s
-    return s
-
-
 def box_fixed(g: SymmetryElement, box: Tuple[int, int, int]) -> bool:
     a, b, c = box
     bounds = (b + c, a + c, a + b)
@@ -286,22 +274,6 @@ def partition_map(g: SymmetryElement, box):
 def act_partition(g: SymmetryElement, heights, box):
     """Image of a plane partition (height matrix) under g; box must be fixed."""
     return partition_map(g, box)(heights)
-
-
-def is_plane_partition(heights, box) -> bool:
-    a, b, c = box
-    if len(heights) != a or any(len(r) != b for r in heights):
-        return False
-    for i in range(a):
-        for j in range(b):
-            v = heights[i][j]
-            if not 0 <= v <= c:
-                return False
-            if j + 1 < b and heights[i][j + 1] > v:
-                return False
-            if i + 1 < a and heights[i + 1][j] > v:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +514,7 @@ def _axis_rays(region, G, act) -> List[Tuple[int, int]]:
     tri = region.triangles
     dirs = set()
     for g in G:
-        if perm_sign(g.perm) == 1:
+        if not _is_transposition(g.perm):
             continue
         for t, s in zip(tri, act[g]):
             p, q = position2(t), position2(tri[s])

@@ -1,0 +1,355 @@
+"""Brute-force references the tests hold the package's routes against.
+
+No ``ppcount`` route runs any of this, so it lives with the tests:
+
+* Ryser permanents and Hafnians of small dense matrices;
+* hexagon triangle orientation and adjacency, straight from the
+  coordinates;
+* the plane-partition predicate;
+* flat-orientation checks and the unsigned / symmetric adjacency matrices;
+* perfect-matching enumeration and counting, the brute-force weighted
+  matching sum, the matching -> partition map and hexagon flip moves.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+
+from ppcount.exactalg import ExactMatrix, QPoly, Scalar
+from ppcount.hexgrid import HexRegion, PlanarMultigraph, RegionError, Triangle, build_graph
+from ppcount.kasteleyn import (
+    FaceReport,
+    FlatReport,
+    OrientedGraph,
+    SignedGraph,
+    _against,
+    _is_poly,
+    bipartite_matrix,
+)
+from ppcount.oracle import Heights, SizeLimitError
+
+
+# ---------------------------------------------------------------------------
+# exact matrices
+# ---------------------------------------------------------------------------
+
+
+def _is_zero(x: Scalar) -> bool:
+    return (not x) if isinstance(x, QPoly) else x == 0
+
+
+def permanent(m: ExactMatrix) -> Scalar:
+    """Exact permanent by Ryser inclusion-exclusion; oracle use, n <= 20."""
+    if not m.is_square():
+        raise ValueError("permanent of a non-square matrix")
+    n = m.nrows
+    if n > 20:
+        raise ValueError(f"permanent limited to 20x20, got {n}")
+    if n == 0:
+        return 1
+    rows = m.entries
+    rs = [0 * rows[i][0] for i in range(n)]  # ring-generic zeros
+    total = 0 * rows[0][0]
+    pc = 0
+    for k in range(1, 1 << n):
+        diff = k & -k
+        j = diff.bit_length() - 1
+        gray = k ^ (k >> 1)
+        if gray & diff:
+            for i in range(n):
+                rs[i] = rs[i] + rows[i][j]
+            pc += 1
+        else:
+            for i in range(n):
+                rs[i] = rs[i] - rows[i][j]
+            pc -= 1
+        prod = rs[0]
+        for i in range(1, n):
+            prod = prod * rs[i]
+        if (n - pc) % 2 == 0:
+            total = total + prod
+        else:
+            total = total - prod
+    return total
+
+
+def hafnian(m: ExactMatrix) -> Scalar:
+    """Exact Hafnian: sum over unordered perfect matchings of the index set."""
+    if not m.is_square():
+        raise ValueError("hafnian of a non-square matrix")
+    n = m.nrows
+    if n > 16:
+        raise ValueError(f"hafnian limited to 16x16, got {n}")
+    ent = m.entries
+    for i in range(n):
+        for j in range(n):
+            if ent[i][j] != ent[j][i]:
+                raise ValueError("hafnian of a non-symmetric matrix")
+    if n % 2:
+        return 0
+    if n == 0:
+        return 1
+
+    def rec(idx):
+        if not idx:
+            return 1
+        i0 = idx[0]
+        tot = 0
+        for t in range(1, len(idx)):
+            a = ent[i0][idx[t]]
+            if not _is_zero(a):
+                tot = tot + a * rec(idx[1:t] + idx[t + 1:])
+        return tot
+
+    return rec(tuple(range(n)))
+
+
+# ---------------------------------------------------------------------------
+# hexagon triangles
+# ---------------------------------------------------------------------------
+
+
+#: axis index -> unit vector added to a down triangle to reach its up neighbor
+AXES = (Triangle(1, 0, 0), Triangle(0, 1, 0), Triangle(0, 0, 1))
+
+
+def orientation(t: Triangle, region: HexRegion) -> str:
+    if t not in region:
+        raise RegionError(f"{t} is not a triangle of {region}")
+    return "up" if sum(t) == region.up_sum else "down"
+
+
+def neighbors(t: Triangle, region: HexRegion) -> List[Triangle]:
+    """Adjacent triangles: +e_i from a down triangle, -e_i from an up one."""
+    if t not in region:
+        raise RegionError(f"{t} is not a triangle of {region}")
+    step = 1 if sum(t) == region.up_sum - 1 else -1
+    out = []
+    for d in AXES:
+        u = Triangle(t.x + step * d.x, t.y + step * d.y, t.z + step * d.z)
+        if u in region:
+            out.append(u)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# plane partitions
+# ---------------------------------------------------------------------------
+
+
+def is_plane_partition(heights, box) -> bool:
+    a, b, c = box
+    if len(heights) != a or any(len(r) != b for r in heights):
+        return False
+    for i in range(a):
+        for j in range(b):
+            v = heights[i][j]
+            if not 0 <= v <= c:
+                return False
+            if j + 1 < b and heights[i][j + 1] > v:
+                return False
+            if i + 1 < a and heights[i + 1][j] > v:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# flat orientations and plain matrices
+# ---------------------------------------------------------------------------
+
+
+def check_flat_orientation(og: OrientedGraph) -> FlatReport:
+    g = og.graph
+    faces = g.assert_valid_embedding()
+    comp_of = [0] * g.n_vertices
+    for ci, comp in enumerate(g.components()):
+        for v in comp:
+            comp_of[v] = ci
+    reports = []
+    evens_per_comp: Dict[int, int] = {}
+    for f in faces:
+        n = _against(g, f, og.heads)
+        ok = n % 2 == 1
+        reports.append(FaceReport(len(f), n, ok))
+        if not ok:
+            ci = comp_of[g.dart_tail(f[0])]
+            evens_per_comp[ci] = evens_per_comp.get(ci, 0) + 1
+    flat = all(k <= 1 for k in evens_per_comp.values())
+    return FlatReport(tuple(reports), flat)
+
+
+def unsigned_bipartite_matrix(g: PlanarMultigraph) -> Optional[ExactMatrix]:
+    return bipartite_matrix(SignedGraph(g, {e.eid: 1 for e in g.edges}))
+
+
+def symmetric_matrix(g: PlanarMultigraph) -> ExactMatrix:
+    """Plain symmetric weighted adjacency matrix (Hafnian oracle input);
+    row i is vertex i."""
+    cells = []
+    for e in g.edges:
+        cells += ((e.u, e.v, e.weight), (e.v, e.u, e.weight))
+    return ExactMatrix.from_cells(g.n_vertices, g.n_vertices, cells, _is_poly(g))
+
+
+# ---------------------------------------------------------------------------
+# matchings
+# ---------------------------------------------------------------------------
+
+
+def enumerate_matchings(
+    g: PlanarMultigraph, max_vertices: int = 34
+) -> Iterator[FrozenSet[int]]:
+    """All perfect matchings, as frozensets of edge ids.
+
+    Backtracks on the lowest uncovered vertex id.
+    """
+    n = g.n_vertices
+    if n > max_vertices:
+        raise SizeLimitError(f"{n} vertices exceeds limit {max_vertices}")
+    covered = [False] * n
+    chosen: List[int] = []
+
+    def rec(v: int) -> Iterator[FrozenSet[int]]:
+        while v < n and covered[v]:
+            v += 1
+        if v == n:
+            yield frozenset(chosen)
+            return
+        for e in g.edges_at(v):
+            if e.u == e.v:
+                continue
+            w = g.other_end(e, v)
+            if not covered[w]:
+                covered[v] = covered[w] = True
+                chosen.append(e.eid)
+                yield from rec(v + 1)
+                chosen.pop()
+                covered[v] = covered[w] = False
+
+    yield from rec(0)
+
+
+def count_perfect_matchings(g: PlanarMultigraph) -> int:
+    """Exact count of perfect matchings: each set of uncovered vertices, as a
+    bitmask, counts the matchings of its lowest vertex with an uncovered
+    neighbour times those of the set left over.  The counts are memoised on
+    the set, in a dict local to the call, so each set is counted once."""
+    n = g.n_vertices
+    if n == 0:
+        return 1
+    if n % 2:
+        return 0
+    adj = [0] * n
+    mult: Dict[Tuple[int, int], int] = {}
+    for e in g.edges:
+        i, j = e.u, e.v
+        if i == j:
+            continue
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+        key = (min(i, j), max(i, j))
+        mult[key] = mult.get(key, 0) + 1
+
+    full = (1 << n) - 1
+    memo = {0: 1}  # uncovered set -> its number of perfect matchings
+
+    def rec(uncov: int) -> int:
+        total = memo.get(uncov)
+        if total is None:
+            v = (uncov & -uncov).bit_length() - 1
+            total = 0
+            m = adj[v] & uncov
+            rest = uncov & ~(1 << v)
+            while m:
+                u = (m & -m).bit_length() - 1
+                m &= m - 1
+                total += mult[(min(v, u), max(v, u))] * rec(rest & ~(1 << u))
+            memo[uncov] = total
+        return total
+
+    return rec(full)
+
+
+def weighted_matching_sum_brute(g: PlanarMultigraph, max_vertices: int = 34):
+    """Sum of edge-weight products over perfect matchings (oracle route)."""
+    poly = any(isinstance(e.weight, QPoly) for e in g.edges)
+    total = QPoly() if poly else 0
+    for m in enumerate_matchings(g, max_vertices=max_vertices):
+        w = QPoly.const(1) if poly else 1
+        for eid in m:
+            w = w * g.edge_by_id[eid].weight
+        total = total + w
+    return total
+
+
+# ---------------------------------------------------------------------------
+# matching -> plane partition
+# ---------------------------------------------------------------------------
+
+
+def matching_to_partition(
+    matching, region: HexRegion, graph: Optional[PlanarMultigraph] = None
+) -> Heights:
+    """Heights of the plane partition drawn by a perfect matching of Z(a,b,c).
+
+    The edges whose z-coordinate changes are the column-top lozenges; within
+    the diagonal d = a-1-z they are assigned to the box columns (i, i-d) in
+    order of decreasing x, and the height follows from x = b-1-j+k.
+    """
+    g = graph if graph is not None else build_graph(region)
+    tri = g.labels  # Z labels its vertices by their triangles
+    a, b, c = region.abc
+    eids = set(matching)
+    covered: set = set()
+    for eid in eids:
+        e = g.edge_by_id[eid]
+        if e.u in covered or e.v in covered:
+            raise ValueError("edge set is not a matching")
+        covered.update((e.u, e.v))
+    if len(covered) != len(region.triangles):
+        raise ValueError("matching is not perfect")
+
+    by_diag: Dict[int, List[int]] = {}
+    for eid in eids:
+        e = g.edge_by_id[eid]
+        u, v = tri[e.u], tri[e.v]
+        if u.z != v.z:  # column-top class
+            d = a - 1 - u.z
+            by_diag.setdefault(d, []).append(u.x)
+    heights = [[0] * b for _ in range(a)]
+    tops = 0
+    for d, xs in by_diag.items():
+        xs.sort(reverse=True)
+        i0 = max(d, 0)
+        cols = [(i, i - d) for i in range(i0, min(a, b + d))]
+        if len(cols) != len(xs):
+            raise ValueError("column-top lozenges do not match the diagonal")
+        for (i, j), x in zip(cols, xs):
+            k = x - b + 1 + j
+            if not 0 <= k <= c:
+                raise ValueError("reconstructed height out of range")
+            heights[i][j] = k
+            tops += 1
+    if tops != a * b:
+        raise ValueError("wrong number of column-top lozenges")
+    out = tuple(tuple(r) for r in heights)
+    for i in range(a):
+        for j in range(b):
+            v = out[i][j]
+            if (j + 1 < b and out[i][j + 1] > v) or (i + 1 < a and out[i + 1][j] > v):
+                raise ValueError("reconstructed heights are not monotone")
+    return out
+
+
+def hexagon_flip_moves(g: PlanarMultigraph) -> List[Tuple[FrozenSet[int], FrozenSet[int]]]:
+    """Pairs of alternating edge triples around six-sided faces (one move each)."""
+    faces = g.assert_valid_embedding()
+    moves = []
+    for f in faces:
+        if len(f) != 6:
+            continue
+        ids = [d[0] for d in f]
+        s0, s1 = frozenset(ids[0::2]), frozenset(ids[1::2])
+        if len(s0) == 3 and len(s1) == 3:
+            moves.append((s0, s1))
+    return moves

@@ -9,9 +9,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from conftest import random_planar_bipartite, random_planar_graph
+from reference import count_perfect_matchings, hafnian, permanent, symmetric_matrix, unsigned_bipartite_matrix
 
 from ppcount.cli import compute_count, q_matrix_count
-from ppcount.exactalg import ExactMatrix, det, hafnian, permanent, pfaffian_abs
+from ppcount.exactalg import ExactMatrix, det, pfaffian_abs
 from ppcount.formulas import binomial, n_class, q_box_product, ratio_identities
 from ppcount.hexgrid import build_graph, build_hexagon
 from ppcount.kasteleyn import (
@@ -19,11 +20,9 @@ from ppcount.kasteleyn import (
     flat_orientation,
     flat_signing,
     skew_matrix,
-    symmetric_matrix,
-    unsigned_bipartite_matrix,
     weighted_matching_sum,
 )
-from ppcount.oracle import count_perfect_matchings, count_symmetric, q_sum
+from ppcount.oracle import count_symmetric, q_sum
 from ppcount.symmetry import CLASSES, build_parity_gadget, gadget_multigraph, quotient_graph
 
 

@@ -1,9 +1,23 @@
 import json
+import sys
 import time
 
 import pytest
 
 import ppcount.cli as cli
+from ppcount.formulas import n_class
+
+
+@pytest.fixture(autouse=True)
+def restore_int_str_digit_limit():
+    """main lifts the interpreter's int -> str digit limit for the process;
+    put it back after each test so that no other test runs without it."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 def run(capsys, *argv):
@@ -94,14 +108,28 @@ def test_unanswerable_requests_exit_2_with_an_error_line(argv, capsys):
         ("count", "--class", "1", "--dims", "5,5,5", "--method", "oracle", "--q"),
         ("verify", "--max-side", "5"),
         ("verify", "--max-side", "5", "--classes", "10"),
+        ("verify", "--max-side", "120"),
+        ("count", "--class", "1", "--dims", "120,120,120", "--method", "oracle"),
     ],
 )
 def test_oracle_over_budget_exits_2_at_once(argv, capsys):
+    side = argv[argv.index("--dims") + 1].split(",")[0] if "--dims" in argv else argv[2]
     t0 = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
-    assert err.startswith("error: box 5x5x5 ") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: box {side}x{side}x{side} ")
+    assert len(err.splitlines()) == 1 and len(err) < 200
+
+
+def test_count_prints_answers_past_the_int_str_digit_limit(capsys):
+    # 4908 digits, past CPython's default limit of 4300 on int -> str
+    expected = n_class(1, (120,) * 3)
+    code, out, err = run(capsys, "count", "--class", "1", "--dims", "120,120,120")
+    assert (code, err) == (0, "")
+    assert out.strip() == str(expected)
+    code, out, _ = run(capsys, "count", "--class", "1", "--dims", "120,120,120", "--json")
+    assert code == 0 and json.loads(out)["value"] == str(expected)
 
 
 def test_q_matrix_route_over_budget_exits_2_at_once(capsys):

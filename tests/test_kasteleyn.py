@@ -3,9 +3,17 @@ import random
 import pytest
 
 from conftest import graph_from_points, grid_graph, random_planar_bipartite, random_planar_graph, wheel_graph
+from reference import (
+    check_flat_orientation,
+    count_perfect_matchings,
+    hafnian,
+    permanent,
+    symmetric_matrix,
+    unsigned_bipartite_matrix,
+)
 
 from ppcount import exactalg, kasteleyn
-from ppcount.exactalg import ExactMatrix, det, hafnian, permanent, pfaffian_abs
+from ppcount.exactalg import ExactMatrix, det, pfaffian_abs
 from ppcount.formulas import q_box_product
 from ppcount.hexgrid import Edge, PlanarMultigraph, build_graph, build_hexagon, q_weight_graph
 from ppcount.kasteleyn import (
@@ -13,17 +21,13 @@ from ppcount.kasteleyn import (
     FlatReport,
     SignedGraph,
     bipartite_matrix,
-    check_flat_orientation,
     check_flat_signing,
     flat_orientation,
     flat_signing,
     skew_matrix,
-    symmetric_matrix,
     two_coloring,
-    unsigned_bipartite_matrix,
     weighted_matching_sum,
 )
-from ppcount.oracle import count_perfect_matchings
 from ppcount.symmetry import CLASSES, quotient_graph
 
 

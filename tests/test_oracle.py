@@ -2,20 +2,23 @@ import time
 
 import pytest
 
+from reference import (
+    count_perfect_matchings,
+    enumerate_matchings,
+    hexagon_flip_moves,
+    matching_to_partition,
+    weighted_matching_sum_brute,
+)
+
 from ppcount.exactalg import QPoly
 from ppcount.hexgrid import build_graph, build_hexagon, q_weight_graph
 from ppcount.oracle import (
     MAX_PARTITIONS,
     SizeLimitError,
-    count_perfect_matchings,
     count_symmetric,
-    enumerate_matchings,
     enumerate_partitions,
-    hexagon_flip_moves,
-    matching_to_partition,
     q_sum,
     volume,
-    weighted_matching_sum_brute,
 )
 
 
@@ -94,16 +97,6 @@ def test_oracle_refuses_boxes_over_the_budget_at_once():
 def test_oracle_within_the_budget_still_answers():
     assert count_symmetric(1, 4, 4, 4) == 232848
     assert count_symmetric(3, 4, 4, 4) == 132
-
-
-def test_partition_json_roundtrip():
-    import json
-
-    from ppcount.oracle import partition_json
-
-    pp = ((2, 1), (1, 0))
-    assert json.loads(partition_json(pp)) == [[2, 1], [1, 0]]
-    assert partition_json(()) == "[]"
 
 
 def test_count_symmetric_examples():
