@@ -235,7 +235,7 @@ def graph_to_json(g: PlanarMultigraph, signs=None, heads=None) -> str:
     data = {
         "vertices": sorted(name),
         "edges": edges,
-        "rotation": {name[v]: [eid for eid, _ in ring] for v, ring in enumerate(g.rotation)},
+        "rotation": {name[v]: [d >> 1 for d in ring] for v, ring in enumerate(g.rotation)},
     }
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 

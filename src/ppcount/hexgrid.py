@@ -23,7 +23,7 @@ All objects are immutable after construction.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .exactalg import QPoly
 
@@ -119,7 +119,7 @@ def center2(region: HexRegion) -> Tuple[int, int]:
 # planar multigraphs with rotation systems
 # ---------------------------------------------------------------------------
 
-Dart = Tuple[int, int]  # (edge id, side); side 0 sits at edge.u, side 1 at edge.v
+Dart = int  # 2 * edge id + side; side 0 sits at edge.u, side 1 at edge.v; twin d ^ 1
 
 
 class PlanarMultigraph:
@@ -128,9 +128,11 @@ class PlanarMultigraph:
     A vertex is an integer id 0..n-1, and so are edge endpoints and the
     members of the two bipartition classes; labels[v] names vertex v for
     export only.  rotation[v] lists the darts at v in counterclockwise order;
-    a dart is (edge id, side) with side 0 at the edge's u endpoint.  The
-    rotation system defines the embedding: faces are traced from it and
-    validated against Euler's formula per connected component.
+    a dart is the int 2 * edge id + side, side 0 at the edge's u endpoint,
+    so d >> 1 is its edge and d ^ 1 its twin.  tails[d] is the vertex dart
+    d starts at (-1 for an edge id not in use), and tails[d ^ 1] the one it
+    ends at.  The rotation system defines the embedding: faces are traced
+    from it and validated against Euler's formula per connected component.
     """
 
     def __init__(
@@ -146,6 +148,13 @@ class PlanarMultigraph:
         self.edge_by_id = {e.eid: e for e in self.edges}
         if len(self.edge_by_id) != len(self.edges):
             raise ValueError("duplicate edge ids")
+        if self.edges and min(self.edge_by_id) < 0:
+            raise ValueError("negative edge id")
+        tails = [-1] * (2 * max(self.edge_by_id, default=-1) + 2)
+        for eid, u, v, _ in self.edges:
+            tails[2 * eid] = u
+            tails[2 * eid + 1] = v
+        self.tails = tails
         self.rotation = [list(ds) for ds in rotation]
         if len(self.rotation) != len(self.labels):
             raise ValueError("one rotation per vertex is required")
@@ -169,15 +178,13 @@ class PlanarMultigraph:
         return len(self.edges)
 
     def dart_tail(self, d: Dart) -> int:
-        e = self.edge_by_id[d[0]]
-        return e.u if d[1] == 0 else e.v
+        return self.tails[d]
 
     def dart_head(self, d: Dart) -> int:
-        e = self.edge_by_id[d[0]]
-        return e.v if d[1] == 0 else e.u
+        return self.tails[d ^ 1]
 
     def edges_at(self, v: int) -> List[Edge]:
-        return [self.edge_by_id[eid] for eid, _ in self.rotation[v]]
+        return [self.edge_by_id[d >> 1] for d in self.rotation[v]]
 
     def other_end(self, e: Edge, v: int) -> int:
         if e.u == v:
@@ -187,7 +194,8 @@ class PlanarMultigraph:
         raise ValueError(f"{v} is not an endpoint of {e}")
 
     def neighbors(self, v: int) -> List[int]:
-        return [self.dart_head(d) for d in self.rotation[v]]
+        tails = self.tails
+        return [tails[d ^ 1] for d in self.rotation[v]]
 
     def degree(self, v: int) -> int:
         return len(self.rotation[v])
@@ -196,6 +204,7 @@ class PlanarMultigraph:
         """Id sets of the connected components, found once per graph."""
         if self._components is not None:
             return self._components
+        tails, rotation = self.tails, self.rotation
         seen = [False] * self.n_vertices
         comps = []
         for v in self.vertices:
@@ -204,8 +213,8 @@ class PlanarMultigraph:
             seen[v] = True
             comp = [v]
             for w in comp:  # grows while it is walked
-                for d in self.rotation[w]:
-                    u = self.dart_head(d)
+                for d in rotation[w]:
+                    u = tails[d ^ 1]
                     if not seen[u]:
                         seen[u] = True
                         comp.append(u)
@@ -224,7 +233,7 @@ class PlanarMultigraph:
             if e.u in new and e.v in new
         ]
         eids = {e.eid for e in edges}
-        rot = [[d for d in self.rotation[v] if d[0] in eids] for v in old]
+        rot = [[d for d in self.rotation[v] if d >> 1 in eids] for v in old]
         bip = None
         if self.bipartition is not None:
             bip = tuple(
@@ -239,33 +248,37 @@ class PlanarMultigraph:
 
         The dart after d in its face is the one after d's twin in the
         rotation at the twin's vertex.  Faces come in the order of their
-        smallest darts, each traced from that dart: a sweep over the sorted
-        darts skips those already used.
+        smallest darts, each traced from that dart: a sweep over the darts
+        in increasing order skips those already used.
         """
-        succ: Dict[Dart, Dart] = {}
-        for ring in self.rotation:
+        tails = self.tails
+        n = len(tails)
+        succ = [-1] * n  # -1: no such dart, or already traced
+        for v, ring in enumerate(self.rotation):
+            k = len(ring)
             for i, d in enumerate(ring):
-                twin = (d[0], 1 - d[1])
-                if twin in succ:
+                if not 0 <= d < n or tails[d] != v:
+                    raise EmbeddingError(f"dart {d} at vertex {v} does not start there")
+                if succ[d ^ 1] >= 0:
                     raise EmbeddingError(f"dart {d} appears twice in the rotation")
-                succ[twin] = ring[(i + 1) % len(ring)]
-        for e in self.edges:  # the keys of succ are the twins of all darts
-            if (e.eid, 0) not in succ or (e.eid, 1) not in succ:
+                succ[d ^ 1] = ring[(i + 1) % k]
+        for e in self.edges:  # succ is set at the twins of all listed darts
+            if succ[2 * e.eid] < 0 or succ[2 * e.eid + 1] < 0:
                 raise EmbeddingError(f"edge {e.eid} missing a rotation slot")
-        used = set()
         out = []
-        for d0 in sorted(d for ring in self.rotation for d in ring):
-            if d0 in used:
-                continue
-            face = [d0]
-            used.add(d0)
+        for d0 in range(n):
             d = succ[d0]
+            if d < 0:
+                continue
+            succ[d0] = -1
+            face = [d0]
             while d != d0:
-                if d in used:
+                nxt = succ[d]
+                if nxt < 0:
                     raise EmbeddingError("face tracing revisited a dart")
+                succ[d] = -1
                 face.append(d)
-                used.add(d)
-                d = succ[d]
+                d = nxt
             out.append(face)
         return out
 
@@ -288,8 +301,9 @@ class PlanarMultigraph:
         nf = [0] * len(nv)
         for e in self.edges:
             ne[comp_of[e.u]] += 1
+        tails = self.tails
         for f in faces:
-            nf[comp_of[self.dart_tail(f[0])]] += 1
+            nf[comp_of[tails[f[0]]]] += 1
         for ci in range(len(nv)):
             if ne[ci] == 0:
                 continue  # an isolated vertex embeds trivially
@@ -305,9 +319,9 @@ class PlanarMultigraph:
 # Z(a,b,c) and its q-weighting
 # ---------------------------------------------------------------------------
 
-# exact ccw angle ranks of edge directions around a vertex:
-# at a down triangle the edge along axis i points at angle 120*i degrees;
-# at an up triangle the reverse directions sort ccw as z, x, y.
+# ccw order of the edge axes around a vertex: at a down triangle the edge
+# along axis i points at angle 120*i degrees; at an up triangle the reverse
+# directions sort ccw as z, x, y.
 _DOWN_ORDER = (0, 1, 2)
 _UP_ORDER = (2, 0, 1)
 
@@ -323,15 +337,26 @@ def build_graph(region: HexRegion, q_weights: bool = False) -> PlanarMultigraph:
     a constant absorbed by normalization against the empty partition.
     """
     tri = region.triangles
-    idx = {t: i for i, t in enumerate(tri)}
+    X, Y, _ = region.bounds
+    S = region.up_sum
+    # a triangle is determined by x, y and whether it is up; the down
+    # triangle (x, y, z) meets the up triangles at (x+1, y), (x, y+1) and
+    # (x, y), one per axis.  A spare row and column of -1 keep the
+    # neighbours of the last ones in range.
+    W = Y + 2
+    at = [-1] * (2 * W * (X + 2))  # 2 * (x * W + y) + up -> vertex id
+    for i, (x, y, z) in enumerate(tri):
+        at[2 * (x * W + y) + (x + y + z == S)] = i
     edges: List[Edge] = []
-    slots: List[Dict[int, int]] = [{} for _ in tri]  # id -> axis -> edge id
-    for t in region.downs:
-        x, y, z = t
-        i = idx[t]
-        for ax, key in enumerate(((x + 1, y, z), (x, y + 1, z), (x, y, z + 1))):
-            j = idx.get(key)
-            if j is not None:
+    slots = [[-1, -1, -1] for _ in tri]  # vertex id -> edge id per axis
+    ups = []
+    for i, (x, y, z) in enumerate(tri):
+        if x + y + z == S:
+            ups.append(i)
+            continue
+        up = 2 * (x * W + y) + 1
+        for ax, j in enumerate((at[up + 2 * W], at[up + 2], at[up])):
+            if j >= 0:
                 w: object = 1
                 if q_weights and ax == 2:
                     w = QPoly.q_power(x)
@@ -340,14 +365,14 @@ def build_graph(region: HexRegion, q_weights: bool = False) -> PlanarMultigraph:
                 eid = len(edges)
                 edges.append(Edge(eid, i, j, w))
                 slots[i][ax] = slots[j][ax] = eid
-    ups = frozenset(i for i, t in enumerate(tri) if sum(t) == region.up_sum)
+    up_ids = frozenset(ups)
     rotation = [
-        [(s[ax], 1) for ax in _UP_ORDER if ax in s]
-        if i in ups
-        else [(s[ax], 0) for ax in _DOWN_ORDER if ax in s]
+        [2 * s[ax] + 1 for ax in _UP_ORDER if s[ax] >= 0]
+        if i in up_ids
+        else [2 * s[ax] for ax in _DOWN_ORDER if s[ax] >= 0]
         for i, s in enumerate(slots)
     ]
-    g = PlanarMultigraph(tri, edges, rotation, (ups, frozenset(range(len(tri))) - ups))
+    g = PlanarMultigraph(tri, edges, rotation, (up_ids, frozenset(range(len(tri))) - up_ids))
     g.assert_valid_embedding()
     return g
 

@@ -74,25 +74,26 @@ def two_coloring(g: PlanarMultigraph) -> Optional[Tuple[frozenset, frozenset]]:
     return (blk, frozenset(g.vertices) - blk)
 
 
-def _face_of_dart(faces) -> Dict[Tuple[int, int], int]:
-    return {d: fi for fi, f in enumerate(faces) for d in f}
+def _face_of_dart(g: PlanarMultigraph, faces) -> List[int]:
+    """The index of the face each dart of g lies in, as a list by dart."""
+    face_of = [-1] * len(g.tails)
+    for fi, f in enumerate(faces):
+        for d in f:
+            face_of[d] = fi
+    return face_of
 
 
 def _face_signing_flat(face, signs) -> Tuple[int, int, bool]:
     sides = len(face)
-    neg = sum(1 for d in face if signs[d[0]] < 0)
+    neg = sum(1 for d in face if signs[d >> 1] < 0)
     want_odd = sides % 4 == 0
     return sides, neg, (neg % 2 == 1) == want_odd
 
 
 def _against(g: PlanarMultigraph, face, heads) -> int:
     """Darts of the face whose edge is directed against the tracing sense."""
-    n = 0
-    for eid, side in face:
-        e = g.edge_by_id[eid]
-        if heads[eid] != (e.v if side == 0 else e.u):
-            n += 1
-    return n
+    tails = g.tails
+    return sum(1 for d in face if heads[d >> 1] != tails[d ^ 1])
 
 
 def flat_signing(g: PlanarMultigraph) -> SignedGraph:
@@ -103,15 +104,15 @@ def flat_signing(g: PlanarMultigraph) -> SignedGraph:
         raise ValueError("flat signing requires a bipartite graph")
     faces = g.assert_valid_embedding()
     signs = {e.eid: 1 for e in g.edges}
-    face_of_dart = _face_of_dart(faces)
+    face_of_dart = _face_of_dart(g, faces)
 
     def face_state(fi):
         return _face_signing_flat(faces[fi], signs)
 
     # dual adjacency through edges with two distinct incident faces
-    dual: Dict[int, List[Tuple[int, int]]] = {fi: [] for fi in range(len(faces))}
+    dual: List[List[Tuple[int, int]]] = [[] for _ in faces]
     for e in g.edges:
-        f0, f1 = face_of_dart[(e.eid, 0)], face_of_dart[(e.eid, 1)]
+        f0, f1 = face_of_dart[2 * e.eid], face_of_dart[2 * e.eid + 1]
         if f0 != f1:
             dual[f0].append((f1, e.eid))
             dual[f1].append((f0, e.eid))
@@ -176,7 +177,7 @@ def flat_orientation(g: PlanarMultigraph) -> OrientedGraph:
         raise ValueError("flat orientation needs an even number of vertices")
     faces = g.assert_valid_embedding()
     heads = {e.eid: e.v for e in g.edges}  # start with the stored direction
-    face_of_dart = _face_of_dart(faces)
+    face_of_dart = _face_of_dart(g, faces)
 
     for comp in g.components():
         comp_edges = [e for e in g.edges if e.u in comp]
@@ -200,12 +201,12 @@ def flat_orientation(g: PlanarMultigraph) -> OrientedGraph:
         cotree = [e for e in comp_edges if e.eid not in tree]
         # dual tree on the component's faces through co-tree edges
         comp_faces = sorted(
-            {face_of_dart[(e.eid, 0)] for e in comp_edges}
-            | {face_of_dart[(e.eid, 1)] for e in comp_edges}
+            {face_of_dart[2 * e.eid] for e in comp_edges}
+            | {face_of_dart[2 * e.eid + 1] for e in comp_edges}
         )
         dual: Dict[int, List[Tuple[int, int]]] = {fi: [] for fi in comp_faces}
         for e in cotree:
-            f0, f1 = face_of_dart[(e.eid, 0)], face_of_dart[(e.eid, 1)]
+            f0, f1 = face_of_dart[2 * e.eid], face_of_dart[2 * e.eid + 1]
             if f0 == f1:
                 raise EmbeddingError("co-tree edge with a single incident face")
             dual[f0].append((f1, e.eid))

@@ -21,7 +21,6 @@ from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .exactalg import QPoly
-from .formulas import n_class
 from .symmetry import CLASSES, partition_map
 
 Heights = Tuple[Tuple[int, ...], ...]
@@ -92,14 +91,27 @@ def volume(heights: Heights) -> int:
 
 def check_budget(a: int, b: int, c: int) -> None:
     """Raise SizeLimitError when the box holds more than MAX_PARTITIONS
-    plane partitions, the most the oracle will enumerate.  The size comes
-    from MacMahon's product; it decides what to refuse, never an answer.
-    The message leaves the size out: it can run to thousands of digits."""
-    if n_class(1, (a, b, c)) > MAX_PARTITIONS:
-        raise SizeLimitError(
-            f"box {a}x{b}x{c} holds more than {MAX_PARTITIONS} plane "
-            f"partitions, the most the oracle enumerates"
-        )
+    plane partitions, the most the oracle will enumerate.
+
+    The size is MacMahon's product of (i+j+c-1)/(i+j-1) over i <= a, j <= b,
+    with the sides sorted so c is the longest; it decides what to refuse,
+    never an answer.  Its factors are multiplied in integers, and the box is
+    refused as soon as the product passes MAX_PARTITIONS: every factor is
+    1 + c/(i+j-1) > 3/2, so the product only grows, and it passes within 42
+    factors whatever the box, which makes the check exact and O(1)."""
+    if a < 0 or b < 0 or c < 0:
+        raise ValueError(f"negative box side in {(a, b, c)}")
+    x, y, z = sorted((a, b, c))
+    num = den = 1
+    for i in range(1, x + 1):
+        for j in range(1, y + 1):
+            num *= i + j + z - 1
+            den *= i + j - 1
+            if num > MAX_PARTITIONS * den:
+                raise SizeLimitError(
+                    f"box {a}x{b}x{c} holds more than {MAX_PARTITIONS} plane "
+                    f"partitions, the most the oracle enumerates"
+                )
 
 
 def count_symmetric(class_id: int, a: int, b: int, c: int) -> int:

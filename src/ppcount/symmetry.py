@@ -46,6 +46,7 @@ from .hexgrid import (
     PlanarMultigraph,
     Triangle,
     angle_cmp,
+    angle_half,
     build_graph,
     center2,
     position2,
@@ -154,24 +155,39 @@ def act_triangle(g: SymmetryElement, t: Triangle, region: HexRegion) -> Triangle
     return s
 
 
-def _act_region(G, region: HexRegion) -> Dict[SymmetryElement, List[int]]:
-    """act_triangle of each element of G on every triangle of the region, as
-    one map per element from a triangle's index in region.triangles to its
-    image's: the box is checked once per element, and each image against the
-    region's triangle set."""
-    idx = {t: i for i, t in enumerate(region.triangles)}
-    act = {}
-    for g in G:
+def _act_region(cls: SymmetryClass, region: HexRegion) -> Dict[SymmetryElement, List[int]]:
+    """act_triangle of each element of the class's group on every triangle
+    of the region, as one map per element from a triangle's index in
+    region.triangles to its image's.  Only the generators are looked up:
+    each is checked against the box once and each of its images against the
+    region's triangle set.  Every other element is reached from one found
+    before it by a generator, and its map is composed from those two maps by
+    list indexing."""
+    tri = region.triangles
+    idx = {t: i for i, t in enumerate(tri)}
+    gen_maps = {}
+    for g in cls.generators:
         if not box_fixed(g, region.abc):
             raise BoxError(f"H{region.abc} is not fixed by {g}")
         image = _image_fn(g, region.bounds)
-        out = act[g] = []
-        for t in region.triangles:
+        out = gen_maps[g] = []
+        for t in tri:
             s = idx.get(image(t))
             if s is None:
                 raise EmbeddingError(f"symmetry image of {t} left the region")
             out.append(s)
-    return act
+    act = {IDENTITY: list(range(len(tri)))}
+    frontier = [IDENTITY]
+    while frontier:  # the breadth-first walk of _closure
+        nxt = []
+        for h in frontier:
+            for gen, m in gen_maps.items():
+                g = compose(gen, h)  # h first, then gen
+                if g not in act:
+                    act[g] = list(map(m.__getitem__, act[h]))
+                    nxt.append(g)
+        frontier = nxt
+    return {g: act[g] for g in group_elements(cls)}
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +346,8 @@ def gadget_multigraph(g: ParityGadget) -> PlanarMultigraph:
     edges = [Edge(i, u, v) for i, (u, v) in enumerate(g.edges)]
     rot = [[] for _ in g.vertices]
     for e in edges:
-        rot[e.u].append((_gadget_rank(e.u, e.v), (e.eid, 0)))
-        rot[e.v].append((_gadget_rank(e.v, e.u), (e.eid, 1)))
+        rot[e.u].append((_gadget_rank(e.u, e.v), 2 * e.eid))
+        rot[e.v].append((_gadget_rank(e.v, e.u), 2 * e.eid + 1))
     rotation = [[d for _, d in sorted(rs)] for rs in rot]
     return PlanarMultigraph([f"c{v + 1}" for v in g.vertices], edges, rotation)
 
@@ -356,7 +372,7 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     G = group_elements(cls)
     Z = build_graph(region)
     tri = region.triangles  # Z's vertex i is tri[i]
-    act = _act_region(G, region)
+    act = _act_region(cls, region)
     maps = tuple(act.values())
     refl0 = [act[g] for g in G if not g.comp and _is_transposition(g.perm)]
 
@@ -377,9 +393,10 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     # edge orbits, each found from its smallest edge id, and pruned by the
     # orbit-size rule: |Ge| = |Gu| = |Gv| for an ordinary edge, and
     # |G(v, e)| = 2|Ge| = |Gv| for the halves of a reversed one
-    edge_of = {}
+    nz = Z.n_vertices
+    edge_of = {}  # u * nz + v -> id of the edge joining u and v
     for e in Z.edges:
-        edge_of[(e.u, e.v)] = edge_of[(e.v, e.u)] = e.eid
+        edge_of[e.u * nz + e.v] = edge_of[e.v * nz + e.u] = e.eid
     ordinary: List[Tuple[Edge, set]] = []  # (smallest edge, orbit ids)
     bachelor: List[Tuple[Edge, set]] = []
     kept_ids = set()  # ordinary edges that survive pruning
@@ -392,7 +409,7 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
         rev = False
         for m in maps:
             mu, mv = m[e.u], m[e.v]
-            img = edge_of.get((mu, mv))
+            img = edge_of.get(mu * nz + mv)
             if img is None:
                 raise EmbeddingError("group element does not preserve adjacency")
             eorbit.add(img)
@@ -409,7 +426,7 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
 
     # transpose-complement-fixed vertices pair into forced isolated edges
     def ids_at(v, ids):
-        return [eid for eid, _ in Z.rotation[v] if eid in ids]
+        return [d >> 1 for d in Z.rotation[v] if d >> 1 in ids]
 
     removed = set()
     for v in sorted(fixed):
@@ -464,9 +481,9 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     if bachelor:
         gm = gadget_multigraph(gadget)
         offset = len(qedges) + len(border)
-        rotation = [[(offset + eid, side) for eid, side in ring] for ring in gm.rotation]
+        rotation = [[2 * offset + d for d in ring] for ring in gm.rotation]
         for att, (e, eorbit) in zip(gadget.attachments, border):
-            rotation[att].append((len(qedges), 1))  # slot 4: the external edge
+            rotation[att].append(2 * len(qedges) + 1)  # slot 4: the external edge
             add_edge(eorbit, qid[orbit_of[e.u][0]], att)
         qedges += [Edge(offset + e.eid, e.u, e.v) for e in gm.edges]
 
@@ -484,13 +501,13 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
                 raise EmbeddingError("orbit misses the positively oriented chambers")
             src = members[0]
         darts = []
-        for eid, _ in Z.rotation[src]:
-            qeid = qedge_of.get(eid)
+        for d in Z.rotation[src]:
+            qeid = qedge_of.get(d >> 1)
             if qeid is None:
                 continue  # pruned or removed edge, or dropped loop
-            if any(qeid == d[0] for d in darts):
+            if any(qeid == qd >> 1 for qd in darts):
                 raise EmbeddingError(f"quotient edge met orbit {tri[r]} twice")
-            darts.append((qeid, 0 if qedges[qeid].u == qid[r] else 1))
+            darts.append(2 * qeid + (qedges[qeid].u != qid[r]))
         if on_axis and len(darts) > 1:
             raise EmbeddingError(f"axis orbit {tri[r]} kept {len(darts)} edges")
         rotation.append(darts)
@@ -533,19 +550,24 @@ def _chamber_parity_fn(region, rays):
     quotient edge, so their rotation needs no orientation choice.
     """
     cx, cy = center2(region)
+    # angle_cmp(ray, rel) with each ray's half-plane found once, here
+    halves = [(angle_half(ray), ray) for ray in rays]
 
     def parity_of(t: Triangle):
         if not rays:
             return 0
         p = position2(t)
         rel = (2 * p[0] - cx, 2 * p[1] - cy)
+        h = angle_half(rel)
         cnt = 0
-        for ray in rays:
-            c = angle_cmp(ray, rel)
-            if c == 0:
+        for hr, (ru, rv) in halves:
+            if hr != h:
+                cnt += hr < h
+                continue
+            cr = ru * rel[1] - rv * rel[0]
+            if cr == 0:
                 return None
-            if c < 0:
-                cnt += 1
+            cnt += cr > 0
         return cnt % 2
 
     return parity_of

@@ -30,7 +30,7 @@ def graph_from_points(points, pairs, bipartition=None, weights=None):
         for end, side, other in ((e.u, 0, e.v), (e.v, 1, e.u)):
             dx = points[labels[other]][0] - points[labels[end]][0]
             dy = points[labels[other]][1] - points[labels[end]][1]
-            rot[end].append((math.atan2(dy, dx) % (2 * math.pi), (e.eid, side)))
+            rot[end].append((math.atan2(dy, dx) % (2 * math.pi), 2 * e.eid + side))
     rotation = [[d for _, d in sorted(rs)] for rs in rot]
     if bipartition is not None:
         bipartition = tuple(frozenset(vid[p] for p in part) for part in bipartition)

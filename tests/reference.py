@@ -348,7 +348,7 @@ def hexagon_flip_moves(g: PlanarMultigraph) -> List[Tuple[FrozenSet[int], Frozen
     for f in faces:
         if len(f) != 6:
             continue
-        ids = [d[0] for d in f]
+        ids = [d >> 1 for d in f]
         s0, s1 = frozenset(ids[0::2]), frozenset(ids[1::2])
         if len(s0) == 3 and len(s1) == 3:
             moves.append((s0, s1))

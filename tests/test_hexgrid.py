@@ -1,11 +1,19 @@
 import pytest
 
-from conftest import grid_graph, random_planar_bipartite, random_planar_graph, wheel_graph
+from conftest import (
+    graph_from_points,
+    grid_graph,
+    random_planar_bipartite,
+    random_planar_graph,
+    wheel_graph,
+)
 from reference import count_perfect_matchings, neighbors, orientation, weighted_matching_sum_brute
 
 from ppcount.exactalg import QPoly
 from ppcount.formulas import n_class
 from ppcount.hexgrid import (
+    EmbeddingError,
+    PlanarMultigraph,
     RegionError,
     Triangle,
     build_graph,
@@ -166,7 +174,7 @@ def reference_faces(g):
         while True:
             face.append(d)
             unused.discard(d)
-            v, i = pos[(d[0], 1 - d[1])]
+            v, i = pos[d ^ 1]
             ring = g.rotation[v]
             d = ring[(i + 1) % len(ring)]
             if d == d0:
@@ -189,6 +197,57 @@ def test_faces_match_reference_on_small_graphs(rng):
 def test_faces_match_reference_on_quotients(small_quotients):
     for cid, dims, q in small_quotients:
         assert q.assert_valid_embedding() == reference_faces(q), (cid, dims)
+
+
+def _k4():
+    """K4 drawn straight: a triangle and its centre, bipartition-free."""
+    points = {"a": (0.0, 0.0), "b": (4.0, 0.0), "c": (2.0, 3.0), "o": (2.0, 1.0)}
+    pairs = [("a", "b"), ("b", "c"), ("c", "a"), ("o", "a"), ("o", "b"), ("o", "c")]
+    return graph_from_points(points, pairs)
+
+
+def _with_rotation(g, rotation):
+    return PlanarMultigraph(g.labels, g.edges, rotation, g.bipartition)
+
+
+def test_face_tracer_refuses_a_dart_listed_twice():
+    g = _k4()
+    rotation = [list(ring) for ring in g.rotation]
+    rotation[0].append(rotation[0][0])
+    with pytest.raises(EmbeddingError, match="twice"):
+        _with_rotation(g, rotation).assert_valid_embedding()
+
+
+def test_face_tracer_refuses_an_edge_missing_a_rotation_slot():
+    g = _k4()
+    rotation = [list(ring) for ring in g.rotation]
+    rotation[0].pop()
+    with pytest.raises(EmbeddingError, match="missing a rotation slot"):
+        _with_rotation(g, rotation).assert_valid_embedding()
+
+
+def test_face_tracer_refuses_a_dart_at_the_wrong_vertex():
+    g = _k4()
+    rotation = [list(ring) for ring in g.rotation]
+    rotation[0][0] ^= 1  # the twin starts at the other end
+    with pytest.raises(EmbeddingError, match="does not start there"):
+        _with_rotation(g, rotation).assert_valid_embedding()
+    rotation = [list(ring) for ring in g.rotation]
+    rotation[0].append(2 * g.n_edges)  # an edge the graph does not have
+    with pytest.raises(EmbeddingError, match="does not start there"):
+        _with_rotation(g, rotation).assert_valid_embedding()
+
+
+def test_face_tracer_refuses_a_rotation_that_fails_euler():
+    g = _k4()
+    assert len(g.assert_valid_embedding()) == 4
+    centre = g.labels.index("o")
+    rotation = [list(ring) for ring in g.rotation]
+    rotation[centre].reverse()
+    bad = _with_rotation(g, rotation)
+    assert len(bad._trace_faces()) == 2  # it traces, on a torus
+    with pytest.raises(EmbeddingError, match="V-E\\+F"):
+        bad.assert_valid_embedding()
 
 
 def test_embedding_is_validated_once_and_kept():

@@ -255,7 +255,7 @@ def reference_flat_signing(g):
     face_of_dart = {d: fi for fi, f in enumerate(faces) for d in f}
     dual = {fi: [] for fi in range(len(faces))}
     for e in g.edges:
-        f0, f1 = face_of_dart[(e.eid, 0)], face_of_dart[(e.eid, 1)]
+        f0, f1 = face_of_dart[2 * e.eid], face_of_dart[2 * e.eid + 1]
         if f0 != f1:
             dual[f0].append((f1, e.eid))
             dual[f1].append((f0, e.eid))
@@ -263,7 +263,7 @@ def reference_flat_signing(g):
     def nonflat_set():
         out = set()
         for fi, f in enumerate(faces):
-            neg = sum(1 for d in f if signs[d[0]] < 0)
+            neg = sum(1 for d in f if signs[d >> 1] < 0)
             if (neg % 2 == 1) != (len(f) % 4 == 0):
                 out.add(fi)
         return out

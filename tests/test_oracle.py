@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -11,10 +12,12 @@ from reference import (
 )
 
 from ppcount.exactalg import QPoly
+from ppcount.formulas import n_class
 from ppcount.hexgrid import build_graph, build_hexagon, q_weight_graph
 from ppcount.oracle import (
     MAX_PARTITIONS,
     SizeLimitError,
+    check_budget,
     count_symmetric,
     enumerate_partitions,
     q_sum,
@@ -92,6 +95,33 @@ def test_oracle_refuses_boxes_over_the_budget_at_once():
     assert time.perf_counter() - t0 < 1.0
     # the budget admits 4x5x5 (16,818,516 partitions) and refuses 5^3
     assert 16818516 <= MAX_PARTITIONS < 267227532
+
+
+def _refused(dims):
+    try:
+        check_budget(*dims)
+    except SizeLimitError:
+        return True
+    return False
+
+
+def test_budget_decides_as_macmahons_product_does():
+    for dims in itertools.product(range(8), repeat=3):
+        assert _refused(dims) == (n_class(1, dims) > MAX_PARTITIONS), dims
+    assert not _refused((4, 5, 5)) and not _refused((5, 4, 5))
+    assert _refused((5, 5, 5))
+
+
+def test_budget_refuses_huge_boxes_in_constant_time():
+    t0 = time.perf_counter()
+    with pytest.raises(SizeLimitError):
+        check_budget(1000, 1000, 1000)
+    with pytest.raises(SizeLimitError):
+        check_budget(1, 1, 10**30)
+    assert time.perf_counter() - t0 < 0.1
+    check_budget(0, 10**30, 10**30)  # a flat box holds one partition
+    with pytest.raises(ValueError):
+        check_budget(-1, 2, 2)
 
 
 def test_oracle_within_the_budget_still_answers():

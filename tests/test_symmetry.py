@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -15,6 +15,7 @@ from ppcount.symmetry import (
     RHO,
     TAU,
     BoxError,
+    _act_region,
     act_partition,
     act_triangle,
     box_fixed,
@@ -40,6 +41,22 @@ def test_full_group_contains_every_class():
     for cid in CLASSES:
         assert set(group_elements(CLASSES[cid])) <= full
     assert len(full) == 12
+
+
+def test_composed_action_equals_the_direct_triangle_images():
+    # only the generators are looked up; every other element's map is
+    # composed, and must agree with act_triangle triangle by triangle
+    for cid, cls in CLASSES.items():
+        for dims in product(range(7), repeat=3):
+            if not cls.box_fixed(dims):
+                continue
+            r = build_hexagon(*dims)
+            tri = r.triangles
+            idx = {t: i for i, t in enumerate(tri)}
+            act = _act_region(cls, r)
+            assert tuple(act) == group_elements(cls)
+            for g, m in act.items():
+                assert m == [idx[act_triangle(g, t, r)] for t in tri], (cid, dims, g)
 
 
 def test_composition_is_associative_and_closed():
