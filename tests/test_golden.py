@@ -23,6 +23,9 @@ C5_345 = ("--kind", "quotient", "--class", "5", "--dims", "3,4,5")
 C6_334 = ("--kind", "quotient", "--class", "6", "--dims", "3,3,4")
 C8_6 = ("--kind", "quotient", "--class", "8", "--dims", "6,6,6")
 C9_4 = ("--kind", "quotient", "--class", "9", "--dims", "4,4,4")
+# quotients of 8 vertices in three components (6, 1 and 1 vertices)
+C8_3 = ("--kind", "quotient", "--class", "8", "--dims", "3,3,3")
+C6_113 = ("--kind", "quotient", "--class", "6", "--dims", "1,1,3")
 
 # (graph, --with, --format) -> sha256 of standard output.  Only classes 1, 3,
 # 6 and 8 have a sign export: the other quotients carry no bipartition.
@@ -75,6 +78,12 @@ GOLDEN = {
     (C9_4, "none", "dot"): "23c8cf000bb22ddeba239f48f608c70a70378bef8e6c11edb3c5354fa4509e4d",
     (C9_4, "orientation", "json"): "6da7181e344c6ca82eb47cae907c28b871a2d3e6fc94264296bac77ecf89fb98",
     (C9_4, "orientation", "dot"): "4ca615be3e8cdd15249efeae6570a7604a975b25aa9387358dac8278b1420e07",
+    (C8_3, "signs", "json"): "a3b3506d8eb0a551d776e4a55a5b99bc725ffccdefeb893a01a845ca6784d971",
+    (C8_3, "signs", "dot"): "6f0d5b085ed7f975dc0be59bc019bcaca37ddce772abe0288865134a5de8e3dd",
+    (C8_3, "orientation", "json"): "e0f0c6b42788c5c93f275193fd720a560dd00dcd7aec829a1ece6af3d9182250",
+    (C8_3, "orientation", "dot"): "a96379564ec16b3914b730ec9df2c4fe7e18de2378a9f0ef75f12cb69eab0b37",
+    (C6_113, "orientation", "json"): "5fdf2eecdae3c9e3ee620b8088da8a3acd28e8bab6a59b93828e0c1b0050d952",
+    (C6_113, "orientation", "dot"): "7e462ac6bf61580b307504bdea335b3c801e77c12126ecd3d4f232912aa12dc6",
 }
 
 
