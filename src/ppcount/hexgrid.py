@@ -180,9 +180,6 @@ class PlanarMultigraph:
     def dart_tail(self, d: Dart) -> int:
         return self.tails[d]
 
-    def dart_head(self, d: Dart) -> int:
-        return self.tails[d ^ 1]
-
     def edges_at(self, v: int) -> List[Edge]:
         return [self.edge_by_id[d >> 1] for d in self.rotation[v]]
 
@@ -192,10 +189,6 @@ class PlanarMultigraph:
         if e.v == v:
             return e.u
         raise ValueError(f"{v} is not an endpoint of {e}")
-
-    def neighbors(self, v: int) -> List[int]:
-        tails = self.tails
-        return [tails[d ^ 1] for d in self.rotation[v]]
 
     def degree(self, v: int) -> int:
         return len(self.rotation[v])

@@ -1,5 +1,12 @@
 """Flat signings, flat orientations, and matching counts by determinant/Pfaffian.
 
+Each step takes the whole graph as the graph core built it.  The builder's
+bipartition flag decides the route: a flagged graph gets a flat signing and
+a determinant (permanent-determinant), any other graph a flat orientation
+and a Pfaffian (Hafnian-Pfaffian).  A graph with an odd component has no
+perfect matching and counts zero; otherwise its components need no
+splitting, as the determinant and the Pfaffian of a block matrix multiply.
+
 A signing of an embedded planar bipartite graph is *flat* when every face
 with 4k sides carries an odd number of negative edges and every face with
 4k+2 sides an even number; then the determinant of the signed bipartite
@@ -9,15 +16,16 @@ the weighted matching count.
 An orientation is *flat* (Pfaffian/Kasteleyn orientation) when every face,
 with at most one exception per component, has an odd number of edges
 directed against a fixed face-tracing sense; then the Pfaffian of the
-antisymmetric incidence matrix counts matchings.  The orientation is built
-by directing a spanning tree arbitrarily and then fixing the co-tree edges
-face by face, leaf-to-root in the interdigitating dual tree.
+antisymmetric incidence matrix counts matchings.  The orientation directs a
+spanning forest arbitrarily, then fixes the co-tree edges face by face,
+leaf to root in the interdigitating dual forest, whose trees are rooted at
+each component's least face.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .exactalg import ExactMatrix, QPoly, det, pfaffian_abs
 from .hexgrid import EmbeddingError, PlanarMultigraph
@@ -39,41 +47,6 @@ class OrientedGraph:
     heads: dict  # edge id -> head vertex id
 
 
-@dataclass(frozen=True)
-class FaceReport:
-    sides: int
-    parity_count: int  # negative edges (signing) / against-trace darts (orientation)
-    flat: bool
-
-
-@dataclass(frozen=True)
-class FlatReport:
-    faces: Tuple[FaceReport, ...]
-    flat: bool
-
-
-def two_coloring(g: PlanarMultigraph) -> Optional[Tuple[frozenset, frozenset]]:
-    """BFS 2-coloring; None if an odd cycle exists."""
-    if g.bipartition is not None:
-        return g.bipartition
-    color: List[Optional[int]] = [None] * g.n_vertices
-    for start in g.vertices:
-        if color[start] is not None:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in g.neighbors(v):
-                if color[u] is None:
-                    color[u] = 1 - color[v]
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return None
-    blk = frozenset(v for v, c in enumerate(color) if c == 0)
-    return (blk, frozenset(g.vertices) - blk)
-
-
 def _face_of_dart(g: PlanarMultigraph, faces) -> List[int]:
     """The index of the face each dart of g lies in, as a list by dart."""
     face_of = [-1] * len(g.tails)
@@ -83,11 +56,11 @@ def _face_of_dart(g: PlanarMultigraph, faces) -> List[int]:
     return face_of
 
 
-def _face_signing_flat(face, signs) -> Tuple[int, int, bool]:
-    sides = len(face)
+def _flat_face(face, signs) -> bool:
+    """Whether the face has an odd number of negative edges if its side
+    count is 4k, and an even number if it is 4k+2."""
     neg = sum(1 for d in face if signs[d >> 1] < 0)
-    want_odd = sides % 4 == 0
-    return sides, neg, (neg % 2 == 1) == want_odd
+    return (neg % 2 == 1) == (len(face) % 4 == 0)
 
 
 def _against(g: PlanarMultigraph, face, heads) -> int:
@@ -100,15 +73,11 @@ def flat_signing(g: PlanarMultigraph) -> SignedGraph:
     """A flat edge signing, found by pairing off non-flat faces along dual paths."""
     if g.n_vertices % 2:
         raise ValueError("flat signing needs an even number of vertices")
-    if two_coloring(g) is None:
-        raise ValueError("flat signing requires a bipartite graph")
+    if g.bipartition is None:
+        raise ValueError("flat signing requires a graph flagged bipartite")
     faces = g.assert_valid_embedding()
     signs = {e.eid: 1 for e in g.edges}
     face_of_dart = _face_of_dart(g, faces)
-
-    def face_state(fi):
-        return _face_signing_flat(faces[fi], signs)
-
     # dual adjacency through edges with two distinct incident faces
     dual: List[List[Tuple[int, int]]] = [[] for _ in faces]
     for e in g.edges:
@@ -117,7 +86,7 @@ def flat_signing(g: PlanarMultigraph) -> SignedGraph:
             dual[f0].append((f1, e.eid))
             dual[f1].append((f0, e.eid))
 
-    bad = {fi for fi in range(len(faces)) if not face_state(fi)[2]}
+    bad = {fi for fi, f in enumerate(faces) if not _flat_face(f, signs)}
     guard = 0
     while bad:
         guard += 1
@@ -154,7 +123,7 @@ def flat_signing(g: PlanarMultigraph) -> SignedGraph:
             fj, eid = prev[fi]
             signs[eid] = -signs[eid]
             for fk in (fi, fj):
-                if face_state(fk)[2]:
+                if _flat_face(faces[fk], signs):
                     bad.discard(fk)
                 else:
                     bad.add(fk)
@@ -162,74 +131,71 @@ def flat_signing(g: PlanarMultigraph) -> SignedGraph:
     return SignedGraph(g, signs)
 
 
-def check_flat_signing(sg: SignedGraph) -> FlatReport:
+def nonflat_faces(sg: SignedGraph) -> List[int]:
+    """The indices of the faces the signing leaves non-flat."""
     faces = sg.graph.assert_valid_embedding()
-    reports = []
-    for f in faces:
-        sides, neg, ok = _face_signing_flat(f, sg.signs)
-        reports.append(FaceReport(sides, neg, ok))
-    return FlatReport(tuple(reports), all(r.flat for r in reports))
+    return [fi for fi, f in enumerate(faces) if not _flat_face(f, sg.signs)]
 
 
 def flat_orientation(g: PlanarMultigraph) -> OrientedGraph:
-    """A Pfaffian orientation: spanning tree free, co-tree edges fixed by faces."""
+    """A Pfaffian orientation: spanning forest free, co-tree edges fixed by faces."""
     if g.n_vertices % 2:
         raise ValueError("flat orientation needs an even number of vertices")
     faces = g.assert_valid_embedding()
-    heads = {e.eid: e.v for e in g.edges}  # start with the stored direction
-    face_of_dart = _face_of_dart(g, faces)
-
-    for comp in g.components():
-        comp_edges = [e for e in g.edges if e.u in comp]
-        if not comp_edges:
+    tails, rotation = g.tails, g.rotation
+    # primal spanning forest: a queue BFS from each component's least vertex
+    seen = [False] * g.n_vertices
+    in_tree = [False] * (len(tails) >> 1)
+    trees = 0  # components with an edge, each with one dual tree to come
+    for root in g.vertices:
+        if seen[root]:
             continue
-        # primal spanning tree (BFS)
-        root = min(comp)
-        seen = {root}
-        tree: set = set()
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for e in g.edges_at(v):
-                    w = g.other_end(e, v)
-                    if w not in seen:
-                        seen.add(w)
-                        tree.add(e.eid)
-                        nxt.append(w)
-            frontier = nxt
-        cotree = [e for e in comp_edges if e.eid not in tree]
-        # dual tree on the component's faces through co-tree edges
-        comp_faces = sorted(
-            {face_of_dart[2 * e.eid] for e in comp_edges}
-            | {face_of_dart[2 * e.eid + 1] for e in comp_edges}
-        )
-        dual: Dict[int, List[Tuple[int, int]]] = {fi: [] for fi in comp_faces}
-        for e in cotree:
-            f0, f1 = face_of_dart[2 * e.eid], face_of_dart[2 * e.eid + 1]
-            if f0 == f1:
-                raise EmbeddingError("co-tree edge with a single incident face")
-            dual[f0].append((f1, e.eid))
-            dual[f1].append((f0, e.eid))
-        root_face = comp_faces[0]
-        order = [root_face]
-        parent_edge: Dict[int, Optional[int]] = {root_face: None}
-        qi = 0
-        while qi < len(order):
-            fi = order[qi]
-            qi += 1
+        seen[root] = True
+        trees += bool(rotation[root])
+        queue = [root]
+        for v in queue:  # grows while it is walked
+            for d in rotation[v]:
+                w = tails[d ^ 1]
+                if not seen[w]:
+                    seen[w] = True
+                    in_tree[d >> 1] = True
+                    queue.append(w)
+    # dual forest through the co-tree edges
+    face_of_dart = _face_of_dart(g, faces)
+    dual: List[List[Tuple[int, int]]] = [[] for _ in faces]
+    for e in g.edges:
+        if in_tree[e.eid]:
+            continue
+        f0, f1 = face_of_dart[2 * e.eid], face_of_dart[2 * e.eid + 1]
+        if f0 == f1:
+            raise EmbeddingError("co-tree edge with a single incident face")
+        dual[f0].append((f1, e.eid))
+        dual[f1].append((f0, e.eid))
+    parent_edge: List[Optional[int]] = [None] * len(faces)
+    reached = [False] * len(faces)
+    order = []  # each dual tree in BFS order from its root
+    for root in range(len(faces)):  # the least face of a new component
+        if reached[root]:
+            continue
+        trees -= 1
+        reached[root] = True
+        queue = [root]
+        for fi in queue:
             for fj, eid in dual[fi]:
-                if fj not in parent_edge:
+                if not reached[fj]:
+                    reached[fj] = True
                     parent_edge[fj] = eid
-                    order.append(fj)
-        if len(order) != len(comp_faces):
-            raise EmbeddingError("dual co-tree does not span the faces")
+                    queue.append(fj)
+        order += queue
+    if trees:
+        raise EmbeddingError("dual co-tree does not span the faces")
 
-        for fi in reversed(order[1:]):  # leaves towards the root face
-            if _against(g, faces[fi], heads) % 2 == 0:
-                eid = parent_edge[fi]
-                e = g.edge_by_id[eid]
-                heads[eid] = e.u if heads[eid] == e.v else e.v
+    heads = {e.eid: e.v for e in g.edges}  # start with the stored direction
+    for fi in reversed(order):  # leaves towards the root faces
+        eid = parent_edge[fi]
+        if eid is not None and _against(g, faces[fi], heads) % 2 == 0:
+            e = g.edge_by_id[eid]
+            heads[eid] = e.u if heads[eid] == e.v else e.v
     return OrientedGraph(g, heads)
 
 
@@ -243,10 +209,9 @@ def bipartite_matrix(sg: SignedGraph) -> Optional[ExactMatrix]:
     (unequal color classes make the matrix non-square).  The rows are the
     color class holding vertex 0, the columns the other, both in id order."""
     g = sg.graph
-    coloring = two_coloring(g)
-    if coloring is None:
-        raise ValueError("bipartite matrix of a non-bipartite graph")
-    blk, wht = coloring
+    if g.bipartition is None:
+        raise ValueError("bipartite matrix of a graph not flagged bipartite")
+    blk, wht = g.bipartition
     if 0 in wht:
         blk, wht = wht, blk
     if len(blk) != len(wht):
@@ -281,7 +246,7 @@ def _certified_coeff_bound(sg: SignedGraph, m: ExactMatrix) -> Optional[int]:
     (Kasteleyn), so det m(q) = +-sum_M w(M) has nonnegative coefficients
     summing to N.  Both facts are checked here, on this signing; None when
     either fails.  N comes from the integer route on m at q = 1."""
-    if not check_flat_signing(sg).flat:
+    if nonflat_faces(sg):
         return None
     for e in sg.graph.edges:
         cs = e.weight.coeffs if isinstance(e.weight, QPoly) else (e.weight,)
@@ -294,8 +259,9 @@ def _certified_coeff_bound(sg: SignedGraph, m: ExactMatrix) -> Optional[int]:
 def weighted_matching_sum(g: PlanarMultigraph):
     """Total weight of perfect matchings via flat signing/orientation.
 
-    Bipartite-flagged graphs go through the determinant; everything else
-    through the Pfaffian.  Connected components multiply.
+    Zero when a component has an odd number of vertices.  Otherwise a graph
+    its builder flagged bipartite goes through one determinant, everything
+    else through one Pfaffian, each of the whole graph.
 
     Over Z[q] the determinant's CRT stops at the coefficient bound
     |det K(1)| that ``_certified_coeff_bound`` proves from the signing's
@@ -304,23 +270,13 @@ def weighted_matching_sum(g: PlanarMultigraph):
     The Pfaffian branch always takes the kernel's own bound.
     """
     poly = _is_poly(g)
-    total = QPoly.const(1) if poly else 1
-    comps = g.components()
-    for comp in comps:
-        if len(comp) % 2:
-            return QPoly() if poly else 0
-        sub = g if len(comps) == 1 else g.subgraph(comp)
-        if sub.n_edges == 0:
-            return QPoly() if poly else 0
-        if g.bipartition is not None:
-            sg = flat_signing(sub)
-            m = bipartite_matrix(sg)
-            if m is None:
-                return QPoly() if poly else 0
-            # N = 0 stops det before any Z[q] elimination
-            total = total * det(m, _certified_coeff_bound(sg, m) if poly else None)
-        else:
-            total = total * pfaffian_abs(skew_matrix(flat_orientation(sub)))
-    if isinstance(total, QPoly):
-        total = total.sign_normalized()
-    return total
+    if any(len(comp) % 2 for comp in g.components()):
+        return QPoly() if poly else 0
+    if g.bipartition is None:
+        return pfaffian_abs(skew_matrix(flat_orientation(g)))
+    sg = flat_signing(g)
+    m = bipartite_matrix(sg)
+    if m is None:
+        return QPoly() if poly else 0
+    # N = 0 stops det before any Z[q] elimination
+    return det(m, _certified_coeff_bound(sg, m) if poly else None)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .hexgrid import (
     Dart,
@@ -115,24 +115,26 @@ CLASSES: Dict[int, SymmetryClass] = {
 
 
 @functools.lru_cache(maxsize=None)
-def _closure(gens: Tuple[SymmetryElement, ...]) -> Tuple[SymmetryElement, ...]:
-    elems = {IDENTITY}
-    frontier = [IDENTITY]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for gen in gens:
-                h = compose(gen, g)
-                if h not in elems:
-                    elems.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return tuple(sorted(elems))
+def _walk(gens: Tuple[SymmetryElement, ...]) -> Dict[SymmetryElement, Optional[tuple]]:
+    """The subgroup generated by gens, walked breadth first from the
+    identity: each element g maps to (gen, h), the generator and the element
+    found before it with g = gen*h, and the identity to None.  The dict is
+    in the order of the walk, so h always comes before g.  It is shared
+    between calls; callers must not modify it."""
+    walk: Dict[SymmetryElement, Optional[tuple]] = {IDENTITY: None}
+    queue = [IDENTITY]
+    for h in queue:  # grows while it is walked
+        for gen in gens:
+            g = compose(gen, h)
+            if g not in walk:
+                walk[g] = (gen, h)
+                queue.append(g)
+    return walk
 
 
 def group_elements(cls: SymmetryClass) -> Tuple[SymmetryElement, ...]:
     """The subgroup generated by the class generators, sorted."""
-    return _closure(tuple(cls.generators))
+    return tuple(sorted(_walk(tuple(cls.generators))))
 
 
 def _image_fn(g: SymmetryElement, bounds):
@@ -176,17 +178,13 @@ def _act_region(cls: SymmetryClass, region: HexRegion) -> Dict[SymmetryElement, 
             if s is None:
                 raise EmbeddingError(f"symmetry image of {t} left the region")
             out.append(s)
-    act = {IDENTITY: list(range(len(tri)))}
-    frontier = [IDENTITY]
-    while frontier:  # the breadth-first walk of _closure
-        nxt = []
-        for h in frontier:
-            for gen, m in gen_maps.items():
-                g = compose(gen, h)  # h first, then gen
-                if g not in act:
-                    act[g] = list(map(m.__getitem__, act[h]))
-                    nxt.append(g)
-        frontier = nxt
+    act = {}
+    for g, step in _walk(tuple(cls.generators)).items():
+        if step is None:
+            act[g] = list(range(len(tri)))
+        else:  # g = gen*h: h first, then gen
+            gen, h = step
+            act[g] = list(map(gen_maps[gen].__getitem__, act[h]))
     return {g: act[g] for g in group_elements(cls)}
 
 
@@ -195,21 +193,14 @@ def _act_region(cls: SymmetryClass, region: HexRegion) -> Dict[SymmetryElement, 
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
 def _word(g: SymmetryElement) -> Tuple[SymmetryElement, ...]:
     """Shortest decomposition of g into the three generators (leftmost last)."""
-    words = {IDENTITY: ()}
-    frontier = [IDENTITY]
-    while g not in words and frontier:
-        nxt = []
-        for e in frontier:
-            for gen in (TAU, RHO, KAPPA):
-                f = compose(gen, e)
-                if f not in words:
-                    words[f] = (gen,) + words[e]
-                    nxt.append(f)
-        frontier = nxt
-    return words[g]
+    walk = _walk((TAU, RHO, KAPPA))
+    word: Tuple[SymmetryElement, ...] = ()
+    while walk[g] is not None:
+        gen, g = walk[g]
+        word += (gen,)
+    return word
 
 
 class _RowImages(dict):

@@ -18,8 +18,6 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 from ppcount.exactalg import ExactMatrix, QPoly, Scalar
 from ppcount.hexgrid import HexRegion, PlanarMultigraph, RegionError, Triangle, build_graph
 from ppcount.kasteleyn import (
-    FaceReport,
-    FlatReport,
     OrientedGraph,
     SignedGraph,
     _against,
@@ -158,24 +156,21 @@ def is_plane_partition(heights, box) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def check_flat_orientation(og: OrientedGraph) -> FlatReport:
+def check_flat_orientation(og: OrientedGraph) -> bool:
+    """Whether every face but at most one per component has an odd number
+    of edges directed against its tracing sense."""
     g = og.graph
     faces = g.assert_valid_embedding()
     comp_of = [0] * g.n_vertices
     for ci, comp in enumerate(g.components()):
         for v in comp:
             comp_of[v] = ci
-    reports = []
     evens_per_comp: Dict[int, int] = {}
     for f in faces:
-        n = _against(g, f, og.heads)
-        ok = n % 2 == 1
-        reports.append(FaceReport(len(f), n, ok))
-        if not ok:
+        if _against(g, f, og.heads) % 2 == 0:
             ci = comp_of[g.dart_tail(f[0])]
             evens_per_comp[ci] = evens_per_comp.get(ci, 0) + 1
-    flat = all(k <= 1 for k in evens_per_comp.values())
-    return FlatReport(tuple(reports), flat)
+    return all(k <= 1 for k in evens_per_comp.values())
 
 
 def unsigned_bipartite_matrix(g: PlanarMultigraph) -> Optional[ExactMatrix]:

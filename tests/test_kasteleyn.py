@@ -15,17 +15,18 @@ from reference import (
 from ppcount import exactalg, kasteleyn
 from ppcount.exactalg import ExactMatrix, det, pfaffian_abs
 from ppcount.formulas import q_box_product
-from ppcount.hexgrid import Edge, PlanarMultigraph, build_graph, build_hexagon, q_weight_graph
+from ppcount.hexgrid import Edge, EmbeddingError, PlanarMultigraph, build_graph, build_hexagon, q_weight_graph
 from ppcount.kasteleyn import (
     FlatnessError,
-    FlatReport,
+    OrientedGraph,
     SignedGraph,
+    _against,
+    _face_of_dart,
     bipartite_matrix,
-    check_flat_signing,
     flat_orientation,
     flat_signing,
+    nonflat_faces,
     skew_matrix,
-    two_coloring,
     weighted_matching_sum,
 )
 from ppcount.symmetry import CLASSES, quotient_graph
@@ -44,21 +45,19 @@ def cycle_graph(k, bipartite=True):
 
 def test_all_positive_six_cycle_is_flat():
     g = cycle_graph(6)
-    report = check_flat_signing(SignedGraph(g, {e.eid: 1 for e in g.edges}))
-    assert report.flat
+    assert nonflat_faces(SignedGraph(g, {e.eid: 1 for e in g.edges})) == []
 
 
 def test_all_positive_four_cycle_is_not_flat():
     g = cycle_graph(4)
-    report = check_flat_signing(SignedGraph(g, {e.eid: 1 for e in g.edges}))
-    assert not report.flat
-    assert sum(1 for f in report.faces if not f.flat) == 2  # both sides of the square
+    # both sides of the square
+    assert len(nonflat_faces(SignedGraph(g, {e.eid: 1 for e in g.edges}))) == 2
 
 
 def test_flat_signing_four_cycle_flips_an_odd_number():
     g = cycle_graph(4)
     sg = flat_signing(g)
-    assert check_flat_signing(sg).flat
+    assert not nonflat_faces(sg)
     assert sum(1 for s in sg.signs.values() if s < 0) in (1, 3)
 
 
@@ -67,13 +66,13 @@ def test_flat_signing_z_graph_keeps_all_positive():
     g = build_graph(build_hexagon(2, 2, 2))
     sg = flat_signing(g)
     assert all(s == 1 for s in sg.signs.values())
-    assert check_flat_signing(sg).flat
+    assert not nonflat_faces(sg)
 
 
 def test_flat_signing_quotient_with_doubled_edge():
     q = quotient_graph(build_hexagon(2, 2, 2), CLASSES[3])
     sg = flat_signing(q)
-    assert check_flat_signing(sg).flat
+    assert not nonflat_faces(sg)
     m = bipartite_matrix(sg)
     assert det(m) == 5
 
@@ -81,8 +80,7 @@ def test_flat_signing_quotient_with_doubled_edge():
 def test_nonflat_face_count_is_even_on_random_bipartite(rng):
     for _ in range(25):
         g = random_planar_bipartite(rng)
-        report = check_flat_signing(SignedGraph(g, {e.eid: 1 for e in g.edges}))
-        assert sum(1 for f in report.faces if not f.flat) % 2 == 0
+        assert len(nonflat_faces(SignedGraph(g, {e.eid: 1 for e in g.edges}))) % 2 == 0
 
 
 def test_det_equals_matching_count_z_graphs():
@@ -112,13 +110,11 @@ def test_single_edge_orientation():
 def test_six_cycle_orientation():
     g = cycle_graph(6, bipartite=False)
     og = flat_orientation(g)
-    assert check_flat_orientation(og).flat
+    assert check_flat_orientation(og)
     assert pfaffian_abs(skew_matrix(og)) == 2
 
 
 def test_odd_path_has_no_matchings():
-    from ppcount.kasteleyn import OrientedGraph
-
     g = grid_graph(1, 3, flag_bipartite=False)
     og = OrientedGraph(g, {e.eid: e.v for e in g.edges})
     assert pfaffian_abs(skew_matrix(og)) == 0  # odd size: zero matchings
@@ -139,7 +135,7 @@ def test_wheel_orientations_count_matchings():
     for k in [3, 5, 7]:  # odd wheels are non-bipartite with even vertex count
         g = wheel_graph(k)
         og = flat_orientation(g)
-        assert check_flat_orientation(og).flat
+        assert check_flat_orientation(og)
         assert pfaffian_abs(skew_matrix(og)) == count_perfect_matchings(g)
 
 
@@ -149,7 +145,7 @@ def test_pfaffian_counts_on_random_planar(rng):
         if g.n_vertices % 2:
             continue
         og = flat_orientation(g)
-        assert check_flat_orientation(og).flat
+        assert check_flat_orientation(og)
         assert pfaffian_abs(skew_matrix(og)) == count_perfect_matchings(g)
 
 
@@ -162,7 +158,7 @@ def test_hafnian_equals_matching_count(rng):
 def test_class5_quotient_pfaffian():
     q = quotient_graph(build_hexagon(2, 2, 2), CLASSES[5])
     og = flat_orientation(q)
-    assert check_flat_orientation(og).flat
+    assert check_flat_orientation(og)
     assert pfaffian_abs(skew_matrix(og)) == 4
 
 
@@ -209,10 +205,10 @@ def test_bridged_graph_counts():
     g = graph_from_points(points, pairs, bipartition=(blk, frozenset(set(points) - blk)))
     assert count_perfect_matchings(g) == 4
     sg = flat_signing(g)
-    assert check_flat_signing(sg).flat
+    assert not nonflat_faces(sg)
     assert det(bipartite_matrix(sg)) == 4
     og = flat_orientation(g)
-    assert check_flat_orientation(og).flat
+    assert check_flat_orientation(og)
     assert pfaffian_abs(skew_matrix(og)) == 4
 
 
@@ -223,16 +219,27 @@ def test_flat_signing_rejects_bad_inputs():
         flat_signing(grid_graph(1, 3, flag_bipartite=False))  # odd vertex count
 
 
-@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 1), (3, 3, 1)])
-def test_flat_signing_odd_component_is_a_value_error(dims):
-    # an even vertex count in all, but two odd components (1 and 3 vertices
-    # at 1x1x1): the one with edges has an odd number of non-flat faces,
-    # which cannot all be paired off
-    q = quotient_graph(build_hexagon(*dims), CLASSES[7])
-    assert q.n_vertices % 2 == 0
-    assert sorted(len(c) % 2 for c in q.components()) == [1, 1]
+def test_flat_signing_odd_component_is_a_value_error():
+    # six vertices in all, but two paths of three: each path has one face,
+    # of four sides and with no negative edge, so each is non-flat, and no
+    # dual path joins them to pair them off
+    g = grid_graph(2, 3, dropped=frozenset(((0, c), (1, c)) for c in range(3)))
+    assert g.bipartition is not None
+    assert sorted(len(c) for c in g.components()) == [3, 3]
     with pytest.raises(ValueError, match="odd number of vertices"):
+        flat_signing(g)
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 1), (3, 3, 1)])
+def test_unflagged_graphs_have_no_signing_or_bipartite_matrix(dims):
+    # class 7 quotients carry no bipartition; the builder's flag, not a
+    # second colouring, decides whether a graph has a bipartite matrix
+    q = quotient_graph(build_hexagon(*dims), CLASSES[7])
+    assert q.n_vertices % 2 == 0 and q.bipartition is None
+    with pytest.raises(ValueError, match="flagged bipartite"):
         flat_signing(q)
+    with pytest.raises(ValueError, match="flagged bipartite"):
+        bipartite_matrix(SignedGraph(q, {e.eid: 1 for e in q.edges}))
 
 
 def test_unequal_classes_signal_no_matchings():
@@ -248,8 +255,8 @@ def reference_flat_signing(g):
     O(faces^2).  Kept as the reference."""
     if g.n_vertices % 2:
         raise ValueError("flat signing needs an even number of vertices")
-    if two_coloring(g) is None:
-        raise ValueError("flat signing requires a bipartite graph")
+    if g.bipartition is None:
+        raise ValueError("flat signing requires a graph flagged bipartite")
     faces = g.assert_valid_embedding()
     signs = {e.eid: 1 for e in g.edges}
     face_of_dart = {d: fi for fi, f in enumerate(faces) for d in f}
@@ -331,12 +338,144 @@ def test_flat_signing_matches_reference_on_quotients(small_quotients):
         _assert_signing_matches_reference(q)
 
 
+def reference_flat_orientation(g):
+    """The flat orientation before it took the whole graph: one spanning
+    tree and one dual tree per component.  Kept as the reference."""
+    if g.n_vertices % 2:
+        raise ValueError("flat orientation needs an even number of vertices")
+    faces = g.assert_valid_embedding()
+    heads = {e.eid: e.v for e in g.edges}  # start with the stored direction
+    face_of_dart = _face_of_dart(g, faces)
+
+    for comp in g.components():
+        comp_edges = [e for e in g.edges if e.u in comp]
+        if not comp_edges:
+            continue
+        # primal spanning tree (BFS)
+        root = min(comp)
+        seen = {root}
+        tree: set = set()
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for e in g.edges_at(v):
+                    w = g.other_end(e, v)
+                    if w not in seen:
+                        seen.add(w)
+                        tree.add(e.eid)
+                        nxt.append(w)
+            frontier = nxt
+        cotree = [e for e in comp_edges if e.eid not in tree]
+        # dual tree on the component's faces through co-tree edges
+        comp_faces = sorted(
+            {face_of_dart[2 * e.eid] for e in comp_edges}
+            | {face_of_dart[2 * e.eid + 1] for e in comp_edges}
+        )
+        dual = {fi: [] for fi in comp_faces}
+        for e in cotree:
+            f0, f1 = face_of_dart[2 * e.eid], face_of_dart[2 * e.eid + 1]
+            if f0 == f1:
+                raise EmbeddingError("co-tree edge with a single incident face")
+            dual[f0].append((f1, e.eid))
+            dual[f1].append((f0, e.eid))
+        root_face = comp_faces[0]
+        order = [root_face]
+        parent_edge = {root_face: None}
+        qi = 0
+        while qi < len(order):
+            fi = order[qi]
+            qi += 1
+            for fj, eid in dual[fi]:
+                if fj not in parent_edge:
+                    parent_edge[fj] = eid
+                    order.append(fj)
+        if len(order) != len(comp_faces):
+            raise EmbeddingError("dual co-tree does not span the faces")
+
+        for fi in reversed(order[1:]):  # leaves towards the root face
+            if _against(g, faces[fi], heads) % 2 == 0:
+                eid = parent_edge[fi]
+                e = g.edge_by_id[eid]
+                heads[eid] = e.u if heads[eid] == e.v else e.v
+    return heads
+
+
+def two_grids(shape_a, shape_b, flag_bipartite=True):
+    """The disjoint union of two grid graphs, side by side; the first
+    grid's vertices come first."""
+    points, pairs = {}, []
+    offset = 0
+    for k, (rows, cols) in enumerate((shape_a, shape_b)):
+        for r in range(rows):
+            for c in range(cols):
+                points[(k, r, c)] = (offset + c, -r)
+                if c + 1 < cols:
+                    pairs.append(((k, r, c), (k, r, c + 1)))
+                if r + 1 < rows:
+                    pairs.append(((k, r, c), (k, r + 1, c)))
+        offset += cols + 1
+    bip = None
+    if flag_bipartite:
+        blk = frozenset(p for p in points if (p[1] + p[2]) % 2 == 0)
+        bip = (blk, frozenset(points) - blk)
+    return graph_from_points(points, pairs, bipartition=bip)
+
+
+def _assert_orientation_matches_reference(g):
+    try:
+        want = reference_flat_orientation(g)
+    except (ValueError, EmbeddingError) as exc:
+        with pytest.raises(type(exc)):
+            flat_orientation(g)
+        return
+    og = flat_orientation(g)
+    assert og.heads == want
+    assert check_flat_orientation(og)
+
+
+def test_flat_orientation_matches_reference_on_quotients(small_quotients):
+    several = 0
+    for _, _, q in small_quotients:
+        _assert_orientation_matches_reference(q)
+        several += q.n_vertices % 2 == 0 and len(q.components()) > 1
+    assert several > 0  # the whole-graph forests meet several components
+
+
+def test_flat_orientation_matches_reference_on_small_graphs(rng):
+    graphs = [build_graph(build_hexagon(*dims)) for dims in [(1, 1, 1), (2, 3, 4), (3, 3, 3), (6, 6, 6)]]
+    graphs += [random_planar_graph(rng) for _ in range(25)]
+    graphs += [random_planar_bipartite(rng) for _ in range(10)]
+    graphs += [wheel_graph(k) for k in (3, 5, 7)]
+    graphs += [two_grids((2, 3), (3, 4)), two_grids((1, 2), (2, 2), flag_bipartite=False)]
+    for g in graphs:
+        _assert_orientation_matches_reference(g)
+
+
+@pytest.mark.parametrize("flag_bipartite", [True, False])
+def test_disjoint_grids_count_as_the_product(flag_bipartite):
+    # one determinant (flagged) or one Pfaffian (unflagged) of the whole
+    # graph multiplies the components' counts
+    g = two_grids((2, 3), (3, 4), flag_bipartite)
+    assert len(g.components()) == 2
+    want = count_perfect_matchings(grid_graph(2, 3)) * count_perfect_matchings(grid_graph(3, 4))
+    assert want == 3 * 11
+    assert weighted_matching_sum(g) == want == count_perfect_matchings(g)
+
+
+def test_odd_component_counts_zero():
+    # an even vertex count in all, split 3 + 3
+    g = two_grids((1, 3), (3, 1))
+    assert g.n_vertices % 2 == 0
+    assert weighted_matching_sum(g) == 0
+
+
 def _builder_matrices(g):
     """The matrices the three builders make of g, where they apply."""
     out = [symmetric_matrix(g)]
     if g.n_vertices % 2 == 0:
         out.append(skew_matrix(flat_orientation(g)))
-    if two_coloring(g) is not None:
+    if g.bipartition is not None:
         out.append(unsigned_bipartite_matrix(g))
     return [m for m in out if m is not None]
 
@@ -361,7 +500,7 @@ def test_flat_orientation_is_flat_on_quotients_and_z_graphs(small_quotients):
     # 6 x 6 x 6 has coordinates up to 11, where label order and id order differ
     graphs += [build_graph(build_hexagon(*dims)) for dims in [(1, 1, 1), (2, 3, 4), (6, 6, 6)]]
     for g in graphs:
-        assert check_flat_orientation(flat_orientation(g)).flat
+        assert check_flat_orientation(flat_orientation(g))
 
 
 def _q_primes(g, monkeypatch):
@@ -388,7 +527,7 @@ def test_certified_bound_takes_fewer_primes(n, count, monkeypatch):
 
 
 def test_unflat_signing_falls_back_to_goldstein_graham(monkeypatch):
-    monkeypatch.setattr(kasteleyn, "check_flat_signing", lambda sg: FlatReport((), False))
+    monkeypatch.setattr(kasteleyn, "nonflat_faces", lambda sg: [0])
     d, primes = _q_primes(q_weight_graph(build_hexagon(5, 5, 5)), monkeypatch)
     assert d == q_box_product(5, 5, 5)
     assert len(primes) == 2
