@@ -185,7 +185,7 @@ def _act_region(cls: SymmetryClass, region: HexRegion) -> Dict[SymmetryElement, 
         else:  # g = gen*h: h first, then gen
             gen, h = step
             act[g] = list(map(gen_maps[gen].__getitem__, act[h]))
-    return {g: act[g] for g in group_elements(cls)}
+    return {g: act[g] for g in sorted(act)}
 
 
 # ---------------------------------------------------------------------------

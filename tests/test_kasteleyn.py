@@ -463,13 +463,6 @@ def test_disjoint_grids_count_as_the_product(flag_bipartite):
     assert weighted_matching_sum(g) == want == count_perfect_matchings(g)
 
 
-def test_odd_component_counts_zero():
-    # an even vertex count in all, split 3 + 3
-    g = two_grids((1, 3), (3, 1))
-    assert g.n_vertices % 2 == 0
-    assert weighted_matching_sum(g) == 0
-
-
 def _builder_matrices(g):
     """The matrices the three builders make of g, where they apply."""
     out = [symmetric_matrix(g)]
