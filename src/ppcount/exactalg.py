@@ -9,21 +9,21 @@ view of it.
 Determinants and Pfaffians share one elimination kernel.  ``pfaffian_abs``
 runs it on the skew matrix itself; ``det`` runs it on the skew block
 ``[[0, M], [-M^T, 0]]``, whose Pfaffian is +-det M.  The kernel eliminates
-the sparse skew matrix over F_p, pivoting on 2x2 blocks (a vertex of
-minimum degree and its neighbour of minimum degree with a nonzero entry),
-and returns the signed Pfaffian mod p.  Arithmetic in F_p is exact, so a
-pivot that vanishes mod p only changes which pivot is taken: every prime
-gives the true residue, and none is "unlucky".  The primes lie below 2^30,
-so every residue, inverse and multiplier is one 30-bit digit of a CPython
-int, which takes the interpreter's single-digit fast paths; with primes
-just below 2^31 each residue had two digits and missed them.
+the sparse skew matrix mod m, a prime or a product of distinct primes,
+pivoting on 2x2 blocks (a vertex of minimum degree and its neighbour of
+minimum degree with a nonzero entry), and returns the signed Pfaffian mod m.
+Arithmetic in F_p is exact, so a pivot that vanishes mod p only changes
+which pivot is taken: every prime gives the true residue, and none is
+"unlucky".  The primes lie below 2^30, so mod one prime every residue,
+inverse and multiplier is one 30-bit digit of a CPython int, which takes
+the interpreter's single-digit fast paths.
 
-Results over Z are rebuilt by the Chinese remainder theorem with symmetric
-residues.  The number of primes is fixed in advance by a proven bound B on
-the result's magnitude: the CRT stops once the modulus exceeds 2B, and never
-because the residues look stable.  Then the result is the unique integer of
-magnitude below half the modulus with the computed residues, so it is exact.
-The bounds, for an n x n matrix with entries a_ij:
+The number of primes is fixed in advance by a proven bound B on the
+magnitude of the result (of each coefficient over Z[q]): their product, the
+modulus, is the first to exceed 2B, and is never chosen because residues
+look stable.  Then the result is the unique integer of magnitude below half
+the modulus with the computed residue, the symmetric residue, so it is
+exact.  The bounds, for an n x n matrix with entries a_ij:
 
 * det over Z: Hadamard, |det M| <= prod_i ||row_i||_2, compared through
   squares in integers (modulus^2 > 4 prod_i sum_j a_ij^2).
@@ -45,6 +45,15 @@ The bounds, for an n x n matrix with entries a_ij:
   uses, and gets N from the integer route at q = 1.  On the q boxes N has
   about half the bits of Goldstein-Graham's bound (73 against 145 at
   8x8x8), so the CRT takes about half the primes.
+
+Over Z the kernel eliminates once, modulo the product m of the primes:
+Z/m is the product of the fields F_p, a pivot that is a unit mod m is a
+unit mod every p, and an entry that is 0 mod m is 0 mod every p, so the one
+pass is the elimination over every F_p at once.  Only a pivot that is
+nonzero mod m but 0 mod some of the primes has no inverse; ``pow`` raises
+for it, and the call falls back to one elimination per prime, where every
+nonzero is a unit, rebuilt by the Chinese remainder theorem.  Over Z[q] the
+primes always go one at a time, with the same rebuild.
 
 Over Z[q] the result is found mod p by evaluation and interpolation across
 a proven degree window [L, U], by bipartite assignment duality on the
@@ -71,10 +80,9 @@ this.
 The kernel stores one value slot per unordered pair {i, j} of the support,
 A[i][j] for i < j: the Schur complement of a skew matrix is skew, so
 A[j][i] = -A[i][j] needs no copy, and a pivot's update is one loop over the
-pairs it touches.  A result needs several evaluations when the CRT bound
-asks for several primes, and over Z[q] at every point of the degree window
-too.  Their matrices share one support, so the elimination splits in two
-phases:
+pairs it touches.  A Z[q] result needs one evaluation at every point of
+the degree window, for each prime.  Their matrices share one support, so
+the elimination splits in two phases:
 
 * Symbolic, once per call: the first evaluation picks the pivots and
   records each pivot's update as flat int lists (pivot slot, source slots,
@@ -88,21 +96,19 @@ phases:
   is 0 mod p in that evaluation sends it to a fresh elimination of its own,
   so every residue stays exact.
 
-Over Z[q] the later points of a prime are replayed a block of ``_BLOCK``
-points at a time (``_replay_block``): each slot holds a list of values, one
-per point, each recorded op is one list comprehension across the block, and
-a pivot's inverses come from one modular inversion (Montgomery's batch
+The later points are replayed a block of ``_BLOCK`` points of one prime at
+a time (``_replay_block``): each slot holds a list of values, one per
+point, each recorded op is one list comprehension across the block, and a
+pivot's inverses come from one modular inversion (Montgomery's batch
 inversion) instead of one per point.  A point whose planned pivot is 0 mod
 p takes 1 in that batch, so the other points stay right, and is then
-eliminated afresh on its own.  The integer route replays one evaluation at
-a time (``_replay``): its evaluations each use a different prime, so there
-is no common modulus to batch over, and a block of one ran slower than the
-scalar loop.  Both replays read the same recorded program.
+eliminated afresh on its own.
 
 The number of primes is fixed in advance by the bound, and the number of
 points by the window, so a call knows how many evaluations it makes.  A
-call that makes only one (an integer result small enough for one prime)
-records nothing, since there would be nothing to replay.
+Z[q] call that makes only one (one prime, and a window of one point)
+records nothing, since there would be nothing to replay; the integer route
+never records.
 
 Rows and columns stand for unordered vertex sets (the matrix builders order
 them by vertex id only to be deterministic), so only the absolute determinant /
@@ -171,7 +177,9 @@ class QPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals its int (zero equals 0), so it hashes like it
+        cs = self.coeffs
+        return hash(cs) if len(cs) > 1 else hash(cs[0] if cs else 0)
 
     def __neg__(self):
         return QPoly(-c for c in self.coeffs)
@@ -376,8 +384,8 @@ def _prime(k: int) -> int:
 
 # Points per block replay; memory is O(slots x _BLOCK) for any window.  On the
 # q-volume benchmark (10 s runs, 2-vCPU Xeon VM) widths 16 / 24 / 32 / 48 / 64
-# took 0.077 / 0.075 / 0.069 / 0.066 / 0.063 reference s against 0.134 for the
-# scalar replay, and peak RSS +0.3 / +0.4 / +0.4 / +0.6 / +0.7 MiB over it.
+# took 0.077 / 0.075 / 0.069 / 0.066 / 0.063 reference s against 0.134 for a
+# one-point replay, and peak RSS +0.3 / +0.4 / +0.4 / +0.6 / +0.7 MiB over it.
 _BLOCK = 32
 
 
@@ -394,11 +402,13 @@ def _pf_mod(n: int, pairs, vals, p: int, record: bool = False):
     replay at another prime or point finds every slot it may need; degrees
     count the support.  On a bipartite block this is sparse LU: fill stays
     between rows and columns.  The Pfaffian is the product of the pivots
-    times the sign of the permutation that lists them in order.
+    times the sign of the permutation that lists them in order.  p may be a
+    product of distinct primes; then a pivot that is nonzero but not a unit
+    mod p makes ``pow`` raise ValueError.
 
     Returns the Pfaffian and, when ``record`` is set, the program that
-    replays this elimination (``_replay``, ``_replay_block``); the program is None when a row
-    runs out of nonzeros, so that the Pfaffian is 0 mod p.
+    replays this elimination (``_replay_block``); the program is None when a
+    row runs out of nonzeros, so that the Pfaffian is 0 mod p.
     """
     adj = [{} for _ in range(n)]  # adj[i][j]: the slot of {i, j}
     for s, (i, j) in enumerate(pairs):
@@ -472,43 +482,17 @@ def _pf_mod(n: int, pairs, vals, p: int, record: bool = False):
     return (pf if even else p - pf), program
 
 
-def _replay(program, vals, p: int):
-    """The Pfaffian mod p that ``_pf_mod`` finds on the support it recorded
-    ``program`` on, for the values ``vals`` (one per pair, in order, reduced
-    mod p), by the recorded steps alone; None when a planned pivot is 0 mod
-    p, and the caller eliminates afresh.
+def _replay_block(program, vals, p: int):
+    """The Pfaffians mod p that ``_pf_mod`` finds on the support it recorded
+    ``program`` on, for a block of evaluations at once, by the recorded steps
+    alone: vals holds one list per pair, its values (reduced mod p) across the
+    block's lanes.  Returns one Pfaffian per lane, None where a planned pivot
+    is 0 mod p and the caller must eliminate afresh.
 
     A step (s, xs, dst, ci, src) is one pivot's update as ``_pf_mod`` ran it:
     with a = val[s] and c = [val[t] / a for t in xs] followed by their
-    negatives, val[dst[k]] += c[ci[k]] * val[src[k]] for every k.  Both
-    functions write this loop out: a function call per pivot costs more than
-    the update itself on many pivots, and slowed the replay by about 8%.
-    """
-    size, pivots, steps, even = program
-    val = vals + [0] * (size - len(vals))
-    for s, xs, dst, ci, src in steps:
-        a = val[s]
-        if not a:
-            return None
-        ainv = pow(a, -1, p)
-        c = [val[t] * ainv % p for t in xs]
-        c += [p - e for e in c]
-        for d, k, t in zip(dst, ci, src):
-            val[d] = (val[d] + c[k] * val[t]) % p
-    pf = 1
-    for s in pivots:  # a pivot's slot is final once its pair is eliminated
-        pf = pf * val[s] % p
-    if not pf:
-        return None
-    return pf if even else p - pf
-
-
-def _replay_block(program, vals, p: int):
-    """``_replay`` for a block of evaluations mod the same p at once: vals
-    holds one list per pair, its values across the block's lanes.  Returns
-    one Pfaffian per lane, None where the caller must eliminate afresh.
-
-    Each recorded op is one list comprehension across the lanes.  A pivot's
+    negatives, val[dst[k]] += c[ci[k]] * val[src[k]] for every k.  Each op is
+    one list comprehension across the lanes.  A pivot's
     inverses take one ``pow`` (Montgomery's batch inversion: prefix
     products, one inverse, then walk back), with 1 standing in for a lane
     whose pivot is 0 mod p.  That lane's values are then wrong, but its
@@ -653,11 +637,14 @@ def _pfaffian(n: int, triples, power: int, bound: int, poly: bool):
 
     The entries a are integers, or, when ``poly`` is set, tuples
     ((k, c_k), ...) of nonzero coefficients in increasing k.  Every
-    coefficient c of the result obeys |c|^power <= bound, so the CRT stops
-    once modulus^power exceeds 2^power * bound.  Over Z[q] the Pfaffian is
-    evaluated only across its degree window (``_degree_window``).  When more
-    than one evaluation (prime, or prime and point) is due, the first
-    records its elimination and the later ones replay it.
+    coefficient c of the result obeys |c|^power <= bound, so the primes stop
+    once their product, the modulus, has modulus^power > 2^power * bound.
+    Over Z one elimination modulo the product of the primes gives the
+    result, unless a pivot is 0 mod some primes only; then each prime is
+    eliminated on its own.  Over Z[q] the Pfaffian is evaluated only across
+    its degree window (``_degree_window``); when more than one evaluation
+    (prime and point) is due, the first records its elimination and the
+    later ones replay it.
     """
     if n == 0:
         return [1]
@@ -677,33 +664,28 @@ def _pfaffian(n: int, triples, power: int, bound: int, poly: bool):
         if points >= primes[-1]:  # x = 1..points must be nonzero and distinct mod every p
             raise ValueError(f"degree window of {points} leaves too few evaluation points")
     pairs = [(i, j) for i, j, _ in triples]
-    program = None
-    left = len(primes) * points  # evaluations not yet made
-
-    def pf_mod(vals, p):
-        nonlocal program, left
-        left -= 1
-        if program is None:
-            pf, program = _pf_mod(n, pairs, vals, p, record=left > 0)
-            return pf
-        pf = _replay(program, vals, p)
-        return _pf_mod(n, pairs, vals, p)[0] if pf is None else pf
-
     if not poly:
+        try:
+            pf, _ = _pf_mod(n, pairs, [a % modulus for _, _, a in triples], modulus)
+        except ValueError:  # a pivot that is 0 mod some of the primes only has no inverse
 
-        def residues_mod(p):
-            return [pf_mod([a % p for _, _, a in triples], p)]
+            def residues_mod(p):
+                return [_pf_mod(n, pairs, [a % p for _, _, a in triples], p)[0]]
 
+        else:
+            return [pf - modulus if 2 * pf > modulus else pf]
     else:
         polys = sorted({terms for _, _, terms in triples})
         index = {terms: k for k, terms in enumerate(polys)}
         keys = [index[terms] for _, _, terms in triples]
         top = max(terms[-1][0] for terms in polys)
+        program = None
 
         def residues_mod(p):
             # Pf(x) x^-low has degree <= high - low: interpolate it on x = 1..points,
             # evaluated one point at a time until a program is recorded, then a
             # block of points at a time
+            nonlocal program
             ys, start = [], 1
             while start <= points:
                 stop = start + 1 if program is None else min(start + _BLOCK, points + 1)
@@ -716,8 +698,10 @@ def _pfaffian(n: int, triples, power: int, bound: int, poly: bool):
                     pws.append(pw)
                 vals = [[sum(c * pw[t] for t, c in terms) % p for pw in pws] for terms in polys]
                 vals = [vals[k] for k in keys]
-                if program is None:
-                    pfs = [pf_mod([v[0] for v in vals], p)]
+                if program is None:  # record unless no evaluation follows
+                    last = p == primes[-1] and start == points
+                    pf, program = _pf_mod(n, pairs, [v[0] for v in vals], p, record=not last)
+                    pfs = [pf]
                 else:
                     pfs = _replay_block(program, vals, p)
                     for i, pf in enumerate(pfs):

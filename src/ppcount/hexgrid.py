@@ -52,7 +52,7 @@ class EmbeddingError(RuntimeError):
 class HexRegion:
     """The triangle set of H(a,b,c), with containment and adjacency queries."""
 
-    __slots__ = ("a", "b", "c", "bounds", "up_sum", "triangles", "ups", "downs")
+    __slots__ = ("a", "b", "c", "bounds", "up_sum", "triangles")
 
     def __init__(self, a: int, b: int, c: int):
         if a < 0 or b < 0 or c < 0:
@@ -60,18 +60,16 @@ class HexRegion:
         self.a, self.b, self.c = a, b, c
         self.bounds = (b + c - 1, a + c - 1, a + b - 1)
         self.up_sum = a + b + c - 1
-        ups, downs = [], []
+        triangles = []
         X, Y, Z = self.bounds
         for x in range(X + 1):
             for y in range(Y + 1):
                 z = self.up_sum - x - y
                 if 0 <= z <= Z:
-                    ups.append(Triangle(x, y, z))
+                    triangles.append(Triangle(x, y, z))
                 if 0 <= z - 1 <= Z:
-                    downs.append(Triangle(x, y, z - 1))
-        self.ups = tuple(sorted(ups))
-        self.downs = tuple(sorted(downs))
-        self.triangles = tuple(sorted(ups + downs))
+                    triangles.append(Triangle(x, y, z - 1))
+        self.triangles = tuple(sorted(triangles))
 
     @property
     def abc(self) -> Tuple[int, int, int]:
@@ -177,21 +175,12 @@ class PlanarMultigraph:
     def n_edges(self):
         return len(self.edges)
 
-    def dart_tail(self, d: Dart) -> int:
-        return self.tails[d]
-
-    def edges_at(self, v: int) -> List[Edge]:
-        return [self.edge_by_id[d >> 1] for d in self.rotation[v]]
-
     def other_end(self, e: Edge, v: int) -> int:
         if e.u == v:
             return e.v
         if e.v == v:
             return e.u
         raise ValueError(f"{v} is not an endpoint of {e}")
-
-    def degree(self, v: int) -> int:
-        return len(self.rotation[v])
 
     def components(self) -> Tuple[frozenset, ...]:
         """Id sets of the connected components, found once per graph."""

@@ -93,7 +93,7 @@ def random_planar_bipartite(rng: random.Random) -> PlanarMultigraph:
         k = rng.randrange(0, max(1, len(all_edges) // 4))
         dropped = frozenset(rng.sample(all_edges, k))
         g = grid_graph(rows, cols, dropped=dropped)
-        if _connected(g) and all(g.degree(v) > 0 for v in g.vertices):
+        if _connected(g) and all(g.rotation[v] for v in g.vertices):
             return g
 
 

@@ -168,7 +168,7 @@ def check_flat_orientation(og: OrientedGraph) -> bool:
     evens_per_comp: Dict[int, int] = {}
     for f in faces:
         if _against(g, f, og.heads) % 2 == 0:
-            ci = comp_of[g.dart_tail(f[0])]
+            ci = comp_of[g.tails[f[0]]]
             evens_per_comp[ci] = evens_per_comp.get(ci, 0) + 1
     return all(k <= 1 for k in evens_per_comp.values())
 
@@ -210,13 +210,13 @@ def enumerate_matchings(
         if v == n:
             yield frozenset(chosen)
             return
-        for e in g.edges_at(v):
-            if e.u == e.v:
+        for d in g.rotation[v]:
+            w = g.tails[d ^ 1]  # the dart's head
+            if w == v:
                 continue
-            w = g.other_end(e, v)
             if not covered[w]:
                 covered[v] = covered[w] = True
-                chosen.append(e.eid)
+                chosen.append(d >> 1)
                 yield from rec(v + 1)
                 chosen.pop()
                 covered[v] = covered[w] = False

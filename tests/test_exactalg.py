@@ -17,7 +17,6 @@ from ppcount.exactalg import (
     _pf_mod,
     _pfaffian,
     _prime,
-    _replay,
     _replay_block,
     det,
     pfaffian_abs,
@@ -359,7 +358,7 @@ class TestKernel:
             raise AssertionError("eliminated a matrix with no perfect matching")
 
         monkeypatch.setattr(exactalg, "_pf_mod", eliminate)
-        monkeypatch.setattr(exactalg, "_replay", eliminate)
+        monkeypatch.setattr(exactalg, "_replay_block", eliminate)
         d = det(ExactMatrix.from_rows(rows))
         assert isinstance(d, QPoly) and d.is_zero()
         assert bareiss(rows).is_zero()
@@ -454,8 +453,8 @@ class TestKernel:
         if program is None:  # a row ran out of nonzeros: Pf = 0 mod p, nothing to replay
             assert pf == 0
             return
-        assert _replay(program, first_p, p) == pf
-        replayed = _replay(program, later_p, p)
+        assert _replay_block(program, [[a] for a in first_p], p) == [pf]
+        [replayed] = _replay_block(program, [[a] for a in later_p], p)
         assert replayed is None or replayed == fresh
 
     @given(sparse_skew_blocks())
@@ -472,7 +471,7 @@ class TestKernel:
         lanes = [[a % p for a in lane] for lane in lanes]
         block = _replay_block(program, [list(v) for v in zip(*lanes)], p)
         # a lane is None exactly where its own replay is, whatever the other lanes hold
-        assert block == [_replay(program, lane, p) for lane in lanes]
+        assert block == [_replay_block(program, [[a] for a in lane], p)[0] for lane in lanes]
         for pf, lane in zip(block, lanes):
             assert pf is None or pf == _pf_mod(n, pairs, lane, p)[0]
 
@@ -515,56 +514,72 @@ class TestKernel:
         pivots = program[1]
         assert pivots == [0, 1] and pf1 == exact % p1  # the slots of (0, 1), (2, 3)
         vals0 = [a % p0 for a in entries]
-        assert _replay(program, vals0, p0) is None
+        assert _replay_block(program, [[a] for a in vals0], p0) == [None]
         pf0, _ = _pf_mod(4, pairs, vals0, p0)
         assert pf0 == exact % p0
 
-    def test_replay_falls_back_to_the_exact_result(self, monkeypatch):
-        # the first prime plans a pivot on the entry _prime(1), which vanishes
-        # at the second prime; the entry _prime(0) vanishes at the first, so the
-        # plan keeps its slot though it holds 0 there
-        p0, p1 = _prime(0), _prime(1)
-        honest = exactalg._replay
-        fell_back = []
-
-        def replay(program, vals, p):
-            pf = honest(program, vals, p)
-            fell_back.append(pf is None)
-            return pf
-
-        monkeypatch.setattr(exactalg, "_replay", replay)
-        rows = skew_from_upper([p1, 1, p0, 1, 1, 1], 4)
-        assert pfaffian_abs(ExactMatrix.from_rows(rows)) == abs(pf_expand(rows)) == p1 + p0 - 1
-        assert fell_back == [True]
-        fell_back.clear()
-        rows = [[p1, 1], [p0, 1]]
-        assert det(ExactMatrix.from_rows(rows)) == abs(bareiss(rows)) == p0 - p1
-        assert fell_back == [True, False]
-
-    def test_one_evaluation_builds_no_program(self, monkeypatch):
-        honest, honest_replay = exactalg._pf_mod, exactalg._replay
-        recorded = []
+    def test_non_unit_pivot_falls_back_to_the_exact_result(self, monkeypatch):
+        # mod the product M of the primes the entries _prime(0) and _prime(1)
+        # are nonzero but not units: the pass mod M stops at such a pivot, and
+        # each prime is then eliminated on its own
+        p0, p1, p2 = _prime(0), _prime(1), _prime(2)
+        honest = exactalg._pf_mod
+        calls = []
 
         def eliminate(n, pairs, vals, p, record=False):
-            recorded.append(record)
+            try:
+                out = honest(n, pairs, vals, p, record)
+            except ValueError:
+                calls.append((p, "raised"))
+                raise
+            calls.append((p, record))
+            return out
+
+        monkeypatch.setattr(exactalg, "_pf_mod", eliminate)
+        rows = [[p1, 1], [p0, 1]]
+        assert det(ExactMatrix.from_rows(rows)) == abs(bareiss(rows)) == p0 - p1
+        assert calls == [(p0 * p1 * p2, "raised"), (p0, False), (p1, False), (p2, False)]
+        calls.clear()
+        rows = skew_from_upper([p1, 1, p0, 1, 1, 1], 4)
+        assert pfaffian_abs(ExactMatrix.from_rows(rows)) == abs(pf_expand(rows)) == p1 + p0 - 1
+        assert calls == [(p0 * p1, "raised"), (p0, False), (p1, False)]
+
+    @given(sized_square(5, st.sampled_from([0, 1, -1, 2, _prime(0), -_prime(1), _prime(0) * _prime(2)])))
+    @settings(max_examples=60, deadline=None)
+    def test_det_matches_bareiss_with_entries_that_are_not_units(self, rows):
+        assert det(ExactMatrix.from_rows(rows)) == abs(bareiss(rows))
+
+    def test_one_evaluation_builds_no_program(self, monkeypatch):
+        honest, honest_replay = exactalg._pf_mod, exactalg._replay_block
+        calls = []
+
+        def eliminate(n, pairs, vals, p, record=False):
+            calls.append((p, record))
             return honest(n, pairs, vals, p, record)
 
         def replay(*args):
             raise AssertionError("replayed a call that evaluates once")
 
         monkeypatch.setattr(exactalg, "_pf_mod", eliminate)
-        monkeypatch.setattr(exactalg, "_replay", replay)
+        monkeypatch.setattr(exactalg, "_replay_block", replay)
         q = QPoly.q_power(1)
+        p0, p1, p2 = _prime(0), _prime(1), _prime(2)
         # one prime; one prime and the one point of the window q^2 .. q^2
         assert det(ExactMatrix.from_rows([[2, 1], [1, 3]])) == 5
         assert det(ExactMatrix.from_rows([[q, 0], [1, 2 * q]])) == QPoly.q_power(2, 2)
         assert pfaffian_abs(ExactMatrix.from_rows(skew_from_upper([3, 1, 0, 0, 1, 2], 4))) == 5
-        assert recorded == [False, False, False]
-        # a call that evaluates more than once records its first elimination only
-        recorded.clear()
-        monkeypatch.setattr(exactalg, "_replay", honest_replay)
+        assert calls == [(p0, False)] * 3
+        # an integer result past one prime is one elimination mod their product
+        calls.clear()
+        rows = [[2**40, 1], [1, 2**40 + 1]]
+        assert det(ExactMatrix.from_rows(rows)) == abs(bareiss(rows))
+        assert calls == [(p0 * p1 * p2, False)]
+        # a Z[q] call that evaluates more than once records its first elimination only
+        calls.clear()
+        monkeypatch.setattr(exactalg, "_replay_block", honest_replay)
         d = det(bipartite_matrix(flat_signing(q_weight_graph(build_hexagon(2, 2, 2)))))
         assert d.shift(-d.low_degree()) == q_box_product(2, 2, 2)
+        recorded = [record for _, record in calls]
         assert recorded[:1] == [True] and True not in recorded[1:]
 
     def test_entries_that_vanish_mod_a_prime(self):
@@ -593,6 +608,13 @@ class TestQPoly:
         assert str(QPoly((1, 2, 1))) == "1 + 2*q + q^2"
         assert str(QPoly((0, 1))) == "q"
         assert str(QPoly(())) == "0"
+
+    def test_constant_hashes_like_its_int(self):
+        for n in (0, 5, -3, 2**70):
+            assert QPoly.const(n) == n and hash(QPoly.const(n)) == hash(n)
+        assert len({QPoly.const(5), 5}) == 1 and len({QPoly(), 0}) == 1
+        assert QPoly((1, 1)) != 1 and QPoly((1, 1)) == QPoly((1, 1, 0))
+        assert hash(QPoly((1, 1))) == hash(QPoly((1, 1, 0)))
 
     def test_arithmetic_with_ints(self):
         p = QPoly((1, 1))

@@ -42,7 +42,8 @@ def test_smallest_hexagon():
 def test_2_1_1_hexagon():
     r = build_hexagon(2, 1, 1)
     assert len(r.triangles) == 10
-    assert len(r.ups) == 5 and len(r.downs) == 5
+    ups = [t for t in r.triangles if sum(t) == r.up_sum]
+    assert len(ups) == 5 and len(r.triangles) - len(ups) == 5
     assert orientation(Triangle(1, 2, 0), r) == "up"
 
 
@@ -69,8 +70,9 @@ def test_up_down_counts_match_formula():
             for c in range(6):
                 r = build_hexagon(a, b, c)
                 want = a * b + b * c + c * a
-                assert len(r.ups) == want
-                assert len(r.downs) == want
+                ups = sum(sum(t) == r.up_sum for t in r.triangles)
+                assert ups == want
+                assert len(r.triangles) - ups == want
 
 
 def test_neighbors_boundary_cases():
@@ -81,7 +83,8 @@ def test_neighbors_boundary_cases():
 
 def test_interior_down_triangle_has_three_neighbors():
     r = build_hexagon(2, 2, 2)
-    center_downs = [t for t in r.downs if len(neighbors(t, r)) == 3]
+    downs = [t for t in r.triangles if sum(t) != r.up_sum]
+    center_downs = [t for t in downs if len(neighbors(t, r)) == 3]
     assert center_downs  # interior exists once all sides are >= 2
     for t in center_downs:
         assert all(orientation(u, r) == "up" for u in neighbors(t, r))
@@ -103,7 +106,7 @@ def test_z_graph_smallest_is_a_six_cycle():
     assert g.n_vertices == 6 and g.n_edges == 6
     faces = g.assert_valid_embedding()
     assert sorted(len(f) for f in faces) == [6, 6]
-    assert all(g.degree(v) == 2 for v in g.vertices)
+    assert all(len(g.rotation[v]) == 2 for v in g.vertices)
 
 
 def test_z_graph_euler_and_interior_hexagons():
@@ -266,7 +269,7 @@ def _assert_id_contract(g):
     for e in g.edges:
         assert 0 <= e.u < n and 0 <= e.v < n
     for v, ring in enumerate(g.rotation):
-        assert all(g.dart_tail(d) == v for d in ring)
+        assert all(g.tails[d] == v for d in ring)
     if g.bipartition is not None:
         blk, wht = g.bipartition
         assert blk | wht == set(range(n)) and not blk & wht

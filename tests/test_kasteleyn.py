@@ -359,11 +359,11 @@ def reference_flat_orientation(g):
         while frontier:
             nxt = []
             for v in frontier:
-                for e in g.edges_at(v):
-                    w = g.other_end(e, v)
+                for d in g.rotation[v]:
+                    w = g.tails[d ^ 1]  # the dart's head
                     if w not in seen:
                         seen.add(w)
-                        tree.add(e.eid)
+                        tree.add(d >> 1)
                         nxt.append(w)
             frontier = nxt
         cotree = [e for e in comp_edges if e.eid not in tree]
