@@ -1,7 +1,8 @@
 """Command-line front end: counting, verification, tables, graph export.
 
 Exit codes: 0 success / full agreement, 1 verification mismatch, 2 usage
-error or a request over the oracle's or the q matrix route's size budget.
+error or a request over the size budget of the oracle, the matrix route or
+the q matrix route.
 All outputs are deterministic except the timing column of the verification
 CSV.
 """
@@ -39,12 +40,26 @@ def parse_dims(text: str) -> Tuple[int, int, int]:
     return parts
 
 
+# The matrix route's budget on ab + bc + ca, the dimension of class 1's
+# matrix.  Measured in-process on a 2-vCPU VM, CPython 3.11: class 1 at
+# 30x30x30 (2700, 71 primes) 1.8 s, 36x36x36 (3888) 4.9 s; the thin boxes
+# 1x1x1349 0.31 s (54 MiB peak RSS) and 0x1x2700 0.46 s (137 MiB, mostly
+# the triangle index of Z).
+MAX_MATRIX_DIMENSION = 2700
+
+
 def matrix_count(class_id: int, dims) -> int:
     """Count by determinant/Pfaffian; a box the class does not fix holds no
-    invariant partition, so it counts 0, as by formula and oracle."""
+    invariant partition, so it counts 0, as by formula and oracle.  Raises
+    SizeLimitError, before Z is built, for a fixed box whose dimension
+    ab + bc + ca is over MAX_MATRIX_DIMENSION."""
     cls = CLASSES[class_id]
     if not cls.box_fixed(dims):
         return 0
+    a, b, c = dims
+    if a * b + b * c + c * a > MAX_MATRIX_DIMENSION:
+        raise SizeLimitError(f"box {a}x{b}x{c} has matrix dimension {a * b + b * c + c * a}; "
+                             f"the matrix route takes at most {MAX_MATRIX_DIMENSION}")
     return weighted_matching_sum(quotient_graph(build_hexagon(*dims), cls))
 
 

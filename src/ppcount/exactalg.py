@@ -46,63 +46,43 @@ exact.  The bounds, for an n x n matrix with entries a_ij:
   about half the bits of Goldstein-Graham's bound (73 against 145 at
   8x8x8), so the CRT takes about half the primes.
 
-Over Z the kernel eliminates once, modulo the product m of the primes:
-Z/m is the product of the fields F_p, a pivot that is a unit mod m is a
-unit mod every p, and an entry that is 0 mod m is 0 mod every p, so the one
-pass is the elimination over every F_p at once.  Only a pivot that is
-nonzero mod m but 0 mod some of the primes has no inverse; ``pow`` raises
-for it, and the call falls back to one elimination per prime, where every
-nonzero is a unit, rebuilt by the Chinese remainder theorem.  Over Z[q] the
-primes always go one at a time, with the same rebuild.
+Over Z the kernel eliminates once per group of at most ``_GROUP`` primes,
+modulo their product m: Z/m is the product of the fields F_p, a pivot that
+is a unit mod m is a unit mod every p, and an entry that is 0 mod m is 0
+mod every p, so the one pass is the elimination over every F_p of the
+group at once.  Only a pivot that is nonzero mod m but 0 mod some of the
+primes has no inverse; ``pow`` raises for it, and that group falls back to
+one elimination per prime, where every nonzero is a unit.  The Chinese
+remainder theorem rebuilds the result across the primes of such a group
+and across the groups.  Over Z[q] the primes always go one at a time, with
+the same rebuild.
 
 Over Z[q] the result is found mod p by evaluation and interpolation across
-a proven degree window [L, U], by bipartite assignment duality on the
-n x n skew matrix A the kernel eliminates.  Take potentials with
-u_i + v_j >= deg a_ij on every nonzero a_ij.  A term of the Leibniz
-expansion of det A picks one nonzero in each row and each column, so its
-degree is at most sum_i u_i + sum_j v_j = U.  Likewise potentials with
-u_i + v_j <= lowdeg a_ij give every term degree at least L.  The potentials
-come from a sparse min-cost assignment (successive shortest paths), but the
-proof rests only on their dual feasibility, which is checked on every
-nonzero (an infeasible pair raises), not on the assignment code.  Since
-Pf^2 = det A, the Pfaffian's terms lie in degrees ceil(L/2) .. floor(U/2),
-so Pf(x) x^-ceil(L/2) is a polynomial of degree at most
-floor(U/2) - ceil(L/2), found from that many evaluations plus one, at
-x = 1, 2, ...; the low zero coefficients are prepended after.  The window
-must be smaller than the smallest prime the call uses, so that the points
-are nonzero and distinct mod every prime; a larger one raises.  For det M
-the skew block's assignments split into one of M and one of M^T, so its
-window is twice M's and halving gives M's window exactly.  When the support
-of A has no perfect matching, every Leibniz term vanishes and the result is
-the zero polynomial, with no elimination.  The integer route runs none of
-this.
+a proven degree window [L, U] of det A = Pf^2 for the n x n skew matrix A
+the kernel eliminates (``_degree_window``: potentials from two min-cost
+assignments, whose dual feasibility is checked on every nonzero).  Then
+Pf(x) x^-ceil(L/2) is a polynomial of degree at most floor(U/2) -
+ceil(L/2), found from that many evaluations plus one, at x = 1, 2, ...;
+the low zero coefficients are prepended after.  The window must be smaller
+than the smallest prime the call uses, so that the points are nonzero and
+distinct mod every prime; a larger one raises.  For det M the skew block's
+assignments split into one of M and one of M^T, so its window is twice M's
+and halving gives M's window exactly.  When the support of A has no perfect
+matching, the result is the zero polynomial, with no elimination.  The
+integer route runs none of this.
 
 The kernel stores one value slot per unordered pair {i, j} of the support,
-A[i][j] for i < j: the Schur complement of a skew matrix is skew, so
-A[j][i] = -A[i][j] needs no copy, and a pivot's update is one loop over the
-pairs it touches.  A Z[q] result needs one evaluation at every point of
-the degree window, for each prime.  Their matrices share one support, so
-the elimination splits in two phases:
-
-* Symbolic, once per call: the first evaluation picks the pivots and
-  records each pivot's update as flat int lists (pivot slot, source slots,
-  destination slots) while it runs.  Fill takes new slots, and a slot whose
-  value is 0 there (an entry that is 0 mod the first prime or at the first
-  point, or fill that cancels) stays in the support, because it need not be
-  0 in another evaluation.  The permutation sign of the pivot order is
-  computed once, here.
-* Replay, every later evaluation: the recorded updates run over the slot
-  values, with no pivot search and no per-row dicts.  A planned pivot that
-  is 0 mod p in that evaluation sends it to a fresh elimination of its own,
-  so every residue stays exact.
-
-The later points are replayed a block of ``_BLOCK`` points of one prime at
-a time (``_replay_block``): each slot holds a list of values, one per
-point, each recorded op is one list comprehension across the block, and a
-pivot's inverses come from one modular inversion (Montgomery's batch
-inversion) instead of one per point.  A point whose planned pivot is 0 mod
-p takes 1 in that batch, so the other points stay right, and is then
-eliminated afresh on its own.
+A[i][j] for i < j (the Schur complement of a skew matrix is skew).  The
+evaluations of a Z[q] result share one support, so the elimination splits
+in two phases.  Once per call, the first evaluation picks the pivots and
+records each pivot's update as flat int lists while it runs (``_pf_mod``);
+fill takes new slots, and a slot that is 0 there stays in the support,
+because it need not be 0 in another evaluation.  Every later evaluation
+replays the recorded updates, with no pivot search and no per-row dicts, a
+block of ``_BLOCK`` points of one prime at a time (``_replay_block``: one
+list comprehension per op across the block, and one batch inversion per
+pivot).  A point whose planned pivot is 0 mod p is eliminated afresh on its
+own, so every residue stays exact.
 
 The number of primes is fixed in advance by the bound, and the number of
 points by the window, so a call knows how many evaluations it makes.  A
@@ -126,7 +106,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 Scalar = Union[int, "QPoly"]
 
@@ -321,16 +301,6 @@ class ExactMatrix:
         nz = tuple((i, j, a) for (i, j), a in row_major if a)
         return ExactMatrix(nrows, ncols, nz, poly)
 
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[Scalar]]) -> "ExactMatrix":
-        rows = [tuple(r) for r in rows]
-        nc = len(rows[0]) if rows else 0
-        if any(len(r) != nc for r in rows):
-            raise ValueError("ragged rows")
-        poly = any(isinstance(x, QPoly) for r in rows for x in r)
-        cells = ((i, j, x) for i, r in enumerate(rows) for j, x in enumerate(r))
-        return ExactMatrix.from_cells(len(rows), nc, cells, poly)
-
     @property
     def entries(self) -> tuple:
         """The dense rows, zeros included."""
@@ -381,6 +351,14 @@ def _prime(k: int) -> int:
         n -= 2
     return n
 
+
+# Primes per integer elimination: a product of k primes beats k passes, but
+# CPython's multi-digit arithmetic grows quadratically with k.  Per prime, a
+# pass over class 1's 24^3 matrix took 98 ms alone, 10.9 ms in 16 primes,
+# 12.4 in 32, 14.9 in 45 and 16.8 in 60; 36^3 (102 primes) took 10.7 s in
+# one modulus, 7.65 s one prime at a time and 4.9 s in groups of 32
+# (2-vCPU VM, CPython 3.11).
+_GROUP = 32
 
 # Points per block replay; memory is O(slots x _BLOCK) for any window.  On the
 # q-volume benchmark (10 s runs, 2-vCPU Xeon VM) widths 16 / 24 / 32 / 48 / 64
@@ -639,9 +617,10 @@ def _pfaffian(n: int, triples, power: int, bound: int, poly: bool):
     ((k, c_k), ...) of nonzero coefficients in increasing k.  Every
     coefficient c of the result obeys |c|^power <= bound, so the primes stop
     once their product, the modulus, has modulus^power > 2^power * bound.
-    Over Z one elimination modulo the product of the primes gives the
-    result, unless a pivot is 0 mod some primes only; then each prime is
-    eliminated on its own.  Over Z[q] the Pfaffian is evaluated only across
+    Over Z one elimination modulo the product of each group of at most
+    ``_GROUP`` primes gives the result, unless a pivot is 0 mod some primes
+    of the group only; then each prime of that group is eliminated on its
+    own.  Over Z[q] the Pfaffian is evaluated only across
     its degree window (``_degree_window``); when more than one evaluation
     (prime and point) is due, the first records its elimination and the
     later ones replay it.
@@ -665,27 +644,29 @@ def _pfaffian(n: int, triples, power: int, bound: int, poly: bool):
             raise ValueError(f"degree window of {points} leaves too few evaluation points")
     pairs = [(i, j) for i, j, _ in triples]
     if not poly:
-        try:
-            pf, _ = _pf_mod(n, pairs, [a % modulus for _, _, a in triples], modulus)
-        except ValueError:  # a pivot that is 0 mod some of the primes only has no inverse
+        groups = [primes[k : k + _GROUP] for k in range(0, len(primes), _GROUP)]
 
-            def residues_mod(p):
-                return [_pf_mod(n, pairs, [a % p for _, _, a in triples], p)[0]]
+        def residues_mod(group):  # (modulus, residues) pairs whose moduli multiply to the group's
+            m = math.prod(group)
+            try:
+                return [(m, [_pf_mod(n, pairs, [a % m for _, _, a in triples], m)[0]])]
+            except ValueError:  # a pivot that is 0 mod some of the primes only has no inverse
+                return [(p, [_pf_mod(n, pairs, [a % p for _, _, a in triples], p)[0]]) for p in group]
 
-        else:
-            return [pf - modulus if 2 * pf > modulus else pf]
     else:
+        groups = [[p] for p in primes]
         polys = sorted({terms for _, _, terms in triples})
         index = {terms: k for k, terms in enumerate(polys)}
         keys = [index[terms] for _, _, terms in triples]
         top = max(terms[-1][0] for terms in polys)
         program = None
 
-        def residues_mod(p):
+        def residues_mod(group):
             # Pf(x) x^-low has degree <= high - low: interpolate it on x = 1..points,
             # evaluated one point at a time until a program is recorded, then a
             # block of points at a time
             nonlocal program
+            (p,) = group
             ys, start = [], 1
             while start <= points:
                 stop = start + 1 if program is None else min(start + _BLOCK, points + 1)
@@ -709,17 +690,17 @@ def _pfaffian(n: int, triples, power: int, bound: int, poly: bool):
                             pfs[i] = _pf_mod(n, pairs, [v[i] for v in vals], p)[0]
                 ys += [pf * pow(x, -low, p) % p for pf, x in zip(pfs, block)]
                 start = stop
-            return _interpolate(ys, p)
+            return [(p, _interpolate(ys, p))]
 
     residues, modulus = None, 1
-    for p in primes:
-        vals = residues_mod(p)
-        if residues is None:
-            residues = vals
-        else:
-            inv = pow(modulus, -1, p)
-            residues = [r + modulus * ((v - r) * inv % p) for r, v in zip(residues, vals)]
-        modulus *= p
+    for group in groups:
+        for m, vals in residues_mod(group):
+            if residues is None:
+                residues = vals
+            else:
+                inv = pow(modulus, -1, m)
+                residues = [r + modulus * ((v - r) * inv % m) for r, v in zip(residues, vals)]
+            modulus *= m
     return [0] * low + [r - modulus if 2 * r > modulus else r for r in residues]
 
 

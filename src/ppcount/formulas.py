@@ -244,47 +244,19 @@ def ratio_identities(a: int, b: int, c: int) -> List[RatioCheck]:
     expression; the parameters (a, b, c) enter the identities directly, so
     for the cubic identities only a is used.
     """
-    checks: List[RatioCheck] = []
+    steps = []  # (name, class, numerator box, denominator box, binomial side)
     if c >= 1:
-        checks.append(
-            RatioCheck(
-                "growth-step",
-                Fraction(n_class(1, (a + 1, b + 1, c - 1)), n_class(1, (a, b, c))),
-                _ratio1(a, b, c),
-            )
-        )
-        checks.append(
-            RatioCheck(
-                "self-complementary-step",
-                Fraction(
-                    n_class(5, (2 * a + 2, 2 * b + 2, 2 * c - 2)),
-                    n_class(5, (2 * a, 2 * b, 2 * c)),
-                ),
-                _ratio1(a, b, c) ** 2,
-            )
-        )
+        steps.append(("growth-step", 1, (a + 1, b + 1, c - 1), (a, b, c), _ratio1(a, b, c)))
+        doubled = ((2 * a + 2, 2 * b + 2, 2 * c - 2), (2 * a, 2 * b, 2 * c))
+        steps.append(("self-complementary-step", 5, *doubled, _ratio1(a, b, c) ** 2))
     if a >= 1 and a == b == c:
-        checks.append(
-            RatioCheck(
-                "cyclic-step",
-                Fraction(
-                    n_class(3, (a + 1, a + 1, a + 1)), n_class(3, (a, a, a))
-                ),
-                _ratio3(a),
-            )
-        )
+        steps.append(("cyclic-step", 3, (a + 1,) * 3, (a,) * 3, _ratio3(a)))
     if a == b == c:
-        checks.append(
-            RatioCheck(
-                "cyclic-self-complementary-step",
-                Fraction(
-                    n_class(9, (2 * a + 2, 2 * a + 2, 2 * a + 2)),
-                    n_class(9, (2 * a, 2 * a, 2 * a)),
-                ),
-                _ratio9(a),
-            )
-        )
-    return checks
+        steps.append(("cyclic-self-complementary-step", 9, (2 * a + 2,) * 3, (2 * a,) * 3, _ratio9(a)))
+    return [
+        RatioCheck(name, Fraction(n_class(cid, num), n_class(cid, den)), rhs)
+        for name, cid, num, den, rhs in steps
+    ]
 
 
 def n_class_via_ratios(class_id: int, dims: Tuple[int, int, int]) -> int:

@@ -17,12 +17,32 @@ The coordinates are chosen so the box symmetries act affinely: rotation by
 2*pi/3 is the cyclic shift (x,y,z) -> (z,x,y), and the point reflection
 through the center is (x,y,z) -> (b+c-1-x, a+c-1-y, a+b-1-z).
 
+Z(a,b,c) is built in one place, ``lattice``, as flat int lists (a
+``Lattice``); ``build_graph`` wraps them into a ``PlanarMultigraph``, and
+``symmetry.quotient_graph`` reads them directly.  With X, Y, Z the bounds
+above and W = Y + 2:
+
+* vertex i is region.triangles[i].  The triangles are listed by x, then y,
+  the down triangle before the up one at each (x, y): their sorted order.
+* ``at[2 * (x * W + y) + up]`` is the vertex at (x, y) with that
+  orientation (up = 1), or -1 where there is none.  The spare row and column
+  keep the neighbours of the last ones in range.
+* ``up[i]`` flags the up triangles.
+* Axis k joins a down triangle to the up triangle with 1 added to
+  coordinate k.  The edges are numbered by their down triangles in vertex
+  order, and at each by axis; edge e joins the down triangle tails[2e] to
+  the up one tails[2e + 1].
+* ``slot[k][i]`` is the edge at vertex i along axis k, or -1.
+* ``rotation[i]`` lists the darts at vertex i counterclockwise: dart 2e
+  sits at edge e's down end, 2e + 1 at its up end.
+
 All objects are immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .exactalg import QPoly
@@ -61,15 +81,16 @@ class HexRegion:
         self.bounds = (b + c - 1, a + c - 1, a + b - 1)
         self.up_sum = a + b + c - 1
         triangles = []
-        X, Y, Z = self.bounds
-        for x in range(X + 1):
-            for y in range(Y + 1):
-                z = self.up_sum - x - y
-                if 0 <= z <= Z:
-                    triangles.append(Triangle(x, y, z))
-                if 0 <= z - 1 <= Z:
-                    triangles.append(Triangle(x, y, z - 1))
-        self.triangles = tuple(sorted(triangles))
+        (X, Y, Z), S = self.bounds, self.up_sum
+        if a * b + b * c + c * a:  # else H(a,b,c) is a segment or a point
+            for x in range(X + 1):
+                for y in range(max(0, S - 1 - Z - x), min(Y, S - x) + 1):
+                    z = S - x - y  # 0 <= z <= Z + 1 here
+                    if z:  # down before up: the sorted order
+                        triangles.append(Triangle(x, y, z - 1))
+                    if z <= Z:
+                        triangles.append(Triangle(x, y, z))
+        self.triangles = tuple(triangles)
 
     @property
     def abc(self) -> Tuple[int, int, int]:
@@ -92,7 +113,7 @@ class HexRegion:
 
 
 def build_hexagon(a: int, b: int, c: int) -> HexRegion:
-    """All unit triangles of H(a,b,c), in deterministic (sorted) order."""
+    """All unit triangles of H(a,b,c), in sorted order."""
     return HexRegion(a, b, c)
 
 
@@ -118,6 +139,81 @@ def center2(region: HexRegion) -> Tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 Dart = int  # 2 * edge id + side; side 0 sits at edge.u, side 1 at edge.v; twin d ^ 1
+
+
+def _trace_faces(tails: List[int], rotation) -> List[List[Dart]]:
+    """Orbits of the next-dart permutation; each dart lies in one face.
+
+    tails[d] is the vertex dart d starts at, -1 for an edge id not in use.
+    The dart after d in its face is the one after d's twin in the rotation
+    at the twin's vertex.  Faces come in the order of their smallest darts,
+    each traced from that dart: a sweep over the darts in increasing order
+    skips those already used.
+    """
+    n = len(tails)
+    succ = [-1] * n  # -1: no such dart, or already traced
+    for v, ring in enumerate(rotation):
+        nxt = ring[0] if ring else -1
+        for d in reversed(ring):  # each dart is checked before it is used
+            if not 0 <= d < n or tails[d] != v:
+                raise EmbeddingError(f"dart {d} at vertex {v} does not start there")
+            if succ[d ^ 1] >= 0:
+                raise EmbeddingError(f"dart {d} appears twice in the rotation")
+            succ[d ^ 1] = nxt
+            nxt = d
+    # the listed darts are distinct and in use: all are listed if as many
+    if sum(map(len, rotation)) != n - tails.count(-1):
+        d = next(d for d, v in enumerate(tails) if v >= 0 and succ[d ^ 1] < 0)
+        raise EmbeddingError(f"edge {d >> 1} missing a rotation slot")
+    out = []
+    for d0 in range(n):
+        d = succ[d0]
+        if d < 0:
+            continue
+        succ[d0] = -1
+        face = [d0]
+        while d != d0:
+            nxt = succ[d]
+            if nxt < 0:
+                raise EmbeddingError("face tracing revisited a dart")
+            succ[d] = -1
+            face.append(d)
+            d = nxt
+        out.append(face)
+    return out
+
+
+def _valid_faces(tails: List[int], rotation):
+    """The faces of the rotation system and its connected components (id
+    lists, in order of their least ids), after the check V - E + F = 2 on
+    every component with an edge; a component's edges are half the darts of
+    its faces.  The one embedding check of the graph core: ``lattice`` runs
+    it on Z and ``PlanarMultigraph.assert_valid_embedding`` on other graphs.
+    """
+    faces = _trace_faces(tails, rotation)
+    comp_of = [-1] * len(rotation)
+    comps: List[List[int]] = []
+    for v in range(len(rotation)):
+        if comp_of[v] < 0:
+            comp_of[v] = len(comps)
+            comp = [v]
+            for w in comp:  # grows while it is walked
+                for d in rotation[w]:
+                    u = tails[d ^ 1]
+                    if comp_of[u] < 0:
+                        comp_of[u] = len(comps)
+                        comp.append(u)
+            comps.append(comp)
+    nd, nf = [0] * len(comps), [0] * len(comps)
+    for f in faces:
+        ci = comp_of[tails[f[0]]]
+        nd[ci] += len(f)
+        nf[ci] += 1
+    for ci, comp in enumerate(comps):
+        ne = nd[ci] >> 1
+        if ne and len(comp) - ne + nf[ci] != 2:  # an isolated vertex embeds trivially
+            raise EmbeddingError(f"component {ci}: V-E+F = {len(comp)}-{ne}+{nf[ci]} != 2")
+    return faces, comps
 
 
 class PlanarMultigraph:
@@ -157,8 +253,7 @@ class PlanarMultigraph:
         if len(self.rotation) != len(self.labels):
             raise ValueError("one rotation per vertex is required")
         self.bipartition = bipartition
-        self._faces = None  # validated faces, kept after the first check
-        self._components = None
+        self._faces = self._components = None  # kept after the first check
         if bipartition is not None:
             blk, wht = bipartition
             for e in self.edges:
@@ -175,33 +270,9 @@ class PlanarMultigraph:
     def n_edges(self):
         return len(self.edges)
 
-    def other_end(self, e: Edge, v: int) -> int:
-        if e.u == v:
-            return e.v
-        if e.v == v:
-            return e.u
-        raise ValueError(f"{v} is not an endpoint of {e}")
-
     def components(self) -> Tuple[frozenset, ...]:
-        """Id sets of the connected components, found once per graph."""
-        if self._components is not None:
-            return self._components
-        tails, rotation = self.tails, self.rotation
-        seen = [False] * self.n_vertices
-        comps = []
-        for v in self.vertices:
-            if seen[v]:
-                continue
-            seen[v] = True
-            comp = [v]
-            for w in comp:  # grows while it is walked
-                for d in rotation[w]:
-                    u = tails[d ^ 1]
-                    if not seen[u]:
-                        seen[u] = True
-                        comp.append(u)
-            comps.append(frozenset(comp))
-        self._components = tuple(comps)
+        """Id sets of the connected components, found by the embedding check."""
+        self.assert_valid_embedding()
         return self._components
 
     def subgraph(self, keep) -> "PlanarMultigraph":
@@ -225,91 +296,78 @@ class PlanarMultigraph:
 
     # -- embedding ----------------------------------------------------------
 
-    def _trace_faces(self) -> List[List[Dart]]:
-        """Orbits of the next-dart permutation; each dart lies in one face.
-
-        The dart after d in its face is the one after d's twin in the
-        rotation at the twin's vertex.  Faces come in the order of their
-        smallest darts, each traced from that dart: a sweep over the darts
-        in increasing order skips those already used.
-        """
-        tails = self.tails
-        n = len(tails)
-        succ = [-1] * n  # -1: no such dart, or already traced
-        for v, ring in enumerate(self.rotation):
-            k = len(ring)
-            for i, d in enumerate(ring):
-                if not 0 <= d < n or tails[d] != v:
-                    raise EmbeddingError(f"dart {d} at vertex {v} does not start there")
-                if succ[d ^ 1] >= 0:
-                    raise EmbeddingError(f"dart {d} appears twice in the rotation")
-                succ[d ^ 1] = ring[(i + 1) % k]
-        for e in self.edges:  # succ is set at the twins of all listed darts
-            if succ[2 * e.eid] < 0 or succ[2 * e.eid + 1] < 0:
-                raise EmbeddingError(f"edge {e.eid} missing a rotation slot")
-        out = []
-        for d0 in range(n):
-            d = succ[d0]
-            if d < 0:
-                continue
-            succ[d0] = -1
-            face = [d0]
-            while d != d0:
-                nxt = succ[d]
-                if nxt < 0:
-                    raise EmbeddingError("face tracing revisited a dart")
-                succ[d] = -1
-                face.append(d)
-                d = nxt
-            out.append(face)
-        return out
-
     def assert_valid_embedding(self) -> List[List[Dart]]:
         """Face-trace and check V - E + F = 2 on every connected component.
 
         Runs once per graph (graphs are immutable); later calls return the
         faces it validated.  Callers must not modify them.
         """
-        if self._faces is not None:
-            return self._faces
-        faces = self._trace_faces()
-        comps = self.components()
-        comp_of = [0] * self.n_vertices
-        for ci, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = ci
-        nv = [len(comp) for comp in comps]
-        ne = [0] * len(nv)
-        nf = [0] * len(nv)
-        for e in self.edges:
-            ne[comp_of[e.u]] += 1
-        tails = self.tails
-        for f in faces:
-            nf[comp_of[tails[f[0]]]] += 1
-        for ci in range(len(nv)):
-            if ne[ci] == 0:
-                continue  # an isolated vertex embeds trivially
-            if nv[ci] - ne[ci] + nf[ci] != 2:
-                raise EmbeddingError(
-                    f"component {ci}: V-E+F = {nv[ci]}-{ne[ci]}+{nf[ci]} != 2"
-                )
-        self._faces = faces
-        return faces
+        if self._faces is None:
+            self._faces, comps = _valid_faces(self.tails, self.rotation)
+            self._components = tuple(map(frozenset, comps))
+        return self._faces
 
 
 # ---------------------------------------------------------------------------
 # Z(a,b,c) and its q-weighting
 # ---------------------------------------------------------------------------
 
-# ccw order of the edge axes around a vertex: at a down triangle the edge
-# along axis i points at angle 120*i degrees; at an up triangle the reverse
-# directions sort ccw as z, x, y.
-_DOWN_ORDER = (0, 1, 2)
-_UP_ORDER = (2, 0, 1)
+
+class Lattice(NamedTuple):
+    """Z(a,b,c) as flat int lists, laid out as the module docstring says."""
+
+    width: int  # W
+    at: List[int]
+    up: List[bool]
+    slot: Tuple[List[int], List[int], List[int]]  # slot[k][i]
+    tails: List[int]
+    rotation: List[List[Dart]]
+    faces: List[List[Dart]]  # faces and components: from the embedding check
+    components: List[List[int]]
+
+
+def lattice(region: HexRegion) -> Lattice:
+    """Z(a,b,c) as flat int lists, its rotation face-traced and checked
+    against Euler's formula on every component in this call."""
+    tri = region.triangles
+    X, Y, _ = region.bounds
+    S = region.up_sum
+    W = Y + 2
+    at = [-1] * (2 * W * (X + 2) if tri else 0)
+    up = [x + y + z == S for x, y, z in tri]
+    for i, (x, y, _) in enumerate(tri):
+        at[2 * (x * W + y) + up[i]] = i
+    s0, s1, s2 = ([-1] * len(tri) for _ in range(3))
+    tails: List[int] = []
+    for i, (x, y, _) in enumerate(tri):
+        if up[i]:
+            continue
+        k = 2 * (x * W + y) + 1  # the up triangles at (x+1, y), (x, y+1), (x, y)
+        j = at[k + 2 * W]
+        if j >= 0:
+            s0[i] = s0[j] = len(tails) >> 1
+            tails += (i, j)
+        j = at[k + 2]
+        if j >= 0:
+            s1[i] = s1[j] = len(tails) >> 1
+            tails += (i, j)
+        j = at[k]
+        if j >= 0:
+            s2[i] = s2[j] = len(tails) >> 1
+            tails += (i, j)
+    # ccw order of the edge axes around a vertex: at a down triangle the edge
+    # along axis k points at angle 120*k degrees; at an up triangle the
+    # reverse directions sort ccw as z, x, y
+    rotation = [
+        [2 * e + 1 for e in (e2, e0, e1) if e >= 0] if u else [2 * e for e in (e0, e1, e2) if e >= 0]
+        for u, e0, e1, e2 in zip(up, s0, s1, s2)
+    ]
+    return Lattice(W, at, up, (s0, s1, s2), tails, rotation, *_valid_faces(tails, rotation))
 
 
 def build_graph(region: HexRegion, q_weights: bool = False) -> PlanarMultigraph:
-    """The adjacency graph Z(a,b,c) with its planar rotation system.
+    """The adjacency graph Z(a,b,c) with its planar rotation system: the
+    ``lattice`` wrapped into a ``PlanarMultigraph``.
 
     Vertex i is region.triangles[i], which is also its label.  Edges always
     run from a down triangle (edge.u) to an up one (edge.v).
@@ -318,44 +376,18 @@ def build_graph(region: HexRegion, q_weights: bool = False) -> PlanarMultigraph:
     column steps, so the weight of a matching is q^(partition volume) times
     a constant absorbed by normalization against the empty partition.
     """
+    z = lattice(region)
     tri = region.triangles
-    X, Y, _ = region.bounds
-    S = region.up_sum
-    # a triangle is determined by x, y and whether it is up; the down
-    # triangle (x, y, z) meets the up triangles at (x+1, y), (x, y+1) and
-    # (x, y), one per axis.  A spare row and column of -1 keep the
-    # neighbours of the last ones in range.
-    W = Y + 2
-    at = [-1] * (2 * W * (X + 2))  # 2 * (x * W + y) + up -> vertex id
-    for i, (x, y, z) in enumerate(tri):
-        at[2 * (x * W + y) + (x + y + z == S)] = i
-    edges: List[Edge] = []
-    slots = [[-1, -1, -1] for _ in tri]  # vertex id -> edge id per axis
-    ups = []
-    for i, (x, y, z) in enumerate(tri):
-        if x + y + z == S:
-            ups.append(i)
-            continue
-        up = 2 * (x * W + y) + 1
-        for ax, j in enumerate((at[up + 2 * W], at[up + 2], at[up])):
-            if j >= 0:
-                w: object = 1
-                if q_weights and ax == 2:
-                    w = QPoly.q_power(x)
-                elif q_weights:
-                    w = QPoly.const(1)
-                eid = len(edges)
-                edges.append(Edge(eid, i, j, w))
-                slots[i][ax] = slots[j][ax] = eid
-    up_ids = frozenset(ups)
-    rotation = [
-        [2 * s[ax] + 1 for ax in _UP_ORDER if s[ax] >= 0]
-        if i in up_ids
-        else [2 * s[ax] for ax in _DOWN_ORDER if s[ax] >= 0]
-        for i, s in enumerate(slots)
-    ]
-    g = PlanarMultigraph(tri, edges, rotation, (up_ids, frozenset(range(len(tri))) - up_ids))
-    g.assert_valid_embedding()
+    weights: List[object] = [1] * (len(z.tails) >> 1)
+    if q_weights:
+        weights = [QPoly.const(1)] * len(weights)
+        for (x, _, _), u, e in zip(tri, z.up, z.slot[2]):
+            if e >= 0 and not u:
+                weights[e] = QPoly.q_power(x)
+    edges = list(map(Edge, range(len(weights)), z.tails[0::2], z.tails[1::2], weights))
+    ups = frozenset(compress(range(len(tri)), z.up))
+    g = PlanarMultigraph(tri, edges, z.rotation, (ups, frozenset(range(len(tri))) - ups))
+    g._faces, g._components = z.faces, tuple(map(frozenset, z.components))
     return g
 
 

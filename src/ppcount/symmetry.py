@@ -43,12 +43,13 @@ from .hexgrid import (
     Edge,
     EmbeddingError,
     HexRegion,
+    Lattice,
     PlanarMultigraph,
     Triangle,
     angle_cmp,
     angle_half,
-    build_graph,
     center2,
+    lattice,
     position2,
     primitive_dir,
     radius2,
@@ -137,47 +138,47 @@ def group_elements(cls: SymmetryClass) -> Tuple[SymmetryElement, ...]:
     return tuple(sorted(_walk(tuple(cls.generators))))
 
 
-def _image_fn(g: SymmetryElement, bounds):
-    """The coordinate map of g on triangles of a region with these bounds
-    (no region check)."""
-    i, j, k = g.perm
-    if g.comp:
-        X, Y, Z = bounds
-        return lambda t: (X - t[i], Y - t[j], Z - t[k])
-    return lambda t: (t[i], t[j], t[k])
-
-
 def act_triangle(g: SymmetryElement, t: Triangle, region: HexRegion) -> Triangle:
     """Image of a triangle; requires the box to be fixed by g."""
     if not box_fixed(g, region.abc):
         raise BoxError(f"H{region.abc} is not fixed by {g}")
-    s = Triangle(*_image_fn(g, region.bounds)(t))
+    s = Triangle(*(t[k] for k in g.perm))
+    if g.comp:
+        s = Triangle(*(B - v for B, v in zip(region.bounds, s)))
     if s not in region:
         raise EmbeddingError(f"symmetry image {s} left the region")
     return s
 
 
-def _act_region(cls: SymmetryClass, region: HexRegion) -> Dict[SymmetryElement, List[int]]:
+def _act_region(cls: SymmetryClass, region: HexRegion, z: Lattice) -> Dict[SymmetryElement, List[int]]:
     """act_triangle of each element of the class's group on every triangle
-    of the region, as one map per element from a triangle's index in
-    region.triangles to its image's.  Only the generators are looked up:
-    each is checked against the box once and each of its images against the
-    region's triangle set.  Every other element is reached from one found
-    before it by a generator, and its map is composed from those two maps by
-    list indexing."""
+    of the region, as one map per element from a vertex id of the region's
+    lattice z to its image's.  Only the generators act on coordinates: each
+    is checked against the box once, and its images against the region's
+    bounds and sums at once, as they range over the permuted (and flipped)
+    ranges of the region's own.  The flip takes the sum s to X + Y + Z - s =
+    2 * up_sum - 1 - s, so it swaps up and down.  Every other element is
+    reached from one found before it by a generator, and its map is composed
+    from those two maps by list indexing."""
     tri = region.triangles
-    idx = {t: i for i, t in enumerate(tri)}
+    bounds, S, W, at = region.bounds, region.up_sum, z.width, z.at
+    cols = tuple(zip(*tri)) or ((), (), ())  # the x, y and z coordinates
+    ranges = [(min(c), max(c)) for c in cols] if tri else []
+    sums = set(map(sum, tri))
+    down = [not u for u in z.up]
     gen_maps = {}
     for g in cls.generators:
         if not box_fixed(g, region.abc):
             raise BoxError(f"H{region.abc} is not fixed by {g}")
-        image = _image_fn(g, region.bounds)
-        out = gen_maps[g] = []
-        for t in tri:
-            s = idx.get(image(t))
-            if s is None:
-                raise EmbeddingError(f"symmetry image of {t} left the region")
-            out.append(s)
+        spans = [ranges[k] for k in g.perm] if ranges else []
+        xs, ys, flags, image_sums = cols[g.perm[0]], cols[g.perm[1]], z.up, sums
+        if g.comp:
+            spans = [(B - hi, B - lo) for B, (lo, hi) in zip(bounds, spans)]
+            xs, ys, flags = [bounds[0] - v for v in xs], [bounds[1] - v for v in ys], down
+            image_sums = {sum(bounds) - s for s in sums}
+        if not image_sums <= {S - 1, S} or any(lo < 0 or hi > B for B, (lo, hi) in zip(bounds, spans)):
+            raise EmbeddingError(f"a symmetry image under {g} left the region")
+        gen_maps[g] = [at[2 * (x * W + y) + f] for x, y, f in zip(xs, ys, flags)]
     act = {}
     for g, step in _walk(tuple(cls.generators)).items():
         if step is None:
@@ -318,18 +319,9 @@ def build_parity_gadget(n_attach: int, parity: str) -> ParityGadget:
     return ParityGadget(n_attach, parity, tuple(range(m)), tuple(edges), attach)
 
 
-def _gadget_rank(me: int, other: int) -> int:
-    """ccw slot of a strip edge at vertex c{me}: right path, right chord,
-    left chord, left path; externals (slot 4) hang below."""
-    if other == me + 1:
-        return 0
-    if other == me + 2:
-        return 1
-    if other == me - 2:
-        return 2
-    if other == me - 1:
-        return 3
-    raise ValueError("not a strip edge")
+# the ccw slot of a strip edge at vertex c{me}, by other - me: right path,
+# right chord, left chord, left path; externals (slot 4) hang below
+_GADGET_RANK = {1: 0, 2: 1, -2: 2, -1: 3}
 
 
 def gadget_multigraph(g: ParityGadget) -> PlanarMultigraph:
@@ -337,8 +329,8 @@ def gadget_multigraph(g: ParityGadget) -> PlanarMultigraph:
     edges = [Edge(i, u, v) for i, (u, v) in enumerate(g.edges)]
     rot = [[] for _ in g.vertices]
     for e in edges:
-        rot[e.u].append((_gadget_rank(e.u, e.v), 2 * e.eid))
-        rot[e.v].append((_gadget_rank(e.v, e.u), 2 * e.eid + 1))
+        rot[e.u].append((_GADGET_RANK[e.v - e.u], 2 * e.eid))
+        rot[e.v].append((_GADGET_RANK[e.u - e.v], 2 * e.eid + 1))
     rotation = [[d for _, d in sorted(rs)] for rs in rot]
     return PlanarMultigraph([f"c{v + 1}" for v in g.vertices], edges, rotation)
 
@@ -361,18 +353,19 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     if not cls.box_fixed(region.abc):
         raise BoxError(f"H{region.abc} is not fixed by class {cls.id}")
     G = group_elements(cls)
-    Z = build_graph(region)
+    Z = lattice(region)
     tri = region.triangles  # Z's vertex i is tri[i]
-    act = _act_region(cls, region)
+    tails, slot, zrot = Z.tails, Z.slot, Z.rotation
+    act = _act_region(cls, region, Z)
     maps = tuple(act.values())
     refl0 = [act[g] for g in G if not g.comp and _is_transposition(g.perm)]
 
     # vertex orbits, sorted, each found from its smallest member; fixedness
     # by a transpose-complement reflection is an orbit property
-    orbit_of: List[Tuple[int, ...]] = [()] * Z.n_vertices
+    orbit_of: List[Tuple[int, ...]] = [()] * len(tri)
     reps: List[int] = []
     fixed = set()
-    for t in Z.vertices:
+    for t in range(len(tri)):
         if not orbit_of[t]:
             orbit = tuple(sorted({m[t] for m in maps}))
             for s in orbit:
@@ -383,55 +376,60 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
 
     # edge orbits, each found from its smallest edge id, and pruned by the
     # orbit-size rule: |Ge| = |Gu| = |Gv| for an ordinary edge, and
-    # |G(v, e)| = 2|Ge| = |Gv| for the halves of a reversed one
-    nz = Z.n_vertices
-    edge_of = {}  # u * nz + v -> id of the edge joining u and v
-    for e in Z.edges:
-        edge_of[e.u * nz + e.v] = edge_of[e.v * nz + e.u] = e.eid
-    ordinary: List[Tuple[Edge, set]] = []  # (smallest edge, orbit ids)
-    bachelor: List[Tuple[Edge, set]] = []
+    # |G(v, e)| = 2|Ge| = |Gv| for the halves of a reversed one.  An element
+    # maps axis k to axis k' with perm[k'] = k, so the image of edge e along
+    # axis k is the edge at the image of e's down end along axis k'.
+    axes = [inverse(g).perm for g in act]
+    ordinary: List[Tuple[int, set]] = []  # (smallest edge id, orbit ids)
+    bachelor: List[Tuple[int, set]] = []
     kept_ids = set()  # ordinary edges that survive pruning
     bachelor_ids = set()  # reversed edges whose halves survive
     done = set()
-    for e in Z.edges:
-        if e.eid in done:
+    for u in range(len(tri)):
+        if Z.up[u]:
             continue
-        eorbit = set()
-        rev = False
-        for m in maps:
-            mu, mv = m[e.u], m[e.v]
-            img = edge_of.get(mu * nz + mv)
-            if img is None:
-                raise EmbeddingError("group element does not preserve adjacency")
-            eorbit.add(img)
-            rev = rev or (mu == e.v and mv == e.u)
-        done |= eorbit
-        n = len(orbit_of[e.u])
-        if rev:
-            if 2 * len(eorbit) == n:
-                bachelor.append((e, eorbit))
-                bachelor_ids |= eorbit
-        elif len(eorbit) == n == len(orbit_of[e.v]):
-            ordinary.append((e, eorbit))
-            kept_ids |= eorbit
+        for k, sk in enumerate(slot):
+            e = sk[u]
+            if e < 0 or e in done:
+                continue
+            v = tails[2 * e + 1]
+            eorbit = set()
+            rev = False
+            for m, ax in zip(maps, axes):
+                mu, mv = m[u], m[v]
+                img = slot[ax[k]][mu]
+                d = 2 * img + (tails[2 * img] != mu)
+                if img < 0 or tails[d] != mu or tails[d ^ 1] != mv:
+                    raise EmbeddingError("group element does not preserve adjacency")
+                eorbit.add(img)
+                rev = rev or (mu == v and mv == u)
+            done |= eorbit
+            n = len(orbit_of[u])
+            if rev:
+                if 2 * len(eorbit) == n:
+                    bachelor.append((e, eorbit))
+                    bachelor_ids |= eorbit
+            elif len(eorbit) == n == len(orbit_of[v]):
+                ordinary.append((e, eorbit))
+                kept_ids |= eorbit
 
     # transpose-complement-fixed vertices pair into forced isolated edges
-    def ids_at(v, ids):
-        return [d >> 1 for d in Z.rotation[v] if d >> 1 in ids]
+    def darts_at(v, ids):
+        return [d for d in zrot[v] if d >> 1 in ids]
 
     removed = set()
     for v in sorted(fixed):
         if v in removed:
             continue
-        ev = ids_at(v, kept_ids)
-        if not ev:
+        dv = darts_at(v, kept_ids)
+        if not dv:
             continue  # bachelor-only or isolated; handled downstream
-        if len(ev) != 1:
-            raise EmbeddingError(f"fixed vertex {tri[v]} kept {len(ev)} edges")
-        w = Z.other_end(Z.edge_by_id[ev[0]], v)
-        if w not in fixed or len(ids_at(w, kept_ids)) != 1:
+        if len(dv) != 1:
+            raise EmbeddingError(f"fixed vertex {tri[v]} kept {len(dv)} edges")
+        w = tails[dv[0] ^ 1]
+        if w not in fixed or len(darts_at(w, kept_ids)) != 1:
             raise EmbeddingError(f"fixed vertex {tri[v]} is not cleanly paired")
-        if ids_at(v, bachelor_ids) or ids_at(w, bachelor_ids):
+        if darts_at(v, bachelor_ids) or darts_at(w, bachelor_ids):
             raise EmbeddingError("paired fixed vertex also holds a bachelor edge")
         removed.update((v, w))
     if any(s not in removed for v in removed for s in orbit_of[v]):
@@ -444,7 +442,7 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     rays = _axis_rays(region, G, act)
     n_gadget = 0
     if bachelor:
-        border = _bachelor_order(region, Z, rays, bachelor)
+        border = _bachelor_order(region, tails, rays, bachelor)
         gadget = build_parity_gadget(len(border), "odd" if len(reps) % 2 else "even")
         n_gadget = len(gadget.vertices)
     qid = {r: n_gadget + i for i, r in enumerate(reps)}  # Z id -> quotient id
@@ -462,9 +460,10 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
         qedges.append(Edge(len(qedges), u, v))
 
     for e, eorbit in ordinary:
-        if e.u in removed:  # removal is orbit-closed
+        u = tails[2 * e]
+        if u in removed:  # removal is orbit-closed
             continue
-        ru, rv = orbit_of[e.u][0], orbit_of[e.v][0]
+        ru, rv = orbit_of[u][0], orbit_of[tails[2 * e + 1]][0]
         if ru != rv:
             add_edge(eorbit, qid[ru], qid[rv])
 
@@ -475,7 +474,7 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
         rotation = [[2 * offset + d for d in ring] for ring in gm.rotation]
         for att, (e, eorbit) in zip(gadget.attachments, border):
             rotation[att].append(2 * len(qedges) + 1)  # slot 4: the external edge
-            add_edge(eorbit, qid[orbit_of[e.u][0]], att)
+            add_edge(eorbit, qid[orbit_of[tails[2 * e]][0]], att)
         qedges += [Edge(offset + e.eid, e.u, e.v) for e in gm.edges]
 
     # Reflections reverse the local rotation sense, so rotations must be read
@@ -492,11 +491,11 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
                 raise EmbeddingError("orbit misses the positively oriented chambers")
             src = members[0]
         darts = []
-        for d in Z.rotation[src]:
+        for d in zrot[src]:
             qeid = qedge_of.get(d >> 1)
             if qeid is None:
                 continue  # pruned or removed edge, or dropped loop
-            if any(qeid == qd >> 1 for qd in darts):
+            if 2 * qeid in darts or 2 * qeid + 1 in darts:
                 raise EmbeddingError(f"quotient edge met orbit {tri[r]} twice")
             darts.append(2 * qeid + (qedges[qeid].u != qid[r]))
         if on_axis and len(darts) > 1:
@@ -507,7 +506,7 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     labels += [f"o({tri[r].x},{tri[r].y},{tri[r].z})" for r in reps]
     bip = None
     if not bachelor and all(not g.comp for g in G):
-        ups = frozenset(qid[r] for r in reps if sum(tri[r]) == region.up_sum)
+        ups = frozenset(qid[r] for r in reps if Z.up[r])
         bip = (ups, frozenset(qid.values()) - ups)
     g = PlanarMultigraph(labels, qedges, rotation, bip)
     if bachelor and g.n_vertices % 2:
@@ -564,7 +563,7 @@ def _chamber_parity_fn(region, rays):
     return parity_of
 
 
-def _bachelor_order(region, Z, rays, orbits):
+def _bachelor_order(region, tails, rays, orbits):
     """Bachelor edge orbits in planar order along the chamber boundary.
 
     Rerouted (reversed) edges have their midpoints on the reflection axes or
@@ -573,8 +572,8 @@ def _bachelor_order(region, Z, rays, orbits):
     the center, and out along the smallest-angle ray.  Every bachelor orbit
     has exactly one representative midpoint on that boundary, and walking it
     gives the cyclic attachment order for the gadget.  An orbit is a pair
-    (smallest edge, ids of the orbit's Z edges), as ``quotient_graph``
-    collects them.
+    (smallest edge id, ids of the orbit's Z edges), as ``quotient_graph``
+    collects them; Z edge e joins the vertices tails[2e] and tails[2e + 1].
     """
     if len(orbits) == 1:
         return orbits
@@ -587,8 +586,7 @@ def _bachelor_order(region, Z, rays, orbits):
     def key(orbit):
         mids = set()
         for eid in orbit[1]:
-            e = Z.edge_by_id[eid]
-            pu, pv = position2(tri[e.u]), position2(tri[e.v])
+            pu, pv = position2(tri[tails[2 * eid]]), position2(tri[tails[2 * eid + 1]])
             mids.add((pu[0] + pv[0] - cx, pu[1] + pv[1] - cy))
         if (0, 0) in mids:
             return (1, 0)  # the center sits between the two boundary rays

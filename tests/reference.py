@@ -2,9 +2,10 @@
 
 No ``ppcount`` route runs any of this, so it lives with the tests:
 
-* Ryser permanents and Hafnians of small dense matrices;
+* exact matrices from dense rows, and Ryser permanents and Hafnians of
+  small dense matrices;
 * hexagon triangle orientation and adjacency, straight from the
-  coordinates;
+  coordinates, and the earlier builder of Z(a,b,c);
 * the plane-partition predicate;
 * flat-orientation checks and the unsigned / symmetric adjacency matrices;
 * perfect-matching enumeration and counting, the brute-force weighted
@@ -16,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ppcount.exactalg import ExactMatrix, QPoly, Scalar
-from ppcount.hexgrid import HexRegion, PlanarMultigraph, RegionError, Triangle, build_graph
+from ppcount.hexgrid import Edge, HexRegion, PlanarMultigraph, RegionError, Triangle, build_graph
 from ppcount.kasteleyn import (
     OrientedGraph,
     SignedGraph,
@@ -34,6 +35,17 @@ from ppcount.oracle import Heights, SizeLimitError
 
 def _is_zero(x: Scalar) -> bool:
     return (not x) if isinstance(x, QPoly) else x == 0
+
+
+def from_rows(rows) -> ExactMatrix:
+    """The matrix with these dense rows; Z[q] when an entry is a QPoly."""
+    rows = [tuple(r) for r in rows]
+    nc = len(rows[0]) if rows else 0
+    if any(len(r) != nc for r in rows):
+        raise ValueError("ragged rows")
+    poly = any(isinstance(x, QPoly) for r in rows for x in r)
+    cells = ((i, j, x) for i, r in enumerate(rows) for j, x in enumerate(r))
+    return ExactMatrix.from_cells(len(rows), nc, cells, poly)
 
 
 def permanent(m: ExactMatrix) -> Scalar:
@@ -128,6 +140,68 @@ def neighbors(t: Triangle, region: HexRegion) -> List[Triangle]:
         if u in region:
             out.append(u)
     return out
+
+
+# The builder of Z(a,b,c) that hexgrid.lattice replaced, kept as it was: it
+# finds each edge by coordinates and makes the Edge objects as it goes.
+# hexgrid.build_graph must give the same graph.
+
+# ccw order of the edge axes around a vertex: at a down triangle the edge
+# along axis i points at angle 120*i degrees; at an up triangle the reverse
+# directions sort ccw as z, x, y.
+_DOWN_ORDER = (0, 1, 2)
+_UP_ORDER = (2, 0, 1)
+
+
+def build_graph_reference(region: HexRegion, q_weights: bool = False) -> PlanarMultigraph:
+    """The adjacency graph Z(a,b,c) with its planar rotation system.
+
+    Vertex i is region.triangles[i], which is also its label.  Edges always
+    run from a down triangle (edge.u) to an up one (edge.v).
+    With q_weights=True the edges whose z-coordinate changes get weight q^x;
+    those matched edges are the "column top" lozenges, and x counts the
+    column steps, so the weight of a matching is q^(partition volume) times
+    a constant absorbed by normalization against the empty partition.
+    """
+    tri = region.triangles
+    X, Y, _ = region.bounds
+    S = region.up_sum
+    # a triangle is determined by x, y and whether it is up; the down
+    # triangle (x, y, z) meets the up triangles at (x+1, y), (x, y+1) and
+    # (x, y), one per axis.  A spare row and column of -1 keep the
+    # neighbours of the last ones in range.
+    W = Y + 2
+    at = [-1] * (2 * W * (X + 2))  # 2 * (x * W + y) + up -> vertex id
+    for i, (x, y, z) in enumerate(tri):
+        at[2 * (x * W + y) + (x + y + z == S)] = i
+    edges: List[Edge] = []
+    slots = [[-1, -1, -1] for _ in tri]  # vertex id -> edge id per axis
+    ups = []
+    for i, (x, y, z) in enumerate(tri):
+        if x + y + z == S:
+            ups.append(i)
+            continue
+        up = 2 * (x * W + y) + 1
+        for ax, j in enumerate((at[up + 2 * W], at[up + 2], at[up])):
+            if j >= 0:
+                w: object = 1
+                if q_weights and ax == 2:
+                    w = QPoly.q_power(x)
+                elif q_weights:
+                    w = QPoly.const(1)
+                eid = len(edges)
+                edges.append(Edge(eid, i, j, w))
+                slots[i][ax] = slots[j][ax] = eid
+    up_ids = frozenset(ups)
+    rotation = [
+        [2 * s[ax] + 1 for ax in _UP_ORDER if s[ax] >= 0]
+        if i in up_ids
+        else [2 * s[ax] for ax in _DOWN_ORDER if s[ax] >= 0]
+        for i, s in enumerate(slots)
+    ]
+    g = PlanarMultigraph(tri, edges, rotation, (up_ids, frozenset(range(len(tri))) - up_ids))
+    g.assert_valid_embedding()
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,17 @@ from fractions import Fraction
 from itertools import combinations
 
 from conftest import random_planar_bipartite, random_planar_graph
-from reference import count_perfect_matchings, hafnian, permanent, symmetric_matrix, unsigned_bipartite_matrix
+from reference import (
+    count_perfect_matchings,
+    from_rows,
+    hafnian,
+    permanent,
+    symmetric_matrix,
+    unsigned_bipartite_matrix,
+)
 
 from ppcount.cli import compute_count, q_matrix_count
-from ppcount.exactalg import ExactMatrix, det, pfaffian_abs
+from ppcount.exactalg import det, pfaffian_abs
 from ppcount.formulas import binomial, n_class, q_box_product, ratio_identities
 from ppcount.hexgrid import build_graph, build_hexagon
 from ppcount.kasteleyn import (
@@ -121,7 +128,7 @@ def test_criterion_4_hafnian_pfaffian_identity():
                 v = rng.randint(-4, 4)
                 m[i][j] = v
                 m[j][i] = -v
-        produced.append(ExactMatrix.from_rows(m))
+        produced.append(from_rows(m))
     for m in produced:
         ok = ok and pfaffian_abs(m) ** 2 == det(m)
     _report("criterion 4: Hafnian = |Pfaffian| on graphs and Pf^2 = Det, <= 14x14", ok)

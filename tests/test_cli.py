@@ -151,6 +151,29 @@ def test_q_budget_refuses_past_either_limit(dims):
         cli.check_q_budget(*dims)
 
 
+@pytest.mark.parametrize(
+    "class_id, dims",
+    [(1, "200,200,200"), (10, "32,32,32"), (1, "1,1,1350"), (5, "30,30,31"), (2, "1000,1000,1")],
+)
+def test_matrix_route_over_budget_exits_2_at_once(class_id, dims, capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "count", "--class", str(class_id), "--dims", dims, "--method", "matrix")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: box {dims.replace(',', 'x')} ") and len(err.splitlines()) == 1
+
+
+def test_matrix_budget_comes_after_the_box_is_found_not_fixed(capsys):
+    code, out, _ = run(capsys, "count", "--class", "2", "--dims", "1,2,3000", "--method", "matrix")
+    assert (code, out) == (0, "0\n")
+
+
+def test_matrix_budget_admits_the_largest_box_of_class_10():
+    # 30^3 has dimension 2700, the limit; 32^3 is class 10's next box
+    assert 3 * 30 * 30 == cli.MAX_MATRIX_DIMENSION
+    assert cli.matrix_count(10, (30, 30, 30)) == n_class(10, (30, 30, 30))
+
+
 def test_verify_small(capsys):
     code, out, err = run(capsys, "verify", "--max-side", "2")
     assert code == 0

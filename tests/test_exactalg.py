@@ -1,11 +1,12 @@
 import math
+import random
 from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import hafnian, permanent
+from reference import from_rows, hafnian, permanent
 
 from ppcount import exactalg
 from ppcount.exactalg import (
@@ -123,26 +124,26 @@ def skew(max_n, elements):
 
 class TestDet:
     def test_identity(self):
-        assert det(ExactMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 1
+        assert det(from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 1
 
     def test_singular(self):
-        assert det(ExactMatrix.from_rows([[1, 1], [1, 1]])) == 0
+        assert det(from_rows([[1, 1], [1, 1]])) == 0
 
     def test_empty(self):
-        assert det(ExactMatrix.from_rows([])) == 1
+        assert det(from_rows([])) == 1
 
     def test_non_square(self):
         with pytest.raises(ValueError):
-            det(ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+            det(from_rows([[1, 2, 3], [4, 5, 6]]))
 
     def test_zero_matrix_keeps_its_ring(self):
-        d = det(ExactMatrix.from_rows([[QPoly(), QPoly()], [QPoly(), QPoly()]]))
+        d = det(from_rows([[QPoly(), QPoly()], [QPoly(), QPoly()]]))
         assert isinstance(d, QPoly) and d.is_zero()
 
     @given(square(5))
     @settings(max_examples=60, deadline=None)
     def test_matches_cofactor_expansion(self, rows):
-        assert det(ExactMatrix.from_rows(rows)) == abs(det_cofactor(rows))
+        assert det(from_rows(rows)) == abs(det_cofactor(rows))
 
     def test_matches_cofactor_expansion_6x6(self):
         import random
@@ -150,31 +151,31 @@ class TestDet:
         r = random.Random(99)
         for _ in range(5):
             rows = [[r.randint(-4, 4) for _ in range(6)] for _ in range(6)]
-            assert det(ExactMatrix.from_rows(rows)) == abs(det_cofactor(rows))
+            assert det(from_rows(rows)) == abs(det_cofactor(rows))
 
     @given(square(4))
     @settings(max_examples=40, deadline=None)
     def test_poly_det_commutes_with_evaluation(self, rows):
-        pm = ExactMatrix.from_rows([[QPoly.const(x) for x in r] for r in rows])
+        pm = from_rows([[QPoly.const(x) for x in r] for r in rows])
         d = det(pm)
-        assert d.subs(1) == det(ExactMatrix.from_rows(rows))
+        assert d.subs(1) == det(from_rows(rows))
 
 
 class TestPermanent:
     def test_all_ones_2x2(self):
-        assert permanent(ExactMatrix.from_rows([[1, 1], [1, 1]])) == 2
+        assert permanent(from_rows([[1, 1], [1, 1]])) == 2
 
     def test_identity(self):
-        assert permanent(ExactMatrix.from_rows([[1, 0], [0, 1]])) == 1
+        assert permanent(from_rows([[1, 0], [0, 1]])) == 1
 
     def test_size_limit(self):
         with pytest.raises(ValueError):
-            permanent(ExactMatrix.from_rows([[0] * 21 for _ in range(21)]))
+            permanent(from_rows([[0] * 21 for _ in range(21)]))
 
     @given(square(4))
     @settings(max_examples=40, deadline=None)
     def test_matches_permutation_sum(self, rows):
-        assert permanent(ExactMatrix.from_rows(rows)) == permanent_brute(rows)
+        assert permanent(from_rows(rows)) == permanent_brute(rows)
 
     def test_matches_permutation_sum_6x6(self):
         import random
@@ -182,19 +183,19 @@ class TestPermanent:
         r = random.Random(7)
         for _ in range(3):
             rows = [[r.randint(0, 3) for _ in range(6)] for _ in range(6)]
-            assert permanent(ExactMatrix.from_rows(rows)) == permanent_brute(rows)
+            assert permanent(from_rows(rows)) == permanent_brute(rows)
 
 
 class TestHafnian:
     def test_single_pair(self):
-        assert hafnian(ExactMatrix.from_rows([[0, 1], [1, 0]])) == 1
+        assert hafnian(from_rows([[0, 1], [1, 0]])) == 1
 
     def test_k4(self):
         m = [[0 if i == j else 1 for j in range(4)] for i in range(4)]
-        assert hafnian(ExactMatrix.from_rows(m)) == 3
+        assert hafnian(from_rows(m)) == 3
 
     def test_odd_dimension(self):
-        assert hafnian(ExactMatrix.from_rows([[0] * 3 for _ in range(3)])) == 0
+        assert hafnian(from_rows([[0] * 3 for _ in range(3)])) == 0
 
     @given(square(3))
     @settings(max_examples=40, deadline=None)
@@ -202,7 +203,7 @@ class TestHafnian:
         n = len(rows)
         blk = [[0] * n + list(rows[i]) for i in range(n)]
         blk += [[rows[j][i] for j in range(n)] + [0] * n for i in range(n)]
-        assert hafnian(ExactMatrix.from_rows(blk)) == permanent_brute(rows)
+        assert hafnian(from_rows(blk)) == permanent_brute(rows)
 
 
 def skew_from_upper(vals, n):
@@ -249,32 +250,32 @@ def skew_rows(n, pairs, vals):
 
 class TestPfaffian:
     def test_two_by_two(self):
-        assert pfaffian_abs(ExactMatrix.from_rows([[0, 5], [-5, 0]])) == 5
+        assert pfaffian_abs(from_rows([[0, 5], [-5, 0]])) == 5
 
     def test_odd_dimension_is_zero(self):
         m = skew_from_upper([1, 2, 3], 3)
-        assert pfaffian_abs(ExactMatrix.from_rows(m)) == 0
+        assert pfaffian_abs(from_rows(m)) == 0
 
     def test_odd_dimension_keeps_its_ring(self):
         m = skew_from_upper([QPoly.q_power(1), QPoly.const(2), 0], 3)
-        pf = pfaffian_abs(ExactMatrix.from_rows(m))
+        pf = pfaffian_abs(from_rows(m))
         assert isinstance(pf, QPoly) and pf.is_zero()
 
     def test_rejects_non_skew(self):
         with pytest.raises(ValueError):
-            pfaffian_abs(ExactMatrix.from_rows([[0, 1], [1, 0]]))
+            pfaffian_abs(from_rows([[0, 1], [1, 0]]))
 
     @given(st.lists(small_int, min_size=6, max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_three_term_expansion(self, vals):
         a12, a13, a14, a23, a24, a34 = vals
-        m = ExactMatrix.from_rows(skew_from_upper(vals, 4))
+        m = from_rows(skew_from_upper(vals, 4))
         assert pfaffian_abs(m) == abs(a12 * a34 - a13 * a24 + a14 * a23)
 
     @given(skew(10, small_int))
     @settings(max_examples=40, deadline=None)
     def test_pf_squared_is_det(self, rows):
-        m = ExactMatrix.from_rows(rows)
+        m = from_rows(rows)
         assert pfaffian_abs(m) ** 2 == det(m) == abs(bareiss(rows))
 
     @given(square(3))
@@ -283,7 +284,7 @@ class TestPfaffian:
         n = len(rows)
         blk = [[0] * n + list(rows[i]) for i in range(n)]
         blk += [[-rows[j][i] for j in range(n)] + [0] * n for i in range(n)]
-        assert pfaffian_abs(ExactMatrix.from_rows(blk)) == abs(det_cofactor(rows))
+        assert pfaffian_abs(from_rows(blk)) == abs(det_cofactor(rows))
 
 
 class TestIntegerSqrt:
@@ -291,7 +292,7 @@ class TestIntegerSqrt:
     @settings(max_examples=20, deadline=None)
     def test_pfaffian_of_8x8_via_sqrt(self, vals):
         """Pf is the square root of det on skew matrices."""
-        m = ExactMatrix.from_rows(skew_from_upper(vals, 8))
+        m = from_rows(skew_from_upper(vals, 8))
         assert pfaffian_abs(m) ** 2 == det(m)
 
 
@@ -299,18 +300,18 @@ class TestKernel:
     @given(sized_square(8, small_int))
     @settings(max_examples=80, deadline=None)
     def test_det_matches_bareiss_over_z(self, rows):
-        assert det(ExactMatrix.from_rows(rows)) == abs(bareiss(rows))
+        assert det(from_rows(rows)) == abs(bareiss(rows))
 
     @given(sized_square(6, big_int))
     @settings(max_examples=40, deadline=None)
     def test_det_matches_bareiss_with_large_entries(self, rows):
-        assert det(ExactMatrix.from_rows(rows)) == abs(bareiss(rows))
+        assert det(from_rows(rows)) == abs(bareiss(rows))
 
     @given(sized_square(4, zq_entry) | sized_square(3, big_poly))
     @settings(max_examples=120, deadline=None)
     def test_det_matches_bareiss_over_zq(self, rows):
         expected = QPoly.const(1) if not rows else bareiss(rows)
-        assert det(ExactMatrix.from_rows(rows)) == expected.sign_normalized()
+        assert det(from_rows(rows)) == expected.sign_normalized()
 
     @given(skew(8, big_int))
     @settings(max_examples=40, deadline=None)
@@ -327,7 +328,7 @@ class TestKernel:
     @given(skew(6, zq_entry))
     @settings(max_examples=80, deadline=None)
     def test_pf_squared_is_det_over_zq(self, rows):
-        m = ExactMatrix.from_rows(rows)
+        m = from_rows(rows)
         pf = pfaffian_abs(m)
         assert pf * pf == det(m)
 
@@ -359,7 +360,7 @@ class TestKernel:
 
         monkeypatch.setattr(exactalg, "_pf_mod", eliminate)
         monkeypatch.setattr(exactalg, "_replay_block", eliminate)
-        d = det(ExactMatrix.from_rows(rows))
+        d = det(from_rows(rows))
         assert isinstance(d, QPoly) and d.is_zero()
         assert bareiss(rows).is_zero()
 
@@ -367,7 +368,7 @@ class TestKernel:
         # two disjoint triangles: the 3-cycles cover every vertex, so the
         # assignment exists, but all its terms have odd degree 1 and cancel
         q = QPoly.q_power(1)
-        m = ExactMatrix.from_rows(skew_from_upper([q, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1], 6))
+        m = from_rows(skew_from_upper([q, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1], 6))
         _, entries = _bounds(6, m.nonzeros, True)
         assert _degree_window(6, [(i, j, t) for i, j, t in entries if i < j]) == (1, 0)
         pf = pfaffian_abs(m)
@@ -424,7 +425,7 @@ class TestKernel:
         if kernel == "pf":
             n, rows = m.nrows, m.entries
             zero = [QPoly()] * n
-            m = ExactMatrix.from_rows(
+            m = from_rows(
                 [zero + list(rows[i]) for i in range(n)]
                 + [[-rows[j][i] for j in range(n)] + zero for i in range(n)]
             )
@@ -537,17 +538,53 @@ class TestKernel:
 
         monkeypatch.setattr(exactalg, "_pf_mod", eliminate)
         rows = [[p1, 1], [p0, 1]]
-        assert det(ExactMatrix.from_rows(rows)) == abs(bareiss(rows)) == p0 - p1
+        assert det(from_rows(rows)) == abs(bareiss(rows)) == p0 - p1
         assert calls == [(p0 * p1 * p2, "raised"), (p0, False), (p1, False), (p2, False)]
         calls.clear()
         rows = skew_from_upper([p1, 1, p0, 1, 1, 1], 4)
-        assert pfaffian_abs(ExactMatrix.from_rows(rows)) == abs(pf_expand(rows)) == p1 + p0 - 1
+        assert pfaffian_abs(from_rows(rows)) == abs(pf_expand(rows)) == p1 + p0 - 1
         assert calls == [(p0 * p1, "raised"), (p0, False), (p1, False)]
+
+    @pytest.mark.parametrize("group", [1, 2, 3])
+    def test_groups_of_primes_give_the_exact_result(self, group, monkeypatch):
+        # 60-bit entries take 3 to 12 primes, so most matrices span groups
+        monkeypatch.setattr(exactalg, "_GROUP", group)
+        rng = random.Random(group)
+        for n in range(1, 6):
+            for _ in range(6):
+                rows = [[rng.randint(-(2**60), 2**60) for _ in range(n)] for _ in range(n)]
+                assert det(from_rows(rows)) == abs(det_cofactor(rows))
+        for n in (2, 4, 6):
+            for _ in range(6):
+                rows = skew_from_upper([rng.randint(-(2**60), 2**60) for _ in range(n * (n - 1) // 2)], n)
+                assert pfaffian_abs(from_rows(rows)) == abs(pf_expand(rows))
+
+    def test_non_unit_pivot_falls_back_per_group(self, monkeypatch):
+        # in groups of two, only the group holding _prime(0) and _prime(1)
+        # falls back to one elimination per prime
+        p0, p1, p2 = _prime(0), _prime(1), _prime(2)
+        honest = exactalg._pf_mod
+        calls = []
+
+        def eliminate(n, pairs, vals, p, record=False):
+            try:
+                out = honest(n, pairs, vals, p, record)
+            except ValueError:
+                calls.append((p, "raised"))
+                raise
+            calls.append((p, record))
+            return out
+
+        monkeypatch.setattr(exactalg, "_GROUP", 2)
+        monkeypatch.setattr(exactalg, "_pf_mod", eliminate)
+        rows = [[p1, 1], [p0, 1]]
+        assert det(from_rows(rows)) == abs(bareiss(rows)) == p0 - p1
+        assert calls == [(p0 * p1, "raised"), (p0, False), (p1, False), (p2, False)]
 
     @given(sized_square(5, st.sampled_from([0, 1, -1, 2, _prime(0), -_prime(1), _prime(0) * _prime(2)])))
     @settings(max_examples=60, deadline=None)
     def test_det_matches_bareiss_with_entries_that_are_not_units(self, rows):
-        assert det(ExactMatrix.from_rows(rows)) == abs(bareiss(rows))
+        assert det(from_rows(rows)) == abs(bareiss(rows))
 
     def test_one_evaluation_builds_no_program(self, monkeypatch):
         honest, honest_replay = exactalg._pf_mod, exactalg._replay_block
@@ -565,14 +602,14 @@ class TestKernel:
         q = QPoly.q_power(1)
         p0, p1, p2 = _prime(0), _prime(1), _prime(2)
         # one prime; one prime and the one point of the window q^2 .. q^2
-        assert det(ExactMatrix.from_rows([[2, 1], [1, 3]])) == 5
-        assert det(ExactMatrix.from_rows([[q, 0], [1, 2 * q]])) == QPoly.q_power(2, 2)
-        assert pfaffian_abs(ExactMatrix.from_rows(skew_from_upper([3, 1, 0, 0, 1, 2], 4))) == 5
+        assert det(from_rows([[2, 1], [1, 3]])) == 5
+        assert det(from_rows([[q, 0], [1, 2 * q]])) == QPoly.q_power(2, 2)
+        assert pfaffian_abs(from_rows(skew_from_upper([3, 1, 0, 0, 1, 2], 4))) == 5
         assert calls == [(p0, False)] * 3
         # an integer result past one prime is one elimination mod their product
         calls.clear()
         rows = [[2**40, 1], [1, 2**40 + 1]]
-        assert det(ExactMatrix.from_rows(rows)) == abs(bareiss(rows))
+        assert det(from_rows(rows)) == abs(bareiss(rows))
         assert calls == [(p0 * p1 * p2, False)]
         # a Z[q] call that evaluates more than once records its first elimination only
         calls.clear()
@@ -585,8 +622,8 @@ class TestKernel:
     def test_entries_that_vanish_mod_a_prime(self):
         p0, p1 = _prime(0), _prime(1)
         for rows in ([[p0]], [[p1]], [[p1, 1], [1, 1]], [[p0, 1, 0], [2, p0, p1], [0, -p1, 3]]):
-            assert det(ExactMatrix.from_rows(rows)) == abs(bareiss(rows))
-        m = ExactMatrix.from_rows(skew_from_upper([p0, 1, 0, 1, 1, p1], 4))
+            assert det(from_rows(rows)) == abs(bareiss(rows))
+        m = from_rows(skew_from_upper([p0, 1, 0, 1, 1, p1], 4))
         assert pfaffian_abs(m) == abs(p0 * p1 - 1 + 0)
 
     def test_prime_list_is_prime_descending_and_deterministic(self):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conftest import (
@@ -7,7 +9,13 @@ from conftest import (
     random_planar_graph,
     wheel_graph,
 )
-from reference import count_perfect_matchings, neighbors, orientation, weighted_matching_sum_brute
+from reference import (
+    build_graph_reference,
+    count_perfect_matchings,
+    neighbors,
+    orientation,
+    weighted_matching_sum_brute,
+)
 
 from ppcount.exactalg import QPoly
 from ppcount.formulas import n_class
@@ -16,6 +24,7 @@ from ppcount.hexgrid import (
     PlanarMultigraph,
     RegionError,
     Triangle,
+    _trace_faces,
     build_graph,
     build_hexagon,
     q_weight_graph,
@@ -248,7 +257,7 @@ def test_face_tracer_refuses_a_rotation_that_fails_euler():
     rotation = [list(ring) for ring in g.rotation]
     rotation[centre].reverse()
     bad = _with_rotation(g, rotation)
-    assert len(bad._trace_faces()) == 2  # it traces, on a torus
+    assert len(_trace_faces(bad.tails, bad.rotation)) == 2  # it traces, on a torus
     with pytest.raises(EmbeddingError, match="V-E\\+F"):
         bad.assert_valid_embedding()
 
@@ -309,3 +318,16 @@ def test_subgraph_renumbers_and_keeps_edge_ids_and_labels(cid):
             assert (old[e.u], old[e.v], e.weight) == (f.u, f.v, f.weight)
         assert sub.rotation == [q.rotation[v] for v in old]
         assert (sub.bipartition is None) == (q.bipartition is None)
+
+
+@pytest.mark.parametrize("q_weights", [False, True])
+def test_build_graph_equals_the_reference_builder(q_weights):
+    for dims in itertools.product(range(7), repeat=3):
+        region = build_hexagon(*dims)
+        g, ref = build_graph(region, q_weights), build_graph_reference(region, q_weights)
+        assert g.labels == ref.labels, dims
+        assert g.edges == ref.edges, dims  # ids, endpoints and weights
+        assert [type(e.weight) for e in g.edges] == [type(e.weight) for e in ref.edges]
+        assert g.rotation == ref.rotation, dims
+        assert g.bipartition == ref.bipartition, dims
+        assert g.assert_valid_embedding() == ref.assert_valid_embedding(), dims

@@ -6,6 +6,7 @@ from conftest import graph_from_points, grid_graph, random_planar_bipartite, ran
 from reference import (
     check_flat_orientation,
     count_perfect_matchings,
+    from_rows,
     hafnian,
     permanent,
     symmetric_matrix,
@@ -13,7 +14,7 @@ from reference import (
 )
 
 from ppcount import exactalg, kasteleyn
-from ppcount.exactalg import ExactMatrix, det, pfaffian_abs
+from ppcount.exactalg import det, pfaffian_abs
 from ppcount.formulas import q_box_product
 from ppcount.hexgrid import Edge, EmbeddingError, PlanarMultigraph, build_graph, build_hexagon, q_weight_graph
 from ppcount.kasteleyn import (
@@ -479,13 +480,13 @@ def test_builders_give_the_canonical_sparse_form_on_z_graphs(weighted):
         g = weighted(build_hexagon(*dims))
         for m in _builder_matrices(g) + [bipartite_matrix(flat_signing(g))]:
             assert m.poly == (weighted is q_weight_graph)
-            assert ExactMatrix.from_rows(m.entries) == m
+            assert from_rows(m.entries) == m
 
 
 def test_builders_give_the_canonical_sparse_form_on_quotients(small_quotients):
     for _, _, q in small_quotients:
         for m in _builder_matrices(q):
-            assert ExactMatrix.from_rows(m.entries) == m
+            assert from_rows(m.entries) == m
 
 
 def test_flat_orientation_is_flat_on_quotients_and_z_graphs(small_quotients):

@@ -5,7 +5,8 @@ import pytest
 
 from reference import count_perfect_matchings, is_plane_partition
 
-from ppcount.hexgrid import Triangle, build_hexagon
+from ppcount import hexgrid, symmetry
+from ppcount.hexgrid import EmbeddingError, Triangle, build_hexagon, lattice
 from ppcount.oracle import count_symmetric, enumerate_partitions
 from ppcount.symmetry import (
     CLASSES,
@@ -53,10 +54,49 @@ def test_composed_action_equals_the_direct_triangle_images():
             r = build_hexagon(*dims)
             tri = r.triangles
             idx = {t: i for i, t in enumerate(tri)}
-            act = _act_region(cls, r)
+            act = _act_region(cls, r, lattice(r))
             assert tuple(act) == group_elements(cls)
             for g, m in act.items():
                 assert m == [idx[act_triangle(g, t, r)] for t in tri], (cid, dims, g)
+
+
+def test_quotient_checks_the_rotation_of_the_z_it_builds(monkeypatch):
+    # two darts swapped at a vertex of degree 3, between the lattice build
+    # and its check, reverse the vertex's rotation and break Euler's formula
+    honest = hexgrid._valid_faces
+
+    def swapped(tails, rotation):
+        ring = next(r for r in rotation if len(r) == 3)
+        ring[0], ring[1] = ring[1], ring[0]
+        return honest(tails, rotation)
+
+    monkeypatch.setattr(hexgrid, "_valid_faces", swapped)
+    with pytest.raises(EmbeddingError, match="V-E\\+F"):
+        quotient_graph(build_hexagon(3, 3, 3), CLASSES[3])
+
+
+def test_quotient_checks_each_generator_image_against_the_region(monkeypatch):
+    # with the box check switched off, the rotation of H(1,2,3) sends
+    # triangles out of the region
+    monkeypatch.setattr(symmetry, "box_fixed", lambda g, box: True)
+    with pytest.raises(EmbeddingError, match="left the region"):
+        quotient_graph(build_hexagon(1, 2, 3), CLASSES[3])
+
+
+def test_quotient_checks_that_every_element_preserves_adjacency(monkeypatch):
+    # the half-turn with the images of the first and the last triangle
+    # swapped is still a bijection, but not an automorphism of Z
+    honest = symmetry._act_region
+
+    def tampered(cls, region, z):
+        act = honest(cls, region, z)
+        m = act[KAPPA]
+        m[0], m[-1] = m[-1], m[0]
+        return act
+
+    monkeypatch.setattr(symmetry, "_act_region", tampered)
+    with pytest.raises(EmbeddingError, match="does not preserve adjacency"):
+        quotient_graph(build_hexagon(3, 3, 3), CLASSES[5])
 
 
 def test_composition_is_associative_and_closed():
