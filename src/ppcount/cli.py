@@ -18,10 +18,10 @@ from typing import List, Optional, Tuple
 
 from .exactalg import QPoly
 from .formulas import n_class, n_class_via_ratios, q_box_product
-from .hexgrid import PlanarMultigraph, build_hexagon, build_graph, q_weight_graph
+from .hexgrid import PlanarMultigraph, build_graph, build_hexagon, lattice
 from .kasteleyn import flat_orientation, flat_signing, weighted_matching_sum
 from .oracle import SizeLimitError, check_budget, count_symmetric, q_sum
-from .symmetry import CLASSES, quotient_graph
+from .symmetry import CLASSES, KAPPA, _act_region, quotient_graph
 
 RATIO_CLASSES = (1, 3, 5, 9)
 
@@ -44,32 +44,43 @@ def parse_dims(text: str) -> Tuple[int, int, int]:
 # matrix.  Measured in-process on a 2-vCPU VM, CPython 3.11: class 1 at
 # 30x30x30 (2700, 71 primes) 1.8 s, 36x36x36 (3888) 4.9 s; the thin boxes
 # 1x1x1349 0.31 s (54 MiB peak RSS) and 0x1x2700 0.46 s (137 MiB, mostly
-# the triangle index of Z).
+# the triangle index of Z).  Graph export takes the same budget: Z has
+# 2(ab + bc + ca) vertices.
 MAX_MATRIX_DIMENSION = 2700
+
+
+def check_matrix_budget(dims, route: str) -> None:
+    """Raise SizeLimitError, before Z is built, when the box's dimension
+    ab + bc + ca is over MAX_MATRIX_DIMENSION."""
+    a, b, c = dims
+    if a * b + b * c + c * a > MAX_MATRIX_DIMENSION:
+        raise SizeLimitError(f"box {a}x{b}x{c} has matrix dimension {a * b + b * c + c * a}; "
+                             f"the {route} takes at most {MAX_MATRIX_DIMENSION}")
 
 
 def matrix_count(class_id: int, dims) -> int:
     """Count by determinant/Pfaffian; a box the class does not fix holds no
     invariant partition, so it counts 0, as by formula and oracle.  Raises
-    SizeLimitError, before Z is built, for a fixed box whose dimension
-    ab + bc + ca is over MAX_MATRIX_DIMENSION."""
+    SizeLimitError, before Z is built, for a fixed box over the matrix
+    budget (``check_matrix_budget``)."""
     cls = CLASSES[class_id]
     if not cls.box_fixed(dims):
         return 0
-    a, b, c = dims
-    if a * b + b * c + c * a > MAX_MATRIX_DIMENSION:
-        raise SizeLimitError(f"box {a}x{b}x{c} has matrix dimension {a * b + b * c + c * a}; "
-                             f"the matrix route takes at most {MAX_MATRIX_DIMENSION}")
+    check_matrix_budget(dims, "matrix route")
     return weighted_matching_sum(quotient_graph(build_hexagon(*dims), cls))
 
 
 # The q matrix route's budget.  It evaluates a determinant of dimension
-# ab + bc + ca at abc + 1 points (the answer's degree is abc) per prime, and
-# its degree window costs a min-cost assignment that grows quadratically on
-# thin boxes.  Measured on a 2-vCPU VM, CPython 3.11: 10x10x10 (degree 1000,
-# dimension 300) 4.5-6.8 s, 9x9x12 4.8 s, 1x1x599 (dimension 1199) 5.2 s,
-# 1x2x399 4.8 s, 0x1x1200 1.6 s; past the limits 1x1x999 took 13.9 s and
-# 0x200x200 (dimension 40000, degree 0) 80 s.
+# ab + bc + ca at floor(abc/2) + 1 points (the answer's degree is abc, and
+# the half-turn gives the other half) per prime, and its degree window costs
+# a min-cost assignment that grows quadratically on thin boxes, where it
+# leads.  Measured in-process on a 2-vCPU VM, CPython 3.11, best of 2:
+# 10x10x10 (degree 1000, dimension 300) 2.7 s; 1x1x599 (dimension 1199)
+# 3.2 s and 1x2x399 2.4 s, against 4.4 s and 3.4 s with the dict-based
+# assignment and the full window in the same session.  The assignment stays
+# quadratic, so the dimension limit stays: past it 1x1x999 took 13.9 s and
+# 0x200x200 (dimension 40000, degree 0) 80 s with the dict-based assignment
+# and the full window.
 MAX_Q_DEGREE = 1000
 MAX_Q_DIMENSION = 1200
 
@@ -88,10 +99,16 @@ def check_q_budget(a: int, b: int, c: int) -> None:
 
 def q_matrix_count(dims) -> QPoly:
     """Normalized q-weighted determinant: coefficient of q^k counts volume-k
-    partitions; the weight of the empty partition is divided out.  Raises
-    SizeLimitError for a box over the route's budget (``check_q_budget``)."""
+    partitions; the weight of the empty partition is divided out.  The
+    half-turn (complementation, the group of class 5) goes with it, so that
+    the determinant may prove its mirror and evaluate half its window.
+    Raises SizeLimitError for a box over the route's budget
+    (``check_q_budget``)."""
     check_q_budget(*dims)
-    d = weighted_matching_sum(q_weight_graph(build_hexagon(*dims)))
+    region = build_hexagon(*dims)
+    z = lattice(region)
+    kappa = _act_region(CLASSES[5], region, z)[KAPPA]
+    d = weighted_matching_sum(build_graph(region, q_weights=True, z=z), kappa)
     if isinstance(d, int):  # no edges carry a q-weight
         return QPoly.const(d)
     return d.shift(-d.low_degree())
@@ -270,6 +287,9 @@ def graph_to_dot(g: PlanarMultigraph, signs=None, heads=None) -> str:
 
 
 def run_export(kind: str, class_id: Optional[int], dims, fmt: str, attrs: str) -> str:
+    """The graph as JSON or DOT text; raises SizeLimitError, before Z is
+    built, for a box over the matrix budget."""
+    check_matrix_budget(dims, "export")
     region = build_hexagon(*dims)
     if kind == "z":
         g = build_graph(region)

@@ -61,15 +61,27 @@ Over Z[q] the result is found mod p by evaluation and interpolation across
 a proven degree window [L, U] of det A = Pf^2 for the n x n skew matrix A
 the kernel eliminates (``_degree_window``: potentials from two min-cost
 assignments, whose dual feasibility is checked on every nonzero).  Then
-Pf(x) x^-ceil(L/2) is a polynomial of degree at most floor(U/2) -
-ceil(L/2), found from that many evaluations plus one, at x = 1, 2, ...;
-the low zero coefficients are prepended after.  The window must be smaller
-than the smallest prime the call uses, so that the points are nonzero and
-distinct mod every prime; a larger one raises.  For det M the skew block's
+Pf(x) x^-L' with L' = ceil(L/2) is a polynomial Q of degree at most
+D = U' - L' with U' = floor(U/2), found from D + 1 evaluations at
+x = 1, 2, ...; the low zero coefficients are prepended after.  For det M the skew block's
 assignments split into one of M and one of M^T, so its window is twice M's
 and halving gives M's window exactly.  When the support of A has no perfect
 matching, the result is the zero polynomial, with no elimination.  The
 integer route runs none of this.
+
+``det`` may also take a mirror exponent G that the caller has proven, with
+det M(q) = q^G det M(1/q) (``kasteleyn._certified_mirror`` proves it for the
+q-weighted hexagon from its half-turn).  Then the coefficients of q^k and
+q^(G - k) agree, the window tightens to [max(L', G - U'), min(U', G - L')],
+which is symmetric about G/2, and Q over it is a palindrome of its degree
+D: (1 + x) divides it when D is odd, and Q(x) = x^h R(x + 1/x) (1 + x)^(D mod 2) with
+h = floor(D/2) and R of degree h.  So floor(D/2) + 1 evaluations at
+x = 1, 2, ... give R at the nodes x + 1/x, and ``_unfold`` rebuilds Q from
+R; the evaluations per prime halve.  One Newton interpolation over given
+nodes (``_interpolate``, one batch inversion per level) serves both paths.
+The nodes must be distinct mod every prime the call uses: x = 1..m needs
+m below the smallest prime, and x + 1/x needs m^2 below it (x + 1/x =
+y + 1/y means x = y or xy = 1); a wider window raises.
 
 The kernel stores one value slot per unordered pair {i, j} of the support,
 A[i][j] for i < j (the Schur complement of a skew matrix is skew).  The
@@ -471,8 +483,7 @@ def _replay_block(program, vals, p: int):
     with a = val[s] and c = [val[t] / a for t in xs] followed by their
     negatives, val[dst[k]] += c[ci[k]] * val[src[k]] for every k.  Each op is
     one list comprehension across the lanes.  A pivot's
-    inverses take one ``pow`` (Montgomery's batch inversion: prefix
-    products, one inverse, then walk back), with 1 standing in for a lane
+    inverses take one ``pow`` (``_inverses``), with 1 standing in for a lane
     whose pivot is 0 mod p.  That lane's values are then wrong, but its
     pivot slot keeps the 0, so its pivot product is 0 and it gets None.
     """
@@ -480,16 +491,7 @@ def _replay_block(program, vals, p: int):
     w = len(vals[0])
     val = vals + [[0] * w] * (size - len(vals))  # lists are replaced, never changed
     for s, xs, dst, ci, src in steps:
-        a = [e or 1 for e in val[s]]
-        pre, acc = [], 1  # pre[i]: the product of a[:i]
-        for e in a:
-            pre.append(acc)
-            acc = acc * e % p
-        inv, ainv = pow(acc, -1, p), []  # inv: 1 / the product of a[:i + 1]
-        for e, f in zip(reversed(a), reversed(pre)):
-            ainv.append(inv * f % p)
-            inv = inv * e % p
-        ainv.reverse()
+        ainv = _inverses([e or 1 for e in val[s]], p)
         c = [[e * ai % p for e, ai in zip(val[t], ainv)] for t in xs]
         c += [[p - e for e in ct] for ct in c]
         for d, k, t in zip(dst, ci, src):
@@ -514,19 +516,52 @@ def _is_even(perm) -> bool:
     return transpositions % 2 == 0
 
 
-def _interpolate(ys, p: int):
+def _inverses(a, p: int):
+    """The inverses mod p of the units a, by one ``pow`` (Montgomery's batch
+    inversion: prefix products, one inverse, then walk back)."""
+    pre, acc = [], 1  # pre[i]: the product of a[:i]
+    for e in a:
+        pre.append(acc)
+        acc = acc * e % p
+    inv, out = pow(acc, -1, p), []  # inv: 1 / the product of a[:i + 1]
+    for e, f in zip(reversed(a), reversed(pre)):
+        out.append(inv * f % p)
+        inv = inv * e % p
+    out.reverse()
+    return out
+
+
+def _interpolate(xs, ys, p: int):
     """Coefficients, lowest first, of the polynomial over F_p of degree
-    below len(ys) that takes the value ys[t] at t + 1."""
+    below len(ys) that takes the value ys[t] at xs[t]; the nodes xs must be
+    distinct mod p.  Newton's divided differences, one batch inversion of
+    the node gaps per level."""
     c = list(ys)
     n = len(c)
-    for k in range(1, n):  # Newton divided differences; nodes k apart differ by k
-        ik = pow(k, -1, p)
-        c[k:] = [(b - a) * ik % p for a, b in zip(c[k - 1:-1], c[k:])]
+    for k in range(1, n):  # c[i] becomes f[xs[i - k] .. xs[i]] for i >= k
+        gaps = _inverses([b - a for a, b in zip(xs, xs[k:])], p)
+        c[k:] = [(b - a) * g % p for a, b, g in zip(c[k - 1:-1], c[k:], gaps)]
     poly = [c[-1]]
-    for t in range(n - 2, -1, -1):  # poly = poly * (q - (t + 1)) + c[t]
-        poly = [(lo - (t + 1) * hi) % p for lo, hi in zip([0] + poly, poly + [0])]
+    for t in range(n - 2, -1, -1):  # poly = poly * (q - xs[t]) + c[t]
+        x = xs[t]
+        poly = [(lo - x * hi) % p for lo, hi in zip([0] + poly, poly + [0])]
         poly[0] = (poly[0] + c[t]) % p
     return poly
+
+
+def _unfold(r, odd: int, p: int):
+    """Coefficients, lowest first, of Q(q) = q^h R(q + 1/q) (1 + q)^odd over
+    F_p, where R has the coefficients r and degree h = len(r) - 1: the
+    palindrome of degree 2h + odd whose half ``_pfaffian`` interpolated.
+    Horner in y = q + 1/q: with T = q^i P(q + 1/q) for the top i + 1
+    coefficients P of R, the next T is T (q^2 + 1) + r q^(i + 1)."""
+    t = [r[-1]]
+    for i, c in enumerate(reversed(r[:-1])):
+        t = [(a + b) % p for a, b in zip(t + [0, 0], [0, 0] + t)]
+        t[i + 1] = (t[i + 1] + c) % p
+    if odd:
+        t = [(a + b) % p for a, b in zip(t + [0], [0] + t)]
+    return t
 
 
 def _assignment_duals(n: int, arcs):
@@ -539,7 +574,9 @@ def _assignment_duals(n: int, arcs):
     shortest alternating path (Dijkstra over a heap) under the reduced costs
     c - u_i - v_j >= 0.  Then every node settled before the free column at
     distance d moves its potential by d minus its own distance, which keeps
-    every reduced cost nonnegative and makes the matched arcs tight.
+    every reduced cost nonnegative and makes the matched arcs tight.  The
+    search state lives in lists indexed by column, and after each search
+    only the columns it reached are reset, so a search costs what it reaches.
     """
     adj = [[] for _ in range(n)]
     for i, j, c in arcs:
@@ -550,34 +587,40 @@ def _assignment_duals(n: int, arcs):
     v = [0] * n
     row_of = [-1] * n  # the row matched to each column
     col_of = [-1] * n  # the column matched to each row
+    reach = [None] * n  # per column: its least distance from row s so far
+    pred = [-1] * n  # per column: the row it was reached from
+    done = [False] * n  # per column: settled
     for s in range(n):
-        settled = {}  # column -> its distance from row s
-        reach = {}
-        pred = {}
-        heap = []
+        settled, reached, heap = [], [], []
         i, d = s, 0
         while True:
+            di = d - u[i]
             for j, c in adj[i]:
-                if j not in settled:
-                    dj = d + c - u[i] - v[j]
-                    if j not in reach or dj < reach[j]:
+                if not done[j]:
+                    dj = di + c - v[j]
+                    r = reach[j]
+                    if r is None or dj < r:
+                        if r is None:
+                            reached.append(j)
                         reach[j] = dj
                         pred[j] = i
                         heappush(heap, (dj, j))
-            while heap and heap[0][1] in settled:
+            while heap and done[heap[0][1]]:
                 heappop(heap)
             if not heap:
                 return None
             d, j = heappop(heap)
-            settled[j] = d
+            done[j] = True
+            settled.append(j)
             if row_of[j] < 0:
                 break
             i = row_of[j]  # a matched arc is tight: its row is at distance d too
         u[s] += d
-        for k, dk in settled.items():
-            if k != j:
-                u[row_of[k]] += d - dk
-                v[k] -= d - dk
+        for k in settled[:-1]:
+            u[row_of[k]] += d - reach[k]
+            v[k] -= d - reach[k]
+        for k in reached:
+            reach[k], done[k] = None, False
         while j >= 0:  # flip the alternating path back to row s
             i = pred[j]
             row_of[j], col_of[i], j = i, j, col_of[i]
@@ -609,7 +652,7 @@ def _degree_window(n: int, triples):
     return (sum(u) + sum(v) + 1) // 2, (sum(s) + sum(t)) // 2
 
 
-def _pfaffian(n: int, triples, power: int, bound: int, poly: bool):
+def _pfaffian(n: int, triples, power: int, bound: int, poly: bool, mirror: Optional[int] = None):
     """Signed Pfaffian of the n x n skew matrix given by ``triples`` (i, j, a),
     i < j, exact, as a list of coefficients (one for an integer matrix).
 
@@ -621,7 +664,8 @@ def _pfaffian(n: int, triples, power: int, bound: int, poly: bool):
     ``_GROUP`` primes gives the result, unless a pivot is 0 mod some primes
     of the group only; then each prime of that group is eliminated on its
     own.  Over Z[q] the Pfaffian is evaluated only across
-    its degree window (``_degree_window``); when more than one evaluation
+    its degree window (``_degree_window``), or half of it when the caller
+    has proven Pf(q) = q^mirror Pf(1/q); when more than one evaluation
     (prime and point) is due, the first records its elimination and the
     later ones replay it.
     """
@@ -636,11 +680,19 @@ def _pfaffian(n: int, triples, power: int, bound: int, poly: bool):
     low, points = 0, 1
     if poly:
         window = _degree_window(n, triples)
-        if window is None or window[1] < window[0]:
-            return [0]  # no perfect matching, or an odd-only window for Pf^2
+        if window is None:
+            return [0]  # no perfect matching
         low, high = window
-        points = high - low + 1
-        if points >= primes[-1]:  # x = 1..points must be nonzero and distinct mod every p
+        if mirror is not None:  # the term q^k comes with q^(mirror - k)
+            low, high = max(low, mirror - high), min(high, mirror - low)
+        if high < low:
+            return [0]  # an odd-only window for Pf^2, or no room for the mirror
+        # Q(x) = Pf(x) x^-low has degree high - low = 2h + odd; a palindrome
+        # is x^h R(x + 1/x) (1 + x)^odd with R of degree h
+        h, odd = divmod(high - low, 2)
+        points = h + 1 if mirror is not None else high - low + 1
+        if (points * points if mirror is not None else points) >= primes[-1]:
+            # the nodes x = 1..points, or x + 1/x, must be distinct mod every p
             raise ValueError(f"degree window of {points} leaves too few evaluation points")
     pairs = [(i, j) for i, j, _ in triples]
     if not poly:
@@ -662,12 +714,12 @@ def _pfaffian(n: int, triples, power: int, bound: int, poly: bool):
         program = None
 
         def residues_mod(group):
-            # Pf(x) x^-low has degree <= high - low: interpolate it on x = 1..points,
-            # evaluated one point at a time until a program is recorded, then a
-            # block of points at a time
+            # evaluate at x = 1..points, one point at a time until a program is
+            # recorded, then a block of points at a time; interpolate Q at the
+            # nodes x, or R at the nodes x + 1/x
             nonlocal program
             (p,) = group
-            ys, start = [], 1
+            nodes, ys, start = [], [], 1
             while start <= points:
                 stop = start + 1 if program is None else min(start + _BLOCK, points + 1)
                 block = range(start, stop)
@@ -688,9 +740,15 @@ def _pfaffian(n: int, triples, power: int, bound: int, poly: bool):
                     for i, pf in enumerate(pfs):
                         if pf is None:
                             pfs[i] = _pf_mod(n, pairs, [v[i] for v in vals], p)[0]
-                ys += [pf * pow(x, -low, p) % p for pf, x in zip(pfs, block)]
+                if mirror is None:
+                    nodes += block
+                    ys += [pf * pow(x, -low, p) % p for pf, x in zip(pfs, block)]
+                else:  # R(x + 1/x) = Q(x) x^-h (1 + x)^-odd
+                    nodes += [(x + pow(x, -1, p)) % p for x in block]
+                    ys += [pf * pow(x, -low - h, p) * pow(1 + x, -odd, p) % p for pf, x in zip(pfs, block)]
                 start = stop
-            return [(p, _interpolate(ys, p))]
+            coeffs = _interpolate(nodes, ys, p)
+            return [(p, coeffs if mirror is None else _unfold(coeffs, odd, p))]
 
     residues, modulus = None, 1
     for group in groups:
@@ -724,16 +782,21 @@ def _bounds(n: int, nz, poly: bool):
     return math.prod(sq), out
 
 
-def det(m: ExactMatrix, coeff_bound: Optional[int] = None) -> Scalar:
+def det(m: ExactMatrix, coeff_bound: Optional[int] = None, mirror: Optional[int] = None) -> Scalar:
     """Absolute determinant (sign-normalized for polynomial matrices): the
     kernel's Pfaffian of [[0, M], [-M^T, 0]], which is +-det M.
 
     ``coeff_bound``, when given, is a bound B >= |c| on every coefficient c
     of det M that the caller has proven, and the CRT stops once the modulus
-    exceeds 2B.  The kernel cannot check it: a bound below the truth gives a
-    wrong answer.  ``kasteleyn.weighted_matching_sum`` certifies one for a
-    flat-signed Z[q] matrix with nonnegative weights.  Without it the bound
-    is Hadamard over Z and Goldstein-Graham over Z[q].
+    exceeds 2B.  ``mirror``, when given, is an exponent G that the caller
+    has proven to satisfy det M(q) = q^G det M(1/q) over Z[q]; then the
+    coefficients of q^k and q^(G - k) agree, and the kernel evaluates half
+    the window.  The kernel can check neither: a bound below the truth or
+    a false G gives a wrong answer.  ``kasteleyn.weighted_matching_sum``
+    certifies both for a flat-signed Z[q] matrix with nonnegative weights
+    (G also needs monomial weights and a half-turn).  Without them the
+    bound is Hadamard over Z and Goldstein-Graham over Z[q], and the window
+    is evaluated in full.
     """
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
@@ -741,7 +804,7 @@ def det(m: ExactMatrix, coeff_bound: Optional[int] = None) -> Scalar:
     bound, entries = _bounds(n, m.nonzeros, m.poly)
     block = [(i, n + j, a) for i, j, a in entries]
     power, bound = (2, bound) if coeff_bound is None else (1, coeff_bound)
-    return _result(_pfaffian(2 * n, block, power, bound, m.poly), m.poly)
+    return _result(_pfaffian(2 * n, block, power, bound, m.poly, mirror), m.poly)
 
 
 def _check_skew(m: ExactMatrix):

@@ -72,8 +72,14 @@ def _exact_div(num: int, den: int) -> int:
 
 
 def _n1(a: int, b: int, c: int) -> int:
-    H = hyperfactorial
-    return _exact_div(H(a + b + c) * H(a) * H(b) * H(c), H(a + b) * H(a + c) * H(b + c))
+    """MacMahon's product of (i + j + c - 1) / (i + j - 1) over i <= a,
+    j <= b, with a <= b the two shortest sides: the product over j is
+    perm(i + b + c - 1, b) / perm(i + b - 1, b), so the work grows with ab,
+    not with the longest side."""
+    a, b, c = sorted((a, b, c))
+    rows = range(1, a + 1)
+    return _exact_div(math.prod(math.perm(i + b + c - 1, b) for i in rows),
+                      math.prod(math.perm(i + b - 1, b) for i in rows))
 
 
 def _n2(a: int, c: int) -> int:

@@ -365,9 +365,10 @@ def lattice(region: HexRegion) -> Lattice:
     return Lattice(W, at, up, (s0, s1, s2), tails, rotation, *_valid_faces(tails, rotation))
 
 
-def build_graph(region: HexRegion, q_weights: bool = False) -> PlanarMultigraph:
+def build_graph(region: HexRegion, q_weights: bool = False, z: Optional[Lattice] = None) -> PlanarMultigraph:
     """The adjacency graph Z(a,b,c) with its planar rotation system: the
-    ``lattice`` wrapped into a ``PlanarMultigraph``.
+    ``lattice`` wrapped into a ``PlanarMultigraph`` (z, when the caller has
+    built it already).
 
     Vertex i is region.triangles[i], which is also its label.  Edges always
     run from a down triangle (edge.u) to an up one (edge.v).
@@ -376,7 +377,7 @@ def build_graph(region: HexRegion, q_weights: bool = False) -> PlanarMultigraph:
     column steps, so the weight of a matching is q^(partition volume) times
     a constant absorbed by normalization against the empty partition.
     """
-    z = lattice(region)
+    z = lattice(region) if z is None else z
     tri = region.triangles
     weights: List[object] = [1] * (len(z.tails) >> 1)
     if q_weights:

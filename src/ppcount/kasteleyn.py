@@ -245,7 +245,8 @@ def _certified_coeff_bound(sg: SignedGraph, m: ExactMatrix) -> Optional[int]:
     coefficients are >= 0: then every matching enters det m with one sign
     (Kasteleyn), so det m(q) = +-sum_M w(M) has nonnegative coefficients
     summing to N.  Both facts are checked here, on this signing; None when
-    either fails.  N comes from the integer route on m at q = 1."""
+    either fails.  N comes from the integer route on m at q = 1.  The
+    flatness checked here also carries ``_certified_mirror``'s proof."""
     if nonflat_faces(sg):
         return None
     for e in sg.graph.edges:
@@ -256,7 +257,64 @@ def _certified_coeff_bound(sg: SignedGraph, m: ExactMatrix) -> Optional[int]:
     return det(ExactMatrix.from_cells(m.nrows, m.ncols, at_one, False))
 
 
-def weighted_matching_sum(g: PlanarMultigraph):
+def _certified_mirror(g: PlanarMultigraph, kappa) -> Optional[int]:
+    """G with det m(q) = q^G det m(1/q) for m the bipartite matrix of a flat
+    signing of g, proven here from kappa (kappa[v] is the image of vertex
+    v) and the weights; None when any check fails.  The checks:
+
+    * every weight is a monomial c q^k with c > 0, and no two edges join the
+      same two vertices;
+    * kappa is an involution that swaps the two colour classes, as the
+      half-turn of the hexagon does (the proof needs only that kappa
+      permutes the vertices; the swap refuses maps of another shape, such
+      as the identity);
+    * kappa maps every edge e to an edge kappa(e) with the same c;
+    * a vertex potential g, solved along a spanning forest, gives
+      k_e + k_kappa(e) = g(u) + g(v) on every edge e = uv.
+
+    Then kappa permutes the perfect matchings, keeping the product of the
+    c, and a matching M covers every vertex once, so the exponents of M and
+    kappa(M) add up to G = sum_v g(v).  So sum_M c(M) q^w(M) is unchanged by
+    q^w -> q^(G - w), and so is det m(q) = +-sum_M c(M) q^w(M), which needs
+    the flatness that ``_certified_coeff_bound`` checks first."""
+    n = g.n_vertices
+    blk = g.bipartition[0]
+    if len(kappa) != n or any(kappa[kappa[v]] != v or (v in blk) == (kappa[v] in blk) for v in g.vertices):
+        return None
+    term = {}  # (u, v), u < v -> (k, c) of the one edge joining u and v
+    for e in g.edges:
+        cs = e.weight.coeffs if isinstance(e.weight, QPoly) else (e.weight,)
+        k = len(cs) - 1
+        if k < 0 or cs[k] <= 0 or any(cs[:k]):
+            return None
+        term[min(e.u, e.v), max(e.u, e.v)] = k, cs[k]
+    if len(term) != len(g.edges):
+        return None
+    sums, adj = {}, [[] for _ in range(n)]  # the edge's k plus its image's
+    for (u, v), (k, c) in term.items():
+        ku, kv = kappa[u], kappa[v]
+        image = term.get((min(ku, kv), max(ku, kv)))
+        if image is None or image[1] != c:
+            return None
+        sums[u, v] = s = k + image[0]
+        adj[u].append((v, s))
+        adj[v].append((u, s))
+    pot = [None] * n
+    for root in g.vertices:
+        if pot[root] is None:
+            pot[root] = 0
+            queue = [root]
+            for x in queue:  # grows while it is walked
+                for y, s in adj[x]:
+                    if pot[y] is None:
+                        pot[y] = s - pot[x]
+                        queue.append(y)
+    if any(pot[u] + pot[v] != s for (u, v), s in sums.items()):
+        return None
+    return sum(pot)
+
+
+def weighted_matching_sum(g: PlanarMultigraph, kappa=None):
     """Total weight of perfect matchings via flat signing/orientation.
 
     Zero when a component has an odd number of vertices.  Otherwise a graph
@@ -267,6 +325,9 @@ def weighted_matching_sum(g: PlanarMultigraph):
     |det K(1)| that ``_certified_coeff_bound`` proves from the signing's
     flatness and the weights' nonnegative coefficients, checked in the same
     call; when either check fails, ``det`` falls back to Goldstein-Graham.
+    With the bound proven and a vertex map kappa given (the half-turn), the
+    determinant evaluates half its degree window when ``_certified_mirror``
+    proves its mirror exponent, and the whole window when it does not.
     The Pfaffian branch always takes the kernel's own bound.
     """
     poly = _is_poly(g)
@@ -278,5 +339,8 @@ def weighted_matching_sum(g: PlanarMultigraph):
     m = bipartite_matrix(sg)
     if m is None:
         return QPoly() if poly else 0
-    # N = 0 stops det before any Z[q] elimination
-    return det(m, _certified_coeff_bound(sg, m) if poly else None)
+    if not poly:
+        return det(m)
+    bound = _certified_coeff_bound(sg, m)  # N = 0 stops det before any elimination
+    mirror = _certified_mirror(g, kappa) if bound and kappa is not None else None
+    return det(m, bound, mirror)

@@ -1,4 +1,5 @@
-"""Shared test graph builders: grids, wheels, and seeded random planar graphs."""
+"""Shared test graph builders: grids, wheels, seeded random planar graphs,
+and the q-weighted hexagon with its half-turn."""
 
 from __future__ import annotations
 
@@ -8,9 +9,9 @@ import random
 
 import pytest
 
-from ppcount.hexgrid import Edge, PlanarMultigraph, build_hexagon
+from ppcount.hexgrid import Edge, PlanarMultigraph, build_graph, build_hexagon, lattice
 from ppcount.oracle import count_symmetric
-from ppcount.symmetry import CLASSES, quotient_graph
+from ppcount.symmetry import CLASSES, KAPPA, _act_region, quotient_graph
 
 
 def graph_from_points(points, pairs, bipartition=None, weights=None):
@@ -70,6 +71,14 @@ def wheel_graph(k):
     pairs = [("hub", f"rim{i}") for i in range(k)]
     pairs += [(f"rim{i}", f"rim{(i + 1) % k}") for i in range(k)]
     return graph_from_points(points, pairs)
+
+
+def q_box_with_half_turn(dims):
+    """Z(a,b,c) with its q-weights, and the half-turn's vertex map, as
+    ``cli.q_matrix_count`` builds them."""
+    region = build_hexagon(*dims)
+    z = lattice(region)
+    return build_graph(region, q_weights=True, z=z), _act_region(CLASSES[5], region, z)[KAPPA]
 
 
 def _connected(g: PlanarMultigraph) -> bool:

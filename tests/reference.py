@@ -4,6 +4,7 @@ No ``ppcount`` route runs any of this, so it lives with the tests:
 
 * exact matrices from dense rows, and Ryser permanents and Hafnians of
   small dense matrices;
+* the kernel's earlier interpolation over the equally spaced nodes 1..n;
 * hexagon triangle orientation and adjacency, straight from the
   coordinates, and the earlier builder of Z(a,b,c);
 * the plane-partition predicate;
@@ -112,6 +113,22 @@ def hafnian(m: ExactMatrix) -> Scalar:
         return tot
 
     return rec(tuple(range(n)))
+
+
+def interpolate_equal_spacing(ys, p: int):
+    """Coefficients, lowest first, of the polynomial over F_p of degree
+    below len(ys) that takes the value ys[t] at t + 1: Newton's divided
+    differences, where nodes k apart differ by k."""
+    c = list(ys)
+    n = len(c)
+    for k in range(1, n):
+        ik = pow(k, -1, p)
+        c[k:] = [(b - a) * ik % p for a, b in zip(c[k - 1:-1], c[k:])]
+    poly = [c[-1]]
+    for t in range(n - 2, -1, -1):  # poly = poly * (q - (t + 1)) + c[t]
+        poly = [(lo - (t + 1) * hi) % p for lo, hi in zip([0] + poly, poly + [0])]
+        poly[0] = (poly[0] + c[t]) % p
+    return poly
 
 
 # ---------------------------------------------------------------------------

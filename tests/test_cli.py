@@ -174,6 +174,16 @@ def test_matrix_budget_admits_the_largest_box_of_class_10():
     assert cli.matrix_count(10, (30, 30, 30)) == n_class(10, (30, 30, 30))
 
 
+@pytest.mark.parametrize("kind", ["z", "quotient"])
+def test_export_over_the_matrix_budget_exits_2_at_once(kind, capsys):
+    # Z of 0x1x100000 would index about 2e10 triangle slots
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "export", "--kind", kind, "--class", "1", "--dims", "0,1,100000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: box 0x1x100000 ") and len(err.splitlines()) == 1
+
+
 def test_verify_small(capsys):
     code, out, err = run(capsys, "verify", "--max-side", "2")
     assert code == 0

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import from_rows, hafnian, permanent
+from conftest import q_box_with_half_turn
+from reference import from_rows, hafnian, interpolate_equal_spacing, permanent
 
 from ppcount import exactalg
 from ppcount.exactalg import (
@@ -15,16 +16,25 @@ from ppcount.exactalg import (
     _assignment_duals,
     _bounds,
     _degree_window,
+    _interpolate,
     _pf_mod,
     _pfaffian,
     _prime,
     _replay_block,
+    _unfold,
     det,
     pfaffian_abs,
 )
 from ppcount.formulas import q_box_product
 from ppcount.hexgrid import build_hexagon, q_weight_graph
-from ppcount.kasteleyn import bipartite_matrix, flat_signing
+from ppcount.kasteleyn import _certified_mirror, bipartite_matrix, flat_signing
+
+
+def mirrored_box(a, b, c):
+    """The flat-signed q matrix of the box and the mirror exponent that
+    ``_certified_mirror`` proves for it with the half-turn."""
+    g, kappa = q_box_with_half_turn((a, b, c))
+    return bipartite_matrix(flat_signing(g)), _certified_mirror(g, kappa)
 
 
 def det_cofactor(rows):
@@ -503,6 +513,64 @@ class TestKernel:
         m = bipartite_matrix(flat_signing(q_weight_graph(build_hexagon(2, 2, 2))))
         with pytest.raises(ValueError, match="too few evaluation points"):
             det(m)
+
+    def test_half_window_leaves_the_q_determinant_unchanged(self):
+        # the mirror holds on every q box with sides <= 4 and a nonempty graph,
+        # and half the window gives the whole determinant, odd degree included
+        for a in range(5):
+            for b in range(5):
+                for c in range(5):
+                    if a * b + b * c + c * a == 0:
+                        continue
+                    m, mirror = mirrored_box(a, b, c)
+                    d = det(m)
+                    assert mirror == d.low_degree() + d.degree(), (a, b, c)
+                    assert det(m, mirror=mirror) == d, (a, b, c)
+                    assert det(m, coeff_bound=d.subs(1), mirror=mirror) == d, (a, b, c)
+
+    def test_half_window_that_reaches_the_smallest_prime_raises(self, monkeypatch):
+        # with the mirror, x = 1..m must keep m^2 below every prime: 1x1x2 has
+        # degree 2 and m = 2 under the primes 13, 11; 2x2x2 has degree 8 and
+        # m = 5 under 13, 11 (its certified bound is 20)
+        m1, g1 = mirrored_box(1, 1, 2)
+        m2, g2 = mirrored_box(2, 2, 2)
+        monkeypatch.setattr(exactalg, "_prime", (13, 11, 7, 5, 3, 2).__getitem__)
+        d = det(m1, mirror=g1)
+        assert d.shift(-d.low_degree()) == q_box_product(1, 1, 2)
+        with pytest.raises(ValueError, match="too few evaluation points"):
+            det(m2, coeff_bound=q_box_product(2, 2, 2).subs(1), mirror=g2)
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=40),
+           st.sampled_from([101, 10007, 2**30 - 35]))
+    @settings(max_examples=100, deadline=None)
+    def test_node_interpolation_equals_equal_spacing_on_1_to_n(self, ys, p):
+        ys = [y % p for y in ys]
+        assert _interpolate(list(range(1, len(ys) + 1)), ys, p) == interpolate_equal_spacing(ys, p)
+
+    @given(st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=30, unique=True),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_node_interpolation_takes_its_values_at_any_distinct_nodes(self, xs, rng):
+        p = 101
+        ys = [rng.randrange(p) for _ in xs]
+        poly = _interpolate(xs, ys, p)
+        assert len(poly) == len(xs)
+        assert [sum(c * pow(x, k, p) for k, c in enumerate(poly)) % p for x in xs] == ys
+
+    @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=12), st.integers(0, 1))
+    @settings(max_examples=100, deadline=None)
+    def test_unfold_expands_the_palindrome(self, r, odd):
+        # q^h R(q + 1/q) = sum_k r_k (q^2 + 1)^k q^(h - k), times (1 + q) when odd
+        p, h = _prime(0), len(r) - 1
+        expect = QPoly()
+        for k, c in enumerate(r):
+            term = QPoly.q_power(h - k, c)
+            for _ in range(k):
+                term = term * QPoly((1, 0, 1))
+            expect = expect + term
+        expect = expect * QPoly((1, 1)) if odd else expect
+        coeffs = [expect.coefficient(k) % p for k in range(2 * h + 1 + odd)]
+        assert _unfold([c % p for c in r], odd, p) == coeffs
 
     def test_plan_replay_falls_back_when_a_pivot_vanishes(self):
         p0, p1 = _prime(0), _prime(1)

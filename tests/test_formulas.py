@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -191,3 +192,20 @@ def test_q_box_product_at_q_1_is_n1_and_symmetric():
                 assert p == q_box_product(c, a, b) == q_box_product(b, a, c)
     with pytest.raises(ValueError):
         q_box_product(1, -1, 1)
+
+
+def test_n1_equals_the_hyperfactorial_form():
+    # H(a+b+c) H(a) H(b) H(c) / (H(a+b) H(a+c) H(b+c)), on every box with sides <= 8
+    H = hyperfactorial
+    for a in range(9):
+        for b in range(9):
+            for c in range(9):
+                hyper, rem = divmod(H(a + b + c) * H(a) * H(b) * H(c), H(a + b) * H(a + c) * H(b + c))
+                assert rem == 0 and n_class(1, (a, b, c)) == hyper, (a, b, c)
+
+
+@pytest.mark.parametrize("dims, value", [((0, 1, 100000), 1), ((1, 1, 1600), 1601), ((1600, 1, 1), 1601)])
+def test_n1_on_a_long_thin_box_is_immediate(dims, value):
+    t0 = time.perf_counter()
+    assert n_class(1, dims) == value
+    assert time.perf_counter() - t0 < 0.1

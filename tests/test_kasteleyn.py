@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from conftest import graph_from_points, grid_graph, random_planar_bipartite, random_planar_graph, wheel_graph
+from conftest import (
+    graph_from_points,
+    grid_graph,
+    q_box_with_half_turn,
+    random_planar_bipartite,
+    random_planar_graph,
+    wheel_graph,
+)
 from reference import (
     check_flat_orientation,
     count_perfect_matchings,
@@ -11,10 +18,12 @@ from reference import (
     permanent,
     symmetric_matrix,
     unsigned_bipartite_matrix,
+    weighted_matching_sum_brute,
 )
 
 from ppcount import exactalg, kasteleyn
-from ppcount.exactalg import det, pfaffian_abs
+from ppcount.cli import q_matrix_count
+from ppcount.exactalg import QPoly, det, pfaffian_abs
 from ppcount.formulas import q_box_product
 from ppcount.hexgrid import Edge, EmbeddingError, PlanarMultigraph, build_graph, build_hexagon, q_weight_graph
 from ppcount.kasteleyn import (
@@ -503,9 +512,9 @@ def _q_primes(g, monkeypatch):
     honest = exactalg._interpolate
     primes = []
 
-    def interpolate(ys, p):
+    def interpolate(xs, ys, p):
         primes.append(p)
-        return honest(ys, p)
+        return honest(xs, ys, p)
 
     monkeypatch.setattr(exactalg, "_interpolate", interpolate)
     d = weighted_matching_sum(g)
@@ -537,3 +546,106 @@ def test_negative_weight_falls_back_to_goldstein_graham(monkeypatch):
     d, primes = _q_primes(g, monkeypatch)
     assert d == q_box_product(5, 5, 5)
     assert len(primes) == 2
+
+
+def _spy_certificate(monkeypatch):
+    """The mirror exponents ``_certified_mirror`` returns, and the Z[q]
+    evaluations: the elimination that records the program, and the lanes
+    of each block replay."""
+    seen = {"mirrors": [], "evaluations": 0}
+    honest_mirror, honest_pf, honest_replay = kasteleyn._certified_mirror, exactalg._pf_mod, exactalg._replay_block
+
+    def mirror(g, kappa):
+        seen["mirrors"].append(honest_mirror(g, kappa))
+        return seen["mirrors"][-1]
+
+    def pf_mod(n, pairs, vals, p, record=False):
+        seen["evaluations"] += record
+        return honest_pf(n, pairs, vals, p, record)
+
+    def replay_block(program, vals, p):
+        seen["evaluations"] += len(vals[0])
+        return honest_replay(program, vals, p)
+
+    monkeypatch.setattr(kasteleyn, "_certified_mirror", mirror)
+    monkeypatch.setattr(exactalg, "_pf_mod", pf_mod)
+    monkeypatch.setattr(exactalg, "_replay_block", replay_block)
+    return seen
+
+
+def test_half_window_equals_macmahon(monkeypatch):
+    # every box with sides <= 5, and boxes of odd degree 27, 105, 123 and 9
+    boxes = [(a, b, c) for a in range(6) for b in range(6) for c in range(6)]
+    boxes += [(3, 5, 7), (1, 3, 41), (1, 1, 9)]
+    seen = _spy_certificate(monkeypatch)
+    for dims in boxes:
+        seen["mirrors"].clear()
+        assert q_matrix_count(dims) == q_box_product(*dims), dims
+        a, b, c = dims
+        if a * b + b * c + c * a:  # a nonempty graph proves its mirror
+            assert seen["mirrors"] and seen["mirrors"][0] is not None, dims
+
+
+@pytest.mark.parametrize("n, primes", [(5, 1), (7, 2)])
+def test_half_window_takes_half_the_evaluations(n, primes, monkeypatch):
+    # degree D = n^3: floor(D/2) + 1 evaluations per prime, against D + 1
+    seen = _spy_certificate(monkeypatch)
+    assert q_matrix_count((n, n, n)) == q_box_product(n, n, n)
+    assert seen["evaluations"] == primes * (n**3 // 2 + 1)
+
+
+def _mutated_weight(g, kappa):
+    """g with one weight c q^k raised to c q^(k + 1), on an edge that the
+    half-turn moves."""
+    e = next(e for e in g.edges if {kappa[e.u], kappa[e.v]} != {e.u, e.v})
+    edges = [Edge(f.eid, f.u, f.v, f.weight * QPoly.q_power(1)) if f is e else f for f in g.edges]
+    return PlanarMultigraph(g.labels, edges, g.rotation, g.bipartition), kappa
+
+
+def _doubled_coefficient(g, kappa):
+    """g with one weight q^k made 2 q^k, on an edge that the half-turn
+    moves, so it and its image differ in c alone."""
+    e = next(e for e in g.edges if {kappa[e.u], kappa[e.v]} != {e.u, e.v})
+    edges = [Edge(f.eid, f.u, f.v, 2 * f.weight) if f is e else f for f in g.edges]
+    return PlanarMultigraph(g.labels, edges, g.rotation, g.bipartition), kappa
+
+
+def _not_a_monomial(g, kappa):
+    """g with 1 added to the weight q^k (k > 0) of an edge and to that of its
+    image: the top terms still pair off, the weights are no monomials."""
+    e = next(e for e in g.edges if e.weight.degree() > 0 and {kappa[e.u], kappa[e.v]} != {e.u, e.v})
+    image = {kappa[e.u], kappa[e.v]}
+    edges = [Edge(f.eid, f.u, f.v, f.weight + 1) if f is e or {f.u, f.v} == image else f for f in g.edges]
+    return PlanarMultigraph(g.labels, edges, g.rotation, g.bipartition), kappa
+
+
+def _not_an_involution(g, kappa):
+    """The half-turn with the images of vertices 0 and 1 swapped."""
+    k = list(kappa)
+    k[0], k[1] = k[1], k[0]
+    return g, k
+
+
+def _keeps_the_colours(g, kappa):
+    """The identity map, an involution that keeps both colour classes."""
+    return g, list(g.vertices)
+
+
+@pytest.mark.parametrize(
+    "mutation", [_mutated_weight, _doubled_coefficient, _not_a_monomial, _not_an_involution, _keeps_the_colours]
+)
+def test_broken_mirror_falls_back_to_the_full_window(mutation, monkeypatch):
+    # 2x2x3: 32 vertices, one prime, the terms q^2 .. q^14 (degree 12 after
+    # normalizing), so G = 16; the honest half-turn takes 7 evaluations, a
+    # map or weight that breaks the proof the full 13
+    g, kappa = q_box_with_half_turn((2, 2, 3))
+    seen = _spy_certificate(monkeypatch)
+    assert weighted_matching_sum(g, kappa) == weighted_matching_sum_brute(g)
+    assert seen["mirrors"] == [16] and seen["evaluations"] == 7
+    g, kappa = mutation(g, kappa)
+    seen["mirrors"].clear()
+    seen["evaluations"] = 0
+    brute = weighted_matching_sum_brute(g)
+    assert weighted_matching_sum(g, kappa) == brute
+    # the full window is the span of the terms (13 but for the raised weight)
+    assert seen["mirrors"] == [None] and seen["evaluations"] == brute.degree() - brute.low_degree() + 1
