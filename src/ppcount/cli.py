@@ -72,17 +72,16 @@ def matrix_count(class_id: int, dims) -> int:
 
 # The q matrix route's budget.  It evaluates a determinant of dimension
 # ab + bc + ca at floor(abc/2) + 1 points (the answer's degree is abc, and
-# the half-turn gives the other half) per prime, and its degree window costs
-# a min-cost assignment that grows quadratically on thin boxes, where it
-# leads.  Measured in-process on a 2-vCPU VM, CPython 3.11, best of 2:
-# 10x10x10 (degree 1000, dimension 300) 2.7 s; 1x1x599 (dimension 1199)
-# 3.2 s and 1x2x399 2.4 s, against 4.4 s and 3.4 s with the dict-based
-# assignment and the full window in the same session.  The assignment stays
-# quadratic, so the dimension limit stays: past it 1x1x999 took 13.9 s and
-# 0x200x200 (dimension 40000, degree 0) 80 s with the dict-based assignment
-# and the full window.
+# the half-turn gives the other half) per prime, and proves its degree
+# window by one min-cost assignment on the matrix's own rows, with a greedy
+# start on the tight arcs.  Measured in-process on a 2-vCPU VM, CPython
+# 3.11, best of 2: 10x10x10 (degree 1000, dimension 300) 2.6-3.0 s, the
+# slowest box in the budget; at the dimension limit 1x1x999 (dimension
+# 1999) 1.7-2.0 s at 56 MiB peak RSS and 0x1x2000 0.35 s at 85 MiB; and
+# 1x2x500 1.5 s, 2x3x166 2.0 s.  Before, with two assignments on the
+# doubled skew block, 1x1x599 took 2.7-3.6 s against 0.5-0.6 s now.
 MAX_Q_DEGREE = 1000
-MAX_Q_DIMENSION = 1200
+MAX_Q_DIMENSION = 2000
 
 
 def check_q_budget(a: int, b: int, c: int) -> None:

@@ -58,27 +58,30 @@ and across the groups.  Over Z[q] the primes always go one at a time, with
 the same rebuild.
 
 Over Z[q] the result is found mod p by evaluation and interpolation across
-a proven degree window [L, U] of det A = Pf^2 for the n x n skew matrix A
-the kernel eliminates (``_degree_window``: potentials from two min-cost
-assignments, whose dual feasibility is checked on every nonzero).  Then
-Pf(x) x^-L' with L' = ceil(L/2) is a polynomial Q of degree at most
-D = U' - L' with U' = floor(U/2), found from D + 1 evaluations at
-x = 1, 2, ...; the low zero coefficients are prepended after.  For det M the skew block's
-assignments split into one of M and one of M^T, so its window is twice M's
-and halving gives M's window exactly.  When the support of A has no perfect
-matching, the result is the zero polynomial, with no elimination.  The
-integer route runs none of this.
+a proven degree window [L, U] of the matrix whose determinant or Pfaffian is
+returned (``_degree_window``: potentials from min-cost assignments, whose
+dual feasibility is checked on every nonzero).  For det M the assignments
+run on M's own n x n arcs (i, j, lowdeg a_ij, deg a_ij), not on the skew
+block.  For a skew matrix A they run on its symmetric arcs and bound
+det A = Pf^2, so halving gives Pf's window [ceil(L/2), floor(U/2)].  With
+the result's window [lo, hi], the result at x times x^-lo is a polynomial
+Q(x) of degree at most D = hi - lo, found from D + 1 evaluations at
+x = 1, 2, ...; the low zero coefficients are prepended after.  When the
+support has no perfect matching, the window is empty and the result is the
+zero polynomial, with no elimination.  The integer route runs none of this.
 
 ``det`` may also take a mirror exponent G that the caller has proven, with
 det M(q) = q^G det M(1/q) (``kasteleyn._certified_mirror`` proves it for the
 q-weighted hexagon from its half-turn).  Then the coefficients of q^k and
-q^(G - k) agree, the window tightens to [max(L', G - U'), min(U', G - L')],
-which is symmetric about G/2, and Q over it is a palindrome of its degree
-D: (1 + x) divides it when D is odd, and Q(x) = x^h R(x + 1/x) (1 + x)^(D mod 2) with
-h = floor(D/2) and R of degree h.  So floor(D/2) + 1 evaluations at
+q^(G - k) agree, so deg det M = G - lowdeg det M <= G - L: the low
+assignment alone gives the window [L, G - L], which is symmetric about G/2,
+and Q over it is a palindrome of its degree D: (1 + x) divides it when D
+is odd, and Q(x) = x^h R(x + 1/x) (1 + x)^(D mod 2) with h = floor(D/2)
+and R of degree h.  So floor(D/2) + 1 evaluations at
 x = 1, 2, ... give R at the nodes x + 1/x, and ``_unfold`` rebuilds Q from
 R; the evaluations per prime halve.  One Newton interpolation over given
-nodes (``_interpolate``, one batch inversion per level) serves both paths.
+nodes (``_interpolate``) serves both paths: one ``pow`` per level on the
+evenly spaced x = 1..m, one batch inversion per level on x + 1/x.
 The nodes must be distinct mod every prime the call uses: x = 1..m needs
 m below the smallest prime, and x + 1/x needs m^2 below it (x + 1/x =
 y + 1/y means x = y or xy = 1); a wider window raises.
@@ -304,13 +307,12 @@ class ExactMatrix:
     @staticmethod
     def from_cells(nrows: int, ncols: int, cells, poly: bool) -> "ExactMatrix":
         """The matrix whose (i, j) entry sums a over the cells (i, j, a)."""
-        zero = QPoly() if poly else 0
         at = {}
         for i, j, a in cells:
             ij = i, j
-            at[ij] = at.get(ij, zero) + a
+            at[ij] = at[ij] + a if ij in at else a
         row_major = sorted(at.items(), key=itemgetter(0))
-        nz = tuple((i, j, a) for (i, j), a in row_major if a)
+        nz = tuple((i, j, _as_poly(a) if poly else a) for (i, j), a in row_major if a)
         return ExactMatrix(nrows, ncols, nz, poly)
 
     @property
@@ -534,13 +536,20 @@ def _inverses(a, p: int):
 def _interpolate(xs, ys, p: int):
     """Coefficients, lowest first, of the polynomial over F_p of degree
     below len(ys) that takes the value ys[t] at xs[t]; the nodes xs must be
-    distinct mod p.  Newton's divided differences, one batch inversion of
-    the node gaps per level."""
+    distinct mod p.  Newton's divided differences: on evenly spaced nodes
+    (x = 1..n) every gap of a level is the same, and one ``pow`` inverts
+    it; other nodes take one batch inversion of the gaps per level."""
     c = list(ys)
     n = len(c)
+    step = xs[1] - xs[0] if n > 1 else 0
+    even = all(b - a == step for a, b in zip(xs, xs[1:]))
     for k in range(1, n):  # c[i] becomes f[xs[i - k] .. xs[i]] for i >= k
-        gaps = _inverses([b - a for a, b in zip(xs, xs[k:])], p)
-        c[k:] = [(b - a) * g % p for a, b, g in zip(c[k - 1:-1], c[k:], gaps)]
+        if even:
+            g = pow(k * step, -1, p)
+            c[k:] = [(b - a) * g % p for a, b in zip(c[k - 1:-1], c[k:])]
+        else:
+            gaps = _inverses([b - a for a, b in zip(xs, xs[k:])], p)
+            c[k:] = [(b - a) * g % p for a, b, g in zip(c[k - 1:-1], c[k:], gaps)]
     poly = [c[-1]]
     for t in range(n - 2, -1, -1):  # poly = poly * (q - xs[t]) + c[t]
         x = xs[t]
@@ -570,13 +579,16 @@ def _assignment_duals(n: int, arcs):
     sum(u) + sum(v) is the minimum cost.  None when no perfect assignment
     exists.
 
-    Successive shortest paths: each row in turn is matched along the
-    shortest alternating path (Dijkstra over a heap) under the reduced costs
-    c - u_i - v_j >= 0.  Then every node settled before the free column at
-    distance d moves its potential by d minus its own distance, which keeps
-    every reduced cost nonnegative and makes the matched arcs tight.  The
-    search state lives in lists indexed by column, and after each search
-    only the columns it reached are reset, so a search costs what it reaches.
+    Start from u_i = the least cost in row i and v = 0, and match greedily
+    along the arcs that are then tight (c = u_i), each row to the first free
+    column.  Then successive shortest paths: each row still free is matched
+    along the shortest alternating path (Dijkstra over a heap) under the
+    reduced costs c - u_i - v_j >= 0.  Every node settled before the free
+    column at distance d moves its potential by d minus its own distance,
+    which keeps every reduced cost nonnegative and makes the matched arcs
+    tight.  The search state lives in lists indexed by column, and after
+    each search only the columns it reached are reset, so a search costs
+    what it reaches.
     """
     adj = [[] for _ in range(n)]
     for i, j, c in arcs:
@@ -587,10 +599,18 @@ def _assignment_duals(n: int, arcs):
     v = [0] * n
     row_of = [-1] * n  # the row matched to each column
     col_of = [-1] * n  # the column matched to each row
+    for i, row in enumerate(adj):
+        ui = u[i]
+        for j, c in row:
+            if c == ui and row_of[j] < 0:
+                row_of[j], col_of[i] = i, j
+                break
     reach = [None] * n  # per column: its least distance from row s so far
     pred = [-1] * n  # per column: the row it was reached from
     done = [False] * n  # per column: settled
     for s in range(n):
+        if col_of[s] >= 0:
+            continue
         settled, reached, heap = [], [], []
         i, d = s, 0
         while True:
@@ -627,47 +647,60 @@ def _assignment_duals(n: int, arcs):
     return u, v
 
 
-def _degree_window(n: int, triples):
-    """(lo, hi) such that the Pfaffian of the n x n skew matrix given by
-    ``triples`` (i, j, terms), terms ((k, c_k), ...) in increasing k, has
-    all its terms in q^lo .. q^hi; None when its support has no perfect
-    matching, so that the Pfaffian is 0.
+def _degree_window(n: int, triples, skew: bool = False, mirror: Optional[int] = None):
+    """(lo, hi) such that every term of the determinant of the n x n matrix
+    with the nonzeros ``triples`` (i, j, terms), terms ((k, c_k), ...) in
+    increasing k, lies in q^lo .. q^hi; the empty window (0, -1) when its
+    support has no perfect matching, so that the determinant is 0.  With
+    ``skew`` set, the triples are the entries above the diagonal of a skew
+    matrix, and the window is its Pfaffian's.
 
     The bound rests only on the dual feasibility checked here, on every
     nonzero: with u_i + v_j <= lowdeg a_ij, every term of the Leibniz
-    expansion of det A = Pf^2 has degree >= sum(u) + sum(v) = L; with
-    s_i + t_j >= deg a_ij, degree <= sum(s) + sum(t) = U.  Halving gives
-    ceil(L/2) <= lowdeg Pf and deg Pf <= floor(U/2).
+    expansion has degree >= sum(u) + sum(v) = L; with s_i + t_j >= deg a_ij,
+    degree <= sum(s) + sum(t) = U.  For a skew matrix A, det A = Pf^2, so
+    halving gives ceil(L/2) <= lowdeg Pf and deg Pf <= floor(U/2).  With a
+    mirror G that the caller has proven, det(q) = q^G det(1/q), the
+    coefficients of q^k and q^(G - k) agree, so deg = G - lowdeg <= G - L:
+    one assignment gives both ends, and the window [L, G - L] is symmetric
+    about G/2.
     """
     arcs = [(i, j, terms[0][0], terms[-1][0]) for i, j, terms in triples]
-    arcs += [(j, i, lo, hi) for i, j, lo, hi in arcs]
-    low = _assignment_duals(n, [(i, j, lo) for i, j, lo, _ in arcs])
-    if low is None:
-        return None
-    u, v = low
+    if skew:
+        arcs += [(j, i, lo, hi) for i, j, lo, hi in arcs]
+    duals = _assignment_duals(n, [(i, j, lo) for i, j, lo, _ in arcs])
+    if duals is None:
+        return 0, -1
+    u, v = duals
+    if any(u[i] + v[j] > lo for i, j, lo, _ in arcs):
+        raise ArithmeticError("degree potentials are not dual feasible")
+    low = sum(u) + sum(v)
+    if mirror is not None:
+        return low, mirror - low
     s, t = ([-x for x in w] for w in _assignment_duals(n, [(i, j, -hi) for i, j, _, hi in arcs]))
-    for i, j, lo, hi in arcs:
-        if u[i] + v[j] > lo or s[i] + t[j] < hi:
-            raise ArithmeticError("degree potentials are not dual feasible")
-    return (sum(u) + sum(v) + 1) // 2, (sum(s) + sum(t)) // 2
+    if any(s[i] + t[j] < hi for i, j, _, hi in arcs):
+        raise ArithmeticError("degree potentials are not dual feasible")
+    high = sum(s) + sum(t)
+    return ((low + 1) // 2, high // 2) if skew else (low, high)
 
 
-def _pfaffian(n: int, triples, power: int, bound: int, poly: bool, mirror: Optional[int] = None):
+def _pfaffian(n: int, triples, power: int, bound: int, window=None, palindrome: bool = False):
     """Signed Pfaffian of the n x n skew matrix given by ``triples`` (i, j, a),
     i < j, exact, as a list of coefficients (one for an integer matrix).
 
-    The entries a are integers, or, when ``poly`` is set, tuples
-    ((k, c_k), ...) of nonzero coefficients in increasing k.  Every
+    The entries a are integers, or, when a degree ``window`` (lo, hi) is
+    given, tuples ((k, c_k), ...) of nonzero coefficients in increasing k,
+    and every term of the Pfaffian lies in q^lo .. q^hi.  Every
     coefficient c of the result obeys |c|^power <= bound, so the primes stop
     once their product, the modulus, has modulus^power > 2^power * bound.
     Over Z one elimination modulo the product of each group of at most
     ``_GROUP`` primes gives the result, unless a pivot is 0 mod some primes
     of the group only; then each prime of that group is eliminated on its
-    own.  Over Z[q] the Pfaffian is evaluated only across
-    its degree window (``_degree_window``), or half of it when the caller
-    has proven Pf(q) = q^mirror Pf(1/q); when more than one evaluation
-    (prime and point) is due, the first records its elimination and the
-    later ones replay it.
+    own.  Over Z[q] the Pfaffian is evaluated only across the window, or
+    half of it when ``palindrome`` is set: the caller has proven that the
+    coefficients of q^(lo + k) and q^(hi - k) agree.  When more than one
+    evaluation (prime and point) is due, the first records its elimination
+    and the later ones replay it.
     """
     if n == 0:
         return [1]
@@ -678,24 +711,19 @@ def _pfaffian(n: int, triples, power: int, bound: int, poly: bool, mirror: Optio
         primes.append(_prime(len(primes)))
         modulus *= primes[-1]
     low, points = 0, 1
-    if poly:
-        window = _degree_window(n, triples)
-        if window is None:
-            return [0]  # no perfect matching
+    if window is not None:
         low, high = window
-        if mirror is not None:  # the term q^k comes with q^(mirror - k)
-            low, high = max(low, mirror - high), min(high, mirror - low)
         if high < low:
-            return [0]  # an odd-only window for Pf^2, or no room for the mirror
+            return [0]  # no matching, an odd-only window for Pf^2, or no room for the mirror
         # Q(x) = Pf(x) x^-low has degree high - low = 2h + odd; a palindrome
         # is x^h R(x + 1/x) (1 + x)^odd with R of degree h
         h, odd = divmod(high - low, 2)
-        points = h + 1 if mirror is not None else high - low + 1
-        if (points * points if mirror is not None else points) >= primes[-1]:
+        points = h + 1 if palindrome else high - low + 1
+        if (points * points if palindrome else points) >= primes[-1]:
             # the nodes x = 1..points, or x + 1/x, must be distinct mod every p
             raise ValueError(f"degree window of {points} leaves too few evaluation points")
     pairs = [(i, j) for i, j, _ in triples]
-    if not poly:
+    if window is None:
         groups = [primes[k : k + _GROUP] for k in range(0, len(primes), _GROUP)]
 
         def residues_mod(group):  # (modulus, residues) pairs whose moduli multiply to the group's
@@ -740,7 +768,7 @@ def _pfaffian(n: int, triples, power: int, bound: int, poly: bool, mirror: Optio
                     for i, pf in enumerate(pfs):
                         if pf is None:
                             pfs[i] = _pf_mod(n, pairs, [v[i] for v in vals], p)[0]
-                if mirror is None:
+                if not palindrome:
                     nodes += block
                     ys += [pf * pow(x, -low, p) % p for pf, x in zip(pfs, block)]
                 else:  # R(x + 1/x) = Q(x) x^-h (1 + x)^-odd
@@ -748,7 +776,7 @@ def _pfaffian(n: int, triples, power: int, bound: int, poly: bool, mirror: Optio
                     ys += [pf * pow(x, -low - h, p) * pow(1 + x, -odd, p) % p for pf, x in zip(pfs, block)]
                 start = stop
             coeffs = _interpolate(nodes, ys, p)
-            return [(p, coeffs if mirror is None else _unfold(coeffs, odd, p))]
+            return [(p, _unfold(coeffs, odd, p) if palindrome else coeffs)]
 
     residues, modulus = None, 1
     for group in groups:
@@ -791,20 +819,22 @@ def det(m: ExactMatrix, coeff_bound: Optional[int] = None, mirror: Optional[int]
     exceeds 2B.  ``mirror``, when given, is an exponent G that the caller
     has proven to satisfy det M(q) = q^G det M(1/q) over Z[q]; then the
     coefficients of q^k and q^(G - k) agree, and the kernel evaluates half
-    the window.  The kernel can check neither: a bound below the truth or
-    a false G gives a wrong answer.  ``kasteleyn.weighted_matching_sum``
-    certifies both for a flat-signed Z[q] matrix with nonnegative weights
-    (G also needs monomial weights and a half-turn).  Without them the
-    bound is Hadamard over Z and Goldstein-Graham over Z[q], and the window
+    the window, which one min-cost assignment on M's rows proves.  The
+    kernel can check neither: a bound below the truth or a false G gives a
+    wrong answer.  ``kasteleyn.weighted_matching_sum`` certifies both for a
+    flat-signed Z[q] matrix with nonnegative weights (G also needs monomial
+    weights and a half-turn).  Without them the bound is Hadamard over Z
+    and Goldstein-Graham over Z[q], and the window, from two assignments,
     is evaluated in full.
     """
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
     n = m.nrows
     bound, entries = _bounds(n, m.nonzeros, m.poly)
+    window = _degree_window(n, entries, mirror=mirror) if m.poly else None
     block = [(i, n + j, a) for i, j, a in entries]
     power, bound = (2, bound) if coeff_bound is None else (1, coeff_bound)
-    return _result(_pfaffian(2 * n, block, power, bound, m.poly, mirror), m.poly)
+    return _result(_pfaffian(2 * n, block, power, bound, window, mirror is not None), m.poly)
 
 
 def _check_skew(m: ExactMatrix):
@@ -827,4 +857,5 @@ def pfaffian_abs(m: ExactMatrix) -> Scalar:
         return QPoly() if m.poly else 0
     bound, entries = _bounds(n, m.nonzeros, m.poly)
     upper = [(i, j, a) for i, j, a in entries if i < j]
-    return _result(_pfaffian(n, upper, 4, bound, m.poly), m.poly)
+    window = _degree_window(n, upper, skew=True) if m.poly else None
+    return _result(_pfaffian(n, upper, 4, bound, window), m.poly)

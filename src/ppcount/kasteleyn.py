@@ -326,9 +326,11 @@ def weighted_matching_sum(g: PlanarMultigraph, kappa=None):
     flatness and the weights' nonnegative coefficients, checked in the same
     call; when either check fails, ``det`` falls back to Goldstein-Graham.
     With the bound proven and a vertex map kappa given (the half-turn), the
-    determinant evaluates half its degree window when ``_certified_mirror``
-    proves its mirror exponent, and the whole window when it does not.
-    The Pfaffian branch always takes the kernel's own bound.
+    determinant proves its degree window by one min-cost assignment on K's
+    rows and evaluates half of it when ``_certified_mirror`` proves its
+    mirror exponent; when it does not, two assignments prove the window and
+    it is evaluated whole.  The Pfaffian branch always takes the kernel's
+    own bound.
     """
     poly = _is_poly(g)
     if any(len(comp) % 2 for comp in g.components()):

@@ -140,12 +140,12 @@ def test_q_matrix_route_over_budget_exits_2_at_once(capsys):
     assert err.startswith("error: box 60x60x60 ") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("dims", [(10, 10, 10), (1, 1, 599), (0, 1, 1200)])
+@pytest.mark.parametrize("dims", [(10, 10, 10), (1, 1, 599), (0, 1, 1200), (1, 1, 999), (0, 1, 2000)])
 def test_q_budget_admits_the_measured_boxes(dims):
     cli.check_q_budget(*dims)
 
 
-@pytest.mark.parametrize("dims", [(10, 10, 11), (1, 1, 600), (0, 1, 1201)])
+@pytest.mark.parametrize("dims", [(10, 10, 11), (1, 1, 1000), (0, 1, 2001)])
 def test_q_budget_refuses_past_either_limit(dims):
     with pytest.raises(cli.SizeLimitError):
         cli.check_q_budget(*dims)

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -333,7 +333,7 @@ class TestKernel:
         bound = 1
         for r in rows:
             bound *= sum(x * x for x in r)
-        assert _pfaffian(n, upper, 4, bound, False) == [pf_expand(rows)]
+        assert _pfaffian(n, upper, 4, bound) == [pf_expand(rows)]
 
     @given(skew(6, zq_entry))
     @settings(max_examples=80, deadline=None)
@@ -380,26 +380,55 @@ class TestKernel:
         q = QPoly.q_power(1)
         m = from_rows(skew_from_upper([q, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1], 6))
         _, entries = _bounds(6, m.nonzeros, True)
-        assert _degree_window(6, [(i, j, t) for i, j, t in entries if i < j]) == (1, 0)
+        assert _degree_window(6, [(i, j, t) for i, j, t in entries if i < j], skew=True) == (1, 0)
         pf = pfaffian_abs(m)
         assert isinstance(pf, QPoly) and pf.is_zero()
         assert det(m).is_zero()
 
     def test_degree_window_is_the_volume_span(self):
-        # the window of det M is the Pfaffian window of its skew block
-        for a in range(5):
-            for b in range(5):
-                for c in range(5):
-                    g = q_weight_graph(build_hexagon(a, b, c))
-                    if g.n_vertices == 0:
-                        continue
-                    m = bipartite_matrix(flat_signing(g))
-                    n = m.nrows
-                    _, entries = _bounds(n, m.nonzeros, True)
-                    window = _degree_window(2 * n, [(i, n + j, t) for i, j, t in entries])
-                    d = det(m)
-                    assert d.shift(-d.low_degree()) == q_box_product(a, b, c)
-                    assert window == (d.low_degree(), d.degree()), (a, b, c)
+        # M's own two assignments, and the low one alone under the proven
+        # mirror, give the span of det M on every box with sides <= 5
+        for a, b, c in product(range(6), repeat=3):
+            if a * b + b * c + c * a == 0:
+                continue
+            m, mirror = mirrored_box(a, b, c)
+            _, entries = _bounds(m.nrows, m.nonzeros, True)
+            d = det(m)
+            assert d.shift(-d.low_degree()) == q_box_product(a, b, c)
+            span = (d.low_degree(), d.degree())
+            assert _degree_window(m.nrows, entries) == span, (a, b, c)
+            assert _degree_window(m.nrows, entries, mirror=mirror) == span, (a, b, c)
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_degree_window_is_the_span_on_thin_boxes(self, b):
+        # on 1 x b x k most rows have several arcs of least degree, so the
+        # greedy start of the assignment meets many ties
+        for k in range(1, 61):
+            m, mirror = mirrored_box(1, b, k)
+            _, entries = _bounds(m.nrows, m.nonzeros, True)
+            low, high = _degree_window(m.nrows, entries)
+            assert high - low == b * k, k
+            assert _degree_window(m.nrows, entries, mirror=mirror) == (low, high), k
+            box = q_box_product(1, b, k)
+            d = det(m, coeff_bound=box.subs(1), mirror=mirror)
+            assert d == box.shift(low), k
+
+    def test_mirror_takes_one_assignment_on_the_rows_of_m(self, monkeypatch):
+        honest = exactalg._assignment_duals
+        rows = []
+
+        def spy(n, arcs):
+            rows.append(n)
+            return honest(n, arcs)
+
+        monkeypatch.setattr(exactalg, "_assignment_duals", spy)
+        m, mirror = mirrored_box(3, 4, 5)
+        d = det(m, mirror=mirror)
+        assert rows == [m.nrows]
+        assert d.shift(-d.low_degree()) == q_box_product(3, 4, 5)
+        rows.clear()
+        assert det(m) == d
+        assert rows == [m.nrows, m.nrows]
 
     def test_certified_bound_leaves_the_q_determinant_unchanged(self):
         # N = |det M(1)| bounds every coefficient of a flat-signed q-box matrix
@@ -441,6 +470,21 @@ class TestKernel:
             )
         with pytest.raises(ArithmeticError, match="dual feasible"):
             det(m) if kernel == "det" else pfaffian_abs(m)
+
+    def test_infeasible_potentials_raise_under_the_mirror(self, monkeypatch):
+        # the one assignment the mirror leaves is checked on every nonzero:
+        # a column potential raised by 1 breaks its matched, tight arc
+        honest = exactalg._assignment_duals
+
+        def tampered(n, arcs):
+            u, v = honest(n, arcs)
+            v[0] += 1
+            return u, v
+
+        monkeypatch.setattr(exactalg, "_assignment_duals", tampered)
+        m, mirror = mirrored_box(2, 2, 2)
+        with pytest.raises(ArithmeticError, match="dual feasible"):
+            det(m, mirror=mirror)
 
     @given(sparse_skew_lanes())
     # fill that is 0 mod 7 in the recorded elimination and nonzero in the replay
