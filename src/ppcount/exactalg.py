@@ -751,13 +751,15 @@ def _pfaffian(n: int, triples, power: int, bound: int, window=None, palindrome: 
             while start <= points:
                 stop = start + 1 if program is None else min(start + _BLOCK, points + 1)
                 block = range(start, stop)
-                pws = []
-                for x in block:
-                    pw = [1]
-                    for _ in range(top):
-                        pw.append(pw[-1] * x % p)
-                    pws.append(pw)
-                vals = [[sum(c * pw[t] for t, c in terms) % p for pw in pws] for terms in polys]
+                pw = [[1] * len(block)]  # pw[t]: x^t mod p across the lanes
+                for _ in range(top):
+                    pw.append([e * x % p for e, x in zip(pw[-1], block)])
+                vals = []
+                for (t, c), *rest in polys:  # a monomial c q^t: one product per lane
+                    row = [c * e % p for e in pw[t]]
+                    for t, c in rest:
+                        row = [(r + c * e) % p for r, e in zip(row, pw[t])]
+                    vals.append(row)
                 vals = [vals[k] for k in keys]
                 if program is None:  # record unless no evaluation follows
                     last = p == primes[-1] and start == points

@@ -33,7 +33,7 @@ above and W = Y + 2:
   order, and at each by axis; edge e joins the down triangle tails[2e] to
   the up one tails[2e + 1].
 * ``slot[k][i]`` is the edge at vertex i along axis k, or -1.
-* ``rotation[i]`` lists the darts at vertex i counterclockwise: dart 2e
+* ``ring(z, i)`` lists the darts at vertex i counterclockwise: dart 2e
   sits at edge e's down end, 2e + 1 at its up end.
 
 All objects are immutable after construction.
@@ -187,9 +187,8 @@ def _valid_faces(tails: List[int], rotation):
     """The faces of the rotation system and its connected components (id
     lists, in order of their least ids), after the check V - E + F = 2 on
     every component with an edge; a component's edges are half the darts of
-    its faces.  The one embedding check of the graph core: ``lattice`` runs
-    it on Z and ``PlanarMultigraph.assert_valid_embedding`` on other graphs.
-    """
+    its faces.  The graph core's one embedding check, run once per graph by
+    ``PlanarMultigraph.assert_valid_embedding``."""
     faces = _trace_faces(tails, rotation)
     comp_of = [-1] * len(rotation)
     comps: List[List[int]] = []
@@ -321,14 +320,10 @@ class Lattice(NamedTuple):
     up: List[bool]
     slot: Tuple[List[int], List[int], List[int]]  # slot[k][i]
     tails: List[int]
-    rotation: List[List[Dart]]
-    faces: List[List[Dart]]  # faces and components: from the embedding check
-    components: List[List[int]]
 
 
 def lattice(region: HexRegion) -> Lattice:
-    """Z(a,b,c) as flat int lists, its rotation face-traced and checked
-    against Euler's formula on every component in this call."""
+    """Z(a,b,c) as flat int lists, with no embedding check (see build_graph)."""
     tri = region.triangles
     X, Y, _ = region.bounds
     S = region.up_sum
@@ -355,20 +350,21 @@ def lattice(region: HexRegion) -> Lattice:
         if j >= 0:
             s2[i] = s2[j] = len(tails) >> 1
             tails += (i, j)
-    # ccw order of the edge axes around a vertex: at a down triangle the edge
-    # along axis k points at angle 120*k degrees; at an up triangle the
-    # reverse directions sort ccw as z, x, y
-    rotation = [
-        [2 * e + 1 for e in (e2, e0, e1) if e >= 0] if u else [2 * e for e in (e0, e1, e2) if e >= 0]
-        for u, e0, e1, e2 in zip(up, s0, s1, s2)
-    ]
-    return Lattice(W, at, up, (s0, s1, s2), tails, rotation, *_valid_faces(tails, rotation))
+    return Lattice(W, at, up, (s0, s1, s2), tails)
+
+
+def ring(z: Lattice, i: int) -> List[Dart]:
+    """Vertex i's darts, counterclockwise: along axis k a down triangle's edge
+    points at 120*k degrees, so an up triangle's edges sort ccw as z, x, y."""
+    s0, s1, s2 = z.slot
+    u = z.up[i]  # 1 at an up triangle, which dart 2e + 1 starts at
+    return [2 * e + u for e in ((s2[i], s0[i], s1[i]) if u else (s0[i], s1[i], s2[i])) if e >= 0]
 
 
 def build_graph(region: HexRegion, q_weights: bool = False, z: Optional[Lattice] = None) -> PlanarMultigraph:
-    """The adjacency graph Z(a,b,c) with its planar rotation system: the
-    ``lattice`` wrapped into a ``PlanarMultigraph`` (z, when the caller has
-    built it already).
+    """The adjacency graph Z(a,b,c) with its planar rotation system (``ring``),
+    face-traced and Euler-checked in this call: the ``lattice`` (z, when the
+    caller has built it already) wrapped into a ``PlanarMultigraph``.
 
     Vertex i is region.triangles[i], which is also its label.  Edges always
     run from a down triangle (edge.u) to an up one (edge.v).
@@ -387,8 +383,9 @@ def build_graph(region: HexRegion, q_weights: bool = False, z: Optional[Lattice]
                 weights[e] = QPoly.q_power(x)
     edges = list(map(Edge, range(len(weights)), z.tails[0::2], z.tails[1::2], weights))
     ups = frozenset(compress(range(len(tri)), z.up))
-    g = PlanarMultigraph(tri, edges, z.rotation, (ups, frozenset(range(len(tri))) - ups))
-    g._faces, g._components = z.faces, tuple(map(frozenset, z.components))
+    rotation = [ring(z, i) for i in range(len(tri))]
+    g = PlanarMultigraph(tri, edges, rotation, (ups, frozenset(range(len(tri))) - ups))
+    g.assert_valid_embedding()
     return g
 
 

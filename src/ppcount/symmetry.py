@@ -53,6 +53,7 @@ from .hexgrid import (
     position2,
     primitive_dir,
     radius2,
+    ring,
 )
 
 
@@ -353,9 +354,9 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     if not cls.box_fixed(region.abc):
         raise BoxError(f"H{region.abc} is not fixed by class {cls.id}")
     G = group_elements(cls)
-    Z = lattice(region)
+    Z = lattice(region)  # unchecked: the check of the result covers each ring read
     tri = region.triangles  # Z's vertex i is tri[i]
-    tails, slot, zrot = Z.tails, Z.slot, Z.rotation
+    tails, slot = Z.tails, Z.slot
     act = _act_region(cls, region, Z)
     maps = tuple(act.values())
     refl0 = [act[g] for g in G if not g.comp and _is_transposition(g.perm)]
@@ -415,7 +416,7 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
 
     # transpose-complement-fixed vertices pair into forced isolated edges
     def darts_at(v, ids):
-        return [d for d in zrot[v] if d >> 1 in ids]
+        return [d for d in ring(Z, v) if d >> 1 in ids]
 
     removed = set()
     for v in sorted(fixed):
@@ -491,7 +492,7 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
                 raise EmbeddingError("orbit misses the positively oriented chambers")
             src = members[0]
         darts = []
-        for d in zrot[src]:
+        for d in ring(Z, src):
             qeid = qedge_of.get(d >> 1)
             if qeid is None:
                 continue  # pruned or removed edge, or dropped loop

@@ -17,6 +17,7 @@ from reference import (
     weighted_matching_sum_brute,
 )
 
+from ppcount import hexgrid
 from ppcount.exactalg import QPoly
 from ppcount.formulas import n_class
 from ppcount.hexgrid import (
@@ -27,6 +28,7 @@ from ppcount.hexgrid import (
     _trace_faces,
     build_graph,
     build_hexagon,
+    lattice,
     q_weight_graph,
 )
 from ppcount.oracle import q_sum
@@ -260,6 +262,42 @@ def test_face_tracer_refuses_a_rotation_that_fails_euler():
     assert len(_trace_faces(bad.tails, bad.rotation)) == 2  # it traces, on a torus
     with pytest.raises(EmbeddingError, match="V-E\\+F"):
         bad.assert_valid_embedding()
+
+
+def test_build_graph_face_traces_z_once_in_its_own_call(monkeypatch):
+    honest, calls = hexgrid._valid_faces, []
+
+    def counted(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(hexgrid, "_valid_faces", counted)
+    region = build_hexagon(2, 3, 4)
+    z = lattice(region)
+    assert not calls  # the lattice itself is not checked
+    builds = [lambda: build_graph(region), lambda: build_graph(region, True, z), lambda: q_weight_graph(region)]
+    for build in builds:
+        g = build()
+        assert calls == [(g.tails, g.rotation)]
+        g.assert_valid_embedding()  # kept from the build
+        assert calls.pop() and not calls
+
+
+def test_build_graph_checks_the_rings_of_z(monkeypatch):
+    # two darts swapped at a vertex of degree 3 reverse its rotation
+    region = build_hexagon(2, 2, 2)
+    honest, z = hexgrid.ring, lattice(region)
+    v = next(i for i in range(len(region.triangles)) if len(honest(z, i)) == 3)
+
+    def swapped(z, i):
+        ring = honest(z, i)
+        if i == v:
+            ring[0], ring[1] = ring[1], ring[0]
+        return ring
+
+    monkeypatch.setattr(hexgrid, "ring", swapped)
+    with pytest.raises(EmbeddingError, match="V-E\\+F"):
+        build_graph(region)
 
 
 def test_embedding_is_validated_once_and_kept():

@@ -75,6 +75,64 @@ def test_quotient_checks_the_rotation_of_the_z_it_builds(monkeypatch):
         quotient_graph(build_hexagon(3, 3, 3), CLASSES[3])
 
 
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that lists its calls' arguments."""
+    honest, calls = getattr(module, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_quotient_face_traces_only_its_result(monkeypatch):
+    # Z's rotation is proven only through the quotient built from its rings
+    traced = _counting(monkeypatch, hexgrid, "_valid_faces")
+    for cid, dims in [(1, (2, 3, 4)), (3, (3, 3, 3)), (4, (4, 4, 4)), (7, (3, 3, 2)), (10, (6, 6, 6))]:
+        del traced[:]
+        q = quotient_graph(build_hexagon(*dims), CLASSES[cid])
+        assert len(traced) == 1, (cid, dims)
+        assert traced[0] == (q.tails, q.rotation)
+
+
+def _swapped_ring(monkeypatch, v):
+    """Make symmetry.ring swap the first two darts at Z's vertex v."""
+    honest = hexgrid.ring
+
+    def swapped(z, i):
+        ring = honest(z, i)
+        if i == v:
+            ring[0], ring[1] = ring[1], ring[0]
+        return ring
+
+    monkeypatch.setattr(symmetry, "ring", swapped)
+
+
+@pytest.mark.parametrize("cid, n", [(3, 3), (9, 4)])
+def test_quotient_checks_each_ring_it_reads(monkeypatch, cid, n):
+    region, cls = build_hexagon(n, n, n), CLASSES[cid]
+    reads = _counting(monkeypatch, symmetry, "ring")
+    q = quotient_graph(region, cls)
+    monkeypatch.undo()
+    # no vertex is fixed by a transpose-complement here, so the rings read
+    # are one per orbit, in the order of the quotient's orbit vertices
+    orbit_ids = [v for v, x in enumerate(q.labels) if x.startswith("o(")]
+    assert len(reads) == len(orbit_ids)
+    read = {i for _, i in reads}
+    v = next(i for (_, i), w in zip(reads, orbit_ids) if len(q.rotation[w]) == 3)
+    _swapped_ring(monkeypatch, v)
+    with pytest.raises(EmbeddingError, match="V-E\\+F"):
+        quotient_graph(region, cls)
+    # a ring the quotient never reads cannot change it
+    z = lattice(region)
+    u = next(i for i in range(len(region.triangles)) if i not in read and len(hexgrid.ring(z, i)) == 3)
+    _swapped_ring(monkeypatch, u)
+    p = quotient_graph(region, cls)
+    assert (p.labels, p.edges, p.rotation, p.bipartition) == (q.labels, q.edges, q.rotation, q.bipartition)
+
+
 def test_quotient_checks_each_generator_image_against_the_region(monkeypatch):
     # with the box check switched off, the rotation of H(1,2,3) sends
     # triangles out of the region
