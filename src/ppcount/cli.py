@@ -13,8 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .exactalg import QPoly
 from .formulas import n_class, n_class_via_ratios, q_box_product
@@ -43,9 +42,9 @@ def parse_dims(text: str) -> Tuple[int, int, int]:
 # The matrix route's budget on ab + bc + ca, the dimension of class 1's
 # matrix.  Measured in-process on a 2-vCPU VM, CPython 3.11: class 1 at
 # 30x30x30 (2700, 71 primes) 1.8 s, 36x36x36 (3888) 4.9 s; the thin boxes
-# 1x1x1349 0.31 s (54 MiB peak RSS) and 0x1x2700 0.46 s (137 MiB, mostly
-# the triangle index of Z).  Graph export takes the same budget: Z has
-# 2(ab + bc + ca) vertices.
+# 1x1x1349 0.20 s and 0x1x2700 0.13 s, each under 27 MiB peak RSS (Z's
+# triangle index has at most four entries per triangle).  Graph export
+# takes the same budget: Z has 2(ab + bc + ca) vertices.
 MAX_MATRIX_DIMENSION = 2700
 
 
@@ -147,8 +146,7 @@ def compute_count(class_id: int, dims, method: str, q_flag: bool = False):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunRecord:
+class RunRecord(NamedTuple):
     class_id: int
     dims: Tuple[int, int, int]
     method: str
@@ -156,10 +154,10 @@ class RunRecord:
     micros: int
 
 
-@dataclass
 class RunReport:
-    records: List[RunRecord] = field(default_factory=list)
-    mismatches: List[Tuple[int, Tuple[int, int, int]]] = field(default_factory=list)
+    def __init__(self):
+        self.records: List[RunRecord] = []
+        self.mismatches: List[Tuple[int, Tuple[int, int, int]]] = []
 
     @property
     def verdict(self) -> bool:

@@ -117,11 +117,10 @@ Everything here is pure and immutable; safe to call from multiple threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 Scalar = Union[int, "QPoly"]
 
@@ -293,8 +292,7 @@ def _as_poly(x) -> QPoly:
     raise TypeError(f"cannot coerce {type(x).__name__} to QPoly")
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(NamedTuple):
     """Sparse nrows x ncols matrix: its nonzero entries (i, j, a) in
     row-major order, over Z, or over Z[q] when ``poly`` is set (then every
     a is a QPoly)."""

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .exactalg import QPoly
 from .symmetry import CLASSES
@@ -217,8 +216,7 @@ def q_box_product(a: int, b: int, c: int) -> QPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RatioCheck:
+class RatioCheck(NamedTuple):
     name: str
     lhs: Fraction
     rhs: Fraction

@@ -19,14 +19,17 @@ through the center is (x,y,z) -> (b+c-1-x, a+c-1-y, a+b-1-z).
 
 Z(a,b,c) is built in one place, ``lattice``, as flat int lists (a
 ``Lattice``); ``build_graph`` wraps them into a ``PlanarMultigraph``, and
-``symmetry.quotient_graph`` reads them directly.  With X, Y, Z the bounds
-above and W = Y + 2:
+``symmetry.quotient_graph`` reads them directly.  Of the three pairs of
+coordinates, (p, r) is the one whose padded extents (bound + 2 each) have
+the least product, (x, y) on ties; W is r's padded extent:
 
 * vertex i is region.triangles[i].  The triangles are listed by x, then y,
   the down triangle before the up one at each (x, y): their sorted order.
-* ``at[2 * (x * W + y) + up]`` is the vertex at (x, y) with that
-  orientation (up = 1), or -1 where there is none.  The spare row and column
-  keep the neighbours of the last ones in range.
+* ``at[2 * (t[p] * W + t[r]) + up]`` is the vertex t with that orientation
+  (up = 1), or -1 where there is none: a triangle is fixed by two of its
+  coordinates and its orientation.  The spare row and column keep the
+  neighbours of the last ones in range, and leaving out the coordinate of
+  the longest extent bounds the index by four entries per triangle.
 * ``up[i]`` flags the up triangles.
 * Axis k joins a down triangle to the up triangle with 1 added to
   coordinate k.  The edges are numbered by their down triangles in vertex
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress
+from operator import itemgetter
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .exactalg import QPoly
@@ -316,6 +320,7 @@ class Lattice(NamedTuple):
     """Z(a,b,c) as flat int lists, laid out as the module docstring says."""
 
     width: int  # W
+    pair: Tuple[int, int]  # (p, r), the coordinates ``at`` is indexed by
     at: List[int]
     up: List[bool]
     slot: Tuple[List[int], List[int], List[int]]  # slot[k][i]
@@ -325,32 +330,37 @@ class Lattice(NamedTuple):
 def lattice(region: HexRegion) -> Lattice:
     """Z(a,b,c) as flat int lists, with no embedding check (see build_graph)."""
     tri = region.triangles
-    X, Y, _ = region.bounds
+    ext = [B + 2 for B in region.bounds]  # the padded extents
+    p, r = min(((0, 1), (0, 2), (1, 2)), key=lambda pr: ext[pr[0]] * ext[pr[1]])
     S = region.up_sum
-    W = Y + 2
-    at = [-1] * (2 * W * (X + 2) if tri else 0)
+    W = ext[r]
+    at = [-1] * (2 * W * ext[p] if tri else 0)
     up = [x + y + z == S for x, y, z in tri]
-    for i, (x, y, _) in enumerate(tri):
-        at[2 * (x * W + y) + up[i]] = i
+    cell = [2 * (u * W + v) for u, v in map(itemgetter(p, r), tri)]
+    for i, c in enumerate(cell):
+        at[c + up[i]] = i
+    # the up triangle with 1 added to coordinate k is 2W, 2 or 0 past the
+    # down one's cell, as axis k moves p, r or neither, plus 1 for up
+    o0, o1, o2 = (2 * W if k == p else 2 if k == r else 0 for k in range(3))
     s0, s1, s2 = ([-1] * len(tri) for _ in range(3))
     tails: List[int] = []
-    for i, (x, y, _) in enumerate(tri):
+    for i, c in enumerate(cell):
         if up[i]:
             continue
-        k = 2 * (x * W + y) + 1  # the up triangles at (x+1, y), (x, y+1), (x, y)
-        j = at[k + 2 * W]
+        c += 1
+        j = at[c + o0]
         if j >= 0:
             s0[i] = s0[j] = len(tails) >> 1
             tails += (i, j)
-        j = at[k + 2]
+        j = at[c + o1]
         if j >= 0:
             s1[i] = s1[j] = len(tails) >> 1
             tails += (i, j)
-        j = at[k]
+        j = at[c + o2]
         if j >= 0:
             s2[i] = s2[j] = len(tails) >> 1
             tails += (i, j)
-    return Lattice(W, at, up, (s0, s1, s2), tails)
+    return Lattice(W, (p, r), at, up, (s0, s1, s2), tails)
 
 
 def ring(z: Lattice, i: int) -> List[Dart]:

@@ -24,8 +24,7 @@ each component's least face.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .exactalg import ExactMatrix, QPoly, det, pfaffian_abs
 from .hexgrid import EmbeddingError, PlanarMultigraph
@@ -35,14 +34,12 @@ class FlatnessError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class SignedGraph:
+class SignedGraph(NamedTuple):
     graph: PlanarMultigraph
     signs: dict  # edge id -> +1 / -1
 
 
-@dataclass(frozen=True)
-class OrientedGraph:
+class OrientedGraph(NamedTuple):
     graph: PlanarMultigraph
     heads: dict  # edge id -> head vertex id
 

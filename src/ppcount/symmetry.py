@@ -35,7 +35,6 @@ matchings-with-bachelors count.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .hexgrid import (
@@ -92,8 +91,7 @@ def box_fixed(g: SymmetryElement, box: Tuple[int, int, int]) -> bool:
     return tuple(bounds[g.perm[i]] for i in range(3)) == bounds
 
 
-@dataclass(frozen=True)
-class SymmetryClass:
+class SymmetryClass(NamedTuple):
     id: int
     name: str
     generators: Tuple[SymmetryElement, ...]
@@ -162,7 +160,7 @@ def _act_region(cls: SymmetryClass, region: HexRegion, z: Lattice) -> Dict[Symme
     reached from one found before it by a generator, and its map is composed
     from those two maps by list indexing."""
     tri = region.triangles
-    bounds, S, W, at = region.bounds, region.up_sum, z.width, z.at
+    bounds, S, W, at, (p, r) = region.bounds, region.up_sum, z.width, z.at, z.pair
     cols = tuple(zip(*tri)) or ((), (), ())  # the x, y and z coordinates
     ranges = [(min(c), max(c)) for c in cols] if tri else []
     sums = set(map(sum, tri))
@@ -172,10 +170,10 @@ def _act_region(cls: SymmetryClass, region: HexRegion, z: Lattice) -> Dict[Symme
         if not box_fixed(g, region.abc):
             raise BoxError(f"H{region.abc} is not fixed by {g}")
         spans = [ranges[k] for k in g.perm] if ranges else []
-        xs, ys, flags, image_sums = cols[g.perm[0]], cols[g.perm[1]], z.up, sums
+        xs, ys, flags, image_sums = cols[g.perm[p]], cols[g.perm[r]], z.up, sums
         if g.comp:
             spans = [(B - hi, B - lo) for B, (lo, hi) in zip(bounds, spans)]
-            xs, ys, flags = [bounds[0] - v for v in xs], [bounds[1] - v for v in ys], down
+            xs, ys, flags = [bounds[p] - v for v in xs], [bounds[r] - v for v in ys], down
             image_sums = {sum(bounds) - s for s in sums}
         if not image_sums <= {S - 1, S} or any(lo < 0 or hi > B for B, (lo, hi) in zip(bounds, spans)):
             raise EmbeddingError(f"a symmetry image under {g} left the region")
@@ -290,8 +288,7 @@ def act_partition(g: SymmetryElement, heights, box):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParityGadget:
+class ParityGadget(NamedTuple):
     """A planar subgraph standing in for the bachelorhood vertex.
 
     Contract: for X a subset of the attachment points, the gadget minus X

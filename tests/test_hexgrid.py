@@ -283,6 +283,29 @@ def test_build_graph_face_traces_z_once_in_its_own_call(monkeypatch):
         assert calls.pop() and not calls
 
 
+def _assert_linear_index(dims):
+    region = build_hexagon(*dims)
+    z, tri = lattice(region), region.triangles
+    assert len(z.at) <= 4 * len(tri), dims
+    p, r = z.pair
+    cells = [2 * (t[p] * z.width + t[r]) + u for t, u in zip(tri, z.up)]
+    assert [z.at[k] for k in cells] == list(range(len(tri))), dims
+    assert len(z.at) - z.at.count(-1) == len(tri), dims
+    return z
+
+
+def test_lattice_index_is_linear_in_the_triangles():
+    for dims in itertools.product(range(9), repeat=3):
+        z = _assert_linear_index(dims)
+        if dims[0] == dims[1] == dims[2]:  # cubes index by (x, y), as ties do
+            assert z.pair == (0, 1), dims
+
+
+@pytest.mark.parametrize("dims", [(0, 1, 2700), (1, 1, 1349), (2700, 1, 0), (1, 2700, 0)])
+def test_lattice_index_of_a_thin_strip_is_linear(dims):
+    _assert_linear_index(dims)
+
+
 def test_build_graph_checks_the_rings_of_z(monkeypatch):
     # two darts swapped at a vertex of degree 3 reverse its rotation
     region = build_hexagon(2, 2, 2)

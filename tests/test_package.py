@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import ppcount
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Brute-force references that live in tests/reference.py, and helpers that
 # were removed for having no caller; none belongs to the package's API.
@@ -29,3 +36,17 @@ def test_star_import_gives_exactly_the_public_api():
     namespace.pop("__builtins__")
     assert set(namespace) == set(ppcount.__all__)
     assert not NOT_EXPORTED & set(ppcount.__all__)
+
+
+def test_cold_import_of_the_cli_loads_neither_dataclasses_nor_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize, a dozen modules
+    # that every cold ``ppcount count`` would load and compile for nothing
+    code = (
+        "import sys; before = set(sys.modules); import ppcount.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    added = set(run.stdout.split())
+    assert "ppcount.cli" in added
+    assert not {"dataclasses", "inspect"} & added
