@@ -10,7 +10,6 @@ CSV.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from typing import List, NamedTuple, Optional, Tuple
@@ -252,6 +251,8 @@ def format_table(rows, fmt: str) -> str:
 
 def graph_to_json(g: PlanarMultigraph, signs=None, heads=None) -> str:
     """Vertices are named by their labels, and listed sorted by name."""
+    import json  # only export and count --json load it
+
     name = [str(x) for x in g.labels]
     edges = []
     for e in sorted(g.edges, key=lambda e: e.eid):
@@ -370,6 +371,8 @@ def main(argv=None) -> int:
         if args.cmd == "count":
             value = compute_count(args.class_id, parse_dims(args.dims), args.method, args.q)
             if args.json:
+                import json
+
                 payload = {
                     "class": args.class_id,
                     "dims": list(parse_dims(args.dims)),

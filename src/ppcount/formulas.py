@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
-from typing import List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Tuple
 
 from .exactalg import QPoly
 from .symmetry import CLASSES
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 binomial = math.comb
 
@@ -216,6 +218,13 @@ def q_box_product(a: int, b: int, c: int) -> QPoly:
 # ---------------------------------------------------------------------------
 
 
+def _fraction(num: int, den: int) -> Fraction:
+    # fractions loads decimal and numbers, which only the ratio checks need
+    from fractions import Fraction
+
+    return Fraction(num, den)
+
+
 class RatioCheck(NamedTuple):
     name: str
     lhs: Fraction
@@ -228,17 +237,17 @@ class RatioCheck(NamedTuple):
 
 def _ratio1(a: int, b: int, c: int) -> Fraction:
     """N1(a+1,b+1,c-1) / N1(a,b,c) for c >= 1."""
-    return Fraction(binomial(a + b + c, c - 1), binomial(a + b, a))
+    return _fraction(binomial(a + b + c, c - 1), binomial(a + b, a))
 
 
 def _ratio3(a: int) -> Fraction:
     """N3(a+1,a+1,a+1) / N3(a,a,a) for a >= 1."""
-    return Fraction((3 * a + 2) * binomial(3 * a, a - 1), a * binomial(2 * a, a))
+    return _fraction((3 * a + 2) * binomial(3 * a, a - 1), a * binomial(2 * a, a))
 
 
 def _ratio9(a: int) -> Fraction:
     """N9(2a+2,2a+2,2a+2) / N9(2a,2a,2a) for a >= 0."""
-    return Fraction(binomial(3 * a + 1, a) ** 2, binomial(2 * a, a) ** 2)
+    return _fraction(binomial(3 * a + 1, a) ** 2, binomial(2 * a, a) ** 2)
 
 
 def ratio_identities(a: int, b: int, c: int) -> List[RatioCheck]:
@@ -258,7 +267,7 @@ def ratio_identities(a: int, b: int, c: int) -> List[RatioCheck]:
     if a == b == c:
         steps.append(("cyclic-self-complementary-step", 9, (2 * a + 2,) * 3, (2 * a,) * 3, _ratio9(a)))
     return [
-        RatioCheck(name, Fraction(n_class(cid, num), n_class(cid, den)), rhs)
+        RatioCheck(name, _fraction(n_class(cid, num), n_class(cid, den)), rhs)
         for name, cid, num, den, rhs in steps
     ]
 
@@ -273,7 +282,7 @@ def n_class_via_ratios(class_id: int, dims: Tuple[int, int, int]) -> int:
     if class_id in (3, 9) and not a == b == c:
         return 0  # only cubes are fixed by the rotation
     if class_id == 1:
-        val = Fraction(1)
+        val = 1
         while a > 0 and b > 0:
             a, b, c = a - 1, b - 1, c + 1
             val *= _ratio1(a, b, c)
@@ -281,21 +290,21 @@ def n_class_via_ratios(class_id: int, dims: Tuple[int, int, int]) -> int:
     elif class_id == 3:
         if a == 0:
             return 1
-        val = Fraction(2)  # the two cyclic partitions of the unit cube
+        val = 2  # the two cyclic partitions of the unit cube
         for k in range(1, a):
             val *= _ratio3(k)
     elif class_id == 5:
         if a % 2 or b % 2 or c % 2:
             raise ValueError("self-complementary telescoping needs even sides")
         ha, hb, hc = a // 2, b // 2, c // 2
-        val = Fraction(1)
+        val = 1
         while ha > 0 and hb > 0:
             ha, hb, hc = ha - 1, hb - 1, hc + 1
             val *= _ratio1(ha, hb, hc) ** 2
     elif class_id == 9:
         if a % 2:
             raise ValueError("cyclic self-complementary telescoping needs an even cube")
-        val = Fraction(1)
+        val = 1
         for k in range(a // 2):
             val *= _ratio9(k)
     else:

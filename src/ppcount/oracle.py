@@ -2,26 +2,36 @@
 q-sums.
 
 This module is the independent reference the formula and determinant routes
-are checked against, so its counting stays naive: ``count_symmetric`` and
-``q_sum`` enumerate every plane partition in the box, and a partition counts
-as invariant only when each generator's full image equals it.  Nothing is
-pruned and nothing is kept from one call to the next.  What is done once per
-call rather than per partition is bookkeeping only: the rows under each bound
-are listed once, and each generator's action on the box
-(``symmetry.partition_map``) is built once.
+are checked against.  ``q_sum`` enumerates every plane partition in the box.
+``count_symmetric`` prunes one way only: it draws its candidates from the
+partitions fixed by H, the elements of the class's group that fix the height
+axis (of e, tau, kappa and kappa*tau).  Those act on the height matrix cell by
+cell (``CELL_RULES``), so ``fixed_partitions`` gives each cell orbit's first
+cell a height and the rest of the orbit follows; classes whose H is trivial
+(1 and 3) take every partition.  Each candidate still counts only when each
+generator's full image (``symmetry.partition_map``) equals it, so a wrong cell
+rule can only undercount.  Nothing is kept from one call to the next.
 
 Both refuse, with ``SizeLimitError`` and before enumerating, a box holding
 more than ``MAX_PARTITIONS`` plane partitions (4x5x5 is admitted, 5x5x5 is
-not).
+not): the budget counts the box's partitions, not the candidates.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .exactalg import QPoly
-from .symmetry import CLASSES, partition_map
+from .symmetry import (
+    CLASSES,
+    KAPPA,
+    KAPPA_TAU,
+    TAU,
+    SymmetryElement,
+    group_elements,
+    partition_map,
+)
 
 Heights = Tuple[Tuple[int, ...], ...]
 
@@ -114,6 +124,92 @@ def check_budget(a: int, b: int, c: int) -> None:
                 )
 
 
+# The elements that fix the height axis act on the height matrix cell by cell:
+# g sends cell (i, j) of an a x b box to the cell (i', j') returned, where the
+# image's height is the height at (i, j), complemented (c - h) if flagged.
+CELL_RULES: Dict[SymmetryElement, Callable[[int, int, int, int], Tuple[int, int, bool]]] = {
+    TAU: lambda i, j, a, b: (j, i, False),
+    KAPPA: lambda i, j, a, b: (a - 1 - i, b - 1 - j, True),
+    KAPPA_TAU: lambda i, j, a, b: (a - 1 - j, b - 1 - i, True),
+}
+
+
+def fixed_partitions(rules: Sequence[Callable], a: int, b: int, c: int) -> Iterator[Heights]:
+    """Every plane partition in the box that the cell rules fix, once each,
+    as a stream; the rules are those of the non-identity elements of a
+    group, and the box is one the group fixes.
+
+    Cell orbits are taken in row-major order of their first cells.  An
+    orbit's heights are v or c - v for one v, and v = c/2 when some cell is
+    both.  Each pair of neighbouring cells bounds v in the later of their
+    orbits by heights already decided, so each v in range is monotone with
+    every height decided so far."""
+    n = a * b
+    if not n:
+        yield ((),) * a
+        return
+    # Slot k holds the height of cell k, slot n + k its complement, and the
+    # four after them 0, c, ceil(c/2) and floor(c/2).
+    zero, top, half_up, half_down = range(2 * n, 2 * n + 4)
+    where: Dict[int, Tuple[int, bool]] = {}  # cell -> (its orbit, whether c - v)
+    # per orbit: the slots that hold v, and those that bound v below and above
+    reads_v: List[List[int]] = []
+    lows: List[set] = []
+    highs: List[set] = []
+    for r in range(n):
+        if r in where:
+            continue
+        i, j = divmod(r, b)
+        flags = {r: {False}}
+        for rule in rules:
+            i2, j2, flag = rule(i, j, a, b)
+            flags.setdefault(i2 * b + j2, set()).add(flag)
+        both = any(len(f) == 2 for f in flags.values())
+        lows.append({zero, half_up} if both else {zero})
+        highs.append({top, half_down} if both else {top})
+        where.update((k, (len(reads_v), max(f))) for k, f in flags.items())
+        reads_v.append([k + n * max(f) for k, f in flags.items()])
+    for k in range(n):
+        for p in (k - b, k - 1) if k % b else (k - b,):
+            if p < 0:
+                continue
+            (op, fp), (ok, fk) = where[p], where[k]  # height p >= height k
+            if op == ok:
+                if fp != fk:  # c - v >= v, or v >= c - v
+                    (highs if fp else lows)[op].add(half_down if fp else half_up)
+            elif op > ok:  # v >= height k, or c - v >= height k
+                (highs if fp else lows)[op].add(k + n * fp)
+            else:  # height p >= v, or height p >= c - v
+                (lows if fk else highs)[ok].add(p + n * fk)
+
+    val = [0] * (2 * n) + [0, c, (c + 1) // 2, c // 2]
+    get = val.__getitem__
+    reads_w = [[(k + n) % (2 * n) for k in slots] for slots in reads_v]
+
+    def choices(s: int) -> Iterator[int]:
+        return iter(range(max(map(get, lows[s])), min(map(get, highs[s])) + 1))
+
+    last = len(reads_v) - 1
+    todo = [choices(0)] + [iter(())] * last  # per orbit, the values of v left to try
+    s = 0
+    # one loop, not a generator per orbit, which would pass each partition
+    # up through all of them
+    while s >= 0:
+        for v in todo[s]:
+            for k in reads_v[s]:
+                val[k] = v
+            for k in reads_w[s]:
+                val[k] = c - v
+            if s == last:
+                yield tuple(tuple(val[k:k + b]) for k in range(0, n, b))
+            else:
+                s += 1
+                todo[s] = choices(s)
+                break
+        else:
+            s -= 1
+
+
 def count_symmetric(class_id: int, a: int, b: int, c: int) -> int:
     """Number of partitions invariant under every generator of the class."""
     cls = CLASSES[class_id]
@@ -122,8 +218,11 @@ def count_symmetric(class_id: int, a: int, b: int, c: int) -> int:
         return 0
     check_budget(a, b, c)
     maps = [partition_map(g, box) for g in cls.generators]
+    # the cell-by-cell walk is far slower than the row enumerator when it
+    # prunes nothing, so classes 1 and 3 take every partition
+    rules = [CELL_RULES[g] for g in group_elements(cls) if g in CELL_RULES]
     n = 0
-    for pp in enumerate_partitions(a, b, c):
+    for pp in fixed_partitions(rules, a, b, c) if rules else enumerate_partitions(a, b, c):
         for act in maps:
             if act(pp) != pp:
                 break

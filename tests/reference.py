@@ -7,7 +7,8 @@ No ``ppcount`` route runs any of this, so it lives with the tests:
 * the kernel's earlier interpolation over the equally spaced nodes 1..n;
 * hexagon triangle orientation and adjacency, straight from the
   coordinates, and the earlier builder of Z(a,b,c);
-* the plane-partition predicate;
+* the plane-partition predicate, and the naive symmetric count that filters
+  every partition in the box;
 * flat-orientation checks and the unsigned / symmetric adjacency matrices;
 * perfect-matching enumeration and counting, the brute-force weighted
   matching sum, the matching -> partition map and hexagon flip moves.
@@ -26,7 +27,8 @@ from ppcount.kasteleyn import (
     _is_poly,
     bipartite_matrix,
 )
-from ppcount.oracle import Heights, SizeLimitError
+from ppcount.oracle import Heights, SizeLimitError, check_budget, enumerate_partitions
+from ppcount.symmetry import CLASSES, partition_map
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +242,25 @@ def is_plane_partition(heights, box) -> bool:
             if i + 1 < a and heights[i + 1][j] > v:
                 return False
     return True
+
+
+def count_symmetric_naive(class_id: int, a: int, b: int, c: int) -> int:
+    """Number of partitions invariant under every generator of the class,
+    each partition in the box enumerated and each generator's image taken."""
+    cls = CLASSES[class_id]
+    box = (a, b, c)
+    if not cls.box_fixed(box):
+        return 0
+    check_budget(a, b, c)
+    maps = [partition_map(g, box) for g in cls.generators]
+    n = 0
+    for pp in enumerate_partitions(a, b, c):
+        for act in maps:
+            if act(pp) != pp:
+                break
+        else:
+            n += 1
+    return n
 
 
 # ---------------------------------------------------------------------------

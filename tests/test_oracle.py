@@ -5,6 +5,7 @@ import pytest
 
 from reference import (
     count_perfect_matchings,
+    count_symmetric_naive,
     enumerate_matchings,
     hexagon_flip_moves,
     matching_to_partition,
@@ -15,14 +16,17 @@ from ppcount.exactalg import QPoly
 from ppcount.formulas import n_class
 from ppcount.hexgrid import build_graph, build_hexagon, q_weight_graph
 from ppcount.oracle import (
+    CELL_RULES,
     MAX_PARTITIONS,
     SizeLimitError,
     check_budget,
     count_symmetric,
     enumerate_partitions,
+    fixed_partitions,
     q_sum,
     volume,
 )
+from ppcount.symmetry import CLASSES, box_fixed, group_elements, partition_map
 
 
 def test_partition_counts():
@@ -134,6 +138,54 @@ def test_count_symmetric_examples():
     assert count_symmetric(3, 2, 2, 2) == 5
     for dims in [(1, 1, 1), (2, 2, 2), (2, 1, 3)]:
         assert count_symmetric(1, *dims) == sum(1 for _ in enumerate_partitions(*dims))
+
+
+def test_oracle_equals_the_naive_count_on_every_fixed_cell_up_to_side_4(oracle_counts):
+    assert len(oracle_counts) == 350
+    for (cid, dims), n in oracle_counts.items():
+        assert n == count_symmetric_naive(cid, *dims), (cid, dims)
+
+
+@pytest.mark.parametrize("cid, dims", [(2, (5, 5, 4)), (5, (4, 5, 5)), (5, (5, 5, 4)), (6, (5, 5, 4)), (7, (5, 5, 4))])
+def test_oracle_equals_the_formula_at_the_budget_edge(cid, dims):
+    check_budget(*dims)
+    assert count_symmetric(cid, *dims) == n_class(cid, dims)
+
+
+def _image_by_cell_rule(rule, pp, box):
+    a, b, c = box
+    image = [[None] * b for _ in range(a)]
+    for i in range(a):
+        for j in range(b):
+            i2, j2, flag = rule(i, j, a, b)
+            image[i2][j2] = c - pp[i][j] if flag else pp[i][j]
+    return tuple(map(tuple, image))
+
+
+def test_each_cell_rule_is_the_partition_map():
+    for g, rule in CELL_RULES.items():
+        boxes = [box for box in itertools.product(range(4), repeat=3) if box_fixed(g, box)]
+        assert len(boxes) >= 16
+        for box in boxes:
+            act = partition_map(g, box)
+            for pp in enumerate_partitions(*box):
+                assert _image_by_cell_rule(rule, pp, box) == act(pp), (g, box, pp)
+
+
+def test_fixed_partitions_are_the_fixed_ones_each_once():
+    # H: the class group's elements with a cell rule; classes 1 and 3 have none
+    groups = {tuple(g for g in group_elements(cls) if g in CELL_RULES): cls for cls in CLASSES.values()}
+    assert len(groups) == 5  # and () of classes 1 and 3: every partition, cell by cell
+    for elements, cls in groups.items():
+        rules = [CELL_RULES[g] for g in elements]
+        for box in itertools.product(range(5), repeat=3):
+            if not all(box_fixed(g, box) for g in elements) or box == (4, 4, 4):
+                continue
+            maps = [partition_map(g, box) for g in elements]
+            got = list(fixed_partitions(rules, *box))
+            assert len(got) == len(set(got)), (cls.name, box)
+            want = {pp for pp in enumerate_partitions(*box) if all(act(pp) == pp for act in maps)}
+            assert set(got) == want, (cls.name, box)
 
 
 def test_count_symmetric_unfixed_box_is_zero():

@@ -13,6 +13,7 @@ NOT_EXPORTED = {
     "AXES",
     "check_flat_orientation",
     "count_perfect_matchings",
+    "count_symmetric_naive",
     "enumerate_matchings",
     "hafnian",
     "hexagon_flip_moves",
@@ -40,7 +41,9 @@ def test_star_import_gives_exactly_the_public_api():
 
 def test_cold_import_of_the_cli_loads_neither_dataclasses_nor_inspect():
     # dataclasses pulls in inspect, ast, dis and tokenize, a dozen modules
-    # that every cold ``ppcount count`` would load and compile for nothing
+    # that every cold ``ppcount count`` would load and compile for nothing;
+    # fractions (with decimal) serves only the ratio checks, json only
+    # export and count --json
     code = (
         "import sys; before = set(sys.modules); import ppcount.cli; "
         "print(*sorted(set(sys.modules) - before))"
@@ -49,4 +52,4 @@ def test_cold_import_of_the_cli_loads_neither_dataclasses_nor_inspect():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     added = set(run.stdout.split())
     assert "ppcount.cli" in added
-    assert not {"dataclasses", "inspect"} & added
+    assert not {"dataclasses", "inspect", "fractions", "decimal", "json"} & added
