@@ -73,11 +73,12 @@ def matrix_count(class_id: int, dims) -> int:
 # the half-turn gives the other half) per prime, and proves its degree
 # window by one min-cost assignment on the matrix's own rows, with a greedy
 # start on the tight arcs.  Measured in-process on a 2-vCPU VM, CPython
-# 3.11, best of 2: 10x10x10 (degree 1000, dimension 300) 2.6-3.0 s, the
+# 3.11, best of 2: 10x10x10 (degree 1000, dimension 300) 1.7-2.4 s, the
 # slowest box in the budget; at the dimension limit 1x1x999 (dimension
-# 1999) 1.7-2.0 s at 56 MiB peak RSS and 0x1x2000 0.35 s at 85 MiB; and
-# 1x2x500 1.5 s, 2x3x166 2.0 s.  Before, with two assignments on the
-# doubled skew block, 1x1x599 took 2.7-3.6 s against 0.5-0.6 s now.
+# 1999) 0.64-0.72 s at 33 MiB peak RSS and 0x1x2000 0.07 s at 22 MiB; and
+# on the degree limit's two-row strip 1x2x500 0.7-0.9 s, 2x3x166
+# 0.8-1.0 s.  With two assignments on the doubled skew block, 1x1x599
+# took 2.7-3.6 s where one on the rows took 0.5-0.6 s.
 MAX_Q_DEGREE = 1000
 MAX_Q_DIMENSION = 2000
 

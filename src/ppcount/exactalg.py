@@ -34,17 +34,20 @@ exact.  The bounds, for an n x n matrix with entries a_ij:
   modulus at most ||a_ij||_1, Hadamard bounds |det M(q)| there, and no
   coefficient exceeds the maximum modulus on the unit circle.  Pf again
   takes the square root.
-* det over Z[q], certified by the caller: N = |det M(1)| (modulus > 2N),
-  passed to ``det`` as ``coeff_bound``.  It holds when M is the bipartite
-  matrix of a flat-signed plane graph whose edge weights have nonnegative
+* det over Z[q] with ``det``'s ``one_sign`` flag: N = |det M(1)|
+  (modulus > 2N).  The caller sets the flag once it has proven that the
+  coefficients of det M(q) all have one sign; then they sum to +-N, and
+  so |c_k| <= N.  That holds when M is the bipartite matrix of a
+  flat-signed plane graph whose edge weights have nonnegative
   coefficients: by Kasteleyn, flatness gives every perfect matching the
   same sign in det M, so det M(q) = +-sum over matchings of the weight
-  products, a polynomial with nonnegative coefficients that sum to N, and
-  so |c_k| <= N.  The kernel cannot see flatness, so
+  products.  The kernel cannot see flatness, so
   ``kasteleyn.weighted_matching_sum`` checks both facts on the signing it
-  uses, and gets N from the integer route at q = 1.  On the q boxes N has
-  about half the bits of Goldstein-Graham's bound (73 against 145 at
-  8x8x8), so the CRT takes about half the primes.
+  uses.  The kernel finds N itself, by the integer route on M(1) under
+  Goldstein-Graham's bound (which bounds |det M(1)|, as q = 1 lies on the
+  unit circle), so no caller passes a number it could get wrong.  On the
+  q boxes N has about half the bits of Goldstein-Graham's bound (73
+  against 145 at 8x8x8), so the CRT takes about half the primes.
 
 Over Z the kernel eliminates once per group of at most ``_GROUP`` primes,
 modulo their product m: Z/m is the product of the fields F_p, a pivot that
@@ -89,21 +92,27 @@ y + 1/y means x = y or xy = 1); a wider window raises.
 The kernel stores one value slot per unordered pair {i, j} of the support,
 A[i][j] for i < j (the Schur complement of a skew matrix is skew).  The
 evaluations of a Z[q] result share one support, so the elimination splits
-in two phases.  Once per call, the first evaluation picks the pivots and
+in two phases.  Once per call, one elimination picks the pivots and
 records each pivot's update as flat int lists while it runs (``_pf_mod``);
 fill takes new slots, and a slot that is 0 there stays in the support,
-because it need not be 0 in another evaluation.  Every later evaluation
-replays the recorded updates, with no pivot search and no per-row dicts, a
-block of ``_BLOCK`` points of one prime at a time (``_replay_block``: one
-list comprehension per op across the block, and one batch inversion per
-pivot).  A point whose planned pivot is 0 mod p is eliminated afresh on its
-own, so every residue stays exact.
+because it need not be 0 in another evaluation.  Under ``one_sign`` that
+elimination is the integer route's first on M(1), modulo a group's
+product or, in the fallback, one prime: it proves N and records at once,
+and every prime takes its value at x = 1 from det M(1), so only x >= 2 is
+evaluated.  Otherwise the first evaluation, at x = 1, records.  Every
+later evaluation replays the recorded updates, with no pivot search and no
+per-row dicts, a block of ``_BLOCK`` points of one prime at a time
+(``_replay_block``: one list comprehension per op across the block; a
+pivot that holds one value on every lane takes one ``pow``, and the others
+one batch inversion per pivot).  A point whose planned pivot is 0 mod p is
+eliminated afresh on its own, so every residue stays exact.
 
 The number of primes is fixed in advance by the bound, and the number of
 points by the window, so a call knows how many evaluations it makes.  A
 Z[q] call that makes only one (one prime, and a window of one point)
-records nothing, since there would be nothing to replay; the integer route
-never records.
+records nothing, since there would be nothing to replay, and under
+``one_sign`` a window of one point records nothing either; the integer
+route records only for a Z[q] call under ``one_sign``.
 
 Rows and columns stand for unordered vertex sets (the matrix builders order
 them by vertex id only to be deterministic), so only the absolute determinant /
@@ -482,17 +491,26 @@ def _replay_block(program, vals, p: int):
     A step (s, xs, dst, ci, src) is one pivot's update as ``_pf_mod`` ran it:
     with a = val[s] and c = [val[t] / a for t in xs] followed by their
     negatives, val[dst[k]] += c[ci[k]] * val[src[k]] for every k.  Each op is
-    one list comprehension across the lanes.  A pivot's
-    inverses take one ``pow`` (``_inverses``), with 1 standing in for a lane
-    whose pivot is 0 mod p.  That lane's values are then wrong, but its
-    pivot slot keeps the 0, so its pivot product is 0 and it gets None.
+    one list comprehension across the lanes.  A pivot that holds one value
+    on every lane takes one ``pow``, and when that value is 0 every lane
+    gets None at once.  Other pivots' inverses take one ``pow`` together
+    (``_inverses``), with 1 standing in for a lane whose pivot is 0 mod p.
+    That lane's values are then wrong, but its pivot slot keeps the 0, so
+    its pivot product is 0 and it gets None.
     """
     size, pivots, steps, even = program
     w = len(vals[0])
     val = vals + [[0] * w] * (size - len(vals))  # lists are replaced, never changed
     for s, xs, dst, ci, src in steps:
-        ainv = _inverses([e or 1 for e in val[s]], p)
-        c = [[e * ai % p for e, ai in zip(val[t], ainv)] for t in xs]
+        a = val[s]
+        if a.count(a[0]) == w:  # one pivot across the lanes: one pow
+            if not a[0]:
+                return [None] * w
+            ainv = pow(a[0], -1, p)
+            c = [[e * ainv % p for e in val[t]] for t in xs]
+        else:
+            ainv = _inverses([e or 1 for e in a], p)
+            c = [[e * ai % p for e, ai in zip(val[t], ainv)] for t in xs]
         c += [[p - e for e in ct] for ct in c]
         for d, k, t in zip(dst, ci, src):
             val[d] = [(e + f * g) % p for e, f, g in zip(val[d], c[k], val[t])]
@@ -682,112 +700,154 @@ def _degree_window(n: int, triples, skew: bool = False, mirror: Optional[int] = 
     return ((low + 1) // 2, high // 2) if skew else (low, high)
 
 
-def _pfaffian(n: int, triples, power: int, bound: int, window=None, palindrome: bool = False):
+def _primes(power: int, bound: int):
+    """The primes _prime(0), _prime(1), ... up to the first whose product,
+    the modulus, has modulus^power > 2^power * bound."""
+    primes, modulus = [], 1
+    while modulus**power <= bound << power:
+        primes.append(_prime(len(primes)))
+        modulus *= primes[-1]
+    return primes
+
+
+def _crt(parts):
+    """The symmetric residues: from the (m, residues) pairs, whose moduli m
+    are pairwise coprime, the integers of magnitude below half the product
+    of the m that take the residues mod each m."""
+    residues, modulus = None, 1
+    for m, vals in parts:
+        if residues is None:
+            residues = vals
+        else:
+            inv = pow(modulus, -1, m)
+            residues = [r + modulus * ((v - r) * inv % m) for r, v in zip(residues, vals)]
+        modulus *= m
+    return [r - modulus if 2 * r > modulus else r for r in residues]
+
+
+def _integer_pf(n: int, pairs, vals, primes, record: bool = False):
+    """The signed Pfaffian over Z of the n x n skew matrix with the integers
+    vals on the pairs, exact when the primes' product exceeds twice its
+    magnitude, and, when ``record`` is set, the program recorded by the
+    first of its eliminations that finds a pivot at every step (else
+    None).  One elimination modulo the product of each group of at most
+    ``_GROUP`` primes, unless a pivot is 0 mod some primes of the group
+    only; then each prime of that group is eliminated on its own."""
+    program = None
+
+    def eliminate(m):
+        nonlocal program
+        pf, recorded = _pf_mod(n, pairs, [a % m for a in vals], m, record and program is None)
+        if program is None:
+            program = recorded
+        return pf
+
+    def residues_mod(group):  # (modulus, residues) pairs whose moduli multiply to the group's
+        m = math.prod(group)
+        try:
+            return [(m, [eliminate(m)])]
+        except ValueError:  # a pivot that is 0 mod some of the primes only has no inverse
+            return [(p, [eliminate(p)]) for p in group]
+
+    groups = (primes[k : k + _GROUP] for k in range(0, len(primes), _GROUP))
+    (pf,) = _crt(part for group in groups for part in residues_mod(group))
+    return pf, program
+
+
+def _pfaffian(n: int, triples, power: int, bound: int, window=None, palindrome: bool = False, one_sign: bool = False):
     """Signed Pfaffian of the n x n skew matrix given by ``triples`` (i, j, a),
     i < j, exact, as a list of coefficients (one for an integer matrix).
 
     The entries a are integers, or, when a degree ``window`` (lo, hi) is
     given, tuples ((k, c_k), ...) of nonzero coefficients in increasing k,
     and every term of the Pfaffian lies in q^lo .. q^hi.  Every
-    coefficient c of the result obeys |c|^power <= bound, so the primes stop
-    once their product, the modulus, has modulus^power > 2^power * bound.
-    Over Z one elimination modulo the product of each group of at most
-    ``_GROUP`` primes gives the result, unless a pivot is 0 mod some primes
-    of the group only; then each prime of that group is eliminated on its
-    own.  Over Z[q] the Pfaffian is evaluated only across the window, or
-    half of it when ``palindrome`` is set: the caller has proven that the
-    coefficients of q^(lo + k) and q^(hi - k) agree.  When more than one
-    evaluation (prime and point) is due, the first records its elimination
-    and the later ones replay it.
+    coefficient c of the result, and over Z[q] its value at q = 1 too,
+    obeys |c|^power <= bound, so the primes stop once their product, the
+    modulus, has modulus^power > 2^power * bound.  Over Z the integer
+    route (``_integer_pf``) gives the result.  Over Z[q] the Pfaffian is
+    evaluated only across the window, or half of it when ``palindrome`` is
+    set: the caller has proven that the coefficients of q^(lo + k) and
+    q^(hi - k) agree.  When more than one evaluation (prime and point) is
+    due, the first records its elimination and the later ones replay it.
+
+    With ``one_sign`` set, the caller has proven that the coefficients of
+    the result over Z[q] all have one sign, so that N = |Pf(1)| bounds each
+    of them.  Then the integer route finds Pf(1) first, under the given
+    bound, and its first elimination records the program; the primes of
+    the evaluations stop once their product exceeds 2N, each takes its
+    value at x = 1 from Pf(1), and only x >= 2 is evaluated and replayed.
     """
     if n == 0:
         return [1]
-    if bound == 0:  # a zero row, or a caller-certified bound of 0
+    if bound == 0:  # a zero row
         return [0]
-    primes, modulus = [], 1
-    while modulus**power <= bound << power:
-        primes.append(_prime(len(primes)))
-        modulus *= primes[-1]
-    low, points = 0, 1
-    if window is not None:
-        low, high = window
-        if high < low:
-            return [0]  # no matching, an odd-only window for Pf^2, or no room for the mirror
-        # Q(x) = Pf(x) x^-low has degree high - low = 2h + odd; a palindrome
-        # is x^h R(x + 1/x) (1 + x)^odd with R of degree h
-        h, odd = divmod(high - low, 2)
-        points = h + 1 if palindrome else high - low + 1
-        if (points * points if palindrome else points) >= primes[-1]:
-            # the nodes x = 1..points, or x + 1/x, must be distinct mod every p
-            raise ValueError(f"degree window of {points} leaves too few evaluation points")
     pairs = [(i, j) for i, j, _ in triples]
     if window is None:
-        groups = [primes[k : k + _GROUP] for k in range(0, len(primes), _GROUP)]
+        return [_integer_pf(n, pairs, [a for _, _, a in triples], _primes(power, bound))[0]]
+    low, high = window
+    if high < low:
+        return [0]  # no matching, an odd-only window for Pf^2, or no room for the mirror
+    # Q(x) = Pf(x) x^-low has degree high - low = 2h + odd; a palindrome
+    # is x^h R(x + 1/x) (1 + x)^odd with R of degree h
+    h, odd = divmod(high - low, 2)
+    points = h + 1 if palindrome else high - low + 1
+    at_one, program = None, None
+    if one_sign:
+        ones = [sum(c for _, c in terms) for _, _, terms in triples]
+        at_one, program = _integer_pf(n, pairs, ones, _primes(power, bound), record=points > 1)
+        if at_one == 0:  # coefficients of one sign that sum to 0
+            return [0]
+        power, bound = 1, abs(at_one)
+    primes = _primes(power, bound)
+    if (points * points if palindrome else points) >= primes[-1]:
+        # the nodes x = 1..points, or x + 1/x, must be distinct mod every p
+        raise ValueError(f"degree window of {points} leaves too few evaluation points")
+    polys = sorted({terms for _, _, terms in triples})
+    index = {terms: k for k, terms in enumerate(polys)}
+    keys = [index[terms] for _, _, terms in triples]
+    top = max(terms[-1][0] for terms in polys)
 
-        def residues_mod(group):  # (modulus, residues) pairs whose moduli multiply to the group's
-            m = math.prod(group)
-            try:
-                return [(m, [_pf_mod(n, pairs, [a % m for _, _, a in triples], m)[0]])]
-            except ValueError:  # a pivot that is 0 mod some of the primes only has no inverse
-                return [(p, [_pf_mod(n, pairs, [a % p for _, _, a in triples], p)[0]]) for p in group]
-
-    else:
-        groups = [[p] for p in primes]
-        polys = sorted({terms for _, _, terms in triples})
-        index = {terms: k for k, terms in enumerate(polys)}
-        keys = [index[terms] for _, _, terms in triples]
-        top = max(terms[-1][0] for terms in polys)
-        program = None
-
-        def residues_mod(group):
-            # evaluate at x = 1..points, one point at a time until a program is
-            # recorded, then a block of points at a time; interpolate Q at the
-            # nodes x, or R at the nodes x + 1/x
-            nonlocal program
-            (p,) = group
-            nodes, ys, start = [], [], 1
-            while start <= points:
-                stop = start + 1 if program is None else min(start + _BLOCK, points + 1)
-                block = range(start, stop)
-                pw = [[1] * len(block)]  # pw[t]: x^t mod p across the lanes
-                for _ in range(top):
-                    pw.append([e * x % p for e, x in zip(pw[-1], block)])
-                vals = []
-                for (t, c), *rest in polys:  # a monomial c q^t: one product per lane
-                    row = [c * e % p for e in pw[t]]
-                    for t, c in rest:
-                        row = [(r + c * e) % p for r, e in zip(row, pw[t])]
-                    vals.append(row)
-                vals = [vals[k] for k in keys]
-                if program is None:  # record unless no evaluation follows
-                    last = p == primes[-1] and start == points
-                    pf, program = _pf_mod(n, pairs, [v[0] for v in vals], p, record=not last)
-                    pfs = [pf]
-                else:
-                    pfs = _replay_block(program, vals, p)
-                    for i, pf in enumerate(pfs):
-                        if pf is None:
-                            pfs[i] = _pf_mod(n, pairs, [v[i] for v in vals], p)[0]
-                if not palindrome:
-                    nodes += block
-                    ys += [pf * pow(x, -low, p) % p for pf, x in zip(pfs, block)]
-                else:  # R(x + 1/x) = Q(x) x^-h (1 + x)^-odd
-                    nodes += [(x + pow(x, -1, p)) % p for x in block]
-                    ys += [pf * pow(x, -low - h, p) * pow(1 + x, -odd, p) % p for pf, x in zip(pfs, block)]
-                start = stop
-            coeffs = _interpolate(nodes, ys, p)
-            return [(p, _unfold(coeffs, odd, p) if palindrome else coeffs)]
-
-    residues, modulus = None, 1
-    for group in groups:
-        for m, vals in residues_mod(group):
-            if residues is None:
-                residues = vals
+    def residues_mod(p):
+        # evaluate at x = 1..points (from x = 2 when Pf(1) is known), one
+        # point at a time until a program is recorded, then a block of
+        # points at a time; interpolate Q at the nodes x, or R at x + 1/x
+        nonlocal program
+        xs, pfs = ([], []) if at_one is None else ([1], [at_one % p])
+        start = len(xs) + 1
+        while start <= points:
+            stop = start + 1 if program is None else min(start + _BLOCK, points + 1)
+            block = range(start, stop)
+            pw = [[1] * len(block)]  # pw[t]: x^t mod p across the lanes
+            for _ in range(top):
+                pw.append([e * x % p for e, x in zip(pw[-1], block)])
+            vals = []
+            for (t, c), *rest in polys:  # a monomial c q^t: one product per lane
+                row = [c * e % p for e in pw[t]]
+                for t, c in rest:
+                    row = [(r + c * e) % p for r, e in zip(row, pw[t])]
+                vals.append(row)
+            vals = [vals[k] for k in keys]
+            if program is None:  # record unless no evaluation follows
+                last = p == primes[-1] and start == points
+                pf, program = _pf_mod(n, pairs, [v[0] for v in vals], p, record=not last)
+                pfs.append(pf)
             else:
-                inv = pow(modulus, -1, m)
-                residues = [r + modulus * ((v - r) * inv % m) for r, v in zip(residues, vals)]
-            modulus *= m
-    return [0] * low + [r - modulus if 2 * r > modulus else r for r in residues]
+                block_pfs = _replay_block(program, vals, p)
+                for i, pf in enumerate(block_pfs):
+                    if pf is None:
+                        block_pfs[i] = _pf_mod(n, pairs, [v[i] for v in vals], p)[0]
+                pfs += block_pfs
+            xs += block
+            start = stop
+        if not palindrome:
+            ys = [pf * pow(x, -low, p) % p for pf, x in zip(pfs, xs)]
+            return p, _interpolate(xs, ys, p)
+        # R(x + 1/x) = Q(x) x^-h (1 + x)^-odd
+        nodes = [(x + pow(x, -1, p)) % p for x in xs]
+        ys = [pf * pow(x, -low - h, p) * pow(1 + x, -odd, p) % p for pf, x in zip(pfs, xs)]
+        return p, _unfold(_interpolate(nodes, ys, p), odd, p)
+
+    return [0] * low + _crt(residues_mod(p) for p in primes)
 
 
 def _result(coeffs, poly: bool) -> Scalar:
@@ -810,22 +870,25 @@ def _bounds(n: int, nz, poly: bool):
     return math.prod(sq), out
 
 
-def det(m: ExactMatrix, coeff_bound: Optional[int] = None, mirror: Optional[int] = None) -> Scalar:
+def det(m: ExactMatrix, one_sign: bool = False, mirror: Optional[int] = None) -> Scalar:
     """Absolute determinant (sign-normalized for polynomial matrices): the
     kernel's Pfaffian of [[0, M], [-M^T, 0]], which is +-det M.
 
-    ``coeff_bound``, when given, is a bound B >= |c| on every coefficient c
-    of det M that the caller has proven, and the CRT stops once the modulus
-    exceeds 2B.  ``mirror``, when given, is an exponent G that the caller
-    has proven to satisfy det M(q) = q^G det M(1/q) over Z[q]; then the
-    coefficients of q^k and q^(G - k) agree, and the kernel evaluates half
-    the window, which one min-cost assignment on M's rows proves.  The
-    kernel can check neither: a bound below the truth or a false G gives a
-    wrong answer.  ``kasteleyn.weighted_matching_sum`` certifies both for a
-    flat-signed Z[q] matrix with nonnegative weights (G also needs monomial
-    weights and a half-turn).  Without them the bound is Hadamard over Z
-    and Goldstein-Graham over Z[q], and the window, from two assignments,
-    is evaluated in full.
+    ``one_sign``, when set over Z[q], says that the caller has proven that
+    the coefficients of det M(q) all have one sign; then N = |det M(1)|
+    bounds each of them.  The kernel finds det M(1) by the integer route,
+    its first elimination recording the program the evaluations replay,
+    and the CRT over Z[q] stops once the modulus exceeds 2N.  ``mirror``,
+    when given, is an exponent G that the caller has proven to satisfy
+    det M(q) = q^G det M(1/q) over Z[q]; then the coefficients of q^k and
+    q^(G - k) agree, and the kernel evaluates half the window, which one
+    min-cost assignment on M's rows proves.  The kernel can check neither:
+    mixed signs under the flag or a false G give a wrong answer.
+    ``kasteleyn.weighted_matching_sum`` certifies both for a flat-signed
+    Z[q] matrix with nonnegative weights (G also needs monomial weights and
+    a half-turn).  Without them the bound is Hadamard over Z and
+    Goldstein-Graham over Z[q], and the window, from two assignments, is
+    evaluated in full.  Over Z the flag changes nothing.
     """
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
@@ -833,8 +896,7 @@ def det(m: ExactMatrix, coeff_bound: Optional[int] = None, mirror: Optional[int]
     bound, entries = _bounds(n, m.nonzeros, m.poly)
     window = _degree_window(n, entries, mirror=mirror) if m.poly else None
     block = [(i, n + j, a) for i, j, a in entries]
-    power, bound = (2, bound) if coeff_bound is None else (1, coeff_bound)
-    return _result(_pfaffian(2 * n, block, power, bound, window, mirror is not None), m.poly)
+    return _result(_pfaffian(2 * n, block, 2, bound, window, mirror is not None, one_sign), m.poly)
 
 
 def _check_skew(m: ExactMatrix):

@@ -220,7 +220,7 @@ def bipartite_matrix(sg: SignedGraph) -> Optional[ExactMatrix]:
     cells = []
     for e in g.edges:
         r, c = (e.u, e.v) if e.u in blk else (e.v, e.u)
-        cells.append((pos[r], pos[c], sg.signs[e.eid] * e.weight))
+        cells.append((pos[r], pos[c], e.weight if sg.signs[e.eid] > 0 else -e.weight))
     return ExactMatrix.from_cells(len(blk), len(wht), cells, _is_poly(g))
 
 
@@ -236,22 +236,23 @@ def skew_matrix(og: OrientedGraph) -> ExactMatrix:
     return ExactMatrix.from_cells(g.n_vertices, g.n_vertices, cells, _is_poly(g))
 
 
-def _certified_coeff_bound(sg: SignedGraph, m: ExactMatrix) -> Optional[int]:
-    """N = |det m(1)|, which bounds every coefficient of det m over Z[q]
-    when m is ``bipartite_matrix(sg)``, sg is flat and every edge weight's
-    coefficients are >= 0: then every matching enters det m with one sign
-    (Kasteleyn), so det m(q) = +-sum_M w(M) has nonnegative coefficients
-    summing to N.  Both facts are checked here, on this signing; None when
-    either fails.  N comes from the integer route on m at q = 1.  The
-    flatness checked here also carries ``_certified_mirror``'s proof."""
+def _certified_coeff_bound(sg: SignedGraph) -> bool:
+    """Whether N = |det m(1)| provably bounds every coefficient of det m
+    over Z[q], for m = ``bipartite_matrix(sg)``: when sg is flat and every
+    edge weight's coefficients are >= 0, every matching enters det m with
+    one sign (Kasteleyn), so det m(q) = +-sum_M w(M) has coefficients of one
+    sign, nonnegative up to the global sign, that sum to +-N.  Both facts
+    are checked here, on this signing, and ``det``'s ``one_sign`` flag
+    rests on them: the kernel then finds N itself, from the integer route
+    on m(1).  The flatness checked here also carries
+    ``_certified_mirror``'s proof."""
     if nonflat_faces(sg):
-        return None
+        return False
     for e in sg.graph.edges:
         cs = e.weight.coeffs if isinstance(e.weight, QPoly) else (e.weight,)
         if any(c < 0 for c in cs):
-            return None
-    at_one = ((i, j, a.subs(1)) for i, j, a in m.nonzeros)
-    return det(ExactMatrix.from_cells(m.nrows, m.ncols, at_one, False))
+            return False
+    return True
 
 
 def _certified_mirror(g: PlanarMultigraph, kappa) -> Optional[int]:
@@ -319,9 +320,11 @@ def weighted_matching_sum(g: PlanarMultigraph, kappa=None):
     else through one Pfaffian, each of the whole graph.
 
     Over Z[q] the determinant's CRT stops at the coefficient bound
-    |det K(1)| that ``_certified_coeff_bound`` proves from the signing's
-    flatness and the weights' nonnegative coefficients, checked in the same
-    call; when either check fails, ``det`` falls back to Goldstein-Graham.
+    |det K(1)| when ``_certified_coeff_bound`` proves, from the signing's
+    flatness and the weights' nonnegative coefficients checked in the same
+    call, that every coefficient has one sign; ``det`` then eliminates
+    K(1) once, over Z, for both N and the program its evaluations replay.
+    When either check fails, ``det`` falls back to Goldstein-Graham.
     With the bound proven and a vertex map kappa given (the half-turn), the
     determinant proves its degree window by one min-cost assignment on K's
     rows and evaluates half of it when ``_certified_mirror`` proves its
@@ -340,6 +343,6 @@ def weighted_matching_sum(g: PlanarMultigraph, kappa=None):
         return QPoly() if poly else 0
     if not poly:
         return det(m)
-    bound = _certified_coeff_bound(sg, m)  # N = 0 stops det before any elimination
-    mirror = _certified_mirror(g, kappa) if bound and kappa is not None else None
-    return det(m, bound, mirror)
+    one_sign = _certified_coeff_bound(sg)
+    mirror = _certified_mirror(g, kappa) if one_sign and kappa is not None else None
+    return det(m, one_sign, mirror)

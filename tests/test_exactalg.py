@@ -251,6 +251,32 @@ def sparse_skew_blocks(draw):
     return n, pairs, p, first, [later, *draw(st.lists(vals, max_size=4))]
 
 
+@st.composite
+def sparse_skew_shared_blocks(draw):
+    """A sparse skew support on 4 <= n <= 10 vertices that holds the perfect
+    matching {0, 1}, {2, 3}, ..., a small or 30-bit prime p, values to record
+    an elimination with (1 on the matching), and a block of 2..5 lanes to
+    replay it on.  Each lane is one shared value list with at most two of
+    its entries redrawn, so a pivot that reads only shared entries holds one
+    value on every lane, 0 or not, and the others vary."""
+    n = 2 * draw(st.integers(min_value=2, max_value=5))
+    pairs = [(i, i + 1) for i in range(0, n, 2)]
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n) if j != i + 1 or i % 2]
+    pairs += draw(st.lists(st.sampled_from(upper), unique=True, min_size=n // 2, max_size=2 * n))
+    p = draw(st.sampled_from([2, 3, 5, 7, _prime(0)]))
+    k = len(pairs)
+    entry = st.integers(min_value=-6, max_value=6)
+    first = [1] * (n // 2) + draw(st.lists(entry, min_size=k - n // 2, max_size=k - n // 2))
+    shared = draw(st.lists(entry, min_size=k, max_size=k))
+    lanes = []
+    for _ in range(draw(st.integers(min_value=2, max_value=5))):
+        lane = list(shared)
+        for i in draw(st.lists(st.integers(min_value=0, max_value=k - 1), max_size=2)):
+            lane[i] = draw(entry)
+        lanes.append(lane)
+    return n, pairs, p, first, lanes
+
+
 def skew_rows(n, pairs, vals):
     m = [[0] * n for _ in range(n)]
     for (i, j), a in zip(pairs, vals):
@@ -410,7 +436,7 @@ class TestKernel:
             assert high - low == b * k, k
             assert _degree_window(m.nrows, entries, mirror=mirror) == (low, high), k
             box = q_box_product(1, b, k)
-            d = det(m, coeff_bound=box.subs(1), mirror=mirror)
+            d = det(m, one_sign=True, mirror=mirror)
             assert d == box.shift(low), k
 
     def test_mirror_takes_one_assignment_on_the_rows_of_m(self, monkeypatch):
@@ -443,7 +469,7 @@ class TestKernel:
                     count = det(ExactMatrix.from_cells(m.nrows, m.ncols, at_one, False))
                     d = det(m)
                     assert count == d.subs(1)
-                    assert det(m, coeff_bound=count) == d, (a, b, c)
+                    assert det(m, one_sign=True) == d, (a, b, c)
 
     @pytest.mark.parametrize("call", [0, 1])
     @pytest.mark.parametrize("kernel", ["det", "pf"])
@@ -512,10 +538,14 @@ class TestKernel:
         [replayed] = _replay_block(program, [[a] for a in later_p], p)
         assert replayed is None or replayed == fresh
 
-    @given(sparse_skew_blocks())
+    @given(sparse_skew_blocks() | sparse_skew_shared_blocks())
     # lane 1 plans a pivot on a01 = 0 mod 7, between lanes whose pivots hold
     @example(
         (4, [(0, 1), (2, 3), (0, 2), (1, 3)], 7, [2, 1, 1, 1], [[2, 3, 1, 1], [7, 1, 1, 1], [5, 6, 2, 4]])
+    )
+    # a01 = 0 mod 7 on every lane, which differ elsewhere
+    @example(
+        (4, [(0, 1), (2, 3), (0, 2), (1, 3)], 7, [2, 1, 1, 1], [[7, 1, 1, 1], [0, 2, 3, 4], [-7, 5, 6, 1]])
     )
     @settings(max_examples=300, deadline=None)
     def test_block_replay_equals_a_fresh_elimination_per_lane(self, case):
@@ -529,6 +559,34 @@ class TestKernel:
         assert block == [_replay_block(program, [[a] for a in lane], p)[0] for lane in lanes]
         for pf, lane in zip(block, lanes):
             assert pf is None or pf == _pf_mod(n, pairs, lane, p)[0]
+
+    def test_lane_constant_pivot_takes_one_pow(self, monkeypatch):
+        # on this support the program pivots on a01 and then on a24, each with
+        # an update to replay, and the update of a01 leaves a24 as it is
+        pairs = [(0, 1), (2, 3), (4, 5), (0, 2), (1, 3), (2, 4), (3, 5)]
+        p = 7
+        _, program = _pf_mod(6, pairs, [1] * 7, p, record=True)
+        assert [s for s, *_ in program[2]] == [0, 5]
+        honest = exactalg._inverses
+        batches = []
+
+        def inverses(a, p):
+            batches.append(list(a))
+            return honest(a, p)
+
+        monkeypatch.setattr(exactalg, "_inverses", inverses)
+        # a01 = 3 on both lanes takes one pow; a24 = 1, 2 is batched
+        lanes = [[3, 1, 1, 1, 1, 1, 1], [3, 1, 1, 1, 1, 2, 1]]
+        block = _replay_block(program, [list(v) for v in zip(*lanes)], p)
+        assert block == [_pf_mod(6, pairs, lane, p)[0] for lane in lanes]
+        assert batches == [[1, 2]]
+        # a01 = 0 on both lanes gives None on both at once, though their
+        # Pfaffians are not 0
+        batches.clear()
+        lanes = [[0, 1, 1, 1, 1, 1, 1], [0, 2, 3, 4, 5, 6, 1]]
+        assert _replay_block(program, [list(v) for v in zip(*lanes)], p) == [None, None]
+        assert all(_pf_mod(6, pairs, lane, p)[0] for lane in lanes)
+        assert batches == []
 
     @pytest.mark.parametrize("width", [1, 5, 27, 64])
     def test_block_width_leaves_the_q_determinant_unchanged(self, width, monkeypatch):
@@ -570,7 +628,7 @@ class TestKernel:
                     d = det(m)
                     assert mirror == d.low_degree() + d.degree(), (a, b, c)
                     assert det(m, mirror=mirror) == d, (a, b, c)
-                    assert det(m, coeff_bound=d.subs(1), mirror=mirror) == d, (a, b, c)
+                    assert det(m, one_sign=True, mirror=mirror) == d, (a, b, c)
 
     def test_half_window_that_reaches_the_smallest_prime_raises(self, monkeypatch):
         # with the mirror, x = 1..m must keep m^2 below every prime: 1x1x2 has
@@ -582,7 +640,7 @@ class TestKernel:
         d = det(m1, mirror=g1)
         assert d.shift(-d.low_degree()) == q_box_product(1, 1, 2)
         with pytest.raises(ValueError, match="too few evaluation points"):
-            det(m2, coeff_bound=q_box_product(2, 2, 2).subs(1), mirror=g2)
+            det(m2, one_sign=True, mirror=g2)
 
     @given(st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=40),
            st.sampled_from([101, 10007, 2**30 - 35]))

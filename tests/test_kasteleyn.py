@@ -588,10 +588,79 @@ def test_half_window_equals_macmahon(monkeypatch):
 
 @pytest.mark.parametrize("n, primes", [(5, 1), (7, 2)])
 def test_half_window_takes_half_the_evaluations(n, primes, monkeypatch):
-    # degree D = n^3: floor(D/2) + 1 evaluations per prime, against D + 1
+    # degree D = n^3: floor(D/2) + 1 points per prime, against D + 1; the
+    # integer elimination of K(1) records the program and gives every
+    # prime its value at x = 1, so each prime evaluates floor(D/2) points
     seen = _spy_certificate(monkeypatch)
     assert q_matrix_count((n, n, n)) == q_box_product(n, n, n)
-    assert seen["evaluations"] == primes * (n**3 // 2 + 1)
+    assert seen["evaluations"] == 1 + primes * (n**3 // 2)
+
+
+def _spy_eliminations(monkeypatch):
+    """The ``_pf_mod`` calls as (modulus, record), or (modulus, "raised")
+    for one that met a pivot with no inverse."""
+    honest = exactalg._pf_mod
+    calls = []
+
+    def pf_mod(n, pairs, vals, p, record=False):
+        try:
+            out = honest(n, pairs, vals, p, record)
+        except ValueError:
+            calls.append((p, "raised"))
+            raise
+        calls.append((p, record))
+        return out
+
+    monkeypatch.setattr(exactalg, "_pf_mod", pf_mod)
+    return calls
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3), (4, 4, 4), (5, 5, 5), (3, 4, 5)], ids=lambda d: "x".join(map(str, d)))
+def test_q_route_eliminates_once(dims, monkeypatch):
+    # the integer elimination of K(1), modulo one group of primes, both
+    # proves N and records the program; every prime replays x >= 2
+    calls = _spy_eliminations(monkeypatch)
+    assert q_matrix_count(dims) == q_box_product(*dims)
+    assert [record for _, record in calls] == [True]
+
+
+def test_q_route_records_in_the_per_prime_fallback(monkeypatch):
+    # 1x2x2 under the primes 13, 2, 3, ...: K(1) takes the group 13 * 2 * 3,
+    # which meets a pivot that is 0 mod 2 or 3 alone, so each of its primes
+    # is eliminated on its own and the first records.  N = 6 leaves 13 for
+    # the q route, whose x = 3 plans a pivot that is 0 mod 13 and is
+    # eliminated afresh
+    monkeypatch.setattr(exactalg, "_prime", (13, 2, 3, 5, 7, 11).__getitem__)
+    calls = _spy_eliminations(monkeypatch)
+    assert q_matrix_count((1, 2, 2)) == q_box_product(1, 2, 2)
+    assert calls == [(78, "raised"), (13, True), (2, False), (3, False), (13, False)]
+
+
+def test_thin_box_replays_without_a_batch_inversion(monkeypatch):
+    # on 1 x 1 x k every pivot of the replay holds one value on all lanes,
+    # so each takes one pow; ``_interpolate`` still batches the inverses
+    # of its gaps between the nodes x + 1/x, outside the replay
+    honest_replay, honest_inverses = exactalg._replay_block, exactalg._inverses
+    lanes, batches, replaying = [], [], [False]
+
+    def replay_block(program, vals, p):
+        lanes.append(len(vals[0]))
+        replaying[0] = True
+        try:
+            return honest_replay(program, vals, p)
+        finally:
+            replaying[0] = False
+
+    def inverses(a, p):
+        if replaying[0]:
+            batches.append(len(a))
+        return honest_inverses(a, p)
+
+    monkeypatch.setattr(exactalg, "_replay_block", replay_block)
+    monkeypatch.setattr(exactalg, "_inverses", inverses)
+    assert q_matrix_count((1, 1, 99)) == q_box_product(1, 1, 99)
+    assert lanes == [32, 17]  # one prime (N = 100), x = 2..50
+    assert batches == []
 
 
 def _mutated_weight(g, kappa):
