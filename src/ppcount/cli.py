@@ -1,8 +1,8 @@
 """Command-line front end: counting, verification, tables, graph export.
 
 Exit codes: 0 success / full agreement, 1 verification mismatch, 2 usage
-error or a request over the size budget of the oracle, the matrix route or
-the q matrix route.
+error or a request over the size budget of the oracle, the matrix route,
+the q matrix route or the formula routes (formula, ratios and table).
 All outputs are deterministic except the timing column of the verification
 CSV.
 """
@@ -54,6 +54,53 @@ def check_matrix_budget(dims, route: str) -> None:
     if a * b + b * c + c * a > MAX_MATRIX_DIMENSION:
         raise SizeLimitError(f"box {a}x{b}x{c} has matrix dimension {a * b + b * c + c * a}; "
                              f"the {route} takes at most {MAX_MATRIX_DIMENSION}")
+
+
+# The formula routes' budget, from the sides alone.  A product formula
+# multiplies f factors below a + b + c into a numerator and a denominator of
+# about f * bit_length(a + b + c) bits each, and divides them exactly, in
+# time quadratic in those bits.  f is the product of the two sides the
+# formula loops over: the two shortest for classes 1, 5 and 7 (MacMahon's
+# product on the box or its halves), a * b for the others, whose boxes have
+# a = b.  MacMahon's q product, with sides x <= y <= z, multiplies and
+# divides xy factors into a polynomial of degree up to xyz, one coefficient
+# at a time, and prints its xyz + 1 coefficients: about (xy + 1) xyz steps.
+# A table sums its rows.  Measured on a 2-vCPU VM, CPython 3.11:
+# 282x282x282, the largest cube admitted, 1.3-1.4 s for class 3, the
+# slowest class, and 0.7 s for class 1 (500x500x500 took 5.2 s);
+# 1x44000x44000 0.3 s; table --max-a 54, the largest admitted, 0.2 s.  Over
+# Z[q], 15x15x15 0.4 s, 1x99x99 0.8 s and 1x1x500000 0.8 s at 65 MiB peak
+# RSS (20x20x20 took 2.3 s).
+MAX_FORMULA_BITS = 800_000
+MAX_Q_PRODUCT_STEPS = 1_000_000
+
+
+def formula_work(class_id: int, dims, q: bool = False) -> int:
+    """The formula route's work on one (class, box): squared bits over Z,
+    coefficient steps over Z[q], and 0 for a box the class does not fix,
+    which counts 0 at once."""
+    if not CLASSES[class_id].box_fixed(dims):
+        return 0
+    x, y, z = sorted(dims)
+    if q:
+        return (x * y + 1) * x * y * z
+    f = x * y if class_id in (1, 5, 7) else dims[0] * dims[1]
+    return (f * (x + y + z).bit_length()) ** 2
+
+
+def check_formula_budget(cells, what: Optional[str] = None, q: bool = False) -> None:
+    """Raise SizeLimitError, before any big-integer work, when the formula
+    routes' work over the (class, box) cells sums past the budget; the sum
+    stops at the first cell past it, however many cells follow.  The error
+    names ``what``, or else the box it stopped at."""
+    limit = MAX_Q_PRODUCT_STEPS if q else MAX_FORMULA_BITS**2
+    work = 0
+    for class_id, dims in cells:
+        work += formula_work(class_id, dims, q)
+        if work > limit:
+            what = what or "box {}x{}x{}".format(*dims)
+            budget = f"{MAX_Q_PRODUCT_STEPS} coefficient steps" if q else f"products of {MAX_FORMULA_BITS} bits"
+            raise SizeLimitError(f"{what} is over the formula routes' budget of {budget}")
 
 
 def matrix_count(class_id: int, dims) -> int:
@@ -119,6 +166,7 @@ def compute_count(class_id: int, dims, method: str, q_flag: bool = False):
         if class_id != 1:
             raise UsageError("q-enumeration is only supported for class 1")
         if method == "formula":
+            check_formula_budget([(1, dims)], q=True)
             return q_box_product(*dims)
         if method == "matrix":
             return q_matrix_count(dims)
@@ -126,6 +174,7 @@ def compute_count(class_id: int, dims, method: str, q_flag: bool = False):
             return q_sum(*dims)
         raise UsageError(f"q-enumeration does not support method {method!r}")
     if method == "formula":
+        check_formula_budget([(class_id, dims)])
         return n_class(class_id, dims)
     if method == "matrix":
         return matrix_count(class_id, dims)
@@ -134,6 +183,7 @@ def compute_count(class_id: int, dims, method: str, q_flag: bool = False):
     if method == "ratios":
         if class_id not in RATIO_CLASSES:
             raise UsageError(f"method 'ratios' supports classes {RATIO_CLASSES}")
+        check_formula_budget([(class_id, dims)])
         try:
             return n_class_via_ratios(class_id, dims)
         except ValueError as e:  # a fixed box the telescoping does not reach
@@ -225,6 +275,10 @@ TABLE_PATTERNS = {
 
 
 def table_rows(max_a: int):
+    """The rows (class, box, count) for k = 1..max_a; raises SizeLimitError,
+    before any count, when they sum past the formula routes' budget."""
+    cells = ((class_id, TABLE_PATTERNS[class_id](k)) for k in range(1, max_a + 1) for class_id in CLASSES)
+    check_formula_budget(cells, f"table --max-a {max_a}")
     rows = []
     for class_id in sorted(CLASSES):
         for k in range(1, max_a + 1):

@@ -43,9 +43,9 @@ exact.  The bounds, for an n x n matrix with entries a_ij:
   same sign in det M, so det M(q) = +-sum over matchings of the weight
   products.  The kernel cannot see flatness, so
   ``kasteleyn.weighted_matching_sum`` checks both facts on the signing it
-  uses.  The kernel finds N itself, by the integer route on M(1) under
-  Goldstein-Graham's bound (which bounds |det M(1)|, as q = 1 lies on the
-  unit circle), so no caller passes a number it could get wrong.  On the
+  uses.  The kernel finds N itself, by the integer route on M(1) that
+  every call runs (below), so no caller passes a number it could get
+  wrong.  On the
   q boxes N has about half the bits of Goldstein-Graham's bound (73
   against 145 at 8x8x8), so the CRT takes about half the primes.
 
@@ -57,8 +57,8 @@ group at once.  Only a pivot that is nonzero mod m but 0 mod some of the
 primes has no inverse; ``pow`` raises for it, and that group falls back to
 one elimination per prime, where every nonzero is a unit.  The Chinese
 remainder theorem rebuilds the result across the primes of such a group
-and across the groups.  Over Z[q] the primes always go one at a time, with
-the same rebuild.
+and across the groups.  The evaluations over Z[q] (below) take the primes
+one at a time, with the same rebuild.
 
 Over Z[q] the result is found mod p by evaluation and interpolation across
 a proven degree window [L, U] of the matrix whose determinant or Pfaffian is
@@ -71,7 +71,7 @@ the result's window [lo, hi], the result at x times x^-lo is a polynomial
 Q(x) of degree at most D = hi - lo, found from D + 1 evaluations at
 x = 1, 2, ...; the low zero coefficients are prepended after.  When the
 support has no perfect matching, the window is empty and the result is the
-zero polynomial, with no elimination.  The integer route runs none of this.
+zero polynomial, with no elimination.  An integer matrix runs none of this.
 
 ``det`` may also take a mirror exponent G that the caller has proven, with
 det M(q) = q^G det M(1/q) (``kasteleyn._certified_mirror`` proves it for the
@@ -90,29 +90,25 @@ m below the smallest prime, and x + 1/x needs m^2 below it (x + 1/x =
 y + 1/y means x = y or xy = 1); a wider window raises.
 
 The kernel stores one value slot per unordered pair {i, j} of the support,
-A[i][j] for i < j (the Schur complement of a skew matrix is skew).  The
-evaluations of a Z[q] result share one support, so the elimination splits
-in two phases.  Once per call, one elimination picks the pivots and
-records each pivot's update as flat int lists while it runs (``_pf_mod``);
-fill takes new slots, and a slot that is 0 there stays in the support,
-because it need not be 0 in another evaluation.  Under ``one_sign`` that
-elimination is the integer route's first on M(1), modulo a group's
-product or, in the fallback, one prime: it proves N and records at once,
-and every prime takes its value at x = 1 from det M(1), so only x >= 2 is
-evaluated.  Otherwise the first evaluation, at x = 1, records.  Every
-later evaluation replays the recorded updates, with no pivot search and no
-per-row dicts, a block of ``_BLOCK`` points of one prime at a time
-(``_replay_block``: one list comprehension per op across the block; a
-pivot that holds one value on every lane takes one ``pow``, and the others
-one batch inversion per pivot).  A point whose planned pivot is 0 mod p is
-eliminated afresh on its own, so every residue stays exact.
-
-The number of primes is fixed in advance by the bound, and the number of
-points by the window, so a call knows how many evaluations it makes.  A
-Z[q] call that makes only one (one prime, and a window of one point)
-records nothing, since there would be nothing to replay, and under
-``one_sign`` a window of one point records nothing either; the integer
-route records only for a Z[q] call under ``one_sign``.
+A[i][j] for i < j (the Schur complement of a skew matrix is skew).  Every
+call first runs the integer route on M(1), which is M itself over Z, under
+the given bound (which bounds |Pf(1)|, as q = 1 lies on the unit circle).
+It gives Pf(1), and a window of one point, which every integer matrix has,
+is Pf(1) alone: no evaluation and no second CRT.  When more points are due,
+the route's first elimination that finds a pivot at every step, modulo a
+group's product or, in the fallback, one prime, records each pivot's
+update as flat int lists while it runs (``_pf_mod``); fill takes new slots,
+and a slot that is 0 there stays in the support, because it need not be 0
+in another evaluation.  That is the one source of the program.  Every prime
+takes its value at x = 1 from Pf(1), and the points x >= 2 replay the
+recorded updates, with no pivot search and no per-row dicts, a block of
+``_BLOCK`` points of one prime at a time (``_replay_block``: one list
+comprehension per op across the block; a pivot that holds one value on
+every lane takes one ``pow``, and the others one batch inversion per
+pivot).  A point whose planned pivot is 0 mod p is eliminated afresh on its
+own, so every residue stays exact.  When Pf(1) = 0, no elimination of M(1)
+finds a pivot at every step, nothing is recorded, and every point is
+eliminated afresh.
 
 Rows and columns stand for unordered vertex sets (the matrix builders order
 them by vertex id only to be deterministic), so only the absolute determinant /
@@ -729,10 +725,11 @@ def _integer_pf(n: int, pairs, vals, primes, record: bool = False):
     """The signed Pfaffian over Z of the n x n skew matrix with the integers
     vals on the pairs, exact when the primes' product exceeds twice its
     magnitude, and, when ``record`` is set, the program recorded by the
-    first of its eliminations that finds a pivot at every step (else
-    None).  One elimination modulo the product of each group of at most
-    ``_GROUP`` primes, unless a pivot is 0 mod some primes of the group
-    only; then each prime of that group is eliminated on its own."""
+    first of its eliminations that finds a pivot at every step (None when
+    the Pfaffian is 0).  One elimination modulo the product of each group
+    of at most ``_GROUP`` primes, unless a pivot is 0 mod some primes of
+    the group only; then each prime of that group is eliminated on its
+    own."""
     program = None
 
     def eliminate(m):
@@ -763,40 +760,35 @@ def _pfaffian(n: int, triples, power: int, bound: int, window=None, palindrome: 
     and every term of the Pfaffian lies in q^lo .. q^hi.  Every
     coefficient c of the result, and over Z[q] its value at q = 1 too,
     obeys |c|^power <= bound, so the primes stop once their product, the
-    modulus, has modulus^power > 2^power * bound.  Over Z the integer
-    route (``_integer_pf``) gives the result.  Over Z[q] the Pfaffian is
-    evaluated only across the window, or half of it when ``palindrome`` is
-    set: the caller has proven that the coefficients of q^(lo + k) and
-    q^(hi - k) agree.  When more than one evaluation (prime and point) is
-    due, the first records its elimination and the later ones replay it.
+    modulus, has modulus^power > 2^power * bound.
 
-    With ``one_sign`` set, the caller has proven that the coefficients of
-    the result over Z[q] all have one sign, so that N = |Pf(1)| bounds each
-    of them.  Then the integer route finds Pf(1) first, under the given
-    bound, and its first elimination records the program; the primes of
-    the evaluations stop once their product exceeds 2N, each takes its
-    value at x = 1 from Pf(1), and only x >= 2 is evaluated and replayed.
+    The integer route (``_integer_pf``) on M(1) gives Pf(1), and records the
+    program when more than one point is due; a one-point window (every
+    integer matrix) is Pf(1) alone.  Otherwise each prime takes x = 1 from
+    Pf(1) and evaluates x = 2.. across the window, or half of it when
+    ``palindrome`` is set (the caller has proven that the coefficients of
+    q^(lo + k) and q^(hi - k) agree).  With ``one_sign`` set, the caller has
+    proven that the coefficients over Z[q] all have one sign, so that
+    N = |Pf(1)| bounds each of them and the evaluations' primes stop once
+    their product exceeds 2N.
     """
     if n == 0:
         return [1]
     if bound == 0:  # a zero row
         return [0]
-    pairs = [(i, j) for i, j, _ in triples]
-    if window is None:
-        return [_integer_pf(n, pairs, [a for _, _, a in triples], _primes(power, bound))[0]]
-    low, high = window
+    low, high = window or (0, 0)
     if high < low:
         return [0]  # no matching, an odd-only window for Pf^2, or no room for the mirror
     # Q(x) = Pf(x) x^-low has degree high - low = 2h + odd; a palindrome
     # is x^h R(x + 1/x) (1 + x)^odd with R of degree h
     h, odd = divmod(high - low, 2)
     points = h + 1 if palindrome else high - low + 1
-    at_one, program = None, None
+    pairs = [(i, j) for i, j, _ in triples]
+    ones = [a if window is None else sum(c for _, c in a) for _, _, a in triples]
+    at_one, program = _integer_pf(n, pairs, ones, _primes(power, bound), record=points > 1)
+    if low == high or one_sign and at_one == 0:  # one term, or one-sign terms that sum to 0
+        return [0] * low + [at_one]
     if one_sign:
-        ones = [sum(c for _, c in terms) for _, _, terms in triples]
-        at_one, program = _integer_pf(n, pairs, ones, _primes(power, bound), record=points > 1)
-        if at_one == 0:  # coefficients of one sign that sum to 0
-            return [0]
         power, bound = 1, abs(at_one)
     primes = _primes(power, bound)
     if (points * points if palindrome else points) >= primes[-1]:
@@ -806,17 +798,14 @@ def _pfaffian(n: int, triples, power: int, bound: int, window=None, palindrome: 
     index = {terms: k for k, terms in enumerate(polys)}
     keys = [index[terms] for _, _, terms in triples]
     top = max(terms[-1][0] for terms in polys)
+    xs = range(1, points + 1)
 
     def residues_mod(p):
-        # evaluate at x = 1..points (from x = 2 when Pf(1) is known), one
-        # point at a time until a program is recorded, then a block of
-        # points at a time; interpolate Q at the nodes x, or R at x + 1/x
-        nonlocal program
-        xs, pfs = ([], []) if at_one is None else ([1], [at_one % p])
-        start = len(xs) + 1
-        while start <= points:
-            stop = start + 1 if program is None else min(start + _BLOCK, points + 1)
-            block = range(start, stop)
+        # Pf(x) at x = 1 from Pf(1), then a block of x >= 2 at a time;
+        # interpolate Q at the nodes x, or R at x + 1/x
+        pfs = [at_one % p]
+        for start in range(2, points + 1, _BLOCK):
+            block = range(start, min(start + _BLOCK, points + 1))
             pw = [[1] * len(block)]  # pw[t]: x^t mod p across the lanes
             for _ in range(top):
                 pw.append([e * x % p for e, x in zip(pw[-1], block)])
@@ -827,18 +816,9 @@ def _pfaffian(n: int, triples, power: int, bound: int, window=None, palindrome: 
                     row = [(r + c * e) % p for r, e in zip(row, pw[t])]
                 vals.append(row)
             vals = [vals[k] for k in keys]
-            if program is None:  # record unless no evaluation follows
-                last = p == primes[-1] and start == points
-                pf, program = _pf_mod(n, pairs, [v[0] for v in vals], p, record=not last)
-                pfs.append(pf)
-            else:
-                block_pfs = _replay_block(program, vals, p)
-                for i, pf in enumerate(block_pfs):
-                    if pf is None:
-                        block_pfs[i] = _pf_mod(n, pairs, [v[i] for v in vals], p)[0]
-                pfs += block_pfs
-            xs += block
-            start = stop
+            block_pfs = _replay_block(program, vals, p) if program else [None] * len(block)
+            for i, pf in enumerate(block_pfs):
+                pfs.append(_pf_mod(n, pairs, [v[i] for v in vals], p)[0] if pf is None else pf)
         if not palindrome:
             ys = [pf * pow(x, -low, p) % p for pf, x in zip(pfs, xs)]
             return p, _interpolate(xs, ys, p)
@@ -874,10 +854,11 @@ def det(m: ExactMatrix, one_sign: bool = False, mirror: Optional[int] = None) ->
     """Absolute determinant (sign-normalized for polynomial matrices): the
     kernel's Pfaffian of [[0, M], [-M^T, 0]], which is +-det M.
 
-    ``one_sign``, when set over Z[q], says that the caller has proven that
-    the coefficients of det M(q) all have one sign; then N = |det M(1)|
-    bounds each of them.  The kernel finds det M(1) by the integer route,
-    its first elimination recording the program the evaluations replay,
+    Over Z[q] the kernel first finds det M(1) by the integer route, whose
+    elimination records the one program the evaluations replay; a window
+    of one point is det M(1) times its power of q.  ``one_sign``, when set
+    over Z[q], says that the caller has proven that the coefficients of
+    det M(q) all have one sign; then N = |det M(1)| bounds each of them,
     and the CRT over Z[q] stops once the modulus exceeds 2N.  ``mirror``,
     when given, is an exponent G that the caller has proven to satisfy
     det M(q) = q^G det M(1/q) over Z[q]; then the coefficients of q^k and

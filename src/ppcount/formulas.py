@@ -6,7 +6,9 @@ argument stays nonnegative), and staggered factorials F_k(n) = n(n-k)(n-2k)...
 (factors while they stay positive).  Every quotient is checked to divide
 exactly; a symmetry class returns 0 on boxes it does not fix and on boxes
 where a parity obstruction rules out any invariant partition (odd volume for
-complementation, odd height for transpose-complementation).
+complementation, odd height for transpose-complementation).  Classes 1, 2
+and 6 are products over the short sides, not hyperfactorials of the long
+side, so their thin boxes are immediate.
 
 Class 1 also has MacMahon's volume generating function, the formula route
 of q-enumeration (``q_box_product``).
@@ -83,9 +85,14 @@ def _n1(a: int, b: int, c: int) -> int:
                       math.prod(math.perm(i + b - 1, b) for i in rows))
 
 
-def _n2(a: int, c: int) -> int:
-    H, H2 = hyperfactorial, functools.partial(staggered_hyperfactorial, 2)
-    return _exact_div(H2(2 * a + c + 1) * H(a) * H2(c), H2(2 * a + 1) * H(a + c))
+def _n2(n: int, c: int) -> int:
+    """Symmetric partitions in an n x n x c box: the product of
+    (c + 2i - 1) / (2i - 1) over i <= n and of (c + i + j - 1) / (i + j - 1)
+    over i < j <= n.  The product over j is perm(c + i + n - 1, n - i) /
+    perm(i + n - 1, n - i), so the work grows with n, not with c."""
+    rows = range(1, n + 1)
+    return _exact_div(math.prod((c + 2 * i - 1) * math.perm(c + i + n - 1, n - i) for i in rows),
+                      math.prod((2 * i - 1) * math.perm(i + n - 1, n - i) for i in rows))
 
 
 def _n3(a: int) -> int:
@@ -103,12 +110,14 @@ def _n4(a: int) -> int:
 
 
 def _n6(a: int, b: int) -> int:
-    # transpose-complement in an a x a x 2b box
-    H = hyperfactorial
-    H2 = functools.partial(staggered_hyperfactorial, 2)
-    return _exact_div(
-        H2(2 * b + 1) * H2(2 * b + 2 * a) * H(a), H(2 * b + a) * H2(2 * a)
-    )
+    """Transpose-complementary partitions in an a x a x 2b box, a >= 1:
+    C(a + b - 1, a - 1) times the product of (2b + i + j + 1) / (i + j + 1)
+    over 1 <= i <= j <= a - 2.  The product over j is
+    perm(2b + i + a - 1, a - 1 - i) / perm(i + a - 1, a - 1 - i), so the
+    work grows with a, not with b."""
+    rows = range(1, a - 1)
+    num = binomial(a + b - 1, a - 1) * math.prod(math.perm(2 * b + i + a - 1, a - 1 - i) for i in rows)
+    return _exact_div(num, math.prod(math.perm(i + a - 1, a - 1 - i) for i in rows))
 
 
 def _n8(a: int) -> int:
@@ -204,6 +213,7 @@ def q_box_product(a: int, b: int, c: int) -> QPoly:
     """
     if a < 0 or b < 0 or c < 0:
         raise ValueError(f"negative box side in {(a, b, c)}")
+    a, b, c = sorted((a, b, c))  # the product is symmetric: loop over the two shortest sides
     out = QPoly.const(1)
     for i in range(1, a + 1):
         for j in range(1, b + 1):

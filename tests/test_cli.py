@@ -184,6 +184,67 @@ def test_export_over_the_matrix_budget_exits_2_at_once(kind, capsys):
     assert err.startswith("error: box 0x1x100000 ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--class", "1", "--dims", "1000,1000,1000"),
+        ("count", "--class", "3", "--dims", "283,283,283"),
+        ("count", "--class", "2", "--dims", "1000,1000,1"),
+        ("count", "--class", "1", "--dims", "16,16,16", "--q"),
+        ("count", "--class", "1", "--dims", "1,1,1000000", "--q"),
+        ("count", "--class", "1", "--dims", "1000,1000,1000", "--method", "ratios"),
+        ("count", "--class", "9", "--dims", "1000,1000,1000", "--method", "ratios"),
+        ("table", "--max-a", "1000"),
+        ("table", "--max-a", "1000000000"),
+    ],
+)
+def test_formula_routes_over_budget_exit_2_at_once(argv, capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    what = f"table --max-a {argv[2]}" if argv[0] == "table" else "box " + argv[4].replace(",", "x")
+    assert err.startswith(f"error: {what} is over the formula routes' budget")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "class_id, dims, q",
+    [
+        (1, (120, 120, 120), False),
+        (1, (0, 1, 2700), False),
+        (3, (282, 282, 282), False),
+        (2, (1, 1, 3000), False),
+        (6, (1, 1, 100000), False),
+        (1, (10, 10, 10), True),
+        (1, (1, 1, 999), True),
+        (1, (1, 2, 500), True),
+        (1, (15, 15, 15), True),
+    ],
+)
+def test_formula_budget_admits_the_measured_boxes(class_id, dims, q):
+    cli.check_formula_budget([(class_id, dims)], q=q)
+
+
+def test_formula_budget_skips_boxes_the_class_does_not_fix(capsys):
+    code, out, _ = run(capsys, "count", "--class", "2", "--dims", "1000,1001,1000")
+    assert (code, out) == (0, "0\n")
+
+
+def test_table_budget_admits_54_and_refuses_55():
+    assert len(cli.table_rows(54)) == 540
+    with pytest.raises(cli.SizeLimitError):
+        cli.table_rows(55)
+
+
+@pytest.mark.parametrize("class_id", [2, 6])
+@pytest.mark.parametrize("c", [0, 1, 2, 3, 4, 99, 100, 1348, 1349])
+def test_thin_box_formula_equals_matrix_up_to_the_matrix_budget(class_id, c):
+    # 1 x 1 x 1349 has matrix dimension 2699, the last under the budget
+    dims = (1, 1, c)
+    assert cli.compute_count(class_id, dims, "formula") == cli.matrix_count(class_id, dims)
+
+
 def test_verify_small(capsys):
     code, out, err = run(capsys, "verify", "--max-side", "2")
     assert code == 0

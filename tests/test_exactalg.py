@@ -590,8 +590,9 @@ class TestKernel:
 
     @pytest.mark.parametrize("width", [1, 5, 27, 64])
     def test_block_width_leaves_the_q_determinant_unchanged(self, width, monkeypatch):
-        # 3x3x3 takes one prime and a window of 28 points: the first records the
-        # program and the other 27 replay in blocks, the last of them partial for 5
+        # 3x3x3 takes one prime and a window of 28 points: x = 1 is det M(1),
+        # whose integer elimination records the program, and the other 27
+        # replay in blocks, the last of them partial for 5
         honest = exactalg._replay_block
         widths = []
 
@@ -781,13 +782,43 @@ class TestKernel:
         rows = [[2**40, 1], [1, 2**40 + 1]]
         assert det(from_rows(rows)) == abs(bareiss(rows))
         assert calls == [(p0 * p1 * p2, False)]
-        # a Z[q] call that evaluates more than once records its first elimination only
+        # a Z[q] call that evaluates more than once records only the integer
+        # route's first elimination, of M(1)
         calls.clear()
         monkeypatch.setattr(exactalg, "_replay_block", honest_replay)
         d = det(bipartite_matrix(flat_signing(q_weight_graph(build_hexagon(2, 2, 2)))))
         assert d.shift(-d.low_degree()) == q_box_product(2, 2, 2)
         recorded = [record for _, record in calls]
         assert recorded[:1] == [True] and True not in recorded[1:]
+
+    @pytest.mark.parametrize("k", [1, 40])
+    def test_zero_at_one_records_nothing_and_eliminates_every_point(self, k, monkeypatch):
+        # det M(1) = 0 and Pf(1) = 0 while the results are 1 - q^k: M(1)
+        # records no program, so every point x >= 2 (two blocks for k = 40)
+        # is eliminated afresh and nothing is replayed
+        honest = exactalg._pf_mod
+        calls = []
+
+        def eliminate(n, pairs, vals, p, record=False):
+            out = honest(n, pairs, vals, p, record)
+            calls.append((record, out[1]))
+            return out
+
+        def replay(*args):
+            raise AssertionError("replayed a program that M(1) did not record")
+
+        monkeypatch.setattr(exactalg, "_pf_mod", eliminate)
+        monkeypatch.setattr(exactalg, "_replay_block", replay)
+        qk = QPoly.q_power(k)
+        rows = [[1, qk], [1, 1]]
+        assert bareiss(rows) == 1 - qk
+        assert det(from_rows(rows)) == 1 - qk
+        assert calls[0] == (True, None) and len(calls) == 1 + k
+        calls.clear()
+        rows = skew_from_upper([1, 1, 0, 0, qk, 1], 4)
+        assert pf_expand(rows) == 1 - qk
+        assert pfaffian_abs(from_rows(rows)) == 1 - qk
+        assert calls[0] == (True, None) and len(calls) == 1 + k
 
     def test_entries_that_vanish_mod_a_prime(self):
         p0, p1 = _prime(0), _prime(1)

@@ -209,3 +209,27 @@ def test_n1_on_a_long_thin_box_is_immediate(dims, value):
     t0 = time.perf_counter()
     assert n_class(1, dims) == value
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_n2_and_n6_equal_the_hyperfactorial_forms():
+    # S: H2(2n+c+1) H(n) H2(c) / (H2(2n+1) H(n+c)) in n x n x c; TC:
+    # H2(2b+1) H2(2b+2a) H(a) / (H(2b+a) H2(2a)) in a x a x 2b; sides <= 12
+    H, H2 = hyperfactorial, lambda n: staggered_hyperfactorial(2, n)
+    for n in range(13):
+        for c in range(13):
+            hyper, rem = divmod(H2(2 * n + c + 1) * H(n) * H2(c), H2(2 * n + 1) * H(n + c))
+            assert rem == 0 and n_class(2, (n, n, c)) == hyper, (n, c)
+    for a in range(1, 13):
+        for b in range(7):
+            hyper, rem = divmod(H2(2 * b + 1) * H2(2 * b + 2 * a) * H(a), H(2 * b + a) * H2(2 * a))
+            assert rem == 0 and n_class(6, (a, a, 2 * b)) == hyper, (a, b)
+
+
+@pytest.mark.parametrize(
+    "class_id, dims, value",
+    [(2, (1, 1, 3000), 3001), (2, (2, 2, 100000), 166676666850001), (6, (1, 1, 100000), 1), (6, (2, 2, 100000), 50001)],
+)
+def test_n2_and_n6_on_a_long_thin_box_are_immediate(class_id, dims, value):
+    t0 = time.perf_counter()
+    assert n_class(class_id, dims) == value
+    assert time.perf_counter() - t0 < 0.1
