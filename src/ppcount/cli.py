@@ -15,7 +15,14 @@ import time
 from typing import List, NamedTuple, Optional, Tuple
 
 from .exactalg import QPoly
-from .formulas import n_class, n_class_via_ratios, q_box_product
+from .formulas import (
+    formula_work,
+    n_class,
+    n_class_via_ratios,
+    q_box_product,
+    q_product_work,
+    ratio_work,
+)
 from .hexgrid import PlanarMultigraph, build_graph, build_hexagon, lattice
 from .kasteleyn import flat_orientation, flat_signing, weighted_matching_sum
 from .oracle import SizeLimitError, check_budget, count_symmetric, q_sum
@@ -56,50 +63,39 @@ def check_matrix_budget(dims, route: str) -> None:
                              f"the {route} takes at most {MAX_MATRIX_DIMENSION}")
 
 
-# The formula routes' budget, from the sides alone.  A product formula
-# multiplies f factors below a + b + c into a numerator and a denominator of
-# about f * bit_length(a + b + c) bits each, and divides them exactly, in
-# time quadratic in those bits.  f is the product of the two sides the
-# formula loops over: the two shortest for classes 1, 5 and 7 (MacMahon's
-# product on the box or its halves), a * b for the others, whose boxes have
-# a = b.  MacMahon's q product, with sides x <= y <= z, multiplies and
-# divides xy factors into a polynomial of degree up to xyz, one coefficient
-# at a time, and prints its xyz + 1 coefficients: about (xy + 1) xyz steps.
-# A table sums its rows.  Measured on a 2-vCPU VM, CPython 3.11:
-# 282x282x282, the largest cube admitted, 1.3-1.4 s for class 3, the
-# slowest class, and 0.7 s for class 1 (500x500x500 took 5.2 s);
-# 1x44000x44000 0.3 s; table --max-a 54, the largest admitted, 0.2 s.  Over
-# Z[q], 15x15x15 0.4 s, 1x99x99 0.8 s and 1x1x500000 0.8 s at 65 MiB peak
-# RSS (20x20x20 took 2.3 s).
+# The formula routes' budgets, on work estimated from the sides alone
+# (``formulas.formula_work``, ``ratio_work`` and ``q_product_work``) and
+# summed over a table's rows.  Measured on a 2-vCPU VM, CPython 3.11: by
+# formula, 282x282x282, the largest cube admitted, 1.3-1.4 s for class 3,
+# the slowest class, and 0.7 s for class 1 (500x500x500 took 5.2 s);
+# 1x44000x44000 0.3 s; table --max-a 54, the largest admitted, 0.2 s.  By
+# ratios, at most 1e-13 s per unit of work past 0.01 s: class 1 at
+# 700x700x700 (8.6e12) 0.6 s and 1000x1000x1 (1.1e13) 0.7 s, class 3 at
+# 1000x1000x1000 (3.6e13) 0.5 s.  Over Z[q], 15x15x15 0.4 s, 1x99x99 0.8 s
+# and 1x1x500000 0.8 s at 65 MiB peak RSS (20x20x20 took 2.3 s).
 MAX_FORMULA_BITS = 800_000
+MAX_RATIO_WORK = 2 * 10**13
 MAX_Q_PRODUCT_STEPS = 1_000_000
 
-
-def formula_work(class_id: int, dims, q: bool = False) -> int:
-    """The formula route's work on one (class, box): squared bits over Z,
-    coefficient steps over Z[q], and 0 for a box the class does not fix,
-    which counts 0 at once."""
-    if not CLASSES[class_id].box_fixed(dims):
-        return 0
-    x, y, z = sorted(dims)
-    if q:
-        return (x * y + 1) * x * y * z
-    f = x * y if class_id in (1, 5, 7) else dims[0] * dims[1]
-    return (f * (x + y + z).bit_length()) ** 2
+# route -> (work on one (class, box), the limit on its sum, the limit in words)
+FORMULA_BUDGETS = {
+    "formula": (formula_work, MAX_FORMULA_BITS**2, f"products of {MAX_FORMULA_BITS} bits"),
+    "ratios": (ratio_work, MAX_RATIO_WORK, f"{MAX_RATIO_WORK:.0e} bit operations"),
+    "q": (lambda _, dims: q_product_work(dims), MAX_Q_PRODUCT_STEPS, f"{MAX_Q_PRODUCT_STEPS} coefficient steps"),
+}
 
 
-def check_formula_budget(cells, what: Optional[str] = None, q: bool = False) -> None:
-    """Raise SizeLimitError, before any big-integer work, when the formula
-    routes' work over the (class, box) cells sums past the budget; the sum
-    stops at the first cell past it, however many cells follow.  The error
-    names ``what``, or else the box it stopped at."""
-    limit = MAX_Q_PRODUCT_STEPS if q else MAX_FORMULA_BITS**2
+def check_formula_budget(cells, route: str = "formula", what: Optional[str] = None) -> None:
+    """Raise SizeLimitError, before any big-integer work, when the route's
+    work over the (class, box) cells sums past its budget; the sum stops at
+    the first cell past it, however many cells follow.  The error names
+    ``what``, or else the box it stopped at."""
+    work_on, limit, budget = FORMULA_BUDGETS[route]
     work = 0
     for class_id, dims in cells:
-        work += formula_work(class_id, dims, q)
+        work += work_on(class_id, dims)
         if work > limit:
             what = what or "box {}x{}x{}".format(*dims)
-            budget = f"{MAX_Q_PRODUCT_STEPS} coefficient steps" if q else f"products of {MAX_FORMULA_BITS} bits"
             raise SizeLimitError(f"{what} is over the formula routes' budget of {budget}")
 
 
@@ -166,7 +162,7 @@ def compute_count(class_id: int, dims, method: str, q_flag: bool = False):
         if class_id != 1:
             raise UsageError("q-enumeration is only supported for class 1")
         if method == "formula":
-            check_formula_budget([(1, dims)], q=True)
+            check_formula_budget([(1, dims)], "q")
             return q_box_product(*dims)
         if method == "matrix":
             return q_matrix_count(dims)
@@ -183,7 +179,7 @@ def compute_count(class_id: int, dims, method: str, q_flag: bool = False):
     if method == "ratios":
         if class_id not in RATIO_CLASSES:
             raise UsageError(f"method 'ratios' supports classes {RATIO_CLASSES}")
-        check_formula_budget([(class_id, dims)])
+        check_formula_budget([(class_id, dims)], "ratios")
         try:
             return n_class_via_ratios(class_id, dims)
         except ValueError as e:  # a fixed box the telescoping does not reach
@@ -278,7 +274,7 @@ def table_rows(max_a: int):
     """The rows (class, box, count) for k = 1..max_a; raises SizeLimitError,
     before any count, when they sum past the formula routes' budget."""
     cells = ((class_id, TABLE_PATTERNS[class_id](k)) for k in range(1, max_a + 1) for class_id in CLASSES)
-    check_formula_budget(cells, f"table --max-a {max_a}")
+    check_formula_budget(cells, what=f"table --max-a {max_a}")
     rows = []
     for class_id in sorted(CLASSES):
         for k in range(1, max_a + 1):

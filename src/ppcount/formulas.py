@@ -142,6 +142,25 @@ def _n10(a: int) -> int:
     return _exact_div(H3(3 * a + 1) * H(a), H(2 * a))
 
 
+def _immediate(class_id: int, dims: Tuple[int, int, int]):
+    """The count of a box that needs no product, else None: 0 on a box the
+    class does not fix or where a parity obstruction rules out any invariant
+    partition, and 1 on the empty height matrix of classes 6 and 7."""
+    a, b, c = dims
+    if not CLASSES[class_id].box_fixed(dims):
+        return 0
+    if class_id == 5 and a % 2 and b % 2 and c % 2:
+        return 0  # odd volume cannot be self-complementary
+    if class_id in (6, 7):
+        if a == 0:
+            return 1  # empty height matrix, vacuously invariant
+        if c % 2:
+            return 0  # transpose-complement forces height c/2 on the diagonal
+    if class_id in (8, 9, 10) and a % 2:
+        return 0
+    return None
+
+
 def n_class(class_id: int, dims: Tuple[int, int, int]) -> int:
     """Exact count of class-invariant plane partitions in the given box.
 
@@ -153,8 +172,9 @@ def n_class(class_id: int, dims: Tuple[int, int, int]) -> int:
         raise ValueError(f"negative box side in {dims}")
     if class_id not in CLASSES:
         raise ValueError(f"unknown symmetry class {class_id}")
-    if not CLASSES[class_id].box_fixed(dims):
-        return 0
+    known = _immediate(class_id, dims)
+    if known is not None:
+        return known
 
     if class_id == 1:
         return _n1(a, b, c)
@@ -165,40 +185,46 @@ def n_class(class_id: int, dims: Tuple[int, int, int]) -> int:
     if class_id == 4:
         return _n4(a)
     if class_id == 5:
-        odd = sorted((a % 2, b % 2, c % 2))
-        if sum(odd) == 0:
+        odd = a % 2 + b % 2 + c % 2
+        if odd == 0:
             return _n1(a // 2, b // 2, c // 2) ** 2
-        if sum(odd) == 1:
+        if odd == 1:
             evens = sorted(d // 2 for d in dims if d % 2 == 0)
             k = next(d // 2 for d in dims if d % 2 == 1)
             e1, e2 = evens
             return _n1(e1, e2, k) * _n1(e1, e2, k + 1)
-        if sum(odd) == 2:
-            ev = next(d // 2 for d in dims if d % 2 == 0)
-            o1, o2 = sorted(d // 2 for d in dims if d % 2 == 1)
-            return _n1(o1 + 1, o2, ev) * _n1(o1, o2 + 1, ev)
-        return 0  # odd volume cannot be self-complementary
+        ev = next(d // 2 for d in dims if d % 2 == 0)
+        o1, o2 = sorted(d // 2 for d in dims if d % 2 == 1)
+        return _n1(o1 + 1, o2, ev) * _n1(o1, o2 + 1, ev)
     if class_id == 6:
-        if a == 0:
-            return 1  # empty height matrix, vacuously invariant
-        if c % 2:
-            return 0  # transpose-complement forces height c/2 on the diagonal
         return _n6(a, c // 2)
     if class_id == 7:
-        if a == 0:
-            return 1
-        if c % 2:
-            return 0
         if a % 2 == 0:
             return _n1(a // 2, a // 2, c // 2)
         return _n1(a // 2, a // 2 + 1, c // 2)
     if class_id == 8:
-        return _n8(a // 2) if a % 2 == 0 else 0
+        return _n8(a // 2)
     if class_id == 9:
-        return _n9(a // 2) if a % 2 == 0 else 0
+        return _n9(a // 2)
     if class_id == 10:
-        return _n10(a // 2) if a % 2 == 0 else 0
+        return _n10(a // 2)
     raise AssertionError
+
+
+def formula_work(class_id: int, dims: Tuple[int, int, int]) -> int:
+    """``n_class``'s work on one box, from the sides alone: 0 where it
+    answers at once, else the square of f * bit_length(a + b + c).  A
+    product formula multiplies about f factors below a + b + c into a
+    numerator and a denominator and divides them exactly, in time quadratic
+    in their bits.  f is the product of the two sides the formula loops
+    over: the two shortest for classes 1, 5 and 7 (MacMahon's product on the
+    box or its halves, ``_n1``), a * b for the others, whose boxes have
+    a = b."""
+    if _immediate(class_id, dims) is not None:
+        return 0
+    x, y, z = sorted(dims)
+    f = x * y if class_id in (1, 5, 7) else dims[0] * dims[1]
+    return (f * (x + y + z).bit_length()) ** 2
 
 
 def q_box_product(a: int, b: int, c: int) -> QPoly:
@@ -221,6 +247,15 @@ def q_box_product(a: int, b: int, c: int) -> QPoly:
         for j in range(1, b + 1):
             out = out.div_exact(1 - QPoly.q_power(i + j - 1))
     return out
+
+
+def q_product_work(dims: Tuple[int, int, int]) -> int:
+    """``q_box_product``'s work, from the sides x <= y <= z alone: it
+    multiplies and divides xy factors into a polynomial of degree up to xyz,
+    one coefficient at a time, and the answer has xyz + 1 coefficients:
+    about (xy + 1) xyz steps."""
+    x, y, z = sorted(dims)
+    return (x * y + 1) * x * y * z
 
 
 # ---------------------------------------------------------------------------
@@ -322,3 +357,33 @@ def n_class_via_ratios(class_id: int, dims: Tuple[int, int, int]) -> int:
     if val.denominator != 1:
         raise ArithmeticError("telescoped ratio is not an integer")
     return int(val)
+
+
+def ratio_work(class_id: int, dims: Tuple[int, int, int]) -> int:
+    """``n_class_via_ratios``'s work on one box, from the sides alone: its
+    steps, times the bits of one step's fraction, times a bound on the bits
+    of the running product, which each step divides by one and multiplies
+    by the other; 0 where it answers or raises at once.
+
+    Class 1 steps min(a, b) times along (a - k, b - k, c + k); the running
+    product is N1(a, b, c) / N1(a - k, b - k, c + k), and a count N1(x, y, z)
+    has at most xy * bit_length(x + y + z) bits for any two of its sides, so
+    at most min(ab, a(b + c)/2) * bit_length(a + b + c) for a <= b.  A
+    step's binomial C(n, a + b + 1), n = a + b + c, has at most
+    min(n, (a + b + 1) bit_length(n)) bits.  Class 5 walks the same path on
+    the halves, with every fraction squared.  Classes 3 and 9 grow a cube of
+    side a in a and a/2 steps, each fraction of under 3a bits; their
+    running product is a count at most N1(a, a, a), and for class 9 at most
+    N5(a, a, a) = N1(a/2, a/2, a/2)^2, of half as many bits."""
+    a, b, c = dims
+    if class_id == 1:
+        x, y = sorted((a, b))
+        n = a + b + c
+        bits = min(x * y, x * (y + c) // 2) * n.bit_length()
+        return x * min(n, (x + y + 1) * n.bit_length()) * bits
+    if class_id == 5 and not (a % 2 or b % 2 or c % 2):
+        return 4 * ratio_work(1, (a // 2, b // 2, c // 2))
+    if class_id in (3, 9) and a == b == c and not (class_id == 9 and a % 2):
+        bits = a * a * (3 * a).bit_length()
+        return a * 3 * a * bits if class_id == 3 else a // 2 * 3 * a * bits // 2
+    return 0

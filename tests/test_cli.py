@@ -193,7 +193,8 @@ def test_export_over_the_matrix_budget_exits_2_at_once(kind, capsys):
         ("count", "--class", "1", "--dims", "16,16,16", "--q"),
         ("count", "--class", "1", "--dims", "1,1,1000000", "--q"),
         ("count", "--class", "1", "--dims", "1000,1000,1000", "--method", "ratios"),
-        ("count", "--class", "9", "--dims", "1000,1000,1000", "--method", "ratios"),
+        ("count", "--class", "9", "--dims", "2000,2000,2000", "--method", "ratios"),
+        ("count", "--class", "1", "--dims", "2000,2000,1", "--method", "ratios"),
         ("table", "--max-a", "1000"),
         ("table", "--max-a", "1000000000"),
     ],
@@ -209,25 +210,53 @@ def test_formula_routes_over_budget_exit_2_at_once(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "class_id, dims, q",
+    "class_id, dims, route",
     [
-        (1, (120, 120, 120), False),
-        (1, (0, 1, 2700), False),
-        (3, (282, 282, 282), False),
-        (2, (1, 1, 3000), False),
-        (6, (1, 1, 100000), False),
-        (1, (10, 10, 10), True),
-        (1, (1, 1, 999), True),
-        (1, (1, 2, 500), True),
-        (1, (15, 15, 15), True),
+        (1, (120, 120, 120), "formula"),
+        (1, (0, 1, 2700), "formula"),
+        (3, (282, 282, 282), "formula"),
+        (2, (1, 1, 3000), "formula"),
+        (6, (1, 1, 100000), "formula"),
+        (1, (700, 700, 700), "ratios"),
+        (1, (1000, 1000, 1), "ratios"),
+        (1, (1, 1, 10**9), "ratios"),
+        (3, (300, 300, 300), "ratios"),
+        (3, (800, 800, 800), "ratios"),
+        (5, (1000, 1000, 1000), "ratios"),
+        (9, (1000, 1000, 1000), "ratios"),
+        (1, (10, 10, 10), "q"),
+        (1, (1, 1, 999), "q"),
+        (1, (1, 2, 500), "q"),
+        (1, (15, 15, 15), "q"),
     ],
 )
-def test_formula_budget_admits_the_measured_boxes(class_id, dims, q):
-    cli.check_formula_budget([(class_id, dims)], q=q)
+def test_formula_budget_admits_the_measured_boxes(class_id, dims, route):
+    cli.check_formula_budget([(class_id, dims)], route)
 
 
-def test_formula_budget_skips_boxes_the_class_does_not_fix(capsys):
-    code, out, _ = run(capsys, "count", "--class", "2", "--dims", "1000,1001,1000")
+def test_ratio_route_answers_an_admitted_box(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "count", "--class", "3", "--dims", "300,300,300", "--method", "ratios")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and int(out) == n_class(3, (300, 300, 300))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--class", "2", "--dims", "1000,1001,1000"),  # not fixed
+        ("--class", "5", "--dims", "1001,1001,1001"),  # odd volume
+        ("--class", "6", "--dims", "1000,1000,1001"),  # odd height
+        ("--class", "7", "--dims", "1000,1000,1001"),
+        ("--class", "8", "--dims", "1001,1001,1001"),  # odd cube
+        ("--class", "9", "--dims", "1001,1001,1001"),
+        ("--class", "10", "--dims", "1001,1001,1001"),
+    ],
+)
+def test_formula_budget_counts_zero_boxes_at_once(argv, capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "count", *argv)
+    assert time.perf_counter() - t0 < 1.0
     assert (code, out) == (0, "0\n")
 
 

@@ -1,10 +1,13 @@
+import itertools
 import time
 from fractions import Fraction
 
 import pytest
 
 from ppcount.formulas import (
+    _immediate,
     binomial,
+    formula_work,
     hyperfactorial,
     n_class,
     n_class_via_ratios,
@@ -233,3 +236,16 @@ def test_n2_and_n6_on_a_long_thin_box_are_immediate(class_id, dims, value):
     t0 = time.perf_counter()
     assert n_class(class_id, dims) == value
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_formula_work_is_zero_where_n_class_needs_no_product():
+    # zero boxes and parity zeros answer at once, so no budget may refuse them
+    for class_id in CLASSES:
+        for dims in itertools.product(range(6), repeat=3):
+            known = _immediate(class_id, dims)
+            if known is not None:
+                assert n_class(class_id, dims) == known
+                assert formula_work(class_id, dims) == 0
+            elif min(dims) >= 1:
+                assert formula_work(class_id, dims) > 0
+
