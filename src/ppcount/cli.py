@@ -23,10 +23,10 @@ from .formulas import (
     q_product_work,
     ratio_work,
 )
-from .hexgrid import PlanarMultigraph, build_graph, build_hexagon, lattice
+from .hexgrid import PlanarMultigraph, build_graph, build_hexagon
 from .kasteleyn import flat_orientation, flat_signing, weighted_matching_sum
 from .oracle import SizeLimitError, check_budget, count_symmetric, q_sum
-from .symmetry import CLASSES, KAPPA, _act_region, quotient_graph
+from .symmetry import CLASSES, quotient_graph
 
 RATIO_CLASSES = (1, 3, 5, 9)
 
@@ -142,14 +142,13 @@ def q_matrix_count(dims) -> QPoly:
     """Normalized q-weighted determinant: coefficient of q^k counts volume-k
     partitions; the weight of the empty partition is divided out.  The
     half-turn (complementation, the group of class 5) goes with it, so that
-    the determinant may prove its mirror and evaluate half its window.
-    Raises SizeLimitError for a box over the route's budget
-    (``check_q_budget``)."""
+    the determinant may prove its mirror and evaluate half its window: it
+    reverses Z's sorted vertex order (``build_graph``), and a wrong map
+    would only fail that proof.  Raises SizeLimitError for a box over the
+    route's budget (``check_q_budget``)."""
     check_q_budget(*dims)
-    region = build_hexagon(*dims)
-    z = lattice(region)
-    kappa = _act_region(CLASSES[5], region, z)[KAPPA]
-    d = weighted_matching_sum(build_graph(region, q_weights=True, z=z), kappa)
+    g = build_graph(build_hexagon(*dims), q_weights=True)
+    d = weighted_matching_sum(g, range(g.n_vertices - 1, -1, -1))
     if isinstance(d, int):  # no edges carry a q-weight
         return QPoly.const(d)
     return d.shift(-d.low_degree())

@@ -371,19 +371,22 @@ def ring(z: Lattice, i: int) -> List[Dart]:
     return [2 * e + u for e in ((s2[i], s0[i], s1[i]) if u else (s0[i], s1[i], s2[i])) if e >= 0]
 
 
-def build_graph(region: HexRegion, q_weights: bool = False, z: Optional[Lattice] = None) -> PlanarMultigraph:
+def build_graph(region: HexRegion, q_weights: bool = False) -> PlanarMultigraph:
     """The adjacency graph Z(a,b,c) with its planar rotation system (``ring``),
-    face-traced and Euler-checked in this call: the ``lattice`` (z, when the
-    caller has built it already) wrapped into a ``PlanarMultigraph``.
+    face-traced and Euler-checked in this call: the ``lattice`` wrapped into
+    a ``PlanarMultigraph``.
 
-    Vertex i is region.triangles[i], which is also its label.  Edges always
-    run from a down triangle (edge.u) to an up one (edge.v).
+    Vertex i is region.triangles[i], which is also its label.  The triangles
+    are sorted, so the half-turn (x, y, z) -> (X-x, Y-y, Z-z), which reverses
+    their order, maps vertex i to vertex n-1-i.  Every face of Z, the outer
+    one too, has 4k+2 sides, so all +1 is a flat signing.
+    Edges always run from a down triangle (edge.u) to an up one (edge.v).
     With q_weights=True the edges whose z-coordinate changes get weight q^x;
     those matched edges are the "column top" lozenges, and x counts the
     column steps, so the weight of a matching is q^(partition volume) times
     a constant absorbed by normalization against the empty partition.
     """
-    z = lattice(region) if z is None else z
+    z = lattice(region)
     tri = region.triangles
     weights: List[object] = [1] * (len(z.tails) >> 1)
     if q_weights:

@@ -20,6 +20,11 @@ antisymmetric incidence matrix counts matchings.  The orientation directs a
 spanning forest arbitrarily, then fixes the co-tree edges face by face,
 leaf to root in the interdigitating dual forest, whose trees are rooted at
 each component's least face.
+
+This one face-parity fix serves both routes: a flat orientation of a
+bipartite graph gives a flat signing, +1 on each edge directed into the
+first colour class, as a face with 2m sides then has m + #negative darts
+against its tracing sense, mod 2.
 """
 
 from __future__ import annotations
@@ -28,10 +33,6 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .exactalg import ExactMatrix, QPoly, det, pfaffian_abs
 from .hexgrid import EmbeddingError, PlanarMultigraph
-
-
-class FlatnessError(RuntimeError):
-    pass
 
 
 class SignedGraph(NamedTuple):
@@ -67,65 +68,25 @@ def _against(g: PlanarMultigraph, face, heads) -> int:
 
 
 def flat_signing(g: PlanarMultigraph) -> SignedGraph:
-    """A flat edge signing, found by pairing off non-flat faces along dual paths."""
+    """A flat edge signing: all +1 when every face has 4k+2 sides, as on Z
+    and on every quotient the program flags bipartite; otherwise +1 on each
+    edge that ``flat_orientation`` directs into the first colour class, -1
+    on the rest.  A face with 2m sides alternates its darts between the
+    classes, so it has m + #negative (mod 2) darts against the orientation:
+    odd exactly when the face is flat.  The root face of a component is left
+    non-flat only when the component has an odd number of vertices (Euler's
+    formula), which raises ValueError."""
     if g.n_vertices % 2:
         raise ValueError("flat signing needs an even number of vertices")
     if g.bipartition is None:
         raise ValueError("flat signing requires a graph flagged bipartite")
-    faces = g.assert_valid_embedding()
-    signs = {e.eid: 1 for e in g.edges}
-    face_of_dart = _face_of_dart(g, faces)
-    # dual adjacency through edges with two distinct incident faces
-    dual: List[List[Tuple[int, int]]] = [[] for _ in faces]
-    for e in g.edges:
-        f0, f1 = face_of_dart[2 * e.eid], face_of_dart[2 * e.eid + 1]
-        if f0 != f1:
-            dual[f0].append((f1, e.eid))
-            dual[f1].append((f0, e.eid))
-
-    bad = {fi for fi, f in enumerate(faces) if not _flat_face(f, signs)}
-    guard = 0
-    while bad:
-        guard += 1
-        if guard > 4 * len(faces) + 8:
-            raise FlatnessError("flat signing failed to converge")
-        start = min(bad)
-        # BFS to the nearest other non-flat face
-        prev = {start: (None, None)}
-        queue = [start]
-        target = None
-        while queue and target is None:
-            nxt = []
-            for fi in queue:
-                for fj, eid in dual[fi]:
-                    if fj not in prev:
-                        prev[fj] = (fi, eid)
-                        if fj != start and fj in bad:
-                            target = fj
-                            break
-                        nxt.append(fj)
-                if target is not None:
-                    break
-            queue = nxt
-        if target is None:
-            # by Euler's formula, a component with edges has an odd number
-            # of non-flat faces exactly when it has an odd number of vertices
-            raise ValueError(
-                "a component has an odd number of vertices, so the graph has "
-                "no perfect matching"
-            )
-        # a flip changes only the two faces of the flipped edge
-        fi = target
-        while prev[fi][0] is not None:
-            fj, eid = prev[fi]
-            signs[eid] = -signs[eid]
-            for fk in (fi, fj):
-                if _flat_face(faces[fk], signs):
-                    bad.discard(fk)
-                else:
-                    bad.add(fk)
-            fi = fj
-    return SignedGraph(g, signs)
+    if all(len(f) % 4 == 2 for f in g.assert_valid_embedding()):
+        return SignedGraph(g, {e.eid: 1 for e in g.edges})
+    first, heads = g.bipartition[0], flat_orientation(g).heads
+    sg = SignedGraph(g, {eid: 1 if v in first else -1 for eid, v in heads.items()})
+    if nonflat_faces(sg):
+        raise ValueError("a component has an odd number of vertices, so the graph has no perfect matching")
+    return sg
 
 
 def nonflat_faces(sg: SignedGraph) -> List[int]:

@@ -9,9 +9,9 @@ import random
 
 import pytest
 
-from ppcount.hexgrid import Edge, PlanarMultigraph, build_graph, build_hexagon, lattice
+from ppcount.hexgrid import Edge, PlanarMultigraph, build_graph, build_hexagon
 from ppcount.oracle import count_symmetric
-from ppcount.symmetry import CLASSES, KAPPA, _act_region, quotient_graph
+from ppcount.symmetry import CLASSES, quotient_graph
 
 
 def graph_from_points(points, pairs, bipartition=None, weights=None):
@@ -76,9 +76,8 @@ def wheel_graph(k):
 def q_box_with_half_turn(dims):
     """Z(a,b,c) with its q-weights, and the half-turn's vertex map, as
     ``cli.q_matrix_count`` builds them."""
-    region = build_hexagon(*dims)
-    z = lattice(region)
-    return build_graph(region, q_weights=True, z=z), _act_region(CLASSES[5], region, z)[KAPPA]
+    g = build_graph(build_hexagon(*dims), q_weights=True)
+    return g, range(g.n_vertices - 1, -1, -1)
 
 
 def _connected(g: PlanarMultigraph) -> bool:

@@ -273,9 +273,9 @@ def test_build_graph_face_traces_z_once_in_its_own_call(monkeypatch):
 
     monkeypatch.setattr(hexgrid, "_valid_faces", counted)
     region = build_hexagon(2, 3, 4)
-    z = lattice(region)
+    lattice(region)
     assert not calls  # the lattice itself is not checked
-    builds = [lambda: build_graph(region), lambda: build_graph(region, True, z), lambda: q_weight_graph(region)]
+    builds = [lambda: build_graph(region), lambda: build_graph(region, True), lambda: q_weight_graph(region)]
     for build in builds:
         g = build()
         assert calls == [(g.tails, g.rotation)]

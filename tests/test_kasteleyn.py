@@ -27,7 +27,6 @@ from ppcount.exactalg import QPoly, det, pfaffian_abs
 from ppcount.formulas import q_box_product
 from ppcount.hexgrid import Edge, EmbeddingError, PlanarMultigraph, build_graph, build_hexagon, q_weight_graph
 from ppcount.kasteleyn import (
-    FlatnessError,
     OrientedGraph,
     SignedGraph,
     _against,
@@ -260,9 +259,10 @@ def test_unequal_classes_signal_no_matchings():
 
 
 def reference_flat_signing(g):
-    """The flat signing before flips updated only the faces they touch: it
-    recomputes the whole non-flat face set after every dual path flip,
-    O(faces^2).  Kept as the reference."""
+    """The flat signing before it was read off the flat orientation: it
+    pairs off non-flat faces along dual paths, recomputing the whole
+    non-flat face set after every path flip, O(faces^2).  Kept as the
+    reference, with RuntimeError for its convergence guard."""
     if g.n_vertices % 2:
         raise ValueError("flat signing needs an even number of vertices")
     if g.bipartition is None:
@@ -290,7 +290,7 @@ def reference_flat_signing(g):
     while bad:
         guard += 1
         if guard > 4 * len(faces) + 8:
-            raise FlatnessError("flat signing failed to converge")
+            raise RuntimeError("flat signing failed to converge")
         start = min(bad)
         prev = {start: (None, None)}
         queue = [start]
@@ -320,13 +320,24 @@ def reference_flat_signing(g):
 
 
 def _assert_signing_matches_reference(g):
+    """flat_signing raises where the reference does, keeps the reference's
+    all +1 where it flips nothing, and elsewhere gives a flat signing whose
+    determinant, like the reference's, counts the perfect matchings."""
     try:
         want = reference_flat_signing(g)
-    except (ValueError, FlatnessError) as exc:
+    except (ValueError, RuntimeError) as exc:
         with pytest.raises(type(exc)):
             flat_signing(g)
         return
-    assert flat_signing(g).signs == want
+    sg = flat_signing(g)
+    if all(s > 0 for s in want.values()):
+        assert sg.signs == want
+        return
+    ref = SignedGraph(g, want)
+    assert not nonflat_faces(sg) and not nonflat_faces(ref)
+    m, m_ref = bipartite_matrix(sg), bipartite_matrix(ref)
+    got = 0 if m is None else det(m)
+    assert got == (0 if m_ref is None else det(m_ref)) == count_perfect_matchings(g)
 
 
 def test_flat_signing_matches_reference_on_small_graphs(rng):
@@ -346,6 +357,19 @@ def test_flat_signing_matches_reference_on_small_graphs(rng):
 def test_flat_signing_matches_reference_on_quotients(small_quotients):
     for _, _, q in small_quotients:
         _assert_signing_matches_reference(q)
+
+
+def test_program_graphs_are_flat_with_all_plus_one_and_stored_directions(small_quotients):
+    """Every graph the program flags bipartite with sides <= 6 (Z, which is
+    class 1's quotient, and the quotients of classes 3, 6 and 8) has only
+    faces with 4k+2 sides: flat_signing returns all +1 and flat_orientation
+    keeps every stored direction, so the sign exports do not depend on how
+    either would fix a face."""
+    graphs = [q for _, _, q in small_quotients if q.bipartition is not None]
+    assert len(graphs) == 406
+    for g in graphs:
+        assert flat_signing(g).signs == {e.eid: 1 for e in g.edges}
+        assert flat_orientation(g).heads == {e.eid: e.v for e in g.edges}
 
 
 def reference_flat_orientation(g):

@@ -60,6 +60,15 @@ def test_composed_action_equals_the_direct_triangle_images():
                 assert m == [idx[act_triangle(g, t, r)] for t in tri], (cid, dims, g)
 
 
+def test_the_half_turn_reverses_the_order_of_z_vertices():
+    # Z's triangles are sorted and (x, y, z) -> (X-x, Y-y, Z-z) reverses
+    # that order; the q route passes the reversal as the half-turn's map
+    for dims in product(range(5), repeat=3):
+        r = build_hexagon(*dims)
+        n = len(r.triangles)
+        assert _act_region(CLASSES[5], r, lattice(r))[KAPPA] == list(range(n - 1, -1, -1)), dims
+
+
 def test_quotient_checks_the_rotation_of_the_z_it_builds(monkeypatch):
     # two darts swapped at a vertex of degree 3, between the lattice build
     # and its check, reverse the vertex's rotation and break Euler's formula
