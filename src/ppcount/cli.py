@@ -16,6 +16,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .exactalg import QPoly
 from .formulas import (
+    RATIO_CLASSES,
     formula_work,
     n_class,
     n_class_via_ratios,
@@ -27,8 +28,6 @@ from .hexgrid import PlanarMultigraph, build_graph, build_hexagon
 from .kasteleyn import flat_orientation, flat_signing, weighted_matching_sum
 from .oracle import SizeLimitError, check_budget, count_symmetric, q_sum
 from .symmetry import CLASSES, quotient_graph
-
-RATIO_CLASSES = (1, 3, 5, 9)
 
 
 class UsageError(ValueError):
@@ -65,11 +64,13 @@ def check_matrix_budget(dims, route: str) -> None:
 
 # The formula routes' budgets, on work estimated from the sides alone
 # (``formulas.formula_work``, ``ratio_work`` and ``q_product_work``) and
-# summed over a table's rows.  Measured on a 2-vCPU VM, CPython 3.11: by
-# formula, 282x282x282, the largest cube admitted, 1.3-1.4 s for class 3,
-# the slowest class, and 0.7 s for class 1 (500x500x500 took 5.2 s);
-# 1x44000x44000 0.3 s; table --max-a 54, the largest admitted, 0.2 s.  By
-# ratios, at most 1e-13 s per unit of work past 0.01 s: class 1 at
+# summed over a table's rows.  Measured on a 2-vCPU VM, CPython 3.11,
+# in-process, best of 3 processes: by formula, 282x282x282, the largest
+# cube admitted, 0.55-0.6 s for class 1, the slowest class, 0.23 s for
+# class 2, 0.13-0.15 s for classes 3, 4 and 6 and under 0.06 s for the
+# others (class 1 at 500x500x500 took 5.2 s); 1x44000x44000 0.2 s;
+# class 2 on 1000x1000x1 0.003 s; table --max-a 54, the largest admitted,
+# 0.06 s.  By ratios, at most 1e-13 s per unit of work past 0.01 s: class 1 at
 # 700x700x700 (8.6e12) 0.6 s and 1000x1000x1 (1.1e13) 0.7 s, class 3 at
 # 1000x1000x1000 (3.6e13) 0.5 s.  Over Z[q], 15x15x15 0.4 s, 1x99x99 0.8 s
 # and 1x1x500000 0.8 s at 65 MiB peak RSS (20x20x20 took 2.3 s).

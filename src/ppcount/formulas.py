@@ -1,14 +1,16 @@
 """Closed-form counts for the ten symmetry classes, and ratio identities.
 
-The product formulas are stated with hyperfactorials H(n) = (n-1)!(n-2)!...0!,
-staggered hyperfactorials H_k(n) = (n-k)!(n-2k)!... (factors while the
-argument stays nonnegative), and staggered factorials F_k(n) = n(n-k)(n-2k)...
-(factors while they stay positive).  Every quotient is checked to divide
-exactly; a symmetry class returns 0 on boxes it does not fix and on boxes
-where a parity obstruction rules out any invariant partition (odd volume for
-complementation, odd height for transpose-complementation).  Classes 1, 2
-and 6 are products over the short sides, not hyperfactorials of the long
-side, so their thin boxes are immediate.
+Every class is counted in one notation, that of Stanley's table (Stanley,
+"Symmetries of plane partitions", JCTA 43, 1986): a product over one short
+index range, each row a ratio of falling factorials ``math.perm``, multiplied
+into a numerator and a denominator that divide exactly once at the end.
+Classes 5, 7 and 9 are products of other classes' counts; class 9, the
+cyclically symmetric self-complementary partitions of a 2n-cube, is the
+square of class 10, the source paper's theorem CSSC(2n) =
+prod_{i<n} ((3i+1)! / (n+i)!)^2.  A class counts 0 on boxes it does not
+fix and where a parity obstruction rules out any invariant partition (odd
+volume for complementation, odd height for transpose-complementation).
+The rows run over the short sides, so thin boxes are immediate.
 
 Class 1 also has MacMahon's volume generating function, the formula route
 of q-enumeration (``q_box_product``).
@@ -16,7 +18,6 @@ of q-enumeration (``q_box_product``).
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import TYPE_CHECKING, List, NamedTuple, Tuple
 
@@ -27,44 +28,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 binomial = math.comb
-
-
-@functools.lru_cache(maxsize=None)
-def _factorial(n: int) -> int:
-    return math.factorial(n)
-
-
-@functools.lru_cache(maxsize=None)
-def staggered_hyperfactorial(k: int, n: int) -> int:
-    """H_k(n) = product of (n - j*k)! over j >= 1 while n - j*k >= 0."""
-    if k < 1:
-        raise ValueError("step must be positive")
-    if n < 0:
-        return 1
-    out = 1
-    m = n - k
-    while m >= 0:
-        out *= _factorial(m)
-        m -= k
-    return out
-
-
-def hyperfactorial(n: int) -> int:
-    """H(n) = 0! 1! ... (n-1)!"""
-    return staggered_hyperfactorial(1, n)
-
-
-@functools.lru_cache(maxsize=None)
-def staggered_factorial(k: int, n: int) -> int:
-    """F_k(n) = n (n-k) (n-2k) ... over the factors that stay >= 1."""
-    if k < 1:
-        raise ValueError("step must be positive")
-    out = 1
-    m = n
-    while m >= 1:
-        out *= m
-        m -= k
-    return out
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -89,24 +52,36 @@ def _n2(n: int, c: int) -> int:
     """Symmetric partitions in an n x n x c box: the product of
     (c + 2i - 1) / (2i - 1) over i <= n and of (c + i + j - 1) / (i + j - 1)
     over i < j <= n.  The product over j is perm(c + i + n - 1, n - i) /
-    perm(i + n - 1, n - i), so the work grows with n, not with c."""
+    perm(i + n - 1, n - i).  When c < n the rows run over k <= c instead:
+    perm(2n + k - 1, n) over the n factors k, k + 2, ..., k + 2n - 2.  So
+    the work grows with n min(n, c), not with the longest side."""
+    if c < n:
+        rows = range(1, c + 1)
+        return _exact_div(math.prod(math.perm(2 * n + k - 1, n) for k in rows),
+                          math.prod(math.prod(range(k, k + 2 * n - 1, 2)) for k in rows))
     rows = range(1, n + 1)
     return _exact_div(math.prod((c + 2 * i - 1) * math.perm(c + i + n - 1, n - i) for i in rows),
                       math.prod((2 * i - 1) * math.perm(i + n - 1, n - i) for i in rows))
 
 
-def _n3(a: int) -> int:
-    H = hyperfactorial
-    H3 = functools.partial(staggered_hyperfactorial, 3)
-    F3 = functools.partial(staggered_factorial, 3)
-    return _exact_div(H3(3 * a + 2) * H(a), H(2 * a) * F3(3 * a - 2))
+def _n3(n: int) -> int:
+    """Cyclically symmetric partitions in the n-cube (Andrews): the product
+    of (3i - 1) / (3i - 2) over i <= n and of (n + i + j - 1) / (2i + j - 1)
+    over i <= j <= n.  The product over j is perm(2n + i - 1, n - i + 1) /
+    perm(n + 2i - 1, n - i + 1)."""
+    rows = range(1, n + 1)
+    return _exact_div(math.prod((3 * i - 1) * math.perm(2 * n + i - 1, n - i + 1) for i in rows),
+                      math.prod((3 * i - 2) * math.perm(n + 2 * i - 1, n - i + 1) for i in rows))
 
 
-def _n4(a: int) -> int:
-    H2 = functools.partial(staggered_hyperfactorial, 2)
-    H6 = functools.partial(staggered_hyperfactorial, 6)
-    F6 = functools.partial(staggered_factorial, 6)
-    return _exact_div(H2(a) * H6(3 * a + 5), H2(2 * a + 1) * F6(3 * a - 2))
+def _n4(n: int) -> int:
+    """Totally symmetric partitions in the n-cube (Stembridge): the product
+    of (i + j + n - 1) / (i + 2j - 2) over 1 <= i <= j <= n.  The product
+    over j is perm(i + 2n - 1, n - i + 1) over the n - i + 1 factors
+    3i - 2, 3i, ..., i + 2n - 2."""
+    rows = range(1, n + 1)
+    return _exact_div(math.prod(math.perm(i + 2 * n - 1, n - i + 1) for i in rows),
+                      math.prod(math.prod(range(3 * i - 2, i + 2 * n - 1, 2)) for i in rows))
 
 
 def _n6(a: int, b: int) -> int:
@@ -120,26 +95,22 @@ def _n6(a: int, b: int) -> int:
     return _exact_div(num, math.prod(math.perm(i + a - 1, a - 1 - i) for i in rows))
 
 
-def _n8(a: int) -> int:
-    H2 = functools.partial(staggered_hyperfactorial, 2)
-    H4 = functools.partial(staggered_hyperfactorial, 4)
-    H6 = functools.partial(staggered_hyperfactorial, 6)
-    F3 = functools.partial(staggered_factorial, 3)
-    return _exact_div(
-        F3(3 * a - 2) * H6(6 * a) * H2(2 * a), H4(4 * a + 1) * H4(4 * a)
-    )
+def _n8(n: int) -> int:
+    """Cyclically symmetric transpose-complementary partitions in the 2n-cube
+    (Mills, Robbins and Rumsey): the product over i < n of (3i + 1) (6i)! (2i)!
+    / ((4i)! (4i + 1)!) = (3i + 1) perm(6i, 2i) / perm(4i + 1, 2i + 1)."""
+    rows = range(n)
+    return _exact_div(math.prod((3 * i + 1) * math.perm(6 * i, 2 * i) for i in rows),
+                      math.prod(math.perm(4 * i + 1, 2 * i + 1) for i in rows))
 
 
-def _n9(a: int) -> int:
-    H = hyperfactorial
-    H3 = functools.partial(staggered_hyperfactorial, 3)
-    return _exact_div(H3(3 * a + 1) ** 2 * H(a) ** 2, H(2 * a) ** 2)
-
-
-def _n10(a: int) -> int:
-    H = hyperfactorial
-    H3 = functools.partial(staggered_hyperfactorial, 3)
-    return _exact_div(H3(3 * a + 1) * H(a), H(2 * a))
+def _n10(n: int) -> int:
+    """Totally symmetric self-complementary partitions in the 2n-cube
+    (Andrews): the product over i < n of (3i + 1)! / (n + i)!, the number
+    of n x n alternating sign matrices."""
+    rows = range(n)
+    return _exact_div(math.prod(math.factorial(3 * i + 1) for i in rows),
+                      math.prod(math.factorial(n + i) for i in rows))
 
 
 def _immediate(class_id: int, dims: Tuple[int, int, int]):
@@ -205,7 +176,7 @@ def n_class(class_id: int, dims: Tuple[int, int, int]) -> int:
     if class_id == 8:
         return _n8(a // 2)
     if class_id == 9:
-        return _n9(a // 2)
+        return _n10(a // 2) ** 2
     if class_id == 10:
         return _n10(a // 2)
     raise AssertionError
@@ -218,12 +189,13 @@ def formula_work(class_id: int, dims: Tuple[int, int, int]) -> int:
     numerator and a denominator and divides them exactly, in time quadratic
     in their bits.  f is the product of the two sides the formula loops
     over: the two shortest for classes 1, 5 and 7 (MacMahon's product on the
-    box or its halves, ``_n1``), a * b for the others, whose boxes have
-    a = b."""
+    box or its halves, ``_n1``), n * min(n, c) for class 2 on an n x n x c
+    box, and a * b for the others, whose boxes have a = b."""
     if _immediate(class_id, dims) is not None:
         return 0
     x, y, z = sorted(dims)
-    f = x * y if class_id in (1, 5, 7) else dims[0] * dims[1]
+    f = (x * y if class_id in (1, 5, 7)
+         else dims[0] * (min(dims[0], dims[2]) if class_id == 2 else dims[1]))
     return (f * (x + y + z).bit_length()) ** 2
 
 
@@ -261,6 +233,9 @@ def q_product_work(dims: Tuple[int, int, int]) -> int:
 # ---------------------------------------------------------------------------
 # ratio identities (the inductive steps behind classes 1, 3, 5, 9)
 # ---------------------------------------------------------------------------
+
+
+RATIO_CLASSES = (1, 3, 5, 9)
 
 
 def _fraction(num: int, den: int) -> Fraction:
@@ -320,12 +295,16 @@ def ratio_identities(a: int, b: int, c: int) -> List[RatioCheck]:
 def n_class_via_ratios(class_id: int, dims: Tuple[int, int, int]) -> int:
     """Counts for classes 1, 3, 5, 9 by telescoping their ratio identities.
 
-    Boxes not fixed by the class give 0, as in ``n_class``; fixed boxes the
-    telescoping does not reach raise ValueError.
+    Boxes not fixed by the class and parity zeros give 0, as in
+    ``n_class``; other boxes the telescoping does not reach raise
+    ValueError.
     """
+    if class_id not in RATIO_CLASSES:
+        raise ValueError(f"no ratio telescoping for class {class_id}")
+    known = _immediate(class_id, dims)
+    if known is not None:
+        return known
     a, b, c = dims
-    if class_id in (3, 9) and not a == b == c:
-        return 0  # only cubes are fixed by the rotation
     if class_id == 1:
         val = 1
         while a > 0 and b > 0:
@@ -346,14 +325,10 @@ def n_class_via_ratios(class_id: int, dims: Tuple[int, int, int]) -> int:
         while ha > 0 and hb > 0:
             ha, hb, hc = ha - 1, hb - 1, hc + 1
             val *= _ratio1(ha, hb, hc) ** 2
-    elif class_id == 9:
-        if a % 2:
-            raise ValueError("cyclic self-complementary telescoping needs an even cube")
+    else:
         val = 1
         for k in range(a // 2):
             val *= _ratio9(k)
-    else:
-        raise ValueError(f"no ratio telescoping for class {class_id}")
     if val.denominator != 1:
         raise ArithmeticError("telescoped ratio is not an integer")
     return int(val)

@@ -84,11 +84,17 @@ def test_count_ratios_box_not_fixed_by_class_is_zero(capsys):
     assert (code, out.strip(), err) == (0, "0", "")
 
 
+@pytest.mark.parametrize("class_id, dims", [(9, "3,3,3"), (9, "5,5,5"), (5, "1,1,1"), (5, "3,3,3")])
+def test_count_ratios_parity_zero_is_zero(class_id, dims, capsys):
+    code, out, err = run(capsys, "count", "--class", str(class_id), "--dims", dims, "--method", "ratios")
+    assert (code, out.strip(), err) == (0, "0", "")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("count", "--class", "5", "--dims", "1,2,3", "--method", "ratios"),
-        ("count", "--class", "9", "--dims", "3,3,3", "--method", "ratios"),
+        ("count", "--class", "5", "--dims", "2,2,3", "--method", "ratios"),
         ("export", "--kind", "quotient", "--class", "2", "--dims", "1,2,3"),
         ("export", "--kind", "quotient", "--class", "11", "--dims", "1,1,1"),
         ("verify", "--max-side", "1", "--classes", "1,x"),
@@ -189,7 +195,7 @@ def test_export_over_the_matrix_budget_exits_2_at_once(kind, capsys):
     [
         ("count", "--class", "1", "--dims", "1000,1000,1000"),
         ("count", "--class", "3", "--dims", "283,283,283"),
-        ("count", "--class", "2", "--dims", "1000,1000,1"),
+        ("count", "--class", "2", "--dims", "1000,1000,1000"),
         ("count", "--class", "1", "--dims", "16,16,16", "--q"),
         ("count", "--class", "1", "--dims", "1,1,1000000", "--q"),
         ("count", "--class", "1", "--dims", "1000,1000,1000", "--method", "ratios"),

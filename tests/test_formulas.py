@@ -1,43 +1,23 @@
+import hashlib
 import itertools
+import math
 import time
 from fractions import Fraction
 
 import pytest
 
+from ppcount.cli import matrix_count
 from ppcount.formulas import (
     _immediate,
     binomial,
     formula_work,
-    hyperfactorial,
     n_class,
     n_class_via_ratios,
     q_box_product,
     ratio_identities,
-    staggered_factorial,
-    staggered_hyperfactorial,
 )
 from ppcount.oracle import count_symmetric
 from ppcount.symmetry import CLASSES
-
-
-def test_hyperfactorial_values():
-    assert hyperfactorial(0) == 1
-    assert hyperfactorial(1) == 1
-    assert hyperfactorial(3) == 2
-    assert hyperfactorial(4) == 12
-
-
-def test_staggered_hyperfactorial_values():
-    assert staggered_hyperfactorial(2, 5) == 6  # 3! * 1!
-    assert staggered_hyperfactorial(3, 8) == 240  # 5! * 2!
-    assert staggered_hyperfactorial(6, 5) == 1  # empty product
-
-
-def test_staggered_factorial_values():
-    assert staggered_factorial(3, 7) == 28  # 7 * 4 * 1
-    assert staggered_factorial(3, 4) == 4  # 4 * 1
-    assert staggered_factorial(6, 1) == 1
-    assert staggered_factorial(3, -2) == 1  # empty product
 
 
 KNOWN_VALUES = [
@@ -199,7 +179,7 @@ def test_q_box_product_at_q_1_is_n1_and_symmetric():
 
 def test_n1_equals_the_hyperfactorial_form():
     # H(a+b+c) H(a) H(b) H(c) / (H(a+b) H(a+c) H(b+c)), on every box with sides <= 8
-    H = hyperfactorial
+    H = lambda n: math.prod(map(math.factorial, range(n)))  # 0! 1! ... (n-1)!
     for a in range(9):
         for b in range(9):
             for c in range(9):
@@ -217,7 +197,8 @@ def test_n1_on_a_long_thin_box_is_immediate(dims, value):
 def test_n2_and_n6_equal_the_hyperfactorial_forms():
     # S: H2(2n+c+1) H(n) H2(c) / (H2(2n+1) H(n+c)) in n x n x c; TC:
     # H2(2b+1) H2(2b+2a) H(a) / (H(2b+a) H2(2a)) in a x a x 2b; sides <= 12
-    H, H2 = hyperfactorial, lambda n: staggered_hyperfactorial(2, n)
+    H = lambda n: math.prod(map(math.factorial, range(n)))  # 0! 1! ... (n-1)!
+    H2 = lambda n: math.prod(map(math.factorial, range(n - 2, -1, -2)))  # (n-2)! (n-4)! ... down to 0! or 1!
     for n in range(13):
         for c in range(13):
             hyper, rem = divmod(H2(2 * n + c + 1) * H(n) * H2(c), H2(2 * n + 1) * H(n + c))
@@ -249,3 +230,32 @@ def test_formula_work_is_zero_where_n_class_needs_no_product():
             elif min(dims) >= 1:
                 assert formula_work(class_id, dims) > 0
 
+
+def test_counts_match_the_golden_digest():
+    # every class on every fixed box with sides <= 16, then classes 2, 3, 4,
+    # 8, 9 and 10 on the cubes of side 17..120: 11 402 lines "class,a,b,c,count"
+    digest = hashlib.sha256()
+    cells = [(cid, dims) for cid in CLASSES for dims in itertools.product(range(17), repeat=3)
+             if CLASSES[cid].box_fixed(dims)]
+    cells += [(cid, (s, s, s)) for cid in (2, 3, 4, 8, 9, 10) for s in range(17, 121)]
+    for cid, (a, b, c) in cells:
+        digest.update(f"{cid},{a},{b},{c},{n_class(cid, (a, b, c))}\n".encode())
+    assert len(cells) == 11402
+    assert digest.hexdigest() == "9a672ec7d377487cbbc6e109399cf3c282fce98a4d7685db4c7c8b95cf9e9a94"
+
+
+def test_formula_equals_matrix_on_every_fixed_box_up_to_six():
+    cells = [(cid, dims) for cid in CLASSES for dims in itertools.product(range(7), repeat=3)
+             if CLASSES[cid].box_fixed(dims)]
+    assert len(cells) == 868
+    bad = [(cid, dims) for cid, dims in cells if n_class(cid, dims) != matrix_count(cid, dims)]
+    assert bad == []
+
+
+def test_n2_on_a_one_high_square_counts_self_conjugate_shapes():
+    # an n x n x 1 symmetric partition is a self-conjugate shape in the square
+    for n in range(200):
+        assert n_class(2, (n, n, 1)) == 2**n, n
+    t0 = time.perf_counter()
+    assert n_class(2, (1000, 1000, 1)) == 2**1000
+    assert time.perf_counter() - t0 < 0.1
