@@ -101,15 +101,17 @@ def check_formula_budget(cells, route: str = "formula", what: Optional[str] = No
 
 
 def matrix_count(class_id: int, dims) -> int:
-    """Count by determinant/Pfaffian; a box the class does not fix holds no
-    invariant partition, so it counts 0, as by formula and oracle.  Raises
-    SizeLimitError, before Z is built, for a fixed box over the matrix
-    budget (``check_matrix_budget``)."""
+    """Count by determinant/Pfaffian of the class's quotient of Z, or of Z
+    itself for class 1, whose group is trivial, as on the q route; a box the
+    class does not fix holds no invariant partition, so it counts 0, as by
+    formula and oracle.  Raises SizeLimitError, before Z is built, for a
+    fixed box over the matrix budget (``check_matrix_budget``)."""
     cls = CLASSES[class_id]
     if not cls.box_fixed(dims):
         return 0
     check_matrix_budget(dims, "matrix route")
-    return weighted_matching_sum(quotient_graph(build_hexagon(*dims), cls))
+    region = build_hexagon(*dims)
+    return weighted_matching_sum(quotient_graph(region, cls) if cls.generators else build_graph(region))
 
 
 # The q matrix route's budget.  It evaluates a determinant of dimension

@@ -2,24 +2,32 @@
 q-sums.
 
 This module is the independent reference the formula and determinant routes
-are checked against.  ``q_sum`` enumerates every plane partition in the box.
-``count_symmetric`` prunes one way only: it draws its candidates from the
-partitions fixed by H, the elements of the class's group that fix the height
-axis (of e, tau, kappa and kappa*tau).  Those act on the height matrix cell by
-cell (``CELL_RULES``), so ``fixed_partitions`` gives each cell orbit's first
-cell a height and the rest of the orbit follows; classes whose H is trivial
-(1 and 3) take every partition.  Each candidate still counts only when each
-generator's full image (``symmetry.partition_map``) equals it, so a wrong cell
-rule can only undercount.  Nothing is kept from one call to the next.
+are checked against.  Class 1 (no symmetry) and ``q_sum`` build no partition:
+with the box's sides sorted, they walk every prefix of all rows but the
+last, as ``enumerate_partitions`` lists them, and add up the rows that may
+go under each prefix's last row, by number or by volume
+(``_prefix_tallies``).  The other classes prune one way only:
+``count_symmetric`` draws their candidates from the partitions fixed by H,
+the elements of the class's group that fix the height axis (of e, tau, kappa
+and kappa*tau).  Those act on the height matrix cell by cell
+(``CELL_RULES``), so ``fixed_partitions`` gives each cell orbit's first cell
+a height and the rest of the orbit follows; class 3, whose H is trivial,
+builds every partition to compare it with its rho image.  Each candidate
+still counts only when each generator's full image
+(``symmetry.partition_map``) equals it, so a wrong cell rule can only
+undercount.  Nothing is kept from one call to the next.
 
 Both refuse, with ``SizeLimitError`` and before enumerating, a box holding
 more than ``MAX_PARTITIONS`` plane partitions (4x5x5 is admitted, 5x5x5 is
-not): the budget counts the box's partitions, not the candidates.
+not): the budget counts the box's partitions, not the candidates or the
+prefixes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .exactalg import QPoly
@@ -99,6 +107,57 @@ def enumerate_partitions(a: int, b: int, c: int) -> Iterator[Heights]:
 
 def volume(heights: Heights) -> int:
     return sum(sum(r) for r in heights)
+
+
+def _prefix_tallies(a: int, b: int, c: int, tally: Callable) -> Iterator[tuple]:
+    """(tally(rows), v) for every prefix of a - 1 rows of a plane partition
+    in the box, taken with its sides sorted (a <= b <= c), in the order
+    enumerate_partitions lists them: rows are the rows that may go under the
+    prefix's last row (under the lid (c,) * b when a = 1), and v is the
+    prefix's volume.  Permuting the axes maps the box's partitions, as
+    stacks of cubes, onto each other and keeps their volumes, so the walk
+    takes as many rows as the shortest side: at most four under the budget.
+    Each row is held once with its volume, and the rows under a row, with
+    their tallies, are listed once per call.  Rows recur under other rows
+    only with three rows or more; with fewer, the rows under each row are
+    streamed into its tally and not kept."""
+    a, b, c = sorted((a, b, c))
+    if not a:  # one partition, the empty one, as in 1 x 0 x c
+        a, b = 1, 0
+    keep = a > 2
+    held: Dict[Tuple[int, ...], tuple] = {}  # row -> (row, its volume)
+    lists: Dict[Tuple[int, ...], list] = {}  # row -> the held pairs of the rows under it
+    tallies: Dict[Tuple[int, ...], tuple] = {}  # row -> (tally of the rows under it, its volume)
+    pairs: Dict[Tuple[int, ...], list] = {}  # row -> the tallies of the rows under it
+
+    def rows_under(bound: Tuple[int, ...]) -> list:
+        rows = lists.get(bound)
+        if rows is None:
+            rows = lists[bound] = [held.setdefault(row, (row, sum(row))) for row in _rows_at_most(bound)]
+        return rows
+
+    def tallied(row: Tuple[int, ...], v: int) -> tuple:
+        tv = tallies.get(row)
+        if tv is None:
+            tv = (tally(map(itemgetter(0), rows_under(row)) if keep else _rows_at_most(row)), v)
+            if keep:
+                tallies[row] = tv
+        return tv
+
+    def tallied_under(bound: Tuple[int, ...]) -> list:
+        tvs = pairs.get(bound)
+        if tvs is None:
+            tvs = pairs[bound] = [tallied(row, v) for row, v in rows_under(bound)]
+        return tvs
+
+    def ends(depth: int, bound: Tuple[int, ...], vol: int) -> Iterator[tuple]:
+        """The prefixes through bound, their row `depth` (the lid is row 0)."""
+        if depth == a - 2:
+            return ((t, vol + v) for t, v in tallied_under(bound))
+        return chain.from_iterable(ends(depth + 1, row, vol + v) for row, v in rows_under(bound))
+
+    lid = (c,) * b
+    return iter([tallied(lid, 0)]) if a == 1 else ends(0, lid, 0)
 
 
 def check_budget(a: int, b: int, c: int) -> None:
@@ -219,9 +278,11 @@ def count_symmetric(class_id: int, a: int, b: int, c: int) -> int:
     if not cls.box_fixed(box):
         return 0
     check_budget(a, b, c)
+    if not cls.generators:  # class 1: every partition counts, so none is built
+        return sum(n for n, _ in _prefix_tallies(a, b, c, lambda rows: sum(1 for _ in rows)))
     maps = [partition_map(g, box) for g in cls.generators]
     # the cell-by-cell walk is far slower than the row enumerator when it
-    # prunes nothing, so classes 1 and 3 take every partition
+    # prunes nothing, so class 3 takes every partition
     rules = [CELL_RULES[g] for g in group_elements(cls) if g in CELL_RULES]
     n = 0
     for pp in fixed_partitions(rules, a, b, c) if rules else enumerate_partitions(a, b, c):
@@ -234,10 +295,13 @@ def count_symmetric(class_id: int, a: int, b: int, c: int) -> int:
 
 
 def q_sum(a: int, b: int, c: int) -> QPoly:
-    """Sum of q^(volume) over all plane partitions in the box."""
+    """Sum of q^(volume) over all plane partitions in the box: for each
+    prefix of all rows but the last, the volumes of the rows that may go
+    under its last row, shifted by the prefix's volume."""
     check_budget(a, b, c)
     coeffs = [0] * (a * b * c + 1)
-    for pp in enumerate_partitions(a, b, c):
-        coeffs[volume(pp)] += 1
+    for hist, vol in _prefix_tallies(a, b, c, lambda rows: Counter(map(sum, rows)).items()):
+        for v, n in hist:
+            coeffs[vol + v] += n
     return QPoly(coeffs)
 

@@ -12,8 +12,9 @@ from reference import (
     weighted_matching_sum_brute,
 )
 
+from ppcount import oracle
 from ppcount.exactalg import QPoly
-from ppcount.formulas import n_class
+from ppcount.formulas import n_class, q_box_product
 from ppcount.hexgrid import build_graph, build_hexagon, q_weight_graph
 from ppcount.oracle import (
     CELL_RULES,
@@ -146,7 +147,53 @@ def test_oracle_equals_the_naive_count_on_every_fixed_cell_up_to_side_4(oracle_c
         assert n == count_symmetric_naive(cid, *dims), (cid, dims)
 
 
-@pytest.mark.parametrize("cid, dims", [(2, (5, 5, 4)), (5, (4, 5, 5)), (5, (5, 5, 4)), (6, (5, 5, 4)), (7, (5, 5, 4))])
+def test_class_1_row_count_equals_the_enumeration():
+    for box in itertools.product(range(5), repeat=3):
+        assert count_symmetric(1, *box) == sum(1 for _ in enumerate_partitions(*box)), box
+    admitted = [box for box in itertools.product(range(6), repeat=3) if not _refused(box)]
+    assert len(admitted) == 215
+    for box in admitted:
+        assert count_symmetric(1, *box) == n_class(1, box), box
+
+
+def test_class_1_walks_as_many_rows_as_the_shortest_side():
+    # a walk down the 2000 rows of 2000x1x1 would pass each prefix up through
+    # every level of the walk and take seconds; 1x1x2000 takes milliseconds
+    t0 = time.perf_counter()
+    assert count_symmetric(1, 2000, 1, 1) == 2001
+    assert q_sum(1, 2000, 1) == QPoly((1,) * 2001)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_class_1_count_builds_no_partition(monkeypatch):
+    def build(*args):
+        raise AssertionError("built a partition to count class 1")
+
+    monkeypatch.setattr(oracle, "enumerate_partitions", build)
+    monkeypatch.setattr(oracle, "fixed_partitions", build)
+    assert count_symmetric(1, 4, 4, 4) == 232848
+    assert count_symmetric(1, 3, 0, 2) == count_symmetric(1, 0, 0, 0) == 1
+    assert q_sum(2, 2, 2).subs(1) == 20
+
+
+def _q_sum_by_enumeration(a, b, c):
+    coeffs = [0] * (a * b * c + 1)
+    for pp in enumerate_partitions(a, b, c):
+        coeffs[volume(pp)] += 1
+    return QPoly(coeffs)
+
+
+def test_q_sum_equals_the_enumeration_and_macmahon():
+    for box in itertools.product(range(5), repeat=3):
+        assert q_sum(*box) == _q_sum_by_enumeration(*box), box
+    for box in [(4, 5, 5), (5, 5, 4)]:
+        assert q_sum(*box) == q_box_product(*box), box
+
+
+@pytest.mark.parametrize(
+    "cid, dims",
+    [(2, (5, 5, 4)), (5, (4, 5, 5)), (5, (5, 5, 4)), (6, (5, 5, 4)), (7, (5, 5, 4)), (1, (4, 5, 5)), (1, (5, 5, 4))],
+)
 def test_oracle_equals_the_formula_at_the_budget_edge(cid, dims):
     check_budget(*dims)
     assert count_symmetric(cid, *dims) == n_class(cid, dims)

@@ -6,7 +6,7 @@ import pytest
 from reference import count_perfect_matchings, is_plane_partition
 
 from ppcount import hexgrid, symmetry
-from ppcount.hexgrid import EmbeddingError, Triangle, build_hexagon, lattice
+from ppcount.hexgrid import EmbeddingError, Triangle, build_graph, build_hexagon, lattice
 from ppcount.oracle import count_symmetric, enumerate_partitions
 from ppcount.symmetry import (
     CLASSES,
@@ -424,6 +424,17 @@ def test_trivial_quotient_is_the_plain_graph():
         q = quotient_graph(r, CLASSES[1])
         assert q.n_vertices == len(r.triangles)
         assert count_perfect_matchings(q) == count_symmetric(1, *dims)
+
+
+def test_trivial_quotient_is_z(small_quotients):
+    trivial = [(dims, q) for cid, dims, q in small_quotients if cid == 1]
+    assert len(trivial) == 343
+    for dims, q in trivial:
+        r = build_hexagon(*dims)
+        z = build_graph(r)
+        assert q.edges == z.edges and q.rotation == z.rotation, dims
+        assert q.bipartition == z.bipartition, dims
+        assert q.labels == ["o({},{},{})".format(*t) for t in r.triangles], dims
 
 
 def test_rotation_quotient_2_2_2():
