@@ -45,7 +45,7 @@ All objects are immutable after construction.
 from __future__ import annotations
 
 import math
-from itertools import compress
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
@@ -74,7 +74,12 @@ class EmbeddingError(RuntimeError):
 
 
 class HexRegion:
-    """The triangle set of H(a,b,c), with containment and adjacency queries."""
+    """The triangle set of H(a,b,c), with containment and adjacency queries.
+
+    ``triangles`` lists them in sorted order as ``Triangle`` instances.  The
+    coordinate triples are collected row by row and made Triangles in one
+    C-level step, ``tuple.__new__`` mapped over them, which skips the
+    Python-level ``Triangle.__new__`` per triangle."""
 
     __slots__ = ("a", "b", "c", "bounds", "up_sum", "triangles")
 
@@ -84,17 +89,17 @@ class HexRegion:
         self.a, self.b, self.c = a, b, c
         self.bounds = (b + c - 1, a + c - 1, a + b - 1)
         self.up_sum = a + b + c - 1
-        triangles = []
+        cells = []
         (X, Y, Z), S = self.bounds, self.up_sum
         if a * b + b * c + c * a:  # else H(a,b,c) is a segment or a point
             for x in range(X + 1):
                 for y in range(max(0, S - 1 - Z - x), min(Y, S - x) + 1):
                     z = S - x - y  # 0 <= z <= Z + 1 here
                     if z:  # down before up: the sorted order
-                        triangles.append(Triangle(x, y, z - 1))
+                        cells.append((x, y, z - 1))
                     if z <= Z:
-                        triangles.append(Triangle(x, y, z))
-        self.triangles = tuple(triangles)
+                        cells.append((x, y, z))
+        self.triangles = tuple(map(tuple.__new__, repeat(Triangle), cells))
 
     @property
     def abc(self) -> Tuple[int, int, int]:

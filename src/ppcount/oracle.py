@@ -56,19 +56,21 @@ class SizeLimitError(ValueError):
 
 
 def _rows_at_most(bound: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-    """Weakly decreasing rows r with r[j] <= bound[j], ascending lex order."""
+    """Weakly decreasing rows r with r[j] <= bound[j], ascending lex order.
+
+    Each row's successor raises the last cell below its cap (its bound, and
+    the cell before it) and zeroes the cells after it."""
     b = len(bound)
-
-    def rec(j: int, prev: int, acc: List[int]) -> Iterator[Tuple[int, ...]]:
-        if j == b:
-            yield tuple(acc)
+    row = [0] * b
+    while True:
+        yield tuple(row)
+        j = b - 1
+        while j > 0 and row[j] >= min(bound[j], row[j - 1]):
+            j -= 1
+        if j < 0 or row[j] >= bound[j]:  # no cells, or cell 0 at its bound too
             return
-        for v in range(0, min(prev, bound[j]) + 1):
-            acc.append(v)
-            yield from rec(j + 1, v, acc)
-            acc.pop()
-
-    yield from rec(0, bound[0] if b else 0, [])
+        row[j] += 1
+        row[j + 1 :] = [0] * (b - 1 - j)
 
 
 def enumerate_partitions(a: int, b: int, c: int) -> Iterator[Heights]:

@@ -18,8 +18,13 @@ reflection through two edge midpoints (transpose-complementation).
 Quotient graphs: given a subgroup G fixing the box, ``quotient_graph``
 builds a graph whose perfect matchings are in bijection with the
 G-invariant matchings of Z(a,b,c).  It makes one pass over the vertex
-orbits and one over the edge orbits, and prunes by orbit sizes, once per
-orbit.  An edge e = (u, v) that no element reverses has stab(e) =
+orbits and one over Z's edges in id order, and prunes by orbit sizes, once
+per orbit.  Each edge's orbit is held as one int, ``erep[e]``, the smallest
+edge id in it: the first edge of an orbit maps to the rest, and each
+element's image of it is checked by one comparison, its far end against
+the image of e's far end.  Only the surviving orbits get a status
+(ordinary, or reversed), and only the reversed ones keep their edge sets.
+An edge e = (u, v) that no element reverses has stab(e) =
 stab(u) & stab(v); it survives when stab(u) = stab(v), which holds exactly
 when |Ge| = |Gu| = |Gv|.  An edge that some element
 reverses is rerouted to a "bachelorhood" vertex; its half (v, e) survives
@@ -372,62 +377,86 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
             if any(m[t] == t for m in refl0):
                 fixed.update(orbit)
 
-    # edge orbits, each found from its smallest edge id, and pruned by the
-    # orbit-size rule: |Ge| = |Gu| = |Gv| for an ordinary edge, and
-    # |G(v, e)| = 2|Ge| = |Gv| for the halves of a reversed one.  An element
-    # maps axis k to axis k' with perm[k'] = k, so the image of edge e along
-    # axis k is the edge at the image of e's down end along axis k'.
-    axes = [inverse(g).perm for g in act]
-    ordinary: List[Tuple[int, set]] = []  # (smallest edge id, orbit ids)
-    bachelor: List[Tuple[int, set]] = []
-    kept_ids = set()  # ordinary edges that survive pruning
-    bachelor_ids = set()  # reversed edges whose halves survive
-    done = set()
+    # edge orbits, in one pass over Z's edges in id order: erep[e] is the
+    # smallest edge id in e's orbit, so an edge with erep set is already
+    # done, and the first of its orbit finds the rest and checks every
+    # element on it.  An element maps axis k to axis k' with perm[k'] = k,
+    # so the image of e = (u, v) along axis k is img = slot[k'][m[u]], an
+    # edge at m[u]; it preserves adjacency when img's other end is m[v]:
+    # its up end if the element keeps up and down, its down end if it swaps
+    # them (the sentinel past the last edge answers img = -1 with -1, never
+    # a vertex).  Only a swapping element can reverse e, and it does exactly
+    # when img == e.  Orbits are pruned by the orbit-size rule: |Ge| = |Gu|
+    # = |Gv| for an ordinary edge, and |G(v, e)| = 2|Ge| = |Gv| for the
+    # halves of a reversed one.
+    downs, ups = tails[0::2] + [-1], tails[1::2] + [-1]
+    erep = [-1] * (len(tails) >> 1)
+    split = [([], []) for _ in slot]  # per axis k: (keeping, swapping) (map, slot[k']) pairs
+    for g, m in act.items():
+        ax = inverse(g).perm
+        for k, pair in enumerate(split):
+            pair[g.comp].append((m, slot[ax[k]]))
+    kept: Dict[int, bool] = {}  # surviving orbits by smallest edge id -> reversed
+    bachelor: List[Tuple[int, set]] = []  # the reversed ones with their edge ids
     for u in range(len(tri)):
         if Z.up[u]:
             continue
-        for k, sk in enumerate(slot):
+        for sk, (keeping, swapping) in zip(slot, split):
             e = sk[u]
-            if e < 0 or e in done:
+            if e < 0 or erep[e] >= 0:
                 continue
-            v = tails[2 * e + 1]
-            eorbit = set()
-            rev = False
-            for m, ax in zip(maps, axes):
-                mu, mv = m[u], m[v]
-                img = slot[ax[k]][mu]
-                d = 2 * img + (tails[2 * img] != mu)
-                if img < 0 or tails[d] != mu or tails[d ^ 1] != mv:
+            v = ups[e]
+            size = 0
+            for m, sl in keeping:
+                img = sl[m[u]]
+                if ups[img] != m[v]:
                     raise EmbeddingError("group element does not preserve adjacency")
-                eorbit.add(img)
-                rev = rev or (mu == v and mv == u)
-            done |= eorbit
+                if erep[img] < 0:
+                    erep[img] = e
+                    size += 1
+            rev = False
+            for m, sl in swapping:
+                img = sl[m[u]]
+                if downs[img] != m[v]:
+                    raise EmbeddingError("group element does not preserve adjacency")
+                if erep[img] < 0:
+                    erep[img] = e
+                    size += 1
+                rev = rev or img == e
             n = len(orbit_of[u])
             if rev:
-                if 2 * len(eorbit) == n:
-                    bachelor.append((e, eorbit))
-                    bachelor_ids |= eorbit
-            elif len(eorbit) == n == len(orbit_of[v]):
-                ordinary.append((e, eorbit))
-                kept_ids |= eorbit
+                if 2 * size == n:
+                    kept[e] = True
+                    bachelor.append((e, {sl[m[u]] for m, sl in swapping + keeping}))
+            elif size == n == len(orbit_of[v]):
+                kept[e] = False
 
-    # transpose-complement-fixed vertices pair into forced isolated edges
-    def darts_at(v, ids):
-        return [d for d in ring(Z, v) if d >> 1 in ids]
-
+    # transpose-complement-fixed vertices pair into forced isolated edges;
+    # each fixed vertex's ring is read once, for its darts on kept ordinary
+    # edges and whether it holds a kept bachelor edge
+    at_fixed = {}
+    for v in fixed:
+        darts, holds_bachelor = [], False
+        for d in ring(Z, v):
+            rev = kept.get(erep[d >> 1])
+            if rev is False:
+                darts.append(d)
+            elif rev:
+                holds_bachelor = True
+        at_fixed[v] = (darts, holds_bachelor)
     removed = set()
     for v in sorted(fixed):
         if v in removed:
             continue
-        dv = darts_at(v, kept_ids)
+        dv, bv = at_fixed[v]
         if not dv:
             continue  # bachelor-only or isolated; handled downstream
         if len(dv) != 1:
             raise EmbeddingError(f"fixed vertex {tri[v]} kept {len(dv)} edges")
         w = tails[dv[0] ^ 1]
-        if w not in fixed or len(darts_at(w, kept_ids)) != 1:
+        if w not in fixed or len(at_fixed[w][0]) != 1:
             raise EmbeddingError(f"fixed vertex {tri[v]} is not cleanly paired")
-        if darts_at(v, bachelor_ids) or darts_at(w, bachelor_ids):
+        if bv or at_fixed[w][1]:
             raise EmbeddingError("paired fixed vertex also holds a bachelor edge")
         removed.update((v, w))
     if any(s not in removed for v in removed for s in orbit_of[v]):
@@ -450,29 +479,27 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     # edges in border order, each wired to its gadget attachment, then the
     # gadget's own edges
     qedges: List[Edge] = []
-    qedge_of: Dict[int, int] = {}  # Z edge id -> quotient edge id
+    qedge_of = [-1] * len(erep)  # smallest edge id of an orbit -> quotient edge id
 
-    def add_edge(eorbit, u, v):
-        for eid in eorbit:
-            qedge_of[eid] = len(qedges)
+    def add_edge(e, u, v):
+        qedge_of[e] = len(qedges)
         qedges.append(Edge(len(qedges), u, v))
 
-    for e, eorbit in ordinary:
-        u = tails[2 * e]
-        if u in removed:  # removal is orbit-closed
+    for e, rev in kept.items():
+        if rev or downs[e] in removed:  # removal is orbit-closed
             continue
-        ru, rv = orbit_of[u][0], orbit_of[tails[2 * e + 1]][0]
+        ru, rv = orbit_of[downs[e]][0], orbit_of[ups[e]][0]
         if ru != rv:
-            add_edge(eorbit, qid[ru], qid[rv])
+            add_edge(e, qid[ru], qid[rv])
 
     rotation: List[List[Dart]] = []
     if bachelor:
         gm = gadget_multigraph(gadget)
         offset = len(qedges) + len(border)
         rotation = [[2 * offset + d for d in ring] for ring in gm.rotation]
-        for att, (e, eorbit) in zip(gadget.attachments, border):
+        for att, (e, _) in zip(gadget.attachments, border):
             rotation[att].append(2 * len(qedges) + 1)  # slot 4: the external edge
-            add_edge(eorbit, qid[orbit_of[tails[2 * e]][0]], att)
+            add_edge(e, qid[orbit_of[downs[e]][0]], att)
         qedges += [Edge(offset + e.eid, e.u, e.v) for e in gm.edges]
 
     # Reflections reverse the local rotation sense, so rotations must be read
@@ -490,8 +517,8 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
             src = members[0]
         darts = []
         for d in ring(Z, src):
-            qeid = qedge_of.get(d >> 1)
-            if qeid is None:
+            qeid = qedge_of[erep[d >> 1]]
+            if qeid < 0:
                 continue  # pruned or removed edge, or dropped loop
             if 2 * qeid in darts or 2 * qeid + 1 in darts:
                 raise EmbeddingError(f"quotient edge met orbit {tri[r]} twice")

@@ -244,6 +244,23 @@ def is_plane_partition(heights, box) -> bool:
     return True
 
 
+def rows_at_most_recursive(bound):
+    """Weakly decreasing rows r with r[j] <= bound[j] in ascending lex
+    order, one recursion level per cell."""
+    b = len(bound)
+
+    def rec(j, prev, acc):
+        if j == b:
+            yield tuple(acc)
+            return
+        for v in range(min(prev, bound[j]) + 1):
+            acc.append(v)
+            yield from rec(j + 1, v, acc)
+            acc.pop()
+
+    yield from rec(0, bound[0] if b else 0, [])
+
+
 def count_symmetric_naive(class_id: int, a: int, b: int, c: int) -> int:
     """Number of partitions invariant under every generator of the class,
     each partition in the box enumerated and each generator's image taken."""

@@ -3,14 +3,20 @@
 ``test_outputs_are_deterministic`` compares two runs of one version; these
 digests were taken from an earlier version of the program, so a rewrite of
 the graph layers (face tracing, quotient construction, flat signing and
-orientation) that changes any exported byte fails here.
+orientation) that changes any exported byte fails here.  One more digest
+pins the structure of every small quotient (labels, edges, rotation and
+bipartition), so a rewrite of ``quotient_graph`` that changes any of them
+fails too.
 """
 
 import hashlib
+from itertools import product
 
 import pytest
 
 import ppcount.cli as cli
+from ppcount.hexgrid import build_hexagon
+from ppcount.symmetry import CLASSES, quotient_graph
 
 Z345 = ("--kind", "z", "--dims", "3,4,5")
 C3_5 = ("--kind", "quotient", "--class", "3", "--dims", "5,5,5")
@@ -97,3 +103,19 @@ def test_export_matches_golden_digest(graph, attrs, fmt, digest, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 over the structure of every quotient of classes 2-10 on the boxes
+# with sides <= 8 that the class fixes (1017 quotients)
+QUOTIENTS = "437ba5833c890ffcf9c9a4c0db79a54f170f9e85dc89379cd429626c7dc7e24b"
+
+
+def test_quotients_match_golden_digest():
+    h = hashlib.sha256()
+    for cid in range(2, 11):
+        for dims in product(range(9), repeat=3):
+            if CLASSES[cid].box_fixed(dims):
+                q = quotient_graph(build_hexagon(*dims), CLASSES[cid])
+                bip = None if q.bipartition is None else tuple(sorted(part) for part in q.bipartition)
+                h.update(repr((cid, dims, q.labels, q.edges, q.rotation, bip)).encode())
+    assert h.hexdigest() == QUOTIENTS

@@ -9,6 +9,7 @@ from reference import (
     enumerate_matchings,
     hexagon_flip_moves,
     matching_to_partition,
+    rows_at_most_recursive,
     weighted_matching_sum_brute,
 )
 
@@ -52,6 +53,13 @@ def test_enumeration_order_is_deterministic():
     once = list(enumerate_partitions(2, 2, 1))
     again = list(enumerate_partitions(2, 2, 1))
     assert once == again == sorted(once)
+
+
+def test_rows_at_most_lists_the_recursive_rows_in_order():
+    # every bound of up to 4 cells with entries up to 4, the empty one too
+    for n in range(5):
+        for bound in itertools.product(range(5), repeat=n):
+            assert list(oracle._rows_at_most(bound)) == list(rows_at_most_recursive(bound)), bound
 
 
 def _recursive_partitions(a, b, c):

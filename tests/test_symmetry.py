@@ -150,20 +150,32 @@ def test_quotient_checks_each_generator_image_against_the_region(monkeypatch):
         quotient_graph(build_hexagon(1, 2, 3), CLASSES[3])
 
 
-def test_quotient_checks_that_every_element_preserves_adjacency(monkeypatch):
-    # the half-turn with the images of the first and the last triangle
-    # swapped is still a bijection, but not an automorphism of Z
+@pytest.mark.parametrize(
+    "cid, dims, g",
+    [
+        (3, (3, 3, 3), RHO),  # keeps up and down
+        (8, (4, 4, 4), KAPPA_TAU),
+        (5, (3, 3, 3), KAPPA),  # swaps them
+        (2, (3, 3, 2), TAU),
+    ],
+    ids=["RHO", "KAPPA_TAU", "KAPPA", "TAU"],
+)
+def test_quotient_checks_that_every_element_preserves_adjacency(monkeypatch, cid, dims, g):
+    # the element with the images of the first and the last triangle
+    # swapped is still a bijection, but not an automorphism of Z; the check
+    # reads the image edge's up end for an element that keeps up and down,
+    # and its down end for one that swaps them
     honest = symmetry._act_region
 
     def tampered(cls, region, z):
         act = honest(cls, region, z)
-        m = act[KAPPA]
+        m = act[g]
         m[0], m[-1] = m[-1], m[0]
         return act
 
     monkeypatch.setattr(symmetry, "_act_region", tampered)
     with pytest.raises(EmbeddingError, match="does not preserve adjacency"):
-        quotient_graph(build_hexagon(3, 3, 3), CLASSES[5])
+        quotient_graph(build_hexagon(*dims), CLASSES[cid])
 
 
 def test_composition_is_associative_and_closed():
