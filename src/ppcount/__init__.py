@@ -6,11 +6,11 @@ enumeration; the test suite holds them against each other.
 """
 
 from .exactalg import ExactMatrix, QPoly, det, pfaffian_abs
-from .formulas import n_class, n_class_via_ratios, ratio_identities
+from .formulas import n_class, n_class_via_ratios
 from .hexgrid import HexRegion, PlanarMultigraph, Triangle, build_graph, build_hexagon, q_weight_graph
 from .kasteleyn import flat_orientation, flat_signing, weighted_matching_sum
 from .oracle import count_symmetric, enumerate_partitions, q_sum
-from .symmetry import CLASSES, act_partition, act_triangle, build_parity_gadget, group_elements, quotient_graph
+from .symmetry import CLASSES, build_parity_gadget, group_elements, quotient_graph
 
 __all__ = [
     "CLASSES",
@@ -19,8 +19,6 @@ __all__ = [
     "PlanarMultigraph",
     "QPoly",
     "Triangle",
-    "act_partition",
-    "act_triangle",
     "build_graph",
     "build_hexagon",
     "build_parity_gadget",
@@ -36,7 +34,6 @@ __all__ = [
     "q_sum",
     "q_weight_graph",
     "quotient_graph",
-    "ratio_identities",
     "weighted_matching_sum",
 ]
 

@@ -1,4 +1,4 @@
-"""Closed-form counts for the ten symmetry classes, and ratio identities.
+"""Closed-form counts for the ten symmetry classes, and the ratio route.
 
 Every class is counted in one notation, that of Stanley's table (Stanley,
 "Symmetries of plane partitions", JCTA 43, 1986): a product over one short
@@ -19,15 +19,13 @@ of q-enumeration (``q_box_product``).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from .exactalg import QPoly
 from .symmetry import CLASSES
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-binomial = math.comb
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -91,7 +89,7 @@ def _n6(a: int, b: int) -> int:
     perm(2b + i + a - 1, a - 1 - i) / perm(i + a - 1, a - 1 - i), so the
     work grows with a, not with b."""
     rows = range(1, a - 1)
-    num = binomial(a + b - 1, a - 1) * math.prod(math.perm(2 * b + i + a - 1, a - 1 - i) for i in rows)
+    num = math.comb(a + b - 1, a - 1) * math.prod(math.perm(2 * b + i + a - 1, a - 1 - i) for i in rows)
     return _exact_div(num, math.prod(math.perm(i + a - 1, a - 1 - i) for i in rows))
 
 
@@ -239,57 +237,25 @@ RATIO_CLASSES = (1, 3, 5, 9)
 
 
 def _fraction(num: int, den: int) -> Fraction:
-    # fractions loads decimal and numbers, which only the ratio checks need
+    # fractions loads decimal and numbers, which only the ratio route needs
     from fractions import Fraction
 
     return Fraction(num, den)
 
 
-class RatioCheck(NamedTuple):
-    name: str
-    lhs: Fraction
-    rhs: Fraction
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs == self.rhs
-
-
 def _ratio1(a: int, b: int, c: int) -> Fraction:
     """N1(a+1,b+1,c-1) / N1(a,b,c) for c >= 1."""
-    return _fraction(binomial(a + b + c, c - 1), binomial(a + b, a))
+    return _fraction(math.comb(a + b + c, c - 1), math.comb(a + b, a))
 
 
 def _ratio3(a: int) -> Fraction:
     """N3(a+1,a+1,a+1) / N3(a,a,a) for a >= 1."""
-    return _fraction((3 * a + 2) * binomial(3 * a, a - 1), a * binomial(2 * a, a))
+    return _fraction((3 * a + 2) * math.comb(3 * a, a - 1), a * math.comb(2 * a, a))
 
 
 def _ratio9(a: int) -> Fraction:
     """N9(2a+2,2a+2,2a+2) / N9(2a,2a,2a) for a >= 0."""
-    return _fraction(binomial(3 * a + 1, a) ** 2, binomial(2 * a, a) ** 2)
-
-
-def ratio_identities(a: int, b: int, c: int) -> List[RatioCheck]:
-    """Evaluate the applicable ratio identities at the given parameters.
-
-    Each check compares a ratio of closed-form counts against its binomial
-    expression; the parameters (a, b, c) enter the identities directly, so
-    for the cubic identities only a is used.
-    """
-    steps = []  # (name, class, numerator box, denominator box, binomial side)
-    if c >= 1:
-        steps.append(("growth-step", 1, (a + 1, b + 1, c - 1), (a, b, c), _ratio1(a, b, c)))
-        doubled = ((2 * a + 2, 2 * b + 2, 2 * c - 2), (2 * a, 2 * b, 2 * c))
-        steps.append(("self-complementary-step", 5, *doubled, _ratio1(a, b, c) ** 2))
-    if a >= 1 and a == b == c:
-        steps.append(("cyclic-step", 3, (a + 1,) * 3, (a,) * 3, _ratio3(a)))
-    if a == b == c:
-        steps.append(("cyclic-self-complementary-step", 9, (2 * a + 2,) * 3, (2 * a,) * 3, _ratio9(a)))
-    return [
-        RatioCheck(name, _fraction(n_class(cid, num), n_class(cid, den)), rhs)
-        for name, cid, num, den, rhs in steps
-    ]
+    return _fraction(math.comb(3 * a + 1, a) ** 2, math.comb(2 * a, a) ** 2)
 
 
 def n_class_via_ratios(class_id: int, dims: Tuple[int, int, int]) -> int:

@@ -74,7 +74,7 @@ class EmbeddingError(RuntimeError):
 
 
 class HexRegion:
-    """The triangle set of H(a,b,c), with containment and adjacency queries.
+    """The triangle set of H(a,b,c), with its coordinate bounds and up sum.
 
     ``triangles`` lists them in sorted order as ``Triangle`` instances.  The
     coordinate triples are collected row by row and made Triangles in one
@@ -104,18 +104,6 @@ class HexRegion:
     @property
     def abc(self) -> Tuple[int, int, int]:
         return (self.a, self.b, self.c)
-
-    def __contains__(self, t) -> bool:
-        if not isinstance(t, tuple) or len(t) != 3:
-            return False
-        x, y, z = t
-        X, Y, Z = self.bounds
-        return (
-            0 <= x <= X
-            and 0 <= y <= Y
-            and 0 <= z <= Z
-            and x + y + z in (self.up_sum, self.up_sum - 1)
-        )
 
     def __repr__(self):
         return f"HexRegion({self.a},{self.b},{self.c})"

@@ -107,10 +107,6 @@ def enumerate_partitions(a: int, b: int, c: int) -> Iterator[Heights]:
     return tops if a == 1 else chain.from_iterable(map(extend, tops))
 
 
-def volume(heights: Heights) -> int:
-    return sum(sum(r) for r in heights)
-
-
 def _prefix_tallies(a: int, b: int, c: int, tally: Callable) -> Iterator[tuple]:
     """(tally(rows), v) for every prefix of a - 1 rows of a plane partition
     in the box, taken with its sides sorted (a <= b <= c), in the order

@@ -21,8 +21,12 @@ G-invariant matchings of Z(a,b,c).  It makes one pass over the vertex
 orbits and one over Z's edges in id order, and prunes by orbit sizes, once
 per orbit.  Each edge's orbit is held as one int, ``erep[e]``, the smallest
 edge id in it: the first edge of an orbit maps to the rest, and each
-element's image of it is checked by one comparison, its far end against
-the image of e's far end.  Only the surviving orbits get a status
+element's image of that first edge is checked to be an edge of Z by one
+comparison, its far end against the image of e's far end.  Only first edges
+are checked, so a map wrong at any other edge would pass; it is excluded
+only because ``_act_region`` composes every element's map from generator
+maps, each an affine coordinate map it has checked against the region, and
+so an automorphism of Z.  Only the surviving orbits get a status
 (ordinary, or reversed), and only the reversed ones keep their edge sets.
 An edge e = (u, v) that no element reverses has stab(e) =
 stab(u) & stab(v); it survives when stab(u) = stab(v), which holds exactly
@@ -142,21 +146,9 @@ def group_elements(cls: SymmetryClass) -> Tuple[SymmetryElement, ...]:
     return tuple(sorted(_walk(tuple(cls.generators))))
 
 
-def act_triangle(g: SymmetryElement, t: Triangle, region: HexRegion) -> Triangle:
-    """Image of a triangle; requires the box to be fixed by g."""
-    if not box_fixed(g, region.abc):
-        raise BoxError(f"H{region.abc} is not fixed by {g}")
-    s = Triangle(*(t[k] for k in g.perm))
-    if g.comp:
-        s = Triangle(*(B - v for B, v in zip(region.bounds, s)))
-    if s not in region:
-        raise EmbeddingError(f"symmetry image {s} left the region")
-    return s
-
-
 def _act_region(cls: SymmetryClass, region: HexRegion, z: Lattice) -> Dict[SymmetryElement, List[int]]:
-    """act_triangle of each element of the class's group on every triangle
-    of the region, as one map per element from a vertex id of the region's
+    """The action of each element of the class's group on the triangles of
+    the region, as one map per element from a vertex id of the region's
     lattice z to its image's.  Only the generators act on coordinates: each
     is checked against the box once, and its images against the region's
     bounds and sums at once, as they range over the permuted (and flipped)
@@ -283,11 +275,6 @@ def partition_map(g: SymmetryElement, box):
     return act
 
 
-def act_partition(g: SymmetryElement, heights, box):
-    """Image of a plane partition (height matrix) under g; box must be fixed."""
-    return partition_map(g, box)(heights)
-
-
 # ---------------------------------------------------------------------------
 # parity gadgets
 # ---------------------------------------------------------------------------
@@ -379,16 +366,18 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
 
     # edge orbits, in one pass over Z's edges in id order: erep[e] is the
     # smallest edge id in e's orbit, so an edge with erep set is already
-    # done, and the first of its orbit finds the rest and checks every
-    # element on it.  An element maps axis k to axis k' with perm[k'] = k,
-    # so the image of e = (u, v) along axis k is img = slot[k'][m[u]], an
-    # edge at m[u]; it preserves adjacency when img's other end is m[v]:
-    # its up end if the element keeps up and down, its down end if it swaps
-    # them (the sentinel past the last edge answers img = -1 with -1, never
-    # a vertex).  Only a swapping element can reverse e, and it does exactly
-    # when img == e.  Orbits are pruned by the orbit-size rule: |Ge| = |Gu|
-    # = |Gv| for an ordinary edge, and |G(v, e)| = 2|Ge| = |Gv| for the
-    # halves of a reversed one.
+    # done, and the first of its orbit finds the rest and checks each
+    # element on that first edge only; a map wrong at another edge is
+    # excluded only because _act_region composes every map from generator
+    # maps it has checked against the region.  An element maps axis k to
+    # axis k' with perm[k'] = k, so the image of e = (u, v) along axis k is
+    # img = slot[k'][m[u]], an edge at m[u]; it preserves adjacency when
+    # img's other end is m[v]: its up end if the element keeps up and down,
+    # its down end if it swaps them (the sentinel past the last edge answers
+    # img = -1 with -1, never a vertex).  Only a swapping element can
+    # reverse e, and it does exactly when img == e.  Orbits are pruned by
+    # the orbit-size rule: |Ge| = |Gu| = |Gv| for an ordinary edge, and
+    # |G(v, e)| = 2|Ge| = |Gv| for the halves of a reversed one.
     downs, ups = tails[0::2] + [-1], tails[1::2] + [-1]
     erep = [-1] * (len(tails) >> 1)
     split = [([], []) for _ in slot]  # per axis k: (keeping, swapping) (map, slot[k']) pairs

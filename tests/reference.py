@@ -5,10 +5,13 @@ No ``ppcount`` route runs any of this, so it lives with the tests:
 * exact matrices from dense rows, and Ryser permanents and Hafnians of
   small dense matrices;
 * the kernel's earlier interpolation over the equally spaced nodes 1..n;
-* hexagon triangle orientation and adjacency, straight from the
-  coordinates, and the earlier builder of Z(a,b,c);
-* the plane-partition predicate, and the naive symmetric count that filters
-  every partition in the box;
+* hexagon triangle containment, orientation and adjacency, and the action
+  of a box symmetry on one triangle, straight from the coordinates, and
+  Z(a,b,c) as it was built before ``hexgrid.lattice``;
+* the plane-partition predicate, a partition's volume, and the naive
+  symmetric count that filters every partition in the box;
+* the ratio identities that the ratio route telescopes, each side
+  evaluated on its own;
 * flat-orientation checks and the unsigned / symmetric adjacency matrices;
 * perfect-matching enumeration and counting, the brute-force weighted
   matching sum, the matching -> partition map and hexagon flip moves.
@@ -16,10 +19,12 @@ No ``ppcount`` route runs any of this, so it lives with the tests:
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ppcount.exactalg import ExactMatrix, QPoly, Scalar
-from ppcount.hexgrid import Edge, HexRegion, PlanarMultigraph, RegionError, Triangle, build_graph
+from ppcount.formulas import _ratio1, _ratio3, _ratio9, n_class
+from ppcount.hexgrid import Edge, EmbeddingError, HexRegion, PlanarMultigraph, RegionError, Triangle, build_graph
 from ppcount.kasteleyn import (
     OrientedGraph,
     SignedGraph,
@@ -28,7 +33,7 @@ from ppcount.kasteleyn import (
     bipartite_matrix,
 )
 from ppcount.oracle import Heights, SizeLimitError, check_budget, enumerate_partitions
-from ppcount.symmetry import CLASSES, partition_map
+from ppcount.symmetry import CLASSES, BoxError, SymmetryElement, box_fixed, partition_map
 
 
 # ---------------------------------------------------------------------------
@@ -142,23 +147,46 @@ def interpolate_equal_spacing(ys, p: int):
 AXES = (Triangle(1, 0, 0), Triangle(0, 1, 0), Triangle(0, 0, 1))
 
 
+def in_region(t: Triangle, region: HexRegion) -> bool:
+    """Whether t is a triangle of the region: within its bounds, with the
+    coordinate sum of an up or a down triangle."""
+    x, y, z = t
+    X, Y, Z = region.bounds
+    return 0 <= x <= X and 0 <= y <= Y and 0 <= z <= Z and x + y + z in (region.up_sum, region.up_sum - 1)
+
+
 def orientation(t: Triangle, region: HexRegion) -> str:
-    if t not in region:
+    if not in_region(t, region):
         raise RegionError(f"{t} is not a triangle of {region}")
     return "up" if sum(t) == region.up_sum else "down"
 
 
 def neighbors(t: Triangle, region: HexRegion) -> List[Triangle]:
     """Adjacent triangles: +e_i from a down triangle, -e_i from an up one."""
-    if t not in region:
+    if not in_region(t, region):
         raise RegionError(f"{t} is not a triangle of {region}")
     step = 1 if sum(t) == region.up_sum - 1 else -1
     out = []
     for d in AXES:
         u = Triangle(t.x + step * d.x, t.y + step * d.y, t.z + step * d.z)
-        if u in region:
+        if in_region(u, region):
             out.append(u)
     return out
+
+
+def act_triangle(g: SymmetryElement, t: Triangle, region: HexRegion) -> Triangle:
+    """Image of one triangle under g, by the coordinate action itself (the
+    permutation, then the flip if comp is set); the box must be fixed by g.
+    symmetry._act_region composes its maps from the generators' and must
+    agree with this on every element."""
+    if not box_fixed(g, region.abc):
+        raise BoxError(f"H{region.abc} is not fixed by {g}")
+    s = Triangle(*(t[k] for k in g.perm))
+    if g.comp:
+        s = Triangle(*(B - v for B, v in zip(region.bounds, s)))
+    if not in_region(s, region):
+        raise EmbeddingError(f"symmetry image {s} left the region")
+    return s
 
 
 # The builder of Z(a,b,c) that hexgrid.lattice replaced, kept as it was: it
@@ -244,6 +272,10 @@ def is_plane_partition(heights, box) -> bool:
     return True
 
 
+def volume(heights: Heights) -> int:
+    return sum(sum(r) for r in heights)
+
+
 def rows_at_most_recursive(bound):
     """Weakly decreasing rows r with r[j] <= bound[j] in ascending lex
     order, one recursion level per cell."""
@@ -278,6 +310,29 @@ def count_symmetric_naive(class_id: int, a: int, b: int, c: int) -> int:
         else:
             n += 1
     return n
+
+
+# ---------------------------------------------------------------------------
+# ratio identities
+# ---------------------------------------------------------------------------
+
+
+def ratio_steps(a: int, b: int, c: int) -> List[Tuple[str, Fraction, Fraction]]:
+    """The ratio identities that apply at (a, b, c), each as (name, the
+    ratio of two n_class counts, the step the ratio route multiplies by):
+    class 1 growth and class 5 on the doubled boxes for c >= 1, class 3
+    cyclic growth for a = b = c >= 1, and class 9 for a = b = c.  For the
+    cubic identities only a is used."""
+    steps = []  # (name, class, numerator box, denominator box, the route's step)
+    if c >= 1:
+        steps.append(("growth-step", 1, (a + 1, b + 1, c - 1), (a, b, c), _ratio1(a, b, c)))
+        doubled = ((2 * a + 2, 2 * b + 2, 2 * c - 2), (2 * a, 2 * b, 2 * c))
+        steps.append(("self-complementary-step", 5, *doubled, _ratio1(a, b, c) ** 2))
+    if a >= 1 and a == b == c:
+        steps.append(("cyclic-step", 3, (a + 1,) * 3, (a,) * 3, _ratio3(a)))
+    if a == b == c:
+        steps.append(("cyclic-self-complementary-step", 9, (2 * a + 2,) * 3, (2 * a,) * 3, _ratio9(a)))
+    return [(name, Fraction(n_class(cid, num), n_class(cid, den)), step) for name, cid, num, den, step in steps]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from conftest import (
     wheel_graph,
 )
 from reference import (
+    act_triangle,
     build_graph_reference,
     count_perfect_matchings,
     neighbors,
@@ -35,7 +36,6 @@ from ppcount.oracle import q_sum
 from ppcount.symmetry import (
     CLASSES,
     KAPPA,
-    act_triangle,
     build_parity_gadget,
     gadget_multigraph,
     quotient_graph,

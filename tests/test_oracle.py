@@ -10,6 +10,7 @@ from reference import (
     hexagon_flip_moves,
     matching_to_partition,
     rows_at_most_recursive,
+    volume,
     weighted_matching_sum_brute,
 )
 
@@ -26,7 +27,6 @@ from ppcount.oracle import (
     enumerate_partitions,
     fixed_partitions,
     q_sum,
-    volume,
 )
 from ppcount.symmetry import CLASSES, box_fixed, group_elements, partition_map
 

@@ -11,12 +11,17 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # were removed for having no caller; none belongs to the package's API.
 NOT_EXPORTED = {
     "AXES",
+    "RatioCheck",
+    "act_partition",
+    "act_triangle",
+    "binomial",
     "check_flat_orientation",
     "count_perfect_matchings",
     "count_symmetric_naive",
     "enumerate_matchings",
     "hafnian",
     "hexagon_flip_moves",
+    "in_region",
     "integer_sqrt",
     "is_plane_partition",
     "matching_to_partition",
@@ -25,8 +30,11 @@ NOT_EXPORTED = {
     "partition_json",
     "perm_sign",
     "permanent",
+    "ratio_identities",
+    "ratio_steps",
     "symmetric_matrix",
     "unsigned_bipartite_matrix",
+    "volume",
     "weighted_matching_sum_brute",
 }
 
@@ -42,7 +50,7 @@ def test_star_import_gives_exactly_the_public_api():
 def test_cold_import_of_the_cli_loads_neither_dataclasses_nor_inspect():
     # dataclasses pulls in inspect, ast, dis and tokenize, a dozen modules
     # that every cold ``ppcount count`` would load and compile for nothing;
-    # fractions (with decimal) serves only the ratio checks, json only
+    # fractions (with decimal) serves only the ratio route, json only
     # export and count --json
     code = (
         "import sys; before = set(sys.modules); import ppcount.cli; "
@@ -53,3 +61,16 @@ def test_cold_import_of_the_cli_loads_neither_dataclasses_nor_inspect():
     added = set(run.stdout.split())
     assert "ppcount.cli" in added
     assert not {"dataclasses", "inspect", "fractions", "decimal", "json"} & added
+
+
+def test_python_dash_m_runs_the_cli():
+    # the README's ``python -m ppcount`` goes through __main__.py, which the
+    # console script does not
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "ppcount", *args], env=env, capture_output=True, text=True)
+
+    ok = run("count", "--class", "3", "--dims", "2,2,2")
+    assert (ok.returncode, ok.stdout) == (0, "5\n")
+    assert run("count", "--class", "11", "--dims", "2,2,2").returncode == 2

@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
-from reference import count_perfect_matchings, is_plane_partition
+from reference import act_triangle, count_perfect_matchings, is_plane_partition
 
 from ppcount import hexgrid, symmetry
 from ppcount.hexgrid import EmbeddingError, Triangle, build_graph, build_hexagon, lattice
@@ -17,8 +17,6 @@ from ppcount.symmetry import (
     TAU,
     BoxError,
     _act_region,
-    act_partition,
-    act_triangle,
     box_fixed,
     build_parity_gadget,
     compose,
@@ -106,17 +104,20 @@ def test_quotient_face_traces_only_its_result(monkeypatch):
         assert traced[0] == (q.tails, q.rotation)
 
 
-def _swapped_ring(monkeypatch, v):
-    """Make symmetry.ring swap the first two darts at Z's vertex v."""
+def _tampered_rings(monkeypatch, rings):
+    """Make symmetry.ring return rings[v](its ring) at Z's vertices v in rings."""
     honest = hexgrid.ring
 
-    def swapped(z, i):
+    def tampered(z, i):
         ring = honest(z, i)
-        if i == v:
-            ring[0], ring[1] = ring[1], ring[0]
-        return ring
+        return rings[i](ring) if i in rings else ring
 
-    monkeypatch.setattr(symmetry, "ring", swapped)
+    monkeypatch.setattr(symmetry, "ring", tampered)
+
+
+def _swapped_ring(monkeypatch, v):
+    """Make symmetry.ring swap the first two darts at Z's vertex v."""
+    _tampered_rings(monkeypatch, {v: lambda ring: [ring[1], ring[0], *ring[2:]]})
 
 
 @pytest.mark.parametrize("cid, n", [(3, 3), (9, 4)])
@@ -178,6 +179,88 @@ def test_quotient_checks_that_every_element_preserves_adjacency(monkeypatch, cid
         quotient_graph(build_hexagon(*dims), CLASSES[cid])
 
 
+@pytest.mark.parametrize(
+    "cid, dims, g, e",
+    [(8, (3, 3, 3), RHO, 10), (2, (1, 1, 1), TAU, 5)],  # keeps up and down; swaps them
+    ids=["RHO", "TAU"],
+)
+def test_quotient_checks_adjacency_where_the_image_has_no_edge(monkeypatch, cid, dims, g, e):
+    # g sends the down end u of the orbit's first edge e to a vertex with no
+    # edge along the image axis, so the image edge is -1; g sends e's other
+    # end v to the end of Z's last edge that the check reads, which index -1
+    # would also reach without the sentinel.  e is the only first edge at u,
+    # so no other check reads the tampered entry.
+    region = build_hexagon(*dims)
+    z = lattice(region)
+    u, v = z.tails[2 * e], z.tails[2 * e + 1]
+    axis = inverse(g).perm[next(k for k in range(3) if z.slot[k][u] == e)]
+    honest = symmetry._act_region
+    assert honest(CLASSES[cid], region, z)[g][v] == z.tails[-2 if g.comp else -1]
+
+    def tampered(cls, region, z):
+        act = honest(cls, region, z)
+        act[g][u] = next(d for d in range(len(region.triangles)) if z.slot[axis][d] < 0)
+        return act
+
+    monkeypatch.setattr(symmetry, "_act_region", tampered)
+    with pytest.raises(EmbeddingError, match="does not preserve adjacency"):
+        quotient_graph(region, CLASSES[cid])
+
+
+def _fixed_pairs(cls, region):
+    """Z's vertices that a transpose-complement reflection of cls fixes,
+    each with its dart to the one neighbour the reflection also fixes: the
+    pair a forced edge joins."""
+    z = lattice(region)
+    act = _act_region(cls, region, z)
+    pairs = {}
+    for g, m in act.items():
+        if g.comp or not symmetry._is_transposition(g.perm):
+            continue
+        for v in (v for v, w in enumerate(m) if v == w):
+            (pairs[v],) = [d for d in hexgrid.ring(z, v) if m[z.tails[d ^ 1]] == z.tails[d ^ 1]]
+    return z, pairs
+
+
+@pytest.mark.parametrize(
+    "end, message", [(0, "kept 2 edges"), (1, "is not cleanly paired")], ids=["first", "partner"]
+)
+def test_quotient_checks_that_fixed_vertices_pair_cleanly(monkeypatch, end, message):
+    # the dart to the partner listed twice in the ring of the first fixed
+    # vertex, or of its partner, which the first one's check reads
+    region, cls = build_hexagon(4, 4, 4), CLASSES[8]
+    z, pairs = _fixed_pairs(cls, region)
+    v = min(pairs)
+    x = (v, z.tails[pairs[v] ^ 1])[end]
+    _tampered_rings(monkeypatch, {x: lambda ring: ring + [pairs[x]]})
+    with pytest.raises(EmbeddingError, match=message):
+        quotient_graph(region, cls)
+
+
+def test_quotient_checks_that_a_fixed_pair_holds_no_bachelor_edge(monkeypatch):
+    # class 7 at 2^3 keeps an edge that an element reverses; listed in the
+    # first fixed vertex's ring, it becomes a bachelor edge of that vertex
+    region, cls = build_hexagon(2, 2, 2), CLASSES[7]
+    z, pairs = _fixed_pairs(cls, region)
+    t = z.tails
+    act = _act_region(cls, region, z)
+    e = next(e for e in range(len(t) // 2) if any(m[t[2 * e]] == t[2 * e + 1] for m in act.values()))
+    _tampered_rings(monkeypatch, {min(pairs): lambda ring: ring + [2 * e]})
+    with pytest.raises(EmbeddingError, match="also holds a bachelor edge"):
+        quotient_graph(region, cls)
+
+
+def test_quotient_checks_that_fixed_pair_removal_is_orbit_closed(monkeypatch):
+    # with empty rings the first fixed pair keeps no edge and stays, while
+    # the rest of its orbits, fixed by the rotated reflections, is removed
+    region, cls = build_hexagon(4, 4, 4), CLASSES[8]
+    z, pairs = _fixed_pairs(cls, region)
+    v = min(pairs)
+    _tampered_rings(monkeypatch, {v: lambda ring: [], z.tails[pairs[v] ^ 1]: lambda ring: []})
+    with pytest.raises(EmbeddingError, match="not orbit-closed"):
+        quotient_graph(region, cls)
+
+
 def test_composition_is_associative_and_closed():
     full = group_elements(CLASSES[10])
     for g in full:
@@ -224,19 +307,19 @@ def test_act_partition_generator_shapes():
     box = (2, 2, 2)
     empty = ((0, 0), (0, 0))
     full = ((2, 2), (2, 2))
-    assert act_partition(KAPPA, empty, box) == full
+    assert partition_map(KAPPA, box)(empty) == full
     symmetric = ((2, 1), (1, 0))
-    assert act_partition(TAU, symmetric, box) == symmetric
+    assert partition_map(TAU, box)(symmetric) == symmetric
     # the four-cube staircase is invariant under the rotation
     tripod = ((2, 1), (1, 0))
-    assert act_partition(RHO, tripod, box) == tripod
+    assert partition_map(RHO, box)(tripod) == tripod
 
 
 def test_act_partition_preserves_monotonicity():
     box = (2, 2, 2)
     for pp in enumerate_partitions(*box):
         for g in group_elements(CLASSES[10]):
-            assert is_plane_partition(act_partition(g, pp, box), box)
+            assert is_plane_partition(partition_map(g, box)(pp), box)
 
 
 def test_act_partition_is_a_homomorphism():
@@ -247,8 +330,8 @@ def test_act_partition_is_a_homomorphism():
         for h in full:
             gh = compose(g, h)
             for pp in pps:
-                assert act_partition(gh, pp, box) == act_partition(
-                    g, act_partition(h, pp, box), box
+                assert partition_map(gh, box)(pp) == partition_map(g, box)(
+                    partition_map(h, box)(pp)
                 )
 
 
@@ -277,17 +360,17 @@ def test_triangle_and_partition_actions_are_equivariant():
                 ]
                 for eid in m
             )
-            assert matching_to_partition(mapped, r, g) == act_partition(
-                elem, matching_to_partition(m, r, g), box
+            assert matching_to_partition(mapped, r, g) == partition_map(elem, box)(
+                matching_to_partition(m, r, g)
             )
 
 
 def test_act_partition_rectangular_boxes():
     box = (3, 2, 1)
     for pp in enumerate_partitions(*box):
-        assert is_plane_partition(act_partition(KAPPA, pp, box), box)
+        assert is_plane_partition(partition_map(KAPPA, box)(pp), box)
     with pytest.raises(BoxError):
-        act_partition(TAU, ((1, 0), (0, 0), (0, 0)), box)
+        partition_map(TAU, box)(((1, 0), (0, 0), (0, 0)))
 
 
 # The three generator actions cell by cell, as plain reference code for
