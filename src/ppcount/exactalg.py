@@ -12,11 +12,14 @@ runs it on the skew matrix itself; ``det`` runs it on the skew block
 the sparse skew matrix mod m, a prime or a product of distinct primes,
 pivoting on 2x2 blocks (a vertex of minimum degree and its neighbour of
 minimum degree with a nonzero entry), and returns the signed Pfaffian mod m.
-Arithmetic in F_p is exact, so a pivot that vanishes mod p only changes
-which pivot is taken: every prime gives the true residue, and none is
-"unlucky".  The primes lie below 2^30, so mod one prime every residue,
-inverse and multiplier is one 30-bit digit of a CPython int, which takes
-the interpreter's single-digit fast paths.
+Each step pops its pivot from a heap of plain int keys, degree * n +
+vertex, and applies the pivot's Schur update in the one loop that finds the
+slots it writes; a pivot of +-1, most of them on the matching graphs, is
+its own inverse and scales nothing.  Arithmetic in F_p is exact, so a pivot
+that vanishes mod p only changes which pivot is taken: every prime gives
+the true residue, and none is "unlucky".  The primes lie below 2^30, so
+mod one prime every residue, inverse and multiplier is one 30-bit digit of
+a CPython int, which takes the interpreter's single-digit fast paths.
 
 The number of primes is fixed in advance by a proven bound B on the
 magnitude of the result (of each coefficient over Z[q]): their product, the
@@ -104,11 +107,11 @@ takes its value at x = 1 from Pf(1), and the points x >= 2 replay the
 recorded updates, with no pivot search and no per-row dicts, a block of
 ``_BLOCK`` points of one prime at a time (``_replay_block``: one list
 comprehension per op across the block; a pivot that holds one value on
-every lane takes one ``pow``, and the others one batch inversion per
-pivot).  A point whose planned pivot is 0 mod p is eliminated afresh on its
-own, so every residue stays exact.  When Pf(1) = 0, no elimination of M(1)
-finds a pivot at every step, nothing is recorded, and every point is
-eliminated afresh.
+every lane takes one ``pow``, or none when that value is 1 or p - 1, and
+the others one batch inversion per pivot).  A point whose planned pivot is
+0 mod p is eliminated afresh on its own, so every residue stays exact.
+When Pf(1) = 0, no elimination of M(1) finds a pivot at every step,
+nothing is recorded, and every point is eliminated afresh.
 
 Rows and columns stand for unordered vertex sets (the matrix builders order
 them by vertex id only to be deterministic), so only the absolute determinant /
@@ -371,11 +374,15 @@ def _prime(k: int) -> int:
 
 # Primes per integer elimination: a product of k primes beats k passes, but
 # CPython's multi-digit arithmetic grows quadratically with k.  Per prime, a
-# pass over class 1's 24^3 matrix took 98 ms alone, 10.9 ms in 16 primes,
-# 12.4 in 32, 14.9 in 45 and 16.8 in 60; 36^3 (102 primes) took 10.7 s in
-# one modulus, 7.65 s one prime at a time and 4.9 s in groups of 32
-# (2-vCPU VM, CPython 3.11).
-_GROUP = 32
+# pass over class 1's 24^3 matrix took 57 ms alone, 6.7 ms in 16 primes,
+# 7.8 in 32, 10.2 in 45 and 13.3 in 60 (best of 5); 36^3 (102 primes) took
+# 7.3 s in one modulus, 10.5 s one prime at a time, 2.8 s in groups of 16
+# and 3.1 s in groups of 32 (best of 2).  Counting class 1 took 1.02 s at
+# 30^3 (71 primes) in groups of 16 against 1.19 s in groups of 32, and
+# 0.35 s against 0.39 s at 24^3 (45 primes), but 55 ms against 48 ms at
+# 16^3 (20 primes: 16 and 4 against one group; medians of 4 to 6 runs).
+# In-process on a 2-vCPU VM, CPython 3.11.
+_GROUP = 16
 
 # Points per block replay; memory is O(slots x _BLOCK) for any window.  On the
 # q-volume benchmark (10 s runs, 2-vCPU Xeon VM) widths 16 / 24 / 32 / 48 / 64
@@ -392,14 +399,17 @@ def _pf_mod(n: int, pairs, vals, p: int, record: bool = False):
     Each unordered pair {i, j} of the support holds one value slot, A[i][j]
     for i < j; the pairs take slots 0, 1, ... in order, and fill takes new
     ones.  A step picks a vertex u of minimum degree and its neighbour v of
-    minimum degree with A[u][v] nonzero, and eliminates the pair by the 2x2
-    Schur update.  A slot whose value becomes 0 stays in the support, so a
-    replay at another prime or point finds every slot it may need; degrees
-    count the support.  On a bipartite block this is sparse LU: fill stays
-    between rows and columns.  The Pfaffian is the product of the pivots
-    times the sign of the permutation that lists them in order.  p may be a
-    product of distinct primes; then a pivot that is nonzero but not a unit
-    mod p makes ``pow`` raise ValueError.
+    minimum degree with A[u][v] nonzero (a heap of the ints degree * n +
+    vertex, which order as the pairs (degree, vertex)), and eliminates the
+    pair by the 2x2 Schur update, applied in the loop that finds its slots.
+    A slot whose value becomes 0 stays in the support, so a replay at
+    another prime or point finds every slot it may need; degrees count the
+    support.  On a bipartite block this is sparse LU: fill stays between
+    rows and columns.  The Pfaffian is the product of the pivots times the
+    sign of the permutation that lists them in order.  A pivot of 1 or
+    p - 1 scales nothing; any other with an update to apply takes one
+    ``pow``.  p may be a product of distinct primes; then a pivot that is
+    nonzero but not a unit mod p makes ``pow`` raise ValueError.
 
     Returns the Pfaffian and, when ``record`` is set, the program that
     replays this elimination (``_replay_block``); the program is None when a
@@ -409,18 +419,18 @@ def _pf_mod(n: int, pairs, vals, p: int, record: bool = False):
     for s, (i, j) in enumerate(pairs):
         adj[i][j] = adj[j][i] = s
     val = list(vals)  # val[slot]: A[i][j] mod p for i < j
-
-    def degree(j):
-        return len(adj[j])
-
-    heap = [(len(r), i) for i, r in enumerate(adj)]  # (degree, vertex), stale entries skipped
+    deg = [len(r) for r in adj]  # -1 once eliminated
+    degree = deg.__getitem__
+    # degree * n + vertex: every live vertex i has deg[i] * n + i here, and
+    # a key whose degree is not its vertex's is stale and skipped
+    heap = [d * n + i for i, d in enumerate(deg)]
     heapify(heap)
     order, pivots, steps = [], [], []
     pf = 1
     for _ in range(n // 2):
         while True:
-            d, u = heappop(heap)
-            if adj[u] is not None and len(adj[u]) == d:
+            d, u = divmod(heappop(heap), n)
+            if deg[u] == d:
                 break
         au = adj[u]
         v = min(au, key=degree, default=None)
@@ -432,9 +442,11 @@ def _pf_mod(n: int, pairs, vals, p: int, record: bool = False):
             u, v = v, u
         au, av = adj[u], adj[v]
         adj[u] = adj[v] = None
+        deg[u] = deg[v] = -1
         s = au.pop(v)
         del av[u]
-        pf = pf * val[s] % p
+        a = val[s]
+        pf = pf * a % p
         order += (u, v)
         pivots.append(s)
         for x in au:
@@ -445,33 +457,48 @@ def _pf_mod(n: int, pairs, vals, p: int, record: bool = False):
             # The Schur update adds (A[v][x] A[u][y] - A[u][x] A[v][y]) / A[u][v]
             # to A[x][y].  One op per x ~ v, y ~ u, x != y adds the first term
             # to the slot of {x, y}, and the op of the mirrored pair (y, x)
-            # brings the second.  With c[i] = val[xs[i]] / A[u][v] and
-            # c[i + nx] = -c[i], each op picks the sign that orients the
-            # three slots it reads and writes.
+            # brings the second.  With c[i] = val[xs[i]] / A[u][v], the op
+            # adds c[i] val[t] when (x < y) == ((v < x) == (u < y)), which
+            # orients the three slots it reads and writes, and subtracts it
+            # otherwise; the program records ci = i to add and i + nx to
+            # subtract.  Here every op adds a product of residues: g holds
+            # the sign of u < y, and the op takes cx or cn = p - cx by
+            # x < y, the two swapped when x < v.  No op writes a slot of u
+            # or v, which c and g read.
             xs = list(av.values())
             nx = len(xs)
-            ys = [(y, t, u < y) for y, t in au.items()]
+            if a == 1:
+                c = [val[t] for t in xs]
+            elif a == p - 1:
+                c = [p - val[t] for t in xs]
+            else:
+                ainv = pow(a, -1, p)
+                c = [val[t] * ainv % p for t in xs]
+            ys = [(y, t, val[t] if u < y else p - val[t]) for y, t in au.items()]
             dst, ci, src = [], [], []
-            for i, x in enumerate(av):
-                ax, vx = adj[x], v < x
-                for y, t, uy in ys:
+            for i, (x, cx) in enumerate(zip(av, c)):
+                ax = adj[x]
+                cn = p - cx
+                if x < v:
+                    cx, cn = cn, cx
+                for y, t, g in ys:
                     if x != y:
                         d = ax.get(y)
                         if d is None:
                             d = ax[y] = adj[y][x] = len(val)
                             val.append(0)
-                        dst.append(d)
-                        ci.append(i if (x < y) == (vx == uy) else i + nx)
-                        src.append(t)
-            ainv = pow(val[s], -1, p)
-            c = [val[t] * ainv % p for t in xs]
-            c += [p - e for e in c]
-            for d, k, t in zip(dst, ci, src):
-                val[d] = (val[d] + c[k] * val[t]) % p
+                        val[d] = (val[d] + (cx if x < y else cn) * g) % p
+                        if record:
+                            dst.append(d)
+                            ci.append(i if (x < y) == ((v < x) == (u < y)) else i + nx)
+                            src.append(t)
             if record:
                 steps.append((s, xs, dst, ci, src))
         for i in (*au, *av):
-            heappush(heap, (len(adj[i]), i))
+            d = len(adj[i])
+            if d != deg[i]:
+                deg[i] = d
+                heappush(heap, d * n + i)
     even = _is_even(order)
     program = (len(val), pivots, steps, even) if record else None
     return (pf if even else p - pf), program
@@ -485,29 +512,42 @@ def _replay_block(program, vals, p: int):
     is 0 mod p and the caller must eliminate afresh.
 
     A step (s, xs, dst, ci, src) is one pivot's update as ``_pf_mod`` ran it:
-    with a = val[s] and c = [val[t] / a for t in xs] followed by their
-    negatives, val[dst[k]] += c[ci[k]] * val[src[k]] for every k.  Each op is
-    one list comprehension across the lanes.  A pivot that holds one value
-    on every lane takes one ``pow``, and when that value is 0 every lane
-    gets None at once.  Other pivots' inverses take one ``pow`` together
-    (``_inverses``), with 1 standing in for a lane whose pivot is 0 mod p.
-    That lane's values are then wrong, but its pivot slot keeps the 0, so
-    its pivot product is 0 and it gets None.
+    with a = val[s], c[i] = val[xs[i]] / a and c[i + len(xs)] = -c[i],
+    val[dst[k]] += c[ci[k]] * val[src[k]] for every k.  Each op is one list
+    comprehension across the lanes, and a step makes only the c[i] its ops
+    read (a determinant's ops all read -c).  A pivot that holds one value on
+    every lane takes one ``pow``, none when that value is 1 or p - 1, which
+    are their own inverses (then c of one sign is the source list itself and
+    the other its negation); when it is 0 every lane gets None at once.
+    Other pivots' inverses take one ``pow`` together (``_inverses``), with 1
+    standing in for a lane whose pivot is 0 mod p.  That lane's values are
+    then wrong, but its pivot slot keeps the 0, so its pivot product is 0
+    and it gets None.
     """
     size, pivots, steps, even = program
     w = len(vals[0])
     val = vals + [[0] * w] * (size - len(vals))  # lists are replaced, never changed
     for s, xs, dst, ci, src in steps:
         a = val[s]
-        if a.count(a[0]) == w:  # one pivot across the lanes: one pow
+        nx = len(xs)
+        c = dict.fromkeys(ci)  # only the multipliers some op reads
+        if a.count(a[0]) == w:  # one pivot across the lanes
             if not a[0]:
                 return [None] * w
-            ainv = pow(a[0], -1, p)
-            c = [[e * ainv % p for e in val[t]] for t in xs]
+            inv = a[0] if a[0] == 1 or a[0] == p - 1 else pow(a[0], -1, p)
+            for k in c:
+                m, ct = inv if k < nx else p - inv, val[xs[k % nx]]
+                if m == 1:
+                    c[k] = ct
+                elif m == p - 1:
+                    c[k] = [p - e for e in ct]
+                else:
+                    c[k] = [e * m % p for e in ct]
         else:
-            ainv = _inverses([e or 1 for e in a], p)
-            c = [[e * ai % p for e, ai in zip(val[t], ainv)] for t in xs]
-        c += [[p - e for e in ct] for ct in c]
+            inv = _inverses([e or 1 for e in a], p)
+            neg = [p - e for e in inv]
+            for k in c:
+                c[k] = [e * f % p for e, f in zip(val[xs[k % nx]], inv if k < nx else neg)]
         for d, k, t in zip(dst, ci, src):
             val[d] = [(e + f * g) % p for e, f, g in zip(val[d], c[k], val[t])]
     pf = [1] * w

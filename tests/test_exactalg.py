@@ -277,6 +277,22 @@ def sparse_skew_shared_blocks(draw):
     return n, pairs, p, first, lanes
 
 
+unit_entry = st.integers(min_value=-1, max_value=1)
+FOUR_PRIMES = math.prod(map(_prime, range(4)))
+
+
+def counting_pow(mp):
+    """Patch ``pow`` in exactalg to list the arguments of every call."""
+    calls = []
+
+    def pow_(*args):
+        calls.append(args)
+        return pow(*args)
+
+    mp.setattr(exactalg, "pow", pow_, raising=False)
+    return calls
+
+
 def skew_rows(n, pairs, vals):
     m = [[0] * n for _ in range(n)]
     for (i, j), a in zip(pairs, vals):
@@ -587,6 +603,46 @@ class TestKernel:
         assert _replay_block(program, [list(v) for v in zip(*lanes)], p) == [None, None]
         assert all(_pf_mod(6, pairs, lane, p)[0] for lane in lanes)
         assert batches == []
+
+    @given(skew(8, unit_entry))
+    # a first pivot a01 of 1 and of -1, each with an update to apply
+    @example(skew_from_upper([1, 1, -1, 1, 1, -1], 4))
+    @example(skew_from_upper([-1, 1, -1, 1, 1, -1], 4))
+    @settings(max_examples=80, deadline=None)
+    def test_unit_entries_mod_four_primes_match_expansion(self, rows):
+        # entries in {-1, 0, 1} make many pivots 1 or m - 1, which take no pow
+        n, m = len(rows), FOUR_PRIMES
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j]]
+        with pytest.MonkeyPatch.context() as mp:
+            pows = counting_pow(mp)
+            pf, _ = _pf_mod(n, pairs, [rows[i][j] % m for i, j in pairs], m)
+        assert pf == pf_expand(rows) % m
+        assert all(base % m not in (1, m - 1) for base, *_ in pows)
+
+    @given(sized_square(6, unit_entry))
+    @settings(max_examples=80, deadline=None)
+    def test_unit_entries_det_mod_four_primes_match_bareiss(self, rows):
+        # Pf [[0, M], [-M^T, 0]] = (-1)^(n(n-1)/2) det M
+        n, m = len(rows), FOUR_PRIMES
+        cells = [(i, n + j, a) for i, row in enumerate(rows) for j, a in enumerate(row) if a]
+        pf, _ = _pf_mod(2 * n, [(i, j) for i, j, _ in cells], [a % m for _, _, a in cells], m)
+        assert pf == (-1) ** (n * (n - 1) // 2) * bareiss(rows) % m
+
+    @pytest.mark.parametrize("p", [7, _prime(0)])
+    @pytest.mark.parametrize("pivot", [1, -1])
+    def test_lane_unit_pivot_replays_like_a_fresh_elimination(self, pivot, p, monkeypatch):
+        # the support of test_lane_constant_pivot_takes_one_pow: a01 holds
+        # the pivot on every lane, and takes no pow, and a24 = 1, 6, 3 is
+        # batched, one pow
+        pairs = [(0, 1), (2, 3), (4, 5), (0, 2), (1, 3), (2, 4), (3, 5)]
+        _, program = _pf_mod(6, pairs, [1] * 7, p, record=True)
+        lanes = [[pivot % p, *rest] for rest in ([1, 1, 1, 1, 1, 1], [2, 3, 4, 5, 6, 1], [5, 1, 2, 3, 3, 4])]
+        pows = counting_pow(monkeypatch)
+        block = _replay_block(program, [list(v) for v in zip(*lanes)], p)
+        monkeypatch.undo()
+        assert None not in block
+        assert block == [_pf_mod(6, pairs, lane, p)[0] for lane in lanes]
+        assert len(pows) == 1
 
     @pytest.mark.parametrize("width", [1, 5, 27, 64])
     def test_block_width_leaves_the_q_determinant_unchanged(self, width, monkeypatch):

@@ -6,15 +6,20 @@ the graph layers (face tracing, quotient construction, flat signing and
 orientation) that changes any exported byte fails here.  One more digest
 pins the structure of every small quotient (labels, edges, rotation and
 bipartition), so a rewrite of ``quotient_graph`` that changes any of them
-fails too.
+fails too.  A last digest pins what the elimination kernel computes and
+records on every small matrix the matrix route hands it, so a rewrite of
+``exactalg._pf_mod`` that changes a pivot, a fill slot or an op fails.
 """
 
 import hashlib
+import math
 from itertools import product
 
 import pytest
 
 import ppcount.cli as cli
+from ppcount import exactalg
+from ppcount.exactalg import _pf_mod, _prime
 from ppcount.hexgrid import build_hexagon
 from ppcount.symmetry import CLASSES, quotient_graph
 
@@ -119,3 +124,42 @@ def test_quotients_match_golden_digest():
                 bip = None if q.bipartition is None else tuple(sorted(part) for part in q.bipartition)
                 h.update(repr((cid, dims, q.labels, q.edges, q.rotation, bip)).encode())
     assert h.hexdigest() == QUOTIENTS
+
+
+# sha256 over repr((pf, program)) of a recording ``_pf_mod`` on every
+# integer matrix the matrix route eliminates for class 1's Z and the
+# quotients of classes 2-10 on the boxes with sides <= 4 that the class
+# fixes (273 matrices), mod _prime(0) and mod the product of _prime(0..3)
+PROGRAMS = {
+    1: "b91e317cb71bd2c4c1eebc805272320cf0713d3ac641743c08223872d4086dc9",
+    4: "655d248ac249296a6c495406bd7d387a4d61320485c3407e12562d5a571f834d",
+}
+
+
+@pytest.fixture(scope="module")
+def kernel_matrices():
+    """(n, pairs, vals) of each integer matrix that ``_integer_pf`` gets."""
+    seen = []
+    honest = exactalg._integer_pf
+
+    def integer_pf(n, pairs, vals, primes, record=False):
+        seen.append((n, pairs, vals))
+        return honest(n, pairs, vals, primes, record)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactalg, "_integer_pf", integer_pf)
+        for cid in range(1, 11):
+            for dims in product(range(5), repeat=3):
+                if CLASSES[cid].box_fixed(dims):
+                    cli.matrix_count(cid, dims)
+    return seen
+
+
+@pytest.mark.parametrize("primes, digest", PROGRAMS.items(), ids=[f"{k}-primes" for k in PROGRAMS])
+def test_programs_match_golden_digest(primes, digest, kernel_matrices):
+    assert len(kernel_matrices) == 273
+    m = math.prod(map(_prime, range(primes)))
+    h = hashlib.sha256()
+    for n, pairs, vals in kernel_matrices:
+        h.update(repr(_pf_mod(n, pairs, [a % m for a in vals], m, record=True)).encode())
+    assert h.hexdigest() == digest
