@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .exactalg import QPoly
 from .formulas import (
@@ -194,24 +194,6 @@ def compute_count(class_id: int, dims, method: str, q_flag: bool = False):
 # ---------------------------------------------------------------------------
 
 
-class RunRecord(NamedTuple):
-    class_id: int
-    dims: Tuple[int, int, int]
-    method: str
-    value: int
-    micros: int
-
-
-class RunReport:
-    def __init__(self):
-        self.records: List[RunRecord] = []
-        self.mismatches: List[Tuple[int, Tuple[int, int, int]]] = []
-
-    @property
-    def verdict(self) -> bool:
-        return not self.mismatches
-
-
 def boxes_for_class(class_id: int, max_side: int):
     out = []
     for a in range(max_side + 1):
@@ -222,36 +204,27 @@ def boxes_for_class(class_id: int, max_side: int):
     return out
 
 
-def run_verify(max_side: int, classes=None) -> RunReport:
+def run_verify(max_side: int, classes=None) -> Tuple[str, List[str]]:
     """Formula, matrix and oracle on every fixed (class, box) with sides up
-    to max_side; raises SizeLimitError before any work when a box is over
-    the oracle's budget.  Checking the cube of side max_side is enough: every
-    class fixes it, and the number of partitions grows with each side."""
+    to max_side, each class once: the CSV of their answers and times, and a
+    line naming the class, the box and each route's answer for every cell
+    where they differ.  Raises SizeLimitError before any work when a box is
+    over the oracle's budget.  Checking the cube of side max_side is enough:
+    every class fixes it, and the number of partitions grows with each side."""
     check_budget(max_side, max_side, max_side)
-    cells = [
-        (class_id, dims)
-        for class_id in sorted(classes or CLASSES)
-        for dims in boxes_for_class(class_id, max_side)
-    ]
-    report = RunReport()
-    for class_id, dims in cells:
-        values = {}
-        for method in ("formula", "matrix", "oracle"):
-            t0 = time.perf_counter()
-            values[method] = compute_count(class_id, dims, method)
-            dt = int((time.perf_counter() - t0) * 1e6)
-            report.records.append(RunRecord(class_id, dims, method, values[method], dt))
-        if len(set(values.values())) != 1:
-            report.mismatches.append((class_id, dims))
-    return report
-
-
-def report_csv(report: RunReport) -> str:
-    lines = ["class,a,b,c,method,value,micros"]
-    for r in report.records:
-        a, b, c = r.dims
-        lines.append(f"{r.class_id},{a},{b},{c},{r.method},{r.value},{r.micros}")
-    return "\n".join(lines) + "\n"
+    rows, mismatches = ["class,a,b,c,method,value,micros"], []
+    for class_id in sorted(set(classes or CLASSES)):
+        for dims in boxes_for_class(class_id, max_side):
+            values = {}
+            for method in ("formula", "matrix", "oracle"):
+                t0 = time.perf_counter()
+                values[method] = compute_count(class_id, dims, method)
+                dt = int((time.perf_counter() - t0) * 1e6)
+                rows.append("{},{},{},{},{},{},{}".format(class_id, *dims, method, values[method], dt))
+            if len(set(values.values())) != 1:
+                answers = ", ".join(f"{method} {value}" for method, value in values.items())
+                mismatches.append("class {} box {}x{}x{}: {}".format(class_id, *dims, answers))
+    return "\n".join(rows) + "\n", mismatches
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +421,14 @@ def main(argv=None) -> int:
                     raise UsageError(f"bad class list {args.classes!r}")
             if args.max_side < 0:
                 raise UsageError("--max-side must be nonnegative")
-            report = run_verify(args.max_side, classes)
-            sys.stdout.write(report_csv(report))
-            if report.verdict:
-                print("verify: all methods agree", file=sys.stderr)
-                return 0
-            for class_id, dims in report.mismatches:
-                print(f"verify: MISMATCH class {class_id} box {dims}", file=sys.stderr)
-            return 1
+            csv, mismatches = run_verify(args.max_side, classes)
+            sys.stdout.write(csv)
+            for line in mismatches:
+                print(f"verify: MISMATCH {line}", file=sys.stderr)
+            if mismatches:
+                return 1
+            print("verify: all methods agree", file=sys.stderr)
+            return 0
         if args.cmd == "table":
             if args.max_a < 1:
                 raise UsageError("--max-a must be at least 1")

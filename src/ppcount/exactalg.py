@@ -77,7 +77,7 @@ support has no perfect matching, the window is empty and the result is the
 zero polynomial, with no elimination.  An integer matrix runs none of this.
 
 ``det`` may also take a mirror exponent G that the caller has proven, with
-det M(q) = q^G det M(1/q) (``kasteleyn._certified_mirror`` proves it for the
+det M(q) = q^G det M(1/q) (``kasteleyn._certificates`` proves it for the
 q-weighted hexagon from its half-turn).  Then the coefficients of q^k and
 q^(G - k) agree, so deg det M = G - lowdeg det M <= G - L: the low
 assignment alone gives the window [L, G - L], which is symmetric about G/2,

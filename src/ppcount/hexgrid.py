@@ -19,9 +19,11 @@ through the center is (x,y,z) -> (b+c-1-x, a+c-1-y, a+b-1-z).
 
 Z(a,b,c) is built in one place, ``lattice``, as flat int lists (a
 ``Lattice``); ``build_graph`` wraps them into a ``PlanarMultigraph``, and
-``symmetry.quotient_graph`` reads them directly.  Of the three pairs of
-coordinates, (p, r) is the one whose padded extents (bound + 2 each) have
-the least product, (x, y) on ties; W is r's padded extent:
+``symmetry.quotient_graph`` reads them directly.  A ``PlanarMultigraph``
+keeps the faces, components and spanning forest of its one embedding check
+and graph walk (``_valid_faces``).  Of the three pairs of coordinates,
+(p, r) is the one whose padded extents (bound + 2 each) have the least
+product, (x, y) on ties; W is r's padded extent:
 
 * vertex i is region.triangles[i].  The triangles are listed by x, then y,
   the down triangle before the up one at each (x, y): their sorted order.
@@ -181,24 +183,30 @@ def _trace_faces(tails: List[int], rotation) -> List[List[Dart]]:
 
 
 def _valid_faces(tails: List[int], rotation):
-    """The faces of the rotation system and its connected components (id
-    lists, in order of their least ids), after the check V - E + F = 2 on
-    every component with an edge; a component's edges are half the darts of
-    its faces.  The graph core's one embedding check, run once per graph by
+    """The faces of the rotation system, its connected components (id
+    lists, in order of their least ids) and their spanning forest, after the
+    check V - E + F = 2 on every component with an edge; a component's edges
+    are half the darts of its faces.  The forest lists each vertex v once,
+    as (v, d): d is the dart by which a breadth-first walk from each least
+    id, darts in rotation order, first reaches v (-1 at the root).  The
+    graph core's one embedding check and graph walk, run once per graph by
     ``PlanarMultigraph.assert_valid_embedding``."""
     faces = _trace_faces(tails, rotation)
     comp_of = [-1] * len(rotation)
     comps: List[List[int]] = []
+    forest: List[Tuple[int, Dart]] = []
     for v in range(len(rotation)):
         if comp_of[v] < 0:
             comp_of[v] = len(comps)
             comp = [v]
+            forest.append((v, -1))
             for w in comp:  # grows while it is walked
                 for d in rotation[w]:
                     u = tails[d ^ 1]
                     if comp_of[u] < 0:
                         comp_of[u] = len(comps)
                         comp.append(u)
+                        forest.append((u, d))
             comps.append(comp)
     nd, nf = [0] * len(comps), [0] * len(comps)
     for f in faces:
@@ -209,7 +217,7 @@ def _valid_faces(tails: List[int], rotation):
         ne = nd[ci] >> 1
         if ne and len(comp) - ne + nf[ci] != 2:  # an isolated vertex embeds trivially
             raise EmbeddingError(f"component {ci}: V-E+F = {len(comp)}-{ne}+{nf[ci]} != 2")
-    return faces, comps
+    return faces, comps, forest
 
 
 class PlanarMultigraph:
@@ -249,7 +257,7 @@ class PlanarMultigraph:
         if len(self.rotation) != len(self.labels):
             raise ValueError("one rotation per vertex is required")
         self.bipartition = bipartition
-        self._faces = self._components = None  # kept after the first check
+        self._faces = self._components = self._forest = None  # kept after the first check
         if bipartition is not None:
             blk, wht = bipartition
             for e in self.edges:
@@ -270,6 +278,12 @@ class PlanarMultigraph:
         """Id sets of the connected components, found by the embedding check."""
         self.assert_valid_embedding()
         return self._components
+
+    def spanning_forest(self) -> List[Tuple[int, Dart]]:
+        """The embedding check's spanning forest (``_valid_faces``), its
+        vertices in breadth-first order.  Callers must not modify it."""
+        self.assert_valid_embedding()
+        return self._forest
 
     def subgraph(self, keep) -> "PlanarMultigraph":
         """The graph induced on the ids in keep, renumbered 0..k-1 in order;
@@ -299,7 +313,7 @@ class PlanarMultigraph:
         faces it validated.  Callers must not modify them.
         """
         if self._faces is None:
-            self._faces, comps = _valid_faces(self.tails, self.rotation)
+            self._faces, comps, self._forest = _valid_faces(self.tails, self.rotation)
             self._components = tuple(map(frozenset, comps))
         return self._faces
 

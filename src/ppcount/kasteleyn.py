@@ -19,12 +19,17 @@ directed against a fixed face-tracing sense; then the Pfaffian of the
 antisymmetric incidence matrix counts matchings.  The orientation directs a
 spanning forest arbitrarily, then fixes the co-tree edges face by face,
 leaf to root in the interdigitating dual forest, whose trees are rooted at
-each component's least face.
+each component's least face.  The primal forest is the one the embedding
+check walked (``spanning_forest``): this module walks no graph itself.
 
 This one face-parity fix serves both routes: a flat orientation of a
 bipartite graph gives a flat signing, +1 on each edge directed into the
 first colour class, as a face with 2m sides then has m + #negative darts
 against its tracing sense, mod 2.
+
+Over Z[q], ``_certificates`` proves in one pass over the weights that the
+determinant's coefficients have one sign and, given the half-turn, that they
+form a palindrome, solving its potential along the same forest.
 """
 
 from __future__ import annotations
@@ -100,24 +105,14 @@ def flat_orientation(g: PlanarMultigraph) -> OrientedGraph:
     if g.n_vertices % 2:
         raise ValueError("flat orientation needs an even number of vertices")
     faces = g.assert_valid_embedding()
-    tails, rotation = g.tails, g.rotation
-    # primal spanning forest: a queue BFS from each component's least vertex
-    seen = [False] * g.n_vertices
-    in_tree = [False] * (len(tails) >> 1)
+    # primal spanning forest: the embedding check's breadth-first one
+    in_tree = [False] * (len(g.tails) >> 1)
     trees = 0  # components with an edge, each with one dual tree to come
-    for root in g.vertices:
-        if seen[root]:
-            continue
-        seen[root] = True
-        trees += bool(rotation[root])
-        queue = [root]
-        for v in queue:  # grows while it is walked
-            for d in rotation[v]:
-                w = tails[d ^ 1]
-                if not seen[w]:
-                    seen[w] = True
-                    in_tree[d >> 1] = True
-                    queue.append(w)
+    for v, d in g.spanning_forest():
+        if d >= 0:
+            in_tree[d >> 1] = True
+        elif g.rotation[v]:
+            trees += 1
     # dual forest through the co-tree edges
     face_of_dart = _face_of_dart(g, faces)
     dual: List[List[Tuple[int, int]]] = [[] for _ in faces]
@@ -197,29 +192,18 @@ def skew_matrix(og: OrientedGraph) -> ExactMatrix:
     return ExactMatrix.from_cells(g.n_vertices, g.n_vertices, cells, _is_poly(g))
 
 
-def _certified_coeff_bound(sg: SignedGraph) -> bool:
-    """Whether N = |det m(1)| provably bounds every coefficient of det m
-    over Z[q], for m = ``bipartite_matrix(sg)``: when sg is flat and every
-    edge weight's coefficients are >= 0, every matching enters det m with
-    one sign (Kasteleyn), so det m(q) = +-sum_M w(M) has coefficients of one
-    sign, nonnegative up to the global sign, that sum to +-N.  Both facts
-    are checked here, on this signing, and ``det``'s ``one_sign`` flag
-    rests on them: the kernel then finds N itself, from the integer route
-    on m(1).  The flatness checked here also carries
-    ``_certified_mirror``'s proof."""
-    if nonflat_faces(sg):
-        return False
-    for e in sg.graph.edges:
-        cs = e.weight.coeffs if isinstance(e.weight, QPoly) else (e.weight,)
-        if any(c < 0 for c in cs):
-            return False
-    return True
+def _certificates(sg: SignedGraph, kappa) -> Tuple[bool, Optional[int]]:
+    """``det``'s (one_sign, mirror) for m = ``bipartite_matrix(sg)`` over
+    Z[q], proven on this signing with each weight's coefficients read once.
 
+    one_sign: N = |det m(1)| bounds every coefficient of det m.  When sg is
+    flat and every edge weight's coefficients are >= 0, every matching
+    enters det m with one sign (Kasteleyn), so det m(q) = +-sum_M w(M) has
+    coefficients of one sign that sum to +-N; the kernel finds N itself.
 
-def _certified_mirror(g: PlanarMultigraph, kappa) -> Optional[int]:
-    """G with det m(q) = q^G det m(1/q) for m the bipartite matrix of a flat
-    signing of g, proven here from kappa (kappa[v] is the image of vertex
-    v) and the weights; None when any check fails.  The checks:
+    mirror: G with det m(q) = q^G det m(1/q), or None, from kappa (kappa[v]
+    is the image of vertex v), tried only when one_sign holds, as its proof
+    needs the same flatness.  The checks:
 
     * every weight is a monomial c q^k with c > 0, and no two edges join the
       same two vertices;
@@ -228,49 +212,46 @@ def _certified_mirror(g: PlanarMultigraph, kappa) -> Optional[int]:
       permutes the vertices; the swap refuses maps of another shape, such
       as the identity);
     * kappa maps every edge e to an edge kappa(e) with the same c;
-    * a vertex potential g, solved along a spanning forest, gives
+    * a vertex potential g, solved along the graph's spanning forest, gives
       k_e + k_kappa(e) = g(u) + g(v) on every edge e = uv.
 
     Then kappa permutes the perfect matchings, keeping the product of the
     c, and a matching M covers every vertex once, so the exponents of M and
     kappa(M) add up to G = sum_v g(v).  So sum_M c(M) q^w(M) is unchanged by
-    q^w -> q^(G - w), and so is det m(q) = +-sum_M c(M) q^w(M), which needs
-    the flatness that ``_certified_coeff_bound`` checks first."""
-    n = g.n_vertices
-    blk = g.bipartition[0]
-    if len(kappa) != n or any(kappa[kappa[v]] != v or (v in blk) == (kappa[v] in blk) for v in g.vertices):
-        return None
-    term = {}  # (u, v), u < v -> (k, c) of the one edge joining u and v
+    q^w -> q^(G - w), and so is det m(q) = +-sum_M c(M) q^w(M)."""
+    if nonflat_faces(sg):
+        return False, None
+    g = sg.graph
+    term = {} if kappa is not None else None  # (u, v), u < v -> (k, c); None: no mirror
     for e in g.edges:
         cs = e.weight.coeffs if isinstance(e.weight, QPoly) else (e.weight,)
+        if any(c < 0 for c in cs):
+            return False, None
         k = len(cs) - 1
-        if k < 0 or cs[k] <= 0 or any(cs[:k]):
-            return None
-        term[min(e.u, e.v), max(e.u, e.v)] = k, cs[k]
-    if len(term) != len(g.edges):
-        return None
-    sums, adj = {}, [[] for _ in range(n)]  # the edge's k plus its image's
-    for (u, v), (k, c) in term.items():
-        ku, kv = kappa[u], kappa[v]
+        if term is None or k < 0 or not cs[k] or any(cs[:k]):
+            term = None
+        else:
+            term[min(e.u, e.v), max(e.u, e.v)] = k, cs[k]
+    if term is None or len(term) != len(g.edges):
+        return True, None
+    n, blk = g.n_vertices, g.bipartition[0]
+    if len(kappa) != n or any(kappa[kappa[v]] != v or (v in blk) == (kappa[v] in blk) for v in g.vertices):
+        return True, None
+    sums = [0] * (len(g.tails) >> 1)  # by edge id: the edge's k plus its image's
+    for e in g.edges:
+        k, c = term[min(e.u, e.v), max(e.u, e.v)]
+        ku, kv = kappa[e.u], kappa[e.v]
         image = term.get((min(ku, kv), max(ku, kv)))
         if image is None or image[1] != c:
-            return None
-        sums[u, v] = s = k + image[0]
-        adj[u].append((v, s))
-        adj[v].append((u, s))
-    pot = [None] * n
-    for root in g.vertices:
-        if pot[root] is None:
-            pot[root] = 0
-            queue = [root]
-            for x in queue:  # grows while it is walked
-                for y, s in adj[x]:
-                    if pot[y] is None:
-                        pot[y] = s - pot[x]
-                        queue.append(y)
-    if any(pot[u] + pot[v] != s for (u, v), s in sums.items()):
-        return None
-    return sum(pot)
+            return True, None
+        sums[e.eid] = k + image[0]
+    pot, tails = [0] * n, g.tails
+    for v, d in g.spanning_forest():  # each parent before its children
+        if d >= 0:
+            pot[v] = sums[d >> 1] - pot[tails[d]]
+    if any(pot[e.u] + pot[e.v] != sums[e.eid] for e in g.edges):
+        return True, None
+    return True, sum(pot)
 
 
 def weighted_matching_sum(g: PlanarMultigraph, kappa=None):
@@ -280,18 +261,17 @@ def weighted_matching_sum(g: PlanarMultigraph, kappa=None):
     its builder flagged bipartite goes through one determinant, everything
     else through one Pfaffian, each of the whole graph.
 
-    Over Z[q] the determinant's CRT stops at the coefficient bound
-    |det K(1)| when ``_certified_coeff_bound`` proves, from the signing's
-    flatness and the weights' nonnegative coefficients checked in the same
-    call, that every coefficient has one sign; ``det`` then eliminates
-    K(1) once, over Z, for both N and the program its evaluations replay.
-    When either check fails, ``det`` falls back to Goldstein-Graham.
-    With the bound proven and a vertex map kappa given (the half-turn), the
-    determinant proves its degree window by one min-cost assignment on K's
-    rows and evaluates half of it when ``_certified_mirror`` proves its
-    mirror exponent; when it does not, two assignments prove the window and
-    it is evaluated whole.  The Pfaffian branch always takes the kernel's
-    own bound.
+    Over Z[q], ``_certificates`` proves in one pass over the weights what
+    ``det`` may rest on.  When the signing is flat and every coefficient
+    nonnegative, every coefficient has one sign, so the CRT stops at the
+    coefficient bound |det K(1)|; ``det`` then eliminates K(1) once, over
+    Z, for both N and the program its evaluations replay.  When either
+    check fails, ``det`` falls back to Goldstein-Graham.  With the bound
+    proven and a vertex map kappa given (the half-turn), the determinant
+    proves its degree window by one min-cost assignment on K's rows and
+    evaluates half of it when the mirror exponent is proven too; when it is
+    not, two assignments prove the window and it is evaluated whole.  The
+    Pfaffian branch always takes the kernel's own bound.
     """
     poly = _is_poly(g)
     if any(len(comp) % 2 for comp in g.components()):
@@ -304,6 +284,4 @@ def weighted_matching_sum(g: PlanarMultigraph, kappa=None):
         return QPoly() if poly else 0
     if not poly:
         return det(m)
-    one_sign = _certified_coeff_bound(sg)
-    mirror = _certified_mirror(g, kappa) if one_sign and kappa is not None else None
-    return det(m, one_sign, mirror)
+    return det(m, *_certificates(sg, kappa))

@@ -20,7 +20,8 @@ undercount.  Nothing is kept from one call to the next.
 Both refuse, with ``SizeLimitError`` and before enumerating, a box holding
 more than ``MAX_PARTITIONS`` plane partitions (4x5x5 is admitted, 5x5x5 is
 not): the budget counts the box's partitions, not the candidates or the
-prefixes.
+prefixes.  ``q_sum`` also refuses a box whose answer has degree abc over
+``MAX_Q_SUM_DEGREE``, before it allocates the coefficients.
 """
 
 from __future__ import annotations
@@ -46,6 +47,14 @@ Heights = Tuple[Tuple[int, ...], ...]
 # The most plane partitions count_symmetric and q_sum enumerate in one box:
 # 4x5x5 (1.7e7) is admitted, 5x5x5 (2.7e8) refused.
 MAX_PARTITIONS = 2 * 10**7
+
+# The largest q-degree abc whose q_sum is built: the answer has abc + 1
+# coefficients, about 100 B of peak RSS each (11 B printed).  Measured
+# in-process through cli.main on a 2-vCPU VM, CPython 3.11: 1x1x500000
+# 0.4-0.9 s at 63 MiB peak RSS, 1x1x10^6 0.9-1.7 s at 110 MiB.  The
+# partition budget alone admits 1x1x19999999; the q formula route reaches
+# 1x1x500000 too.
+MAX_Q_SUM_DEGREE = 500_000
 
 
 class SizeLimitError(ValueError):
@@ -295,8 +304,14 @@ def count_symmetric(class_id: int, a: int, b: int, c: int) -> int:
 def q_sum(a: int, b: int, c: int) -> QPoly:
     """Sum of q^(volume) over all plane partitions in the box: for each
     prefix of all rows but the last, the volumes of the rows that may go
-    under its last row, shifted by the prefix's volume."""
+    under its last row, shifted by the prefix's volume.  Raises
+    SizeLimitError, before any work, past MAX_Q_SUM_DEGREE or the partition
+    budget."""
     check_budget(a, b, c)
+    if a * b * c > MAX_Q_SUM_DEGREE:
+        raise SizeLimitError(
+            f"box {a}x{b}x{c} has q-degree {a * b * c}; the oracle's q-sum takes at most {MAX_Q_SUM_DEGREE}"
+        )
     coeffs = [0] * (a * b * c + 1)
     for hist, vol in _prefix_tallies(a, b, c, lambda rows: Counter(map(sum, rows)).items()):
         for v, n in hist:

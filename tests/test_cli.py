@@ -5,7 +5,8 @@ import time
 import pytest
 
 import ppcount.cli as cli
-from ppcount.formulas import n_class
+from ppcount.exactalg import QPoly
+from ppcount.formulas import n_class, q_box_product
 
 
 @pytest.fixture(autouse=True)
@@ -126,6 +127,27 @@ def test_oracle_over_budget_exits_2_at_once(argv, capsys):
     assert code == 2 and out == ""
     assert err.startswith(f"error: box {side}x{side}x{side} ")
     assert len(err.splitlines()) == 1 and len(err) < 200
+
+
+@pytest.mark.parametrize("dims", ["1,1,19999999", "1,1,500001"])
+def test_q_oracle_over_its_degree_cap_exits_2_at_once(dims, capsys):
+    # 1x1x19999999 holds exactly the partition budget's 2 * 10^7 partitions
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "count", "--class", "1", "--dims", dims, "--q", "--method", "oracle")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: box {}x{}x{} has q-degree ".format(*dims.split(",")))
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("dims", ["1,1,500000", "4,5,5", "1,2000,1"])
+def test_q_oracle_answers_up_to_its_degree_cap(dims, capsys):
+    box = tuple(map(int, dims.split(",")))
+    # a 1 x 1 x c or 1 x b x 1 box holds one partition of each volume <= bc
+    want = q_box_product(*box) if box == (4, 5, 5) else QPoly((1,) * (box[1] * box[2] + 1))
+    code, out, err = run(capsys, "count", "--class", "1", "--dims", dims, "--q", "--method", "oracle")
+    assert code == 0 and err == ""
+    assert out == f"{want}\n"
 
 
 def test_count_prints_answers_past_the_int_str_digit_limit(capsys):
@@ -316,7 +338,16 @@ def test_verify_detects_mismatch(monkeypatch, capsys):
     monkeypatch.setattr(cli, "compute_count", crooked)
     code, _, err = run(capsys, "verify", "--max-side", "1", "--classes", "1")
     assert code == 1
-    assert "MISMATCH" in err
+    # the class, the box and each route's answer
+    assert err == "verify: MISMATCH class 1 box 1x1x1: formula 2, matrix 2, oracle 3\n"
+
+
+def test_verify_checks_a_repeated_class_once(capsys):
+    code, out, _ = run(capsys, "verify", "--max-side", "1", "--classes", "3,3")
+    assert code == 0
+    rows = [r.rsplit(",", 1)[0] for r in out.strip().splitlines()[1:]]  # micros cut
+    assert len(rows) == len(set(rows)) == 2 * 3  # 0^3 and 1^3, three methods each
+    assert {r.split(",")[0] for r in rows} == {"3"}
 
 
 def test_verify_bad_class_list(capsys):

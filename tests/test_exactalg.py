@@ -27,14 +27,15 @@ from ppcount.exactalg import (
 )
 from ppcount.formulas import q_box_product
 from ppcount.hexgrid import build_hexagon, q_weight_graph
-from ppcount.kasteleyn import _certified_mirror, bipartite_matrix, flat_signing
+from ppcount.kasteleyn import _certificates, bipartite_matrix, flat_signing
 
 
 def mirrored_box(a, b, c):
     """The flat-signed q matrix of the box and the mirror exponent that
-    ``_certified_mirror`` proves for it with the half-turn."""
+    ``_certificates`` proves for it with the half-turn."""
     g, kappa = q_box_with_half_turn((a, b, c))
-    return bipartite_matrix(flat_signing(g)), _certified_mirror(g, kappa)
+    sg = flat_signing(g)
+    return bipartite_matrix(sg), _certificates(sg, kappa)[1]
 
 
 def det_cofactor(rows):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -372,6 +373,53 @@ def test_program_graphs_are_flat_with_all_plus_one_and_stored_directions(small_q
         assert flat_orientation(g).heads == {e.eid: e.v for e in g.edges}
 
 
+def reference_spanning_tree(g, comp):
+    """The edge ids of the component's breadth-first spanning tree from its
+    least vertex, walked frontier by frontier in rotation order."""
+    root = min(comp)
+    seen = {root}
+    tree: set = set()
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for d in g.rotation[v]:
+                w = g.tails[d ^ 1]  # the dart's head
+                if w not in seen:
+                    seen.add(w)
+                    tree.add(d >> 1)
+                    nxt.append(w)
+        frontier = nxt
+    return tree
+
+
+def _assert_forest_is_the_breadth_first_one(g):
+    forest = g.spanning_forest()
+    assert sorted(v for v, _ in forest) == list(g.vertices)  # each vertex once
+    comps = g.components()
+    # one root per component, its least id, in the order of those ids
+    assert [v for v, d in forest if d < 0] == sorted(min(comp) for comp in comps)
+    listed = set()
+    for v, d in forest:
+        if d >= 0:  # from a vertex listed earlier, to v
+            assert g.tails[d] in listed and g.tails[d ^ 1] == v
+        listed.add(v)
+    assert {d >> 1 for _, d in forest if d >= 0} == set().union(*(reference_spanning_tree(g, c) for c in comps))
+
+
+def test_spanning_forest_is_the_breadth_first_one_on_z_graphs():
+    for dims in itertools.product(range(5), repeat=3):
+        _assert_forest_is_the_breadth_first_one(build_graph(build_hexagon(*dims)))
+
+
+def test_spanning_forest_is_the_breadth_first_one_on_quotients(small_quotients):
+    several = 0
+    for _, _, q in small_quotients:
+        _assert_forest_is_the_breadth_first_one(q)
+        several += len(q.components()) > 1
+    assert several > 0
+
+
 def reference_flat_orientation(g):
     """The flat orientation before it took the whole graph: one spanning
     tree and one dual tree per component.  Kept as the reference."""
@@ -385,21 +433,7 @@ def reference_flat_orientation(g):
         comp_edges = [e for e in g.edges if e.u in comp]
         if not comp_edges:
             continue
-        # primal spanning tree (BFS)
-        root = min(comp)
-        seen = {root}
-        tree: set = set()
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for d in g.rotation[v]:
-                    w = g.tails[d ^ 1]  # the dart's head
-                    if w not in seen:
-                        seen.add(w)
-                        tree.add(d >> 1)
-                        nxt.append(w)
-            frontier = nxt
+        tree = reference_spanning_tree(g, comp)
         cotree = [e for e in comp_edges if e.eid not in tree]
         # dual tree on the component's faces through co-tree edges
         comp_faces = sorted(
@@ -572,16 +606,29 @@ def test_negative_weight_falls_back_to_goldstein_graham(monkeypatch):
     assert len(primes) == 2
 
 
+def test_unflat_signing_certifies_neither_bound_nor_mirror():
+    # one edge's sign flipped leaves two faces non-flat: no one-sign bound,
+    # and the mirror, whose proof needs the same flatness, is not tried
+    for dims in [(2, 2, 3), (3, 3, 3), (1, 2, 4)]:
+        g, kappa = q_box_with_half_turn(dims)
+        sg = flat_signing(g)
+        assert kasteleyn._certificates(sg, kappa)[1] is not None
+        flipped = SignedGraph(g, {**sg.signs, g.edges[0].eid: -1})
+        assert nonflat_faces(flipped)
+        assert kasteleyn._certificates(flipped, kappa) == (False, None)
+
+
 def _spy_certificate(monkeypatch):
-    """The mirror exponents ``_certified_mirror`` returns, and the Z[q]
+    """The mirror exponents ``_certificates`` returns, and the Z[q]
     evaluations: the elimination that records the program, and the lanes
     of each block replay."""
     seen = {"mirrors": [], "evaluations": 0}
-    honest_mirror, honest_pf, honest_replay = kasteleyn._certified_mirror, exactalg._pf_mod, exactalg._replay_block
+    honest_certificates, honest_pf, honest_replay = kasteleyn._certificates, exactalg._pf_mod, exactalg._replay_block
 
-    def mirror(g, kappa):
-        seen["mirrors"].append(honest_mirror(g, kappa))
-        return seen["mirrors"][-1]
+    def certificates(sg, kappa):
+        out = honest_certificates(sg, kappa)
+        seen["mirrors"].append(out[1])
+        return out
 
     def pf_mod(n, pairs, vals, p, record=False):
         seen["evaluations"] += record
@@ -591,7 +638,7 @@ def _spy_certificate(monkeypatch):
         seen["evaluations"] += len(vals[0])
         return honest_replay(program, vals, p)
 
-    monkeypatch.setattr(kasteleyn, "_certified_mirror", mirror)
+    monkeypatch.setattr(kasteleyn, "_certificates", certificates)
     monkeypatch.setattr(exactalg, "_pf_mod", pf_mod)
     monkeypatch.setattr(exactalg, "_replay_block", replay_block)
     return seen
