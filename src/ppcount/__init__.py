@@ -6,7 +6,7 @@ enumeration; the test suite holds them against each other.
 """
 
 from .exactalg import ExactMatrix, QPoly, det, pfaffian_abs
-from .formulas import n_class, n_class_via_ratios
+from .formulas import n_class
 from .hexgrid import HexRegion, PlanarMultigraph, Triangle, build_graph, build_hexagon, q_weight_graph
 from .kasteleyn import flat_orientation, flat_signing, weighted_matching_sum
 from .oracle import count_symmetric, enumerate_partitions, q_sum
@@ -29,7 +29,6 @@ __all__ = [
     "flat_signing",
     "group_elements",
     "n_class",
-    "n_class_via_ratios",
     "pfaffian_abs",
     "q_sum",
     "q_weight_graph",

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / full agreement, 1 verification mismatch, 2 usage
 error or a request over the size budget of the oracle, the matrix route,
-the q matrix route or the formula routes (formula, ratios and table).
+the q matrix route or the formula routes (formula, q formula and table).
 All outputs are deterministic except the timing column of the verification
 CSV.
 """
@@ -15,15 +15,7 @@ import time
 from typing import List, Optional, Tuple
 
 from .exactalg import QPoly
-from .formulas import (
-    RATIO_CLASSES,
-    formula_work,
-    n_class,
-    n_class_via_ratios,
-    q_box_product,
-    q_product_work,
-    ratio_work,
-)
+from .formulas import formula_work, n_class, q_box_product, q_product_work
 from .hexgrid import PlanarMultigraph, build_graph, build_hexagon
 from .kasteleyn import flat_orientation, flat_signing, weighted_matching_sum
 from .oracle import SizeLimitError, check_budget, count_symmetric, q_sum
@@ -63,25 +55,21 @@ def check_matrix_budget(dims, route: str) -> None:
 
 
 # The formula routes' budgets, on work estimated from the sides alone
-# (``formulas.formula_work``, ``ratio_work`` and ``q_product_work``) and
-# summed over a table's rows.  Measured on a 2-vCPU VM, CPython 3.11,
-# in-process, best of 3 processes: by formula, 282x282x282, the largest
-# cube admitted, 0.55-0.6 s for class 1, the slowest class, 0.23 s for
-# class 2, 0.13-0.15 s for classes 3, 4 and 6 and under 0.06 s for the
-# others (class 1 at 500x500x500 took 5.2 s); 1x44000x44000 0.2 s;
-# class 2 on 1000x1000x1 0.003 s; table --max-a 54, the largest admitted,
-# 0.06 s.  By ratios, at most 1e-13 s per unit of work past 0.01 s: class 1 at
-# 700x700x700 (8.6e12) 0.6 s and 1000x1000x1 (1.1e13) 0.7 s, class 3 at
-# 1000x1000x1000 (3.6e13) 0.5 s.  Over Z[q], 15x15x15 0.4 s, 1x99x99 0.8 s
+# (``formulas.formula_work`` and ``q_product_work``) and summed over a
+# table's rows.  Measured on a 2-vCPU VM, CPython 3.11, in-process, best of
+# 3 processes: by formula, 282x282x282, the largest cube admitted,
+# 0.55-0.6 s for class 1, the slowest class, 0.23 s for class 2,
+# 0.13-0.15 s for classes 3, 4 and 6 and under 0.06 s for the others
+# (class 1 at 500x500x500 took 5.2 s); 1x44000x44000 0.2 s; class 2 on
+# 1000x1000x1 0.003 s and class 6 on 1000x1000x2 0.003 s; table --max-a 54,
+# the largest admitted, 0.06 s.  Over Z[q], 15x15x15 0.4 s, 1x99x99 0.8 s
 # and 1x1x500000 0.8 s at 65 MiB peak RSS (20x20x20 took 2.3 s).
 MAX_FORMULA_BITS = 800_000
-MAX_RATIO_WORK = 2 * 10**13
 MAX_Q_PRODUCT_STEPS = 1_000_000
 
 # route -> (work on one (class, box), the limit on its sum, the limit in words)
 FORMULA_BUDGETS = {
     "formula": (formula_work, MAX_FORMULA_BITS**2, f"products of {MAX_FORMULA_BITS} bits"),
-    "ratios": (ratio_work, MAX_RATIO_WORK, f"{MAX_RATIO_WORK:.0e} bit operations"),
     "q": (lambda _, dims: q_product_work(dims), MAX_Q_PRODUCT_STEPS, f"{MAX_Q_PRODUCT_STEPS} coefficient steps"),
 }
 
@@ -178,14 +166,6 @@ def compute_count(class_id: int, dims, method: str, q_flag: bool = False):
         return matrix_count(class_id, dims)
     if method == "oracle":
         return count_symmetric(class_id, *dims)
-    if method == "ratios":
-        if class_id not in RATIO_CLASSES:
-            raise UsageError(f"method 'ratios' supports classes {RATIO_CLASSES}")
-        check_formula_budget([(class_id, dims)], "ratios")
-        try:
-            return n_class_via_ratios(class_id, dims)
-        except ValueError as e:  # a fixed box the telescoping does not reach
-            raise UsageError(str(e)) from None
     raise UsageError(f"unknown method {method!r}")
 
 
@@ -357,9 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("count", help="count one class in one box")
     pc.add_argument("--class", dest="class_id", type=int, required=True)
     pc.add_argument("--dims", required=True, help="a,b,c")
-    pc.add_argument(
-        "--method", choices=("formula", "matrix", "oracle", "ratios"), default="formula"
-    )
+    pc.add_argument("--method", choices=("formula", "matrix", "oracle"), default="formula")
     pc.add_argument("--q", action="store_true", help="q-enumeration (class 1 only)")
     pc.add_argument("--json", action="store_true")
 

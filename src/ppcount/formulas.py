@@ -1,16 +1,18 @@
-"""Closed-form counts for the ten symmetry classes, and the ratio route.
+"""Closed-form counts for the ten symmetry classes.
 
 Every class is counted in one notation, that of Stanley's table (Stanley,
 "Symmetries of plane partitions", JCTA 43, 1986): a product over one short
-index range, each row a ratio of falling factorials ``math.perm``, multiplied
-into a numerator and a denominator that divide exactly once at the end.
+index range, each row a ratio of falling factorials ``math.perm`` or of
+short runs of factors, multiplied into a numerator and a denominator that
+divide exactly once at the end.
 Classes 5, 7 and 9 are products of other classes' counts; class 9, the
 cyclically symmetric self-complementary partitions of a 2n-cube, is the
 square of class 10, the source paper's theorem CSSC(2n) =
 prod_{i<n} ((3i+1)! / (n+i)!)^2.  A class counts 0 on boxes it does not
 fix and where a parity obstruction rules out any invariant partition (odd
 volume for complementation, odd height for transpose-complementation).
-The rows run over the short sides, so thin boxes are immediate.
+The rows run over the short sides (class 6 over the half height of a low
+box), so thin boxes are immediate.
 
 Class 1 also has MacMahon's volume generating function, the formula route
 of q-enumeration (``q_box_product``).
@@ -19,13 +21,10 @@ of q-enumeration (``q_box_product``).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Tuple
+from typing import Tuple
 
 from .exactalg import QPoly
 from .symmetry import CLASSES
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -85,11 +84,24 @@ def _n4(n: int) -> int:
 def _n6(a: int, b: int) -> int:
     """Transpose-complementary partitions in an a x a x 2b box, a >= 1:
     C(a + b - 1, a - 1) times the product of (2b + i + j + 1) / (i + j + 1)
-    over 1 <= i <= j <= a - 2.  The product over j is
-    perm(2b + i + a - 1, a - 1 - i) / perm(i + a - 1, a - 1 - i), so the
-    work grows with a, not with b."""
+    over 1 <= i <= j <= n = a - 2.  The product over j is
+    perm(2b + i + a - 1, a - 1 - i) / perm(i + a - 1, a - 1 - i).  When
+    b < a the rows run over the heights k <= b instead: with m(s) the number
+    of pairs i <= j with i + j = s, going from 2k - 2 to 2k multiplies the
+    product by t = 2k + s - 1 to the power m(s - 2) - m(s), for
+    s = 2..2n + 2, and each power is -1, 0 or 1.  So the work grows with
+    a min(a, b)."""
+    num = math.comb(a + b - 1, a - 1)
+    if b < a:
+        n = a - 2
+        m = [max(0, s // 2 - max(1, s - n) + 1) for s in range(2 * n + 3)]
+        ups = [s - 1 for s in range(2, 2 * n + 3) if m[s - 2] > m[s]]
+        downs = [s - 1 for s in range(2, 2 * n + 3) if m[s - 2] < m[s]]
+        rows = range(2, 2 * b + 1, 2)  # 2k for k = 1..b
+        return _exact_div(num * math.prod(math.prod(k + t for t in ups) for k in rows),
+                          math.prod(math.prod(k + t for t in downs) for k in rows))
     rows = range(1, a - 1)
-    num = math.comb(a + b - 1, a - 1) * math.prod(math.perm(2 * b + i + a - 1, a - 1 - i) for i in rows)
+    num *= math.prod(math.perm(2 * b + i + a - 1, a - 1 - i) for i in rows)
     return _exact_div(num, math.prod(math.perm(i + a - 1, a - 1 - i) for i in rows))
 
 
@@ -188,12 +200,13 @@ def formula_work(class_id: int, dims: Tuple[int, int, int]) -> int:
     in their bits.  f is the product of the two sides the formula loops
     over: the two shortest for classes 1, 5 and 7 (MacMahon's product on the
     box or its halves, ``_n1``), n * min(n, c) for class 2 on an n x n x c
-    box, and a * b for the others, whose boxes have a = b."""
+    box, a * min(a, b) for class 6 on an a x a x 2b box, and a * a for the
+    others, which count cubes."""
     if _immediate(class_id, dims) is not None:
         return 0
     x, y, z = sorted(dims)
-    f = (x * y if class_id in (1, 5, 7)
-         else dims[0] * (min(dims[0], dims[2]) if class_id == 2 else dims[1]))
+    a, _, c = dims
+    f = x * y if class_id in (1, 5, 7) else a * min(a, {2: c, 6: c // 2}.get(class_id, a))
     return (f * (x + y + z).bit_length()) ** 2
 
 
@@ -226,105 +239,3 @@ def q_product_work(dims: Tuple[int, int, int]) -> int:
     about (xy + 1) xyz steps."""
     x, y, z = sorted(dims)
     return (x * y + 1) * x * y * z
-
-
-# ---------------------------------------------------------------------------
-# ratio identities (the inductive steps behind classes 1, 3, 5, 9)
-# ---------------------------------------------------------------------------
-
-
-RATIO_CLASSES = (1, 3, 5, 9)
-
-
-def _fraction(num: int, den: int) -> Fraction:
-    # fractions loads decimal and numbers, which only the ratio route needs
-    from fractions import Fraction
-
-    return Fraction(num, den)
-
-
-def _ratio1(a: int, b: int, c: int) -> Fraction:
-    """N1(a+1,b+1,c-1) / N1(a,b,c) for c >= 1."""
-    return _fraction(math.comb(a + b + c, c - 1), math.comb(a + b, a))
-
-
-def _ratio3(a: int) -> Fraction:
-    """N3(a+1,a+1,a+1) / N3(a,a,a) for a >= 1."""
-    return _fraction((3 * a + 2) * math.comb(3 * a, a - 1), a * math.comb(2 * a, a))
-
-
-def _ratio9(a: int) -> Fraction:
-    """N9(2a+2,2a+2,2a+2) / N9(2a,2a,2a) for a >= 0."""
-    return _fraction(math.comb(3 * a + 1, a) ** 2, math.comb(2 * a, a) ** 2)
-
-
-def n_class_via_ratios(class_id: int, dims: Tuple[int, int, int]) -> int:
-    """Counts for classes 1, 3, 5, 9 by telescoping their ratio identities.
-
-    Boxes not fixed by the class and parity zeros give 0, as in
-    ``n_class``; other boxes the telescoping does not reach raise
-    ValueError.
-    """
-    if class_id not in RATIO_CLASSES:
-        raise ValueError(f"no ratio telescoping for class {class_id}")
-    known = _immediate(class_id, dims)
-    if known is not None:
-        return known
-    a, b, c = dims
-    if class_id == 1:
-        val = 1
-        while a > 0 and b > 0:
-            a, b, c = a - 1, b - 1, c + 1
-            val *= _ratio1(a, b, c)
-        # base: an empty-width box holds exactly one (empty) partition
-    elif class_id == 3:
-        if a == 0:
-            return 1
-        val = 2  # the two cyclic partitions of the unit cube
-        for k in range(1, a):
-            val *= _ratio3(k)
-    elif class_id == 5:
-        if a % 2 or b % 2 or c % 2:
-            raise ValueError("self-complementary telescoping needs even sides")
-        ha, hb, hc = a // 2, b // 2, c // 2
-        val = 1
-        while ha > 0 and hb > 0:
-            ha, hb, hc = ha - 1, hb - 1, hc + 1
-            val *= _ratio1(ha, hb, hc) ** 2
-    else:
-        val = 1
-        for k in range(a // 2):
-            val *= _ratio9(k)
-    if val.denominator != 1:
-        raise ArithmeticError("telescoped ratio is not an integer")
-    return int(val)
-
-
-def ratio_work(class_id: int, dims: Tuple[int, int, int]) -> int:
-    """``n_class_via_ratios``'s work on one box, from the sides alone: its
-    steps, times the bits of one step's fraction, times a bound on the bits
-    of the running product, which each step divides by one and multiplies
-    by the other; 0 where it answers or raises at once.
-
-    Class 1 steps min(a, b) times along (a - k, b - k, c + k); the running
-    product is N1(a, b, c) / N1(a - k, b - k, c + k), and a count N1(x, y, z)
-    has at most xy * bit_length(x + y + z) bits for any two of its sides, so
-    at most min(ab, a(b + c)/2) * bit_length(a + b + c) for a <= b.  A
-    step's binomial C(n, a + b + 1), n = a + b + c, has at most
-    min(n, (a + b + 1) bit_length(n)) bits.  Class 5 walks the same path on
-    the halves, with every fraction squared.  Classes 3 and 9 grow a cube of
-    side a in a and a/2 steps, each fraction of under 3a bits; their
-    running product is a count at most N1(a, a, a), and for class 9 at most
-    N5(a, a, a) = N1(a/2, a/2, a/2)^2, of half as many bits."""
-    a, b, c = dims
-    if class_id == 1:
-        x, y = sorted((a, b))
-        n = a + b + c
-        bits = min(x * y, x * (y + c) // 2) * n.bit_length()
-        return x * min(n, (x + y + 1) * n.bit_length()) * bits
-    if class_id == 5 and not (a % 2 or b % 2 or c % 2):
-        return 4 * ratio_work(1, (a // 2, b // 2, c // 2))
-    if class_id in (3, 9) and a == b == c and not (class_id == 9 and a % 2):
-        bits = a * a * (3 * a).bit_length()
-        return a * 3 * a * bits if class_id == 3 else a // 2 * 3 * a * bits // 2
-    return 0

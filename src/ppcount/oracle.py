@@ -61,7 +61,7 @@ class SizeLimitError(ValueError):
     """The request exceeds a route's fixed size budget: the oracle's here,
     the matrix route's and the export's (``cli.check_matrix_budget``), the
     q matrix route's (``cli.check_q_budget``), or the formula routes'
-    (``cli.check_formula_budget``: formula, ratios and table)."""
+    (``cli.check_formula_budget``: formula, q formula and table)."""
 
 
 def _rows_at_most(bound: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:

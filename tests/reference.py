@@ -10,8 +10,11 @@ No ``ppcount`` route runs any of this, so it lives with the tests:
   Z(a,b,c) as it was built before ``hexgrid.lattice``;
 * the plane-partition predicate, a partition's volume, and the naive
   symmetric count that filters every partition in the box;
-* the ratio identities that the ratio route telescopes, each side
-  evaluated on its own;
+* class 6's product over i <= a - 2 on every a x a x 2b box, which
+  ``formulas._n6`` takes only when b >= a;
+* the ratio identities for classes 1, 3, 5 and 9, each side evaluated on
+  its own, and the counts they telescope to, which the tests hold against
+  the product formulas;
 * flat-orientation checks and the unsigned / symmetric adjacency matrices;
 * perfect-matching enumeration and counting, the brute-force weighted
   matching sum, the matching -> partition map and hexagon flip moves.
@@ -19,11 +22,12 @@ No ``ppcount`` route runs any of this, so it lives with the tests:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ppcount.exactalg import ExactMatrix, QPoly, Scalar
-from ppcount.formulas import _ratio1, _ratio3, _ratio9, n_class
+from ppcount.formulas import _exact_div, _immediate, n_class
 from ppcount.hexgrid import Edge, EmbeddingError, HexRegion, PlanarMultigraph, RegionError, Triangle, build_graph
 from ppcount.kasteleyn import (
     OrientedGraph,
@@ -312,18 +316,88 @@ def count_symmetric_naive(class_id: int, a: int, b: int, c: int) -> int:
     return n
 
 
+def n6_long_side(a: int, b: int) -> int:
+    """Transpose-complementary partitions in an a x a x 2b box, a >= 1:
+    C(a + b - 1, a - 1) times the product over i <= a - 2 of
+    perm(2b + i + a - 1, a - 1 - i) / perm(i + a - 1, a - 1 - i), about
+    a^2 / 2 factors whatever b is."""
+    rows = range(1, a - 1)
+    num = math.comb(a + b - 1, a - 1) * math.prod(math.perm(2 * b + i + a - 1, a - 1 - i) for i in rows)
+    return _exact_div(num, math.prod(math.perm(i + a - 1, a - 1 - i) for i in rows))
+
+
 # ---------------------------------------------------------------------------
 # ratio identities
 # ---------------------------------------------------------------------------
 
 
+def _ratio1(a: int, b: int, c: int) -> Fraction:
+    """N1(a+1,b+1,c-1) / N1(a,b,c) for c >= 1."""
+    return Fraction(math.comb(a + b + c, c - 1), math.comb(a + b, a))
+
+
+def _ratio3(a: int) -> Fraction:
+    """N3(a+1,a+1,a+1) / N3(a,a,a) for a >= 1."""
+    return Fraction((3 * a + 2) * math.comb(3 * a, a - 1), a * math.comb(2 * a, a))
+
+
+def _ratio9(a: int) -> Fraction:
+    """N9(2a+2,2a+2,2a+2) / N9(2a,2a,2a) for a >= 0."""
+    return Fraction(math.comb(3 * a + 1, a) ** 2, math.comb(2 * a, a) ** 2)
+
+
+def n_class_via_ratios(class_id: int, dims: Tuple[int, int, int]) -> int:
+    """Counts for classes 1, 3, 5 and 9 by telescoping their ratio
+    identities from the empty box, the unit cube or the empty cube.
+
+    Boxes not fixed by the class and parity zeros give 0, as in
+    ``n_class``; other boxes the telescoping does not reach raise
+    ValueError.
+    """
+    if class_id not in (1, 3, 5, 9):
+        raise ValueError(f"no ratio telescoping for class {class_id}")
+    known = _immediate(class_id, dims)
+    if known is not None:
+        return known
+    a, b, c = dims
+    if class_id == 1:
+        val = Fraction(1)
+        while a > 0 and b > 0:
+            a, b, c = a - 1, b - 1, c + 1
+            val *= _ratio1(a, b, c)
+        # base: an empty-width box holds exactly one (empty) partition
+    elif class_id == 3:
+        if a == 0:
+            return 1
+        val = Fraction(2)  # the two cyclic partitions of the unit cube
+        for k in range(1, a):
+            val *= _ratio3(k)
+    elif class_id == 5:
+        if a % 2 or b % 2 or c % 2:
+            raise ValueError("self-complementary telescoping needs even sides")
+        ha, hb, hc = a // 2, b // 2, c // 2
+        val = Fraction(1)
+        while ha > 0 and hb > 0:
+            ha, hb, hc = ha - 1, hb - 1, hc + 1
+            val *= _ratio1(ha, hb, hc) ** 2
+    else:
+        val = Fraction(1)
+        for k in range(a // 2):
+            val *= _ratio9(k)
+    if val.denominator != 1:
+        raise ArithmeticError("telescoped ratio is not an integer")
+    return int(val)
+
+
+
 def ratio_steps(a: int, b: int, c: int) -> List[Tuple[str, Fraction, Fraction]]:
     """The ratio identities that apply at (a, b, c), each as (name, the
-    ratio of two n_class counts, the step the ratio route multiplies by):
+    ratio of two n_class counts, the step ``n_class_via_ratios`` multiplies
+    by):
     class 1 growth and class 5 on the doubled boxes for c >= 1, class 3
     cyclic growth for a = b = c >= 1, and class 9 for a = b = c.  For the
     cubic identities only a is used."""
-    steps = []  # (name, class, numerator box, denominator box, the route's step)
+    steps = []  # (name, class, numerator box, denominator box, the telescoping step)
     if c >= 1:
         steps.append(("growth-step", 1, (a + 1, b + 1, c - 1), (a, b, c), _ratio1(a, b, c)))
         doubled = ((2 * a + 2, 2 * b + 2, 2 * c - 2), (2 * a, 2 * b, 2 * c))

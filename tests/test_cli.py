@@ -72,6 +72,8 @@ def test_count_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "count", "--class", "2", "--dims", "1,1,1", "--method", "ratios")
     assert code == 2
+    code, out, _ = run(capsys, "count", "--class", "1", "--dims", "2,2,2", "--method", "ratios")
+    assert code == 2 and out == ""
 
 
 @pytest.mark.parametrize("method", ["formula", "matrix", "oracle"])
@@ -80,22 +82,11 @@ def test_count_box_not_fixed_by_class_is_zero(method, capsys):
     assert (code, out.strip(), err) == (0, "0", "")
 
 
-def test_count_ratios_box_not_fixed_by_class_is_zero(capsys):
-    code, out, err = run(capsys, "count", "--class", "3", "--dims", "1,2,3", "--method", "ratios")
-    assert (code, out.strip(), err) == (0, "0", "")
-
-
-@pytest.mark.parametrize("class_id, dims", [(9, "3,3,3"), (9, "5,5,5"), (5, "1,1,1"), (5, "3,3,3")])
-def test_count_ratios_parity_zero_is_zero(class_id, dims, capsys):
-    code, out, err = run(capsys, "count", "--class", str(class_id), "--dims", dims, "--method", "ratios")
-    assert (code, out.strip(), err) == (0, "0", "")
-
-
 @pytest.mark.parametrize(
     "argv",
     [
-        ("count", "--class", "5", "--dims", "1,2,3", "--method", "ratios"),
-        ("count", "--class", "5", "--dims", "2,2,3", "--method", "ratios"),
+        ("count", "--class", "11", "--dims", "1,1,1"),
+        ("count", "--class", "2", "--dims", "1,1,1", "--q"),
         ("export", "--kind", "quotient", "--class", "2", "--dims", "1,2,3"),
         ("export", "--kind", "quotient", "--class", "11", "--dims", "1,1,1"),
         ("verify", "--max-side", "1", "--classes", "1,x"),
@@ -220,9 +211,9 @@ def test_export_over_the_matrix_budget_exits_2_at_once(kind, capsys):
         ("count", "--class", "2", "--dims", "1000,1000,1000"),
         ("count", "--class", "1", "--dims", "16,16,16", "--q"),
         ("count", "--class", "1", "--dims", "1,1,1000000", "--q"),
-        ("count", "--class", "1", "--dims", "1000,1000,1000", "--method", "ratios"),
-        ("count", "--class", "9", "--dims", "2000,2000,2000", "--method", "ratios"),
-        ("count", "--class", "1", "--dims", "2000,2000,1", "--method", "ratios"),
+        ("count", "--class", "5", "--dims", "1000,1000,1000"),
+        ("count", "--class", "9", "--dims", "2000,2000,2000"),
+        ("count", "--class", "6", "--dims", "2000,2000,2000"),  # a tall box: a * min(a, b) factors
         ("table", "--max-a", "1000"),
         ("table", "--max-a", "1000000000"),
     ],
@@ -245,13 +236,13 @@ def test_formula_routes_over_budget_exit_2_at_once(argv, capsys):
         (3, (282, 282, 282), "formula"),
         (2, (1, 1, 3000), "formula"),
         (6, (1, 1, 100000), "formula"),
-        (1, (700, 700, 700), "ratios"),
-        (1, (1000, 1000, 1), "ratios"),
-        (1, (1, 1, 10**9), "ratios"),
-        (3, (300, 300, 300), "ratios"),
-        (3, (800, 800, 800), "ratios"),
-        (5, (1000, 1000, 1000), "ratios"),
-        (9, (1000, 1000, 1000), "ratios"),
+        (1, (282, 282, 282), "formula"),
+        (2, (282, 282, 282), "formula"),
+        (4, (282, 282, 282), "formula"),
+        (6, (282, 282, 282), "formula"),
+        (1, (1, 44000, 44000), "formula"),
+        (2, (1000, 1000, 1), "formula"),
+        (6, (1000, 1000, 2), "formula"),
         (1, (10, 10, 10), "q"),
         (1, (1, 1, 999), "q"),
         (1, (1, 2, 500), "q"),
@@ -262,11 +253,13 @@ def test_formula_budget_admits_the_measured_boxes(class_id, dims, route):
     cli.check_formula_budget([(class_id, dims)], route)
 
 
-def test_ratio_route_answers_an_admitted_box(capsys):
+def test_class_6_on_a_low_box_answers_within_a_second(capsys):
+    # 1000 x 1000 x 2 multiplies about 2000 factors over its one height step
     t0 = time.perf_counter()
-    code, out, _ = run(capsys, "count", "--class", "3", "--dims", "300,300,300", "--method", "ratios")
+    code, out, err = run(capsys, "count", "--class", "6", "--dims", "1000,1000,2")
     assert time.perf_counter() - t0 < 1.0
-    assert code == 0 and int(out) == n_class(3, (300, 300, 300))
+    assert (code, err) == (0, "")
+    assert out == f"{n_class(6, (1000, 1000, 2))}\n"
 
 
 @pytest.mark.parametrize(

@@ -6,14 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from reference import ratio_steps
+from reference import n6_long_side, n_class_via_ratios, ratio_steps
 
 from ppcount.cli import matrix_count
 from ppcount.formulas import (
     _immediate,
     formula_work,
     n_class,
-    n_class_via_ratios,
     q_box_product,
 )
 from ppcount.oracle import count_symmetric
@@ -217,6 +216,17 @@ def test_n2_and_n6_on_a_long_thin_box_are_immediate(class_id, dims, value):
     t0 = time.perf_counter()
     assert n_class(class_id, dims) == value
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_n6_over_the_heights_equals_the_product_over_the_long_side():
+    # a low box (b < a) runs over its heights, a tall one over i <= a - 2
+    for a in range(1, 41):
+        for b in range(41):
+            assert n_class(6, (a, a, 2 * b)) == n6_long_side(a, b), (a, b)
+    t0 = time.perf_counter()
+    short = n_class(6, (400, 400, 2))
+    assert time.perf_counter() - t0 < 0.1
+    assert short == n6_long_side(400, 1)
 
 
 def test_formula_work_is_zero_where_n_class_needs_no_product():

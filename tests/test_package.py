@@ -25,6 +25,7 @@ NOT_EXPORTED = {
     "integer_sqrt",
     "is_plane_partition",
     "matching_to_partition",
+    "n_class_via_ratios",
     "neighbors",
     "orientation",
     "partition_json",
@@ -50,7 +51,7 @@ def test_star_import_gives_exactly_the_public_api():
 def test_cold_import_of_the_cli_loads_neither_dataclasses_nor_inspect():
     # dataclasses pulls in inspect, ast, dis and tokenize, a dozen modules
     # that every cold ``ppcount count`` would load and compile for nothing;
-    # fractions (with decimal) serves only the ratio route, json only
+    # no route uses fractions (which loads decimal), and json serves only
     # export and count --json
     code = (
         "import sys; before = set(sys.modules); import ppcount.cli; "
