@@ -1,10 +1,11 @@
 """Command-line front end: counting, verification, tables, graph export.
 
 Exit codes: 0 success / full agreement, 1 verification mismatch, 2 usage
-error or a request over the size budget of the oracle, the matrix route,
-the q matrix route or the formula routes (formula, q formula and table).
-All outputs are deterministic except the timing column of the verification
-CSV.
+error (argparse's refusals included) or a request over the size budget of
+the oracle, the matrix route, the q matrix route or the formula routes
+(formula, q formula and table); each 2 prints one ``error:`` line on stderr
+and nothing on stdout.  All outputs are deterministic except the timing
+column of the verification CSV.
 """
 
 from __future__ import annotations
@@ -24,6 +25,14 @@ from .symmetry import CLASSES, quotient_graph
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's refusals as UsageError, so that main prints them on
+    its one ``error:`` line; subparsers take the same class."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def parse_dims(text: str) -> Tuple[int, int, int]:
@@ -145,28 +154,24 @@ def q_matrix_count(dims) -> QPoly:
     return d.shift(-d.low_degree())
 
 
+METHODS = ("formula", "matrix", "oracle")
+
+
 def compute_count(class_id: int, dims, method: str, q_flag: bool = False):
+    """The count of one method, or with q_flag its volume generating
+    function (class 1 only); each route refuses past its own budget."""
     if class_id not in CLASSES:
         raise UsageError(f"class must be 1..10, got {class_id}")
-    if q_flag:
-        if class_id != 1:
-            raise UsageError("q-enumeration is only supported for class 1")
-        if method == "formula":
-            check_formula_budget([(1, dims)], "q")
-            return q_box_product(*dims)
-        if method == "matrix":
-            return q_matrix_count(dims)
-        if method == "oracle":
-            return q_sum(*dims)
-        raise UsageError(f"q-enumeration does not support method {method!r}")
+    if method not in METHODS:
+        raise UsageError(f"unknown method {method!r}")
+    if q_flag and class_id != 1:
+        raise UsageError("q-enumeration is only supported for class 1")
     if method == "formula":
-        check_formula_budget([(class_id, dims)])
-        return n_class(class_id, dims)
+        check_formula_budget([(class_id, dims)], "q" if q_flag else "formula")
+        return q_box_product(*dims) if q_flag else n_class(class_id, dims)
     if method == "matrix":
-        return matrix_count(class_id, dims)
-    if method == "oracle":
-        return count_symmetric(class_id, *dims)
-    raise UsageError(f"unknown method {method!r}")
+        return q_matrix_count(dims) if q_flag else matrix_count(class_id, dims)
+    return q_sum(*dims) if q_flag else count_symmetric(class_id, *dims)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +201,7 @@ def run_verify(max_side: int, classes=None) -> Tuple[str, List[str]]:
     for class_id in sorted(set(classes or CLASSES)):
         for dims in boxes_for_class(class_id, max_side):
             values = {}
-            for method in ("formula", "matrix", "oracle"):
+            for method in METHODS:
                 t0 = time.perf_counter()
                 values[method] = compute_count(class_id, dims, method)
                 dt = int((time.perf_counter() - t0) * 1e6)
@@ -297,7 +302,7 @@ def run_export(kind: str, class_id: Optional[int], dims, fmt: str, attrs: str) -
     region = build_hexagon(*dims)
     if kind == "z":
         g = build_graph(region)
-    elif kind == "quotient":
+    else:  # "quotient", the parser's only other choice
         if class_id is None:
             raise UsageError("--class is required for quotient export")
         if class_id not in CLASSES:
@@ -305,8 +310,6 @@ def run_export(kind: str, class_id: Optional[int], dims, fmt: str, attrs: str) -
         if not CLASSES[class_id].box_fixed(dims):
             raise UsageError(f"box {dims} is not fixed by class {class_id}")
         g = quotient_graph(region, CLASSES[class_id])
-    else:
-        raise UsageError(f"unknown export kind {kind!r}")
     signs = heads = None
     if attrs == "signs":
         if g.bipartition is None:
@@ -316,8 +319,6 @@ def run_export(kind: str, class_id: Optional[int], dims, fmt: str, attrs: str) -
         if g.n_vertices % 2:
             raise UsageError("orientation export needs an even vertex count")
         heads = flat_orientation(g).heads
-    elif attrs != "none":
-        raise UsageError(f"unknown attribute kind {attrs!r}")
     return graph_to_json(g, signs, heads) if fmt == "json" else graph_to_dot(g, signs, heads)
 
 
@@ -327,7 +328,7 @@ def run_export(kind: str, class_id: Optional[int], dims, fmt: str, attrs: str) -
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="ppcount",
         description="Count plane partitions in the ten symmetry classes by "
         "closed formulas, Kasteleyn determinants/Pfaffians, or brute force.",
@@ -337,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("count", help="count one class in one box")
     pc.add_argument("--class", dest="class_id", type=int, required=True)
     pc.add_argument("--dims", required=True, help="a,b,c")
-    pc.add_argument("--method", choices=("formula", "matrix", "oracle"), default="formula")
+    pc.add_argument("--method", choices=METHODS, default="formula")
     pc.add_argument("--q", action="store_true", help="q-enumeration (class 1 only)")
     pc.add_argument("--json", action="store_true")
 
@@ -366,31 +367,21 @@ def main(argv=None) -> int:
     # (class 1 at 120^3 has 4908 digits); printing them is the program's job.
     if hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         if args.cmd == "count":
-            value = compute_count(args.class_id, parse_dims(args.dims), args.method, args.q)
+            dims = parse_dims(args.dims)
+            value = compute_count(args.class_id, dims, args.method, args.q)
             if args.json:
                 import json
 
-                payload = {
-                    "class": args.class_id,
-                    "dims": list(parse_dims(args.dims)),
-                    "method": args.method,
-                    "q": bool(args.q),
-                    "value": str(value),
-                }
-                print(json.dumps(payload, sort_keys=True))
-            else:
-                print(value)
+                value = json.dumps({"class": args.class_id, "dims": list(dims), "method": args.method,
+                                    "q": args.q, "value": str(value)}, sort_keys=True)
+            print(value)
             return 0
         if args.cmd == "verify":
             classes = None
-            if args.classes:
+            if args.classes is not None:
                 try:
                     classes = [int(x) for x in args.classes.split(",")]
                 except ValueError:
@@ -424,11 +415,12 @@ def main(argv=None) -> int:
                     raise UsageError(f"cannot write {args.output}: {e.strerror}") from None
             else:
                 sys.stdout.write(text)
-            return 0
-        raise UsageError(f"unknown command {args.cmd!r}")
+        return 0
     except (UsageError, SizeLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except SystemExit:  # --help, after printing usage; argparse's errors raise UsageError
+        return 0
 
 
 if __name__ == "__main__":

@@ -91,12 +91,38 @@ def test_count_box_not_fixed_by_class_is_zero(method, capsys):
         ("export", "--kind", "quotient", "--class", "11", "--dims", "1,1,1"),
         ("verify", "--max-side", "1", "--classes", "1,x"),
         ("export", "--kind", "z", "--dims", "1,1,1", "-o", "."),
+        # argparse's own refusals
+        ("count", "--class", "1", "--dims", "2,2,2", "--method", "ratios"),
+        ("count", "--dims", "2,2,2"),
+        ("count", "--class", "x", "--dims", "1,1,1"),
+        ("table", "--max-a", "1", "--format", "xml"),
+        ("export", "--kind", "y", "--dims", "1,1,1"),
+        (),
+        ("verify", "--max-side", "1", "--classes", ""),
     ],
 )
 def test_unanswerable_requests_exit_2_with_an_error_line(argv, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("count", "--help")])
+def test_help_prints_usage_and_returns_0(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: ppcount")
+
+
+@pytest.mark.parametrize("q_flag", [False, True])
+def test_compute_count_refuses_an_unknown_method(q_flag):
+    with pytest.raises(cli.UsageError, match="unknown method 'ratios'"):
+        cli.compute_count(1, (1, 1, 1), "ratios", q_flag)
+
+
+def test_compute_count_refuses_q_past_class_1():
+    with pytest.raises(cli.UsageError, match="class 1"):
+        cli.compute_count(2, (1, 1, 1), "formula", q_flag=True)
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from ppcount.symmetry import (
     TAU,
     BoxError,
     _act_region,
+    _RowImages,
     box_fixed,
     build_parity_gadget,
     compose,
@@ -450,6 +451,22 @@ def test_partition_map_requires_a_fixed_box():
                     partition_map(g, box)
     with pytest.raises(BoxError):
         partition_map(RHO, (2, 2, 1))
+
+
+def test_row_images_answer_every_row_and_keep_at_most_max_rows():
+    calls = []
+
+    def complement(row):
+        calls.append(row)
+        return tuple(9 - v for v in reversed(row))
+
+    images = _RowImages(complement)
+    rows = [(i // 10, i % 10) for i in range(_RowImages.MAX_ROWS + 100)]
+    for row in rows + rows:
+        assert images[row] == (9 - row[1], 9 - row[0])
+    assert len(images) == _RowImages.MAX_ROWS
+    # the kept rows are answered from memory, the rest by the function again
+    assert len(calls) == 2 * len(rows) - _RowImages.MAX_ROWS
 
 
 # ---------------------------------------------------------------------------
