@@ -20,7 +20,7 @@ from .formulas import formula_work, n_class, q_box_product, q_product_work
 from .hexgrid import PlanarMultigraph, build_graph, build_hexagon
 from .kasteleyn import flat_orientation, flat_signing, weighted_matching_sum
 from .oracle import SizeLimitError, check_budget, count_symmetric, q_sum
-from .symmetry import CLASSES, quotient_graph
+from .symmetry import CLASSES, quotient_graph, symmetry_class
 
 
 class UsageError(ValueError):
@@ -103,7 +103,7 @@ def matrix_count(class_id: int, dims) -> int:
     class does not fix holds no invariant partition, so it counts 0, as by
     formula and oracle.  Raises SizeLimitError, before Z is built, for a
     fixed box over the matrix budget (``check_matrix_budget``)."""
-    cls = CLASSES[class_id]
+    cls = symmetry_class(class_id)
     if not cls.box_fixed(dims):
         return 0
     check_matrix_budget(dims, "matrix route")
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Count plane partitions in the ten symmetry classes by "
         "closed formulas, Kasteleyn determinants/Pfaffians, or brute force.",
     )
-    sub = p.add_subparsers(dest="cmd", required=True)
+    sub = p.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("count", help="count one class in one box")
     pc.add_argument("--class", dest="class_id", type=int, required=True)
@@ -369,7 +369,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        if args.cmd == "count":
+        if args.command == "count":
             dims = parse_dims(args.dims)
             value = compute_count(args.class_id, dims, args.method, args.q)
             if args.json:
@@ -379,7 +379,7 @@ def main(argv=None) -> int:
                                     "q": args.q, "value": str(value)}, sort_keys=True)
             print(value)
             return 0
-        if args.cmd == "verify":
+        if args.command == "verify":
             classes = None
             if args.classes is not None:
                 try:
@@ -398,12 +398,12 @@ def main(argv=None) -> int:
                 return 1
             print("verify: all methods agree", file=sys.stderr)
             return 0
-        if args.cmd == "table":
+        if args.command == "table":
             if args.max_a < 1:
                 raise UsageError("--max-a must be at least 1")
             sys.stdout.write(format_table(table_rows(args.max_a), args.format))
             return 0
-        if args.cmd == "export":
+        if args.command == "export":
             text = run_export(
                 args.kind, args.class_id, parse_dims(args.dims), args.format, args.attrs
             )

@@ -86,11 +86,10 @@ is odd, and Q(x) = x^h R(x + 1/x) (1 + x)^(D mod 2) with h = floor(D/2)
 and R of degree h.  So floor(D/2) + 1 evaluations at
 x = 1, 2, ... give R at the nodes x + 1/x, and ``_unfold`` rebuilds Q from
 R; the evaluations per prime halve.  One Newton interpolation over given
-nodes (``_interpolate``) serves both paths: one ``pow`` per level on the
-evenly spaced x = 1..m, one batch inversion per level on x + 1/x.
-The nodes must be distinct mod every prime the call uses: x = 1..m needs
-m below the smallest prime, and x + 1/x needs m^2 below it (x + 1/x =
-y + 1/y means x = y or xy = 1); a wider window raises.
+nodes (``_interpolate``, one batch inversion of the gaps per level) serves
+both paths.  The nodes must be distinct mod every prime the call uses:
+x = 1..m needs m below the smallest prime, and x + 1/x needs m^2 below it
+(x + 1/x = y + 1/y means x = y or xy = 1); a wider window raises.
 
 The kernel stores one value slot per unordered pair {i, j} of the support,
 A[i][j] for i < j (the Schur complement of a skew matrix is skew).  Every
@@ -588,20 +587,13 @@ def _inverses(a, p: int):
 def _interpolate(xs, ys, p: int):
     """Coefficients, lowest first, of the polynomial over F_p of degree
     below len(ys) that takes the value ys[t] at xs[t]; the nodes xs must be
-    distinct mod p.  Newton's divided differences: on evenly spaced nodes
-    (x = 1..n) every gap of a level is the same, and one ``pow`` inverts
-    it; other nodes take one batch inversion of the gaps per level."""
+    distinct mod p.  Newton's divided differences, with one batch inversion
+    of the gaps per level."""
     c = list(ys)
     n = len(c)
-    step = xs[1] - xs[0] if n > 1 else 0
-    even = all(b - a == step for a, b in zip(xs, xs[1:]))
     for k in range(1, n):  # c[i] becomes f[xs[i - k] .. xs[i]] for i >= k
-        if even:
-            g = pow(k * step, -1, p)
-            c[k:] = [(b - a) * g % p for a, b in zip(c[k - 1:-1], c[k:])]
-        else:
-            gaps = _inverses([b - a for a, b in zip(xs, xs[k:])], p)
-            c[k:] = [(b - a) * g % p for a, b, g in zip(c[k - 1:-1], c[k:], gaps)]
+        gaps = _inverses([b - a for a, b in zip(xs, xs[k:])], p)
+        c[k:] = [(b - a) * g % p for a, b, g in zip(c[k - 1:-1], c[k:], gaps)]
     poly = [c[-1]]
     for t in range(n - 2, -1, -1):  # poly = poly * (q - xs[t]) + c[t]
         x = xs[t]

@@ -24,7 +24,7 @@ import math
 from typing import Tuple
 
 from .exactalg import QPoly
-from .symmetry import CLASSES
+from .symmetry import symmetry_class
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -128,7 +128,7 @@ def _immediate(class_id: int, dims: Tuple[int, int, int]):
     class does not fix or where a parity obstruction rules out any invariant
     partition, and 1 on the empty height matrix of classes 6 and 7."""
     a, b, c = dims
-    if not CLASSES[class_id].box_fixed(dims):
+    if not symmetry_class(class_id).box_fixed(dims):
         return 0
     if class_id == 5 and a % 2 and b % 2 and c % 2:
         return 0  # odd volume cannot be self-complementary
@@ -151,8 +151,6 @@ def n_class(class_id: int, dims: Tuple[int, int, int]) -> int:
     a, b, c = dims
     if a < 0 or b < 0 or c < 0:
         raise ValueError(f"negative box side in {dims}")
-    if class_id not in CLASSES:
-        raise ValueError(f"unknown symmetry class {class_id}")
     known = _immediate(class_id, dims)
     if known is not None:
         return known

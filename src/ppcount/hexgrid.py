@@ -17,16 +17,16 @@ The coordinates are chosen so the box symmetries act affinely: rotation by
 2*pi/3 is the cyclic shift (x,y,z) -> (z,x,y), and the point reflection
 through the center is (x,y,z) -> (b+c-1-x, a+c-1-y, a+b-1-z).
 
-Z(a,b,c) is built in one place, ``lattice``, as flat int lists (a
-``Lattice``); ``build_graph`` wraps them into a ``PlanarMultigraph``, and
+Z(a,b,c) is built in one place, ``HexRegion``, as flat int lists kept on
+the region; ``build_graph`` wraps them into a ``PlanarMultigraph``, and
 ``symmetry.quotient_graph`` reads them directly.  A ``PlanarMultigraph``
 keeps the faces, components and spanning forest of its one embedding check
 and graph walk (``_valid_faces``).  Of the three pairs of coordinates,
-(p, r) is the one whose padded extents (bound + 2 each) have the least
-product, (x, y) on ties; W is r's padded extent:
+``pair`` = (p, r) is the one whose padded extents (bound + 2 each) have the
+least product, (x, y) on ties; ``width`` = W is r's padded extent:
 
-* vertex i is region.triangles[i].  The triangles are listed by x, then y,
-  the down triangle before the up one at each (x, y): their sorted order.
+* vertex i is triangles[i].  The triangles are listed by x, then y, the
+  down triangle before the up one at each (x, y): their sorted order.
 * ``at[2 * (t[p] * W + t[r]) + up]`` is the vertex t with that orientation
   (up = 1), or -1 where there is none: a triangle is fixed by two of its
   coordinates and its orientation.  The spare row and column keep the
@@ -38,7 +38,7 @@ product, (x, y) on ties; W is r's padded extent:
   order, and at each by axis; edge e joins the down triangle tails[2e] to
   the up one tails[2e + 1].
 * ``slot[k][i]`` is the edge at vertex i along axis k, or -1.
-* ``ring(z, i)`` lists the darts at vertex i counterclockwise: dart 2e
+* ``ring(region, i)`` lists the darts at vertex i counterclockwise: dart 2e
   sits at edge e's down end, 2e + 1 at its up end.
 
 All objects are immutable after construction.
@@ -76,14 +76,16 @@ class EmbeddingError(RuntimeError):
 
 
 class HexRegion:
-    """The triangle set of H(a,b,c), with its coordinate bounds and up sum.
+    """The triangle set of H(a,b,c), with its coordinate bounds and up sum,
+    and Z(a,b,c) as the module docstring's flat lists, unchecked (see
+    build_graph).
 
     ``triangles`` lists them in sorted order as ``Triangle`` instances.  The
     coordinate triples are collected row by row and made Triangles in one
     C-level step, ``tuple.__new__`` mapped over them, which skips the
     Python-level ``Triangle.__new__`` per triangle."""
 
-    __slots__ = ("a", "b", "c", "bounds", "up_sum", "triangles")
+    __slots__ = ("a", "b", "c", "bounds", "up_sum", "triangles", "width", "pair", "at", "up", "slot", "tails")
 
     def __init__(self, a: int, b: int, c: int):
         if a < 0 or b < 0 or c < 0:
@@ -101,7 +103,36 @@ class HexRegion:
                         cells.append((x, y, z - 1))
                     if z <= Z:
                         cells.append((x, y, z))
-        self.triangles = tuple(map(tuple.__new__, repeat(Triangle), cells))
+        self.triangles = tri = tuple(map(tuple.__new__, repeat(Triangle), cells))
+        ext = [B + 2 for B in self.bounds]  # the padded extents
+        self.pair = p, r = min(((0, 1), (0, 2), (1, 2)), key=lambda pr: ext[pr[0]] * ext[pr[1]])
+        self.width = W = ext[r]
+        self.at = at = [-1] * (2 * W * ext[p] if tri else 0)
+        self.up = up = [x + y + z == S for x, y, z in tri]
+        cell = [2 * (u * W + v) for u, v in map(itemgetter(p, r), tri)]
+        for i, pos in enumerate(cell):
+            at[pos + up[i]] = i
+        # the up triangle with 1 added to coordinate k is 2W, 2 or 0 past the
+        # down one's cell, as axis k moves p, r or neither, plus 1 for up
+        o0, o1, o2 = (2 * W if k == p else 2 if k == r else 0 for k in range(3))
+        self.slot = s0, s1, s2 = tuple([-1] * len(tri) for _ in range(3))
+        self.tails = tails = []
+        for i, pos in enumerate(cell):
+            if up[i]:
+                continue
+            pos += 1
+            j = at[pos + o0]
+            if j >= 0:
+                s0[i] = s0[j] = len(tails) >> 1
+                tails += (i, j)
+            j = at[pos + o1]
+            if j >= 0:
+                s1[i] = s1[j] = len(tails) >> 1
+                tails += (i, j)
+            j = at[pos + o2]
+            if j >= 0:
+                s2[i] = s2[j] = len(tails) >> 1
+                tails += (i, j)
 
     @property
     def abc(self) -> Tuple[int, int, int]:
@@ -323,65 +354,18 @@ class PlanarMultigraph:
 # ---------------------------------------------------------------------------
 
 
-class Lattice(NamedTuple):
-    """Z(a,b,c) as flat int lists, laid out as the module docstring says."""
-
-    width: int  # W
-    pair: Tuple[int, int]  # (p, r), the coordinates ``at`` is indexed by
-    at: List[int]
-    up: List[bool]
-    slot: Tuple[List[int], List[int], List[int]]  # slot[k][i]
-    tails: List[int]
-
-
-def lattice(region: HexRegion) -> Lattice:
-    """Z(a,b,c) as flat int lists, with no embedding check (see build_graph)."""
-    tri = region.triangles
-    ext = [B + 2 for B in region.bounds]  # the padded extents
-    p, r = min(((0, 1), (0, 2), (1, 2)), key=lambda pr: ext[pr[0]] * ext[pr[1]])
-    S = region.up_sum
-    W = ext[r]
-    at = [-1] * (2 * W * ext[p] if tri else 0)
-    up = [x + y + z == S for x, y, z in tri]
-    cell = [2 * (u * W + v) for u, v in map(itemgetter(p, r), tri)]
-    for i, c in enumerate(cell):
-        at[c + up[i]] = i
-    # the up triangle with 1 added to coordinate k is 2W, 2 or 0 past the
-    # down one's cell, as axis k moves p, r or neither, plus 1 for up
-    o0, o1, o2 = (2 * W if k == p else 2 if k == r else 0 for k in range(3))
-    s0, s1, s2 = ([-1] * len(tri) for _ in range(3))
-    tails: List[int] = []
-    for i, c in enumerate(cell):
-        if up[i]:
-            continue
-        c += 1
-        j = at[c + o0]
-        if j >= 0:
-            s0[i] = s0[j] = len(tails) >> 1
-            tails += (i, j)
-        j = at[c + o1]
-        if j >= 0:
-            s1[i] = s1[j] = len(tails) >> 1
-            tails += (i, j)
-        j = at[c + o2]
-        if j >= 0:
-            s2[i] = s2[j] = len(tails) >> 1
-            tails += (i, j)
-    return Lattice(W, (p, r), at, up, (s0, s1, s2), tails)
-
-
-def ring(z: Lattice, i: int) -> List[Dart]:
+def ring(region: HexRegion, i: int) -> List[Dart]:
     """Vertex i's darts, counterclockwise: along axis k a down triangle's edge
     points at 120*k degrees, so an up triangle's edges sort ccw as z, x, y."""
-    s0, s1, s2 = z.slot
-    u = z.up[i]  # 1 at an up triangle, which dart 2e + 1 starts at
+    s0, s1, s2 = region.slot
+    u = region.up[i]  # 1 at an up triangle, which dart 2e + 1 starts at
     return [2 * e + u for e in ((s2[i], s0[i], s1[i]) if u else (s0[i], s1[i], s2[i])) if e >= 0]
 
 
 def build_graph(region: HexRegion, q_weights: bool = False) -> PlanarMultigraph:
     """The adjacency graph Z(a,b,c) with its planar rotation system (``ring``),
-    face-traced and Euler-checked in this call: the ``lattice`` wrapped into
-    a ``PlanarMultigraph``.
+    face-traced and Euler-checked in this call: the region's flat lists
+    wrapped into a ``PlanarMultigraph``.
 
     Vertex i is region.triangles[i], which is also its label.  The triangles
     are sorted, so the half-turn (x, y, z) -> (X-x, Y-y, Z-z), which reverses
@@ -393,17 +377,16 @@ def build_graph(region: HexRegion, q_weights: bool = False) -> PlanarMultigraph:
     column steps, so the weight of a matching is q^(partition volume) times
     a constant absorbed by normalization against the empty partition.
     """
-    z = lattice(region)
-    tri = region.triangles
-    weights: List[object] = [1] * (len(z.tails) >> 1)
+    tri, tails = region.triangles, region.tails
+    weights: List[object] = [1] * (len(tails) >> 1)
     if q_weights:
         weights = [QPoly.const(1)] * len(weights)
-        for (x, _, _), u, e in zip(tri, z.up, z.slot[2]):
+        for (x, _, _), u, e in zip(tri, region.up, region.slot[2]):
             if e >= 0 and not u:
                 weights[e] = QPoly.q_power(x)
-    edges = list(map(Edge, range(len(weights)), z.tails[0::2], z.tails[1::2], weights))
-    ups = frozenset(compress(range(len(tri)), z.up))
-    rotation = [ring(z, i) for i in range(len(tri))]
+    edges = list(map(Edge, range(len(weights)), tails[0::2], tails[1::2], weights))
+    ups = frozenset(compress(range(len(tri)), region.up))
+    rotation = [ring(region, i) for i in range(len(tri))]
     g = PlanarMultigraph(tri, edges, rotation, (ups, frozenset(range(len(tri))) - ups))
     g.assert_valid_embedding()
     return g

@@ -33,13 +33,13 @@ from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .exactalg import QPoly
 from .symmetry import (
-    CLASSES,
     KAPPA,
     KAPPA_TAU,
     TAU,
     SymmetryElement,
     group_elements,
     partition_map,
+    symmetry_class,
 )
 
 Heights = Tuple[Tuple[int, ...], ...]
@@ -280,7 +280,7 @@ def fixed_partitions(rules: Sequence[Callable], a: int, b: int, c: int) -> Itera
 
 def count_symmetric(class_id: int, a: int, b: int, c: int) -> int:
     """Number of partitions invariant under every generator of the class."""
-    cls = CLASSES[class_id]
+    cls = symmetry_class(class_id)
     box = (a, b, c)
     if not cls.box_fixed(box):
         return 0

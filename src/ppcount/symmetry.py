@@ -51,13 +51,11 @@ from .hexgrid import (
     Edge,
     EmbeddingError,
     HexRegion,
-    Lattice,
     PlanarMultigraph,
     Triangle,
     angle_cmp,
     angle_half,
     center2,
-    lattice,
     position2,
     primitive_dir,
     radius2,
@@ -123,6 +121,13 @@ CLASSES: Dict[int, SymmetryClass] = {
 }
 
 
+def symmetry_class(class_id: int) -> SymmetryClass:
+    """CLASSES[class_id]; raises ValueError for an id outside 1..10."""
+    if class_id not in CLASSES:
+        raise ValueError(f"unknown symmetry class {class_id}")
+    return CLASSES[class_id]
+
+
 @functools.lru_cache(maxsize=None)
 def _walk(gens: Tuple[SymmetryElement, ...]) -> Dict[SymmetryElement, Optional[tuple]]:
     """The subgroup generated by gens, walked breadth first from the
@@ -146,28 +151,28 @@ def group_elements(cls: SymmetryClass) -> Tuple[SymmetryElement, ...]:
     return tuple(sorted(_walk(tuple(cls.generators))))
 
 
-def _act_region(cls: SymmetryClass, region: HexRegion, z: Lattice) -> Dict[SymmetryElement, List[int]]:
+def _act_region(cls: SymmetryClass, region: HexRegion) -> Dict[SymmetryElement, List[int]]:
     """The action of each element of the class's group on the triangles of
-    the region, as one map per element from a vertex id of the region's
-    lattice z to its image's.  Only the generators act on coordinates: each
-    is checked against the box once, and its images against the region's
+    the region, as one map per element from a vertex id of the region's Z
+    to its image's.  Only the generators act on coordinates: each is
+    checked against the box once, and its images against the region's
     bounds and sums at once, as they range over the permuted (and flipped)
     ranges of the region's own.  The flip takes the sum s to X + Y + Z - s =
     2 * up_sum - 1 - s, so it swaps up and down.  Every other element is
     reached from one found before it by a generator, and its map is composed
     from those two maps by list indexing."""
     tri = region.triangles
-    bounds, S, W, at, (p, r) = region.bounds, region.up_sum, z.width, z.at, z.pair
+    bounds, S, W, at, (p, r) = region.bounds, region.up_sum, region.width, region.at, region.pair
     cols = tuple(zip(*tri)) or ((), (), ())  # the x, y and z coordinates
     ranges = [(min(c), max(c)) for c in cols] if tri else []
     sums = set(map(sum, tri))
-    down = [not u for u in z.up]
+    down = [not u for u in region.up]
     gen_maps = {}
     for g in cls.generators:
         if not box_fixed(g, region.abc):
             raise BoxError(f"H{region.abc} is not fixed by {g}")
         spans = [ranges[k] for k in g.perm] if ranges else []
-        xs, ys, flags, image_sums = cols[g.perm[p]], cols[g.perm[r]], z.up, sums
+        xs, ys, flags, image_sums = cols[g.perm[p]], cols[g.perm[r]], region.up, sums
         if g.comp:
             spans = [(B - hi, B - lo) for B, (lo, hi) in zip(bounds, spans)]
             xs, ys, flags = [bounds[p] - v for v in xs], [bounds[r] - v for v in ys], down
@@ -200,22 +205,10 @@ def _word(g: SymmetryElement) -> Tuple[SymmetryElement, ...]:
     return word
 
 
-class _RowImages(dict):
-    """The images of rows under one row function, memoised for the life of
-    one partition map; at most MAX_ROWS rows are kept, so a wide box met
-    row by row does not grow it without bound."""
-
-    MAX_ROWS = 4096
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, row):
-        img = self.fn(row)
-        if len(self) < self.MAX_ROWS:
-            self[row] = img
-        return img
+# the row images of one partition map are memoised for the life of the map;
+# at most MAX_ROWS rows are kept, so a wide box met row by row does not grow
+# the memo without bound
+MAX_ROWS = 4096
 
 
 def _tau_map(a: int, b: int, c: int):
@@ -230,7 +223,7 @@ def _kappa_map(a: int, b: int, c: int):
     """Complementation, a x b x c to itself: row i of the image is row
     a-1-i complemented and reversed."""
     minus = c.__sub__
-    image = _RowImages(lambda row: tuple(map(minus, reversed(row)))).__getitem__
+    image = functools.lru_cache(MAX_ROWS)(lambda row: tuple(map(minus, reversed(row))))
     return (lambda h: tuple(map(image, reversed(h)))), (a, b, c)
 
 
@@ -242,7 +235,7 @@ def _rho_map(a: int, b: int, c: int):
         empty = ((),) * c
         return (lambda h: empty), (c, a, b)
     levels = range(c)
-    column = _RowImages(lambda row: tuple(sum(v > i for v in row) for i in levels)).__getitem__
+    column = functools.lru_cache(MAX_ROWS)(lambda row: tuple(sum(v > i for v in row) for i in levels))
     return (lambda h: tuple(zip(*map(column, h)))), (c, a, b)
 
 
@@ -343,10 +336,9 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     if not cls.box_fixed(region.abc):
         raise BoxError(f"H{region.abc} is not fixed by class {cls.id}")
     G = group_elements(cls)
-    Z = lattice(region)  # unchecked: the check of the result covers each ring read
     tri = region.triangles  # Z's vertex i is tri[i]
-    tails, slot = Z.tails, Z.slot
-    act = _act_region(cls, region, Z)
+    tails, slot = region.tails, region.slot  # unchecked: the result's check covers each ring read
+    act = _act_region(cls, region)
     maps = tuple(act.values())
     refl0 = [act[g] for g in G if not g.comp and _is_transposition(g.perm)]
 
@@ -388,7 +380,7 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     kept: Dict[int, bool] = {}  # surviving orbits by smallest edge id -> reversed
     bachelor: List[Tuple[int, set]] = []  # the reversed ones with their edge ids
     for u in range(len(tri)):
-        if Z.up[u]:
+        if region.up[u]:
             continue
         for sk, (keeping, swapping) in zip(slot, split):
             e = sk[u]
@@ -426,7 +418,7 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     at_fixed = {}
     for v in fixed:
         darts, holds_bachelor = [], False
-        for d in ring(Z, v):
+        for d in ring(region, v):
             rev = kept.get(erep[d >> 1])
             if rev is False:
                 darts.append(d)
@@ -458,7 +450,7 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     rays = _axis_rays(region, G, act)
     n_gadget = 0
     if bachelor:
-        border = _bachelor_order(region, tails, rays, bachelor)
+        border = _bachelor_order(region, rays, bachelor)
         gadget = build_parity_gadget(len(border), "odd" if len(reps) % 2 else "even")
         n_gadget = len(gadget.vertices)
     qid = {r: n_gadget + i for i, r in enumerate(reps)}  # Z id -> quotient id
@@ -505,7 +497,7 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
                 raise EmbeddingError("orbit misses the positively oriented chambers")
             src = members[0]
         darts = []
-        for d in ring(Z, src):
+        for d in ring(region, src):
             qeid = qedge_of[erep[d >> 1]]
             if qeid < 0:
                 continue  # pruned or removed edge, or dropped loop
@@ -520,7 +512,7 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     labels += [f"o({tri[r].x},{tri[r].y},{tri[r].z})" for r in reps]
     bip = None
     if not bachelor and all(not g.comp for g in G):
-        ups = frozenset(qid[r] for r in reps if Z.up[r])
+        ups = frozenset(qid[r] for r in reps if region.up[r])
         bip = (ups, frozenset(qid.values()) - ups)
     g = PlanarMultigraph(labels, qedges, rotation, bip)
     if bachelor and g.n_vertices % 2:
@@ -577,7 +569,7 @@ def _chamber_parity_fn(region, rays):
     return parity_of
 
 
-def _bachelor_order(region, tails, rays, orbits):
+def _bachelor_order(region, rays, orbits):
     """Bachelor edge orbits in planar order along the chamber boundary.
 
     Rerouted (reversed) edges have their midpoints on the reflection axes or
@@ -587,14 +579,14 @@ def _bachelor_order(region, tails, rays, orbits):
     has exactly one representative midpoint on that boundary, and walking it
     gives the cyclic attachment order for the gadget.  An orbit is a pair
     (smallest edge id, ids of the orbit's Z edges), as ``quotient_graph``
-    collects them; Z edge e joins the vertices tails[2e] and tails[2e + 1].
+    collects them.
     """
     if len(orbits) == 1:
         return orbits
     if not rays:
         raise EmbeddingError("multiple bachelor edges without reflection axes")
     cx, cy = center2(region)
-    tri = region.triangles  # Z's vertex i is tri[i]
+    tri, tails = region.triangles, region.tails  # Z's vertex i is tri[i]
     ray_in, ray_out = rays[-1], rays[0]
 
     def key(orbit):

@@ -7,7 +7,7 @@ No ``ppcount`` route runs any of this, so it lives with the tests:
 * the kernel's earlier interpolation over the equally spaced nodes 1..n;
 * hexagon triangle containment, orientation and adjacency, and the action
   of a box symmetry on one triangle, straight from the coordinates, and
-  Z(a,b,c) as it was built before ``hexgrid.lattice``;
+  Z(a,b,c) as it was built before its flat int lists;
 * the plane-partition predicate, a partition's volume, and the naive
   symmetric count that filters every partition in the box;
 * class 6's product over i <= a - 2 on every a x a x 2b box, which
@@ -193,7 +193,7 @@ def act_triangle(g: SymmetryElement, t: Triangle, region: HexRegion) -> Triangle
     return s
 
 
-# The builder of Z(a,b,c) that hexgrid.lattice replaced, kept as it was: it
+# The builder of Z(a,b,c) that its flat int lists replaced, kept as it was: it
 # finds each edge by coordinates and makes the Edge objects as it goes.
 # hexgrid.build_graph must give the same graph.
 

@@ -7,6 +7,7 @@ import pytest
 import ppcount.cli as cli
 from ppcount.exactalg import QPoly
 from ppcount.formulas import n_class, q_box_product
+from ppcount.oracle import count_symmetric
 
 
 @pytest.fixture(autouse=True)
@@ -112,6 +113,31 @@ def test_help_prints_usage_and_returns_0(argv, capsys):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.startswith("usage: ppcount")
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        ((), "error: the following arguments are required: command\n"),
+        (("frobnicate",), "error: argument command: invalid choice: 'frobnicate' "),
+    ],
+    ids=["no-command", "frobnicate"],
+)
+def test_argparse_refusals_name_the_command_argument(argv, text, capsys):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err.startswith(text)
+    assert cli.build_parser().format_usage() == "usage: ppcount [-h] {count,verify,table,export} ...\n"
+
+
+@pytest.mark.parametrize("class_id", [0, 11])
+@pytest.mark.parametrize(
+    "route",
+    [n_class, lambda class_id, dims: count_symmetric(class_id, *dims), cli.matrix_count],
+    ids=["formula", "oracle", "matrix"],
+)
+def test_every_route_refuses_a_class_outside_1_to_10(route, class_id):
+    with pytest.raises(ValueError, match=f"^unknown symmetry class {class_id}$"):
+        route(class_id, (1, 1, 1))
 
 
 @pytest.mark.parametrize("q_flag", [False, True])

@@ -29,7 +29,6 @@ from ppcount.hexgrid import (
     _trace_faces,
     build_graph,
     build_hexagon,
-    lattice,
     q_weight_graph,
 )
 from ppcount.oracle import q_sum
@@ -273,8 +272,7 @@ def test_build_graph_face_traces_z_once_in_its_own_call(monkeypatch):
 
     monkeypatch.setattr(hexgrid, "_valid_faces", counted)
     region = build_hexagon(2, 3, 4)
-    lattice(region)
-    assert not calls  # the lattice itself is not checked
+    assert not calls  # the region's Z itself is not checked
     builds = [lambda: build_graph(region), lambda: build_graph(region, True), lambda: q_weight_graph(region)]
     for build in builds:
         g = build()
@@ -285,7 +283,7 @@ def test_build_graph_face_traces_z_once_in_its_own_call(monkeypatch):
 
 def _assert_linear_index(dims):
     region = build_hexagon(*dims)
-    z, tri = lattice(region), region.triangles
+    z, tri = region, region.triangles
     assert len(z.at) <= 4 * len(tri), dims
     p, r = z.pair
     cells = [2 * (t[p] * z.width + t[r]) + u for t, u in zip(tri, z.up)]
@@ -309,7 +307,7 @@ def test_lattice_index_of_a_thin_strip_is_linear(dims):
 def test_build_graph_checks_the_rings_of_z(monkeypatch):
     # two darts swapped at a vertex of degree 3 reverse its rotation
     region = build_hexagon(2, 2, 2)
-    honest, z = hexgrid.ring, lattice(region)
+    honest, z = hexgrid.ring, region
     v = next(i for i in range(len(region.triangles)) if len(honest(z, i)) == 3)
 
     def swapped(z, i):

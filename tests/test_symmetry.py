@@ -6,7 +6,7 @@ import pytest
 from reference import act_triangle, count_perfect_matchings, is_plane_partition
 
 from ppcount import hexgrid, symmetry
-from ppcount.hexgrid import EmbeddingError, Triangle, build_graph, build_hexagon, lattice
+from ppcount.hexgrid import EmbeddingError, Triangle, build_graph, build_hexagon
 from ppcount.oracle import count_symmetric, enumerate_partitions
 from ppcount.symmetry import (
     CLASSES,
@@ -17,7 +17,6 @@ from ppcount.symmetry import (
     TAU,
     BoxError,
     _act_region,
-    _RowImages,
     box_fixed,
     build_parity_gadget,
     compose,
@@ -53,7 +52,7 @@ def test_composed_action_equals_the_direct_triangle_images():
             r = build_hexagon(*dims)
             tri = r.triangles
             idx = {t: i for i, t in enumerate(tri)}
-            act = _act_region(cls, r, lattice(r))
+            act = _act_region(cls, r)
             assert tuple(act) == group_elements(cls)
             for g, m in act.items():
                 assert m == [idx[act_triangle(g, t, r)] for t in tri], (cid, dims, g)
@@ -65,7 +64,7 @@ def test_the_half_turn_reverses_the_order_of_z_vertices():
     for dims in product(range(5), repeat=3):
         r = build_hexagon(*dims)
         n = len(r.triangles)
-        assert _act_region(CLASSES[5], r, lattice(r))[KAPPA] == list(range(n - 1, -1, -1)), dims
+        assert _act_region(CLASSES[5], r)[KAPPA] == list(range(n - 1, -1, -1)), dims
 
 
 def test_quotient_checks_the_rotation_of_the_z_it_builds(monkeypatch):
@@ -137,8 +136,7 @@ def test_quotient_checks_each_ring_it_reads(monkeypatch, cid, n):
     with pytest.raises(EmbeddingError, match="V-E\\+F"):
         quotient_graph(region, cls)
     # a ring the quotient never reads cannot change it
-    z = lattice(region)
-    u = next(i for i in range(len(region.triangles)) if i not in read and len(hexgrid.ring(z, i)) == 3)
+    u = next(i for i in range(len(region.triangles)) if i not in read and len(hexgrid.ring(region, i)) == 3)
     _swapped_ring(monkeypatch, u)
     p = quotient_graph(region, cls)
     assert (p.labels, p.edges, p.rotation, p.bipartition) == (q.labels, q.edges, q.rotation, q.bipartition)
@@ -169,8 +167,8 @@ def test_quotient_checks_that_every_element_preserves_adjacency(monkeypatch, cid
     # and its down end for one that swaps them
     honest = symmetry._act_region
 
-    def tampered(cls, region, z):
-        act = honest(cls, region, z)
+    def tampered(cls, region):
+        act = honest(cls, region)
         m = act[g]
         m[0], m[-1] = m[-1], m[0]
         return act
@@ -192,14 +190,14 @@ def test_quotient_checks_adjacency_where_the_image_has_no_edge(monkeypatch, cid,
     # would also reach without the sentinel.  e is the only first edge at u,
     # so no other check reads the tampered entry.
     region = build_hexagon(*dims)
-    z = lattice(region)
+    z = region
     u, v = z.tails[2 * e], z.tails[2 * e + 1]
     axis = inverse(g).perm[next(k for k in range(3) if z.slot[k][u] == e)]
     honest = symmetry._act_region
-    assert honest(CLASSES[cid], region, z)[g][v] == z.tails[-2 if g.comp else -1]
+    assert honest(CLASSES[cid], region)[g][v] == z.tails[-2 if g.comp else -1]
 
-    def tampered(cls, region, z):
-        act = honest(cls, region, z)
+    def tampered(cls, region):
+        act = honest(cls, region)
         act[g][u] = next(d for d in range(len(region.triangles)) if z.slot[axis][d] < 0)
         return act
 
@@ -212,8 +210,8 @@ def _fixed_pairs(cls, region):
     """Z's vertices that a transpose-complement reflection of cls fixes,
     each with its dart to the one neighbour the reflection also fixes: the
     pair a forced edge joins."""
-    z = lattice(region)
-    act = _act_region(cls, region, z)
+    z = region
+    act = _act_region(cls, region)
     pairs = {}
     for g, m in act.items():
         if g.comp or not symmetry._is_transposition(g.perm):
@@ -244,7 +242,7 @@ def test_quotient_checks_that_a_fixed_pair_holds_no_bachelor_edge(monkeypatch):
     region, cls = build_hexagon(2, 2, 2), CLASSES[7]
     z, pairs = _fixed_pairs(cls, region)
     t = z.tails
-    act = _act_region(cls, region, z)
+    act = _act_region(cls, region)
     e = next(e for e in range(len(t) // 2) if any(m[t[2 * e]] == t[2 * e + 1] for m in act.values()))
     _tampered_rings(monkeypatch, {min(pairs): lambda ring: ring + [2 * e]})
     with pytest.raises(EmbeddingError, match="also holds a bachelor edge"):
@@ -454,19 +452,16 @@ def test_partition_map_requires_a_fixed_box():
 
 
 def test_row_images_answer_every_row_and_keep_at_most_max_rows():
-    calls = []
-
-    def complement(row):
-        calls.append(row)
-        return tuple(9 - v for v in reversed(row))
-
-    images = _RowImages(complement)
-    rows = [(i // 10, i % 10) for i in range(_RowImages.MAX_ROWS + 100)]
+    # the 5050 one-row partitions of the 1 x 2 x 99 box are more rows than
+    # the complement's memo keeps; met twice each, every image is still the
+    # reversed complement
+    act = partition_map(KAPPA, (1, 2, 99))
+    rows = [(i, j) for i in range(100) for j in range(i + 1)]
+    assert len(rows) == 5050 > symmetry.MAX_ROWS
     for row in rows + rows:
-        assert images[row] == (9 - row[1], 9 - row[0])
-    assert len(images) == _RowImages.MAX_ROWS
-    # the kept rows are answered from memory, the rest by the function again
-    assert len(calls) == 2 * len(rows) - _RowImages.MAX_ROWS
+        assert act((row,)) == ((99 - row[1], 99 - row[0]),)
+    (memo,) = [cell.cell_contents for cell in act.__closure__ if hasattr(cell.cell_contents, "cache_info")]
+    assert memo.cache_info().currsize == symmetry.MAX_ROWS
 
 
 # ---------------------------------------------------------------------------
