@@ -296,8 +296,11 @@ def graph_to_dot(g: PlanarMultigraph, signs=None, heads=None) -> str:
 
 
 def run_export(kind: str, class_id: Optional[int], dims, fmt: str, attrs: str) -> str:
-    """The graph as JSON or DOT text; raises SizeLimitError, before Z is
-    built, for a box over the matrix budget."""
+    """The graph as JSON or DOT text; raises UsageError for a class outside
+    1..10 on either kind, and SizeLimitError, before Z is built, for a box
+    over the matrix budget."""
+    if class_id is not None and class_id not in CLASSES:
+        raise UsageError(f"class must be 1..10, got {class_id}")
     check_matrix_budget(dims, "export")
     region = build_hexagon(*dims)
     if kind == "z":
@@ -305,8 +308,6 @@ def run_export(kind: str, class_id: Optional[int], dims, fmt: str, attrs: str) -
     else:  # "quotient", the parser's only other choice
         if class_id is None:
             raise UsageError("--class is required for quotient export")
-        if class_id not in CLASSES:
-            raise UsageError(f"class must be 1..10, got {class_id}")
         if not CLASSES[class_id].box_fixed(dims):
             raise UsageError(f"box {dims} is not fixed by class {class_id}")
         g = quotient_graph(region, CLASSES[class_id])

@@ -17,15 +17,19 @@ The coordinates are chosen so the box symmetries act affinely: rotation by
 2*pi/3 is the cyclic shift (x,y,z) -> (z,x,y), and the point reflection
 through the center is (x,y,z) -> (b+c-1-x, a+c-1-y, a+b-1-z).
 
-Z(a,b,c) is built in one place, ``HexRegion``, as flat int lists kept on
-the region; ``build_graph`` wraps them into a ``PlanarMultigraph``, and
+Z(a,b,c) is built in one place, ``HexRegion``, as flat lists kept on
+the region: one loop over the rows of triangles fills the triangle lists
+and the index, and one pass over the down triangles the edge lists.
+``build_graph`` wraps them into a ``PlanarMultigraph``, and
 ``symmetry.quotient_graph`` reads them directly.  A ``PlanarMultigraph``
 keeps the faces, components and spanning forest of its one embedding check
 and graph walk (``_valid_faces``).  Of the three pairs of coordinates,
 ``pair`` = (p, r) is the one whose padded extents (bound + 2 each) have the
 least product, (x, y) on ties; ``width`` = W is r's padded extent:
 
-* vertex i is triangles[i].  The triangles are listed by x, then y, the
+* vertex i is triangles[i], a plain (x, y, z) tuple; ``build_graph``
+  labels Z's vertices with them as ``Triangle`` instances, the only
+  Triangles the package makes.  The triangles are listed by x, then y, the
   down triangle before the up one at each (x, y): their sorted order.
 * ``at[2 * (t[p] * W + t[r]) + up]`` is the vertex t with that orientation
   (up = 1), or -1 where there is none: a triangle is fixed by two of its
@@ -48,7 +52,6 @@ from __future__ import annotations
 
 import math
 from itertools import compress, repeat
-from operator import itemgetter
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .exactalg import QPoly
@@ -80,10 +83,10 @@ class HexRegion:
     and Z(a,b,c) as the module docstring's flat lists, unchecked (see
     build_graph).
 
-    ``triangles`` lists them in sorted order as ``Triangle`` instances.  The
-    coordinate triples are collected row by row and made Triangles in one
-    C-level step, ``tuple.__new__`` mapped over them, which skips the
-    Python-level ``Triangle.__new__`` per triangle."""
+    ``triangles`` lists them in sorted order as plain (x, y, z) tuples;
+    ``build_graph`` makes Z's labels ``Triangle`` instances.  One row loop
+    fills ``triangles``, ``up`` and ``at`` and lists each down triangle with
+    its cell, which one pass reads for the edges."""
 
     __slots__ = ("a", "b", "c", "bounds", "up_sum", "triangles", "width", "pair", "at", "up", "slot", "tails")
 
@@ -91,36 +94,37 @@ class HexRegion:
         if a < 0 or b < 0 or c < 0:
             raise RegionError(f"negative side length in H({a},{b},{c})")
         self.a, self.b, self.c = a, b, c
-        self.bounds = (b + c - 1, a + c - 1, a + b - 1)
-        self.up_sum = a + b + c - 1
-        cells = []
-        (X, Y, Z), S = self.bounds, self.up_sum
-        if a * b + b * c + c * a:  # else H(a,b,c) is a segment or a point
-            for x in range(X + 1):
-                for y in range(max(0, S - 1 - Z - x), min(Y, S - x) + 1):
-                    z = S - x - y  # 0 <= z <= Z + 1 here
-                    if z:  # down before up: the sorted order
-                        cells.append((x, y, z - 1))
-                    if z <= Z:
-                        cells.append((x, y, z))
-        self.triangles = tri = tuple(map(tuple.__new__, repeat(Triangle), cells))
+        self.bounds = (X, Y, Z) = (b + c - 1, a + c - 1, a + b - 1)
+        self.up_sum = S = a + b + c - 1
         ext = [B + 2 for B in self.bounds]  # the padded extents
         self.pair = p, r = min(((0, 1), (0, 2), (1, 2)), key=lambda pr: ext[pr[0]] * ext[pr[1]])
         self.width = W = ext[r]
-        self.at = at = [-1] * (2 * W * ext[p] if tri else 0)
-        self.up = up = [x + y + z == S for x, y, z in tri]
-        cell = [2 * (u * W + v) for u, v in map(itemgetter(p, r), tri)]
-        for i, pos in enumerate(cell):
-            at[pos + up[i]] = i
-        # the up triangle with 1 added to coordinate k is 2W, 2 or 0 past the
-        # down one's cell, as axis k moves p, r or neither, plus 1 for up
+        # a step along coordinate k moves the cell position 2W, 2 or 0, as
+        # k is p, r or neither; the up triangle with 1 added to coordinate k
+        # is that far past the down one's cell, plus 1 for up
         o0, o1, o2 = (2 * W if k == p else 2 if k == r else 0 for k in range(3))
+        self.triangles = tri = []
+        self.up = up = []
+        self.at = at = []
+        downs = []  # (vertex id, its cell's up slot) per down triangle
+        if a * b + b * c + c * a:  # else H(a,b,c) is a segment or a point
+            at += [-1] * (2 * W * ext[p])
+            for x in range(X + 1):
+                for y in range(max(0, S - 1 - Z - x), min(Y, S - x) + 1):
+                    z = S - x - y  # 0 <= z <= Z + 1 here
+                    pos = o0 * x + o1 * y + o2 * z  # the up triangle's cell
+                    if z:  # down before up: the sorted order
+                        at[pos - o2] = len(tri)
+                        downs.append((len(tri), pos - o2 + 1))
+                        tri.append((x, y, z - 1))
+                        up.append(False)
+                    if z <= Z:
+                        at[pos + 1] = len(tri)
+                        tri.append((x, y, z))
+                        up.append(True)
         self.slot = s0, s1, s2 = tuple([-1] * len(tri) for _ in range(3))
         self.tails = tails = []
-        for i, pos in enumerate(cell):
-            if up[i]:
-                continue
-            pos += 1
+        for i, pos in downs:
             j = at[pos + o0]
             if j >= 0:
                 s0[i] = s0[j] = len(tails) >> 1
@@ -367,7 +371,8 @@ def build_graph(region: HexRegion, q_weights: bool = False) -> PlanarMultigraph:
     face-traced and Euler-checked in this call: the region's flat lists
     wrapped into a ``PlanarMultigraph``.
 
-    Vertex i is region.triangles[i], which is also its label.  The triangles
+    Vertex i is region.triangles[i], which is also its label, made a
+    ``Triangle`` here.  The triangles
     are sorted, so the half-turn (x, y, z) -> (X-x, Y-y, Z-z), which reverses
     their order, maps vertex i to vertex n-1-i.  Every face of Z, the outer
     one too, has 4k+2 sides, so all +1 is a flat signing.
@@ -387,7 +392,8 @@ def build_graph(region: HexRegion, q_weights: bool = False) -> PlanarMultigraph:
     edges = list(map(Edge, range(len(weights)), tails[0::2], tails[1::2], weights))
     ups = frozenset(compress(range(len(tri)), region.up))
     rotation = [ring(region, i) for i in range(len(tri))]
-    g = PlanarMultigraph(tri, edges, rotation, (ups, frozenset(range(len(tri))) - ups))
+    labels = map(tuple.__new__, repeat(Triangle), tri)  # skips Triangle.__new__'s Python frame
+    g = PlanarMultigraph(labels, edges, rotation, (ups, frozenset(range(len(tri))) - ups))
     g.assert_valid_embedding()
     return g
 

@@ -44,6 +44,8 @@ matchings-with-bachelors count.
 from __future__ import annotations
 
 import functools
+from itertools import compress
+from operator import itemgetter, not_
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .hexgrid import (
@@ -158,35 +160,43 @@ def _act_region(cls: SymmetryClass, region: HexRegion) -> Dict[SymmetryElement, 
     checked against the box once, and its images against the region's
     bounds and sums at once, as they range over the permuted (and flipped)
     ranges of the region's own.  The flip takes the sum s to X + Y + Z - s =
-    2 * up_sum - 1 - s, so it swaps up and down.  Every other element is
-    reached from one found before it by a generator, and its map is composed
-    from those two maps by list indexing."""
-    tri = region.triangles
+    2 * up_sum - 1 - s, so it swaps up and down.  It is folded into the
+    index key: the flip of the key 2 * (x * W + y) + up (the region's
+    ``at``) is K minus that key, with K = 2 * (B_p * W + B_r) + 1 for the
+    bounds B_p and B_r of the region's pair (p, r), so a flipping generator
+    needs no flipped coordinate or flag lists.  Every other element is
+    reached from one found before it by a generator, and its map, a list,
+    is composed from those two maps by one ``itemgetter``."""
+    tri, up = region.triangles, region.up
     bounds, S, W, at, (p, r) = region.bounds, region.up_sum, region.width, region.at, region.pair
     cols = tuple(zip(*tri)) or ((), (), ())  # the x, y and z coordinates
     ranges = [(min(c), max(c)) for c in cols] if tri else []
     sums = set(map(sum, tri))
-    down = [not u for u in region.up]
+    K = 2 * (bounds[p] * W + bounds[r]) + 1
     gen_maps = {}
     for g in cls.generators:
         if not box_fixed(g, region.abc):
             raise BoxError(f"H{region.abc} is not fixed by {g}")
         spans = [ranges[k] for k in g.perm] if ranges else []
-        xs, ys, flags, image_sums = cols[g.perm[p]], cols[g.perm[r]], region.up, sums
+        image_sums = sums
         if g.comp:
             spans = [(B - hi, B - lo) for B, (lo, hi) in zip(bounds, spans)]
-            xs, ys, flags = [bounds[p] - v for v in xs], [bounds[r] - v for v in ys], down
             image_sums = {sum(bounds) - s for s in sums}
         if not image_sums <= {S - 1, S} or any(lo < 0 or hi > B for B, (lo, hi) in zip(bounds, spans)):
             raise EmbeddingError(f"a symmetry image under {g} left the region")
-        gen_maps[g] = [at[2 * (x * W + y) + f] for x, y, f in zip(xs, ys, flags)]
+        xs, ys = cols[g.perm[p]], cols[g.perm[r]]
+        if g.comp:
+            gen_maps[g] = [at[K - 2 * (x * W + y) - f] for x, y, f in zip(xs, ys, up)]
+        else:
+            gen_maps[g] = [at[2 * (x * W + y) + f] for x, y, f in zip(xs, ys, up)]
     act = {}
     for g, step in _walk(tuple(cls.generators)).items():
         if step is None:
             act[g] = list(range(len(tri)))
-        else:  # g = gen*h: h first, then gen
+        else:  # g = gen*h: h first, then gen; Z has 2(ab + bc + ca)
+            # triangles, so itemgetter gets none or at least two indices
             gen, h = step
-            act[g] = list(map(gen_maps[gen].__getitem__, act[h]))
+            act[g] = list(itemgetter(*act[h])(gen_maps[gen])) if tri else []
     return {g: act[g] for g in sorted(act)}
 
 
@@ -379,9 +389,7 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
             pair[g.comp].append((m, slot[ax[k]]))
     kept: Dict[int, bool] = {}  # surviving orbits by smallest edge id -> reversed
     bachelor: List[Tuple[int, set]] = []  # the reversed ones with their edge ids
-    for u in range(len(tri)):
-        if region.up[u]:
-            continue
+    for u in compress(range(len(tri)), map(not_, region.up)):
         for sk, (keeping, swapping) in zip(slot, split):
             e = sk[u]
             if e < 0 or erep[e] >= 0:
@@ -460,11 +468,13 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     # edges in border order, each wired to its gadget attachment, then the
     # gadget's own edges
     qedges: List[Edge] = []
+    qtails: List[int] = []  # quotient edge id -> its u end
     qedge_of = [-1] * len(erep)  # smallest edge id of an orbit -> quotient edge id
 
     def add_edge(e, u, v):
         qedge_of[e] = len(qedges)
         qedges.append(Edge(len(qedges), u, v))
+        qtails.append(u)
 
     for e, rev in kept.items():
         if rev or downs[e] in removed:  # removal is orbit-closed
@@ -489,13 +499,22 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     parity_of = _chamber_parity_fn(region, rays)
     for r in reps:
         members = orbit_of[r]
-        # the first member in a positive chamber is the smallest such one
-        src = next((t for t in members if parity_of(tri[t]) == 0), None)
-        on_axis = src is None
-        if on_axis:
-            if any(parity_of(tri[t]) is not None for t in members):
-                raise EmbeddingError("orbit misses the positively oriented chambers")
-            src = members[0]
+        # the first member in a positive chamber is the smallest such one;
+        # without axes there is one chamber, and it is positive
+        src, on_axis = members[0], False
+        if rays:
+            off_axis = False
+            for t in members:  # each member's parity is read once
+                par = parity_of(tri[t])
+                if par == 0:
+                    src = t
+                    break
+                off_axis = off_axis or par is not None
+            else:
+                if off_axis:
+                    raise EmbeddingError("orbit misses the positively oriented chambers")
+                on_axis = True
+        qr = qid[r]
         darts = []
         for d in ring(region, src):
             qeid = qedge_of[erep[d >> 1]]
@@ -503,13 +522,13 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
                 continue  # pruned or removed edge, or dropped loop
             if 2 * qeid in darts or 2 * qeid + 1 in darts:
                 raise EmbeddingError(f"quotient edge met orbit {tri[r]} twice")
-            darts.append(2 * qeid + (qedges[qeid].u != qid[r]))
+            darts.append(2 * qeid + (qtails[qeid] != qr))
         if on_axis and len(darts) > 1:
             raise EmbeddingError(f"axis orbit {tri[r]} kept {len(darts)} edges")
         rotation.append(darts)
 
     labels = [f"g{v + 1}" for v in range(n_gadget)]
-    labels += [f"o({tri[r].x},{tri[r].y},{tri[r].z})" for r in reps]
+    labels += ["o(%d,%d,%d)" % tri[r] for r in reps]
     bip = None
     if not bachelor and all(not g.comp for g in G):
         ups = frozenset(qid[r] for r in reps if region.up[r])

@@ -172,7 +172,7 @@ def neighbors(t: Triangle, region: HexRegion) -> List[Triangle]:
     step = 1 if sum(t) == region.up_sum - 1 else -1
     out = []
     for d in AXES:
-        u = Triangle(t.x + step * d.x, t.y + step * d.y, t.z + step * d.z)
+        u = Triangle(*(v + step * w for v, w in zip(t, d)))
         if in_region(u, region):
             out.append(u)
     return out

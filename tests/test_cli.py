@@ -90,6 +90,7 @@ def test_count_box_not_fixed_by_class_is_zero(method, capsys):
         ("count", "--class", "2", "--dims", "1,1,1", "--q"),
         ("export", "--kind", "quotient", "--class", "2", "--dims", "1,2,3"),
         ("export", "--kind", "quotient", "--class", "11", "--dims", "1,1,1"),
+        ("export", "--kind", "z", "--class", "99", "--dims", "1,1,1"),
         ("verify", "--max-side", "1", "--classes", "1,x"),
         ("export", "--kind", "z", "--dims", "1,1,1", "-o", "."),
         # argparse's own refusals
@@ -253,6 +254,12 @@ def test_export_over_the_matrix_budget_exits_2_at_once(kind, capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error: box 0x1x100000 ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind", ["z", "quotient"])
+def test_export_refuses_a_class_outside_1_to_10_on_either_kind(kind, capsys):
+    code, out, err = run(capsys, "export", "--kind", kind, "--class", "99", "--dims", "1,1,1")
+    assert (code, out, err) == (2, "", "error: class must be 1..10, got 99\n")
 
 
 @pytest.mark.parametrize(

@@ -63,6 +63,20 @@ def test_flat_box_triangle_count():
             assert len(build_hexagon(a, b, 0).triangles) == 2 * a * b
 
 
+def test_region_lists_the_triangles_of_its_definition():
+    # the triples of the bounding box whose sum is that of an up or a down
+    # triangle, sorted, flagged up by their sum; Z labels them as Triangles
+    for dims in itertools.product(range(8), repeat=3):
+        r = build_hexagon(*dims)
+        (X, Y, Z), S = r.bounds, r.up_sum
+        box = itertools.product(range(X + 1), range(Y + 1), range(Z + 1))
+        want = [t for t in box if sum(t) in (S - 1, S)]
+        assert list(r.triangles) == want, dims
+        assert r.up == [sum(t) == S for t in want], dims
+        labels = build_graph(r).labels
+        assert all(isinstance(t, Triangle) for t in labels) and labels == want, dims
+
+
 def test_negative_side_rejected():
     with pytest.raises(RegionError):
         build_hexagon(1, -1, 2)

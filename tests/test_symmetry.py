@@ -260,6 +260,44 @@ def test_quotient_checks_that_fixed_pair_removal_is_orbit_closed(monkeypatch):
         quotient_graph(region, cls)
 
 
+def _tampered_parity(monkeypatch, change):
+    """Make the chamber parities that quotient_graph reads pass through
+    change, which gets 0, 1 or None (on an axis)."""
+    honest = symmetry._chamber_parity_fn
+
+    def tampered(region, rays):
+        parity_of = honest(region, rays)
+        return lambda t: change(parity_of(t))
+
+    monkeypatch.setattr(symmetry, "_chamber_parity_fn", tampered)
+
+
+def test_quotient_checks_that_each_orbit_meets_a_positive_chamber(monkeypatch):
+    # every chamber read as negative: an orbit off the axes has no member
+    # whose ring is read the right way round
+    _tampered_parity(monkeypatch, lambda par: None if par is None else 1)
+    with pytest.raises(EmbeddingError, match="orbit misses the positively oriented chambers"):
+        quotient_graph(build_hexagon(3, 3, 2), CLASSES[2])
+
+
+@pytest.mark.parametrize("cid, dims", [(3, (3, 3, 3)), (2, (3, 3, 2))], ids=["no-axis", "axis"])
+def test_quotient_checks_that_an_orbit_meets_each_quotient_edge_once(monkeypatch, cid, dims):
+    # every ring listed twice over: the first orbit that keeps an edge
+    # meets it again
+    honest = hexgrid.ring
+    monkeypatch.setattr(symmetry, "ring", lambda z, i: 2 * honest(z, i))
+    with pytest.raises(EmbeddingError, match="quotient edge met orbit .* twice"):
+        quotient_graph(build_hexagon(*dims), CLASSES[cid])
+
+
+def test_quotient_checks_that_an_axis_orbit_keeps_at_most_one_edge(monkeypatch):
+    # every triangle read as on an axis: the first orbit that keeps two
+    # edges has no chamber to order them in
+    _tampered_parity(monkeypatch, lambda par: None)
+    with pytest.raises(EmbeddingError, match="axis orbit .* kept [23] edges"):
+        quotient_graph(build_hexagon(3, 3, 2), CLASSES[2])
+
+
 def test_composition_is_associative_and_closed():
     full = group_elements(CLASSES[10])
     for g in full:
