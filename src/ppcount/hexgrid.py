@@ -86,7 +86,8 @@ class HexRegion:
     ``triangles`` lists them in sorted order as plain (x, y, z) tuples;
     ``build_graph`` makes Z's labels ``Triangle`` instances.  One row loop
     fills ``triangles``, ``up`` and ``at`` and lists each down triangle with
-    its cell, which one pass reads for the edges."""
+    its cell.  One pass over those reads the edges: a counter numbers them,
+    and each appends its two ends to ``tails``."""
 
     __slots__ = ("a", "b", "c", "bounds", "up_sum", "triangles", "width", "pair", "at", "up", "slot", "tails")
 
@@ -124,19 +125,26 @@ class HexRegion:
                         up.append(True)
         self.slot = s0, s1, s2 = tuple([-1] * len(tri) for _ in range(3))
         self.tails = tails = []
+        push, e = tails.append, 0  # e: the next edge id
         for i, pos in downs:
             j = at[pos + o0]
             if j >= 0:
-                s0[i] = s0[j] = len(tails) >> 1
-                tails += (i, j)
+                s0[i] = s0[j] = e
+                e += 1
+                push(i)
+                push(j)
             j = at[pos + o1]
             if j >= 0:
-                s1[i] = s1[j] = len(tails) >> 1
-                tails += (i, j)
+                s1[i] = s1[j] = e
+                e += 1
+                push(i)
+                push(j)
             j = at[pos + o2]
             if j >= 0:
-                s2[i] = s2[j] = len(tails) >> 1
-                tails += (i, j)
+                s2[i] = s2[j] = e
+                e += 1
+                push(i)
+                push(j)
 
     @property
     def abc(self) -> Tuple[int, int, int]:
@@ -296,7 +304,8 @@ class PlanarMultigraph:
         if bipartition is not None:
             blk, wht = bipartition
             for e in self.edges:
-                if not ((e.u in blk and e.v in wht) or (e.u in wht and e.v in blk)):
+                _, u, v, _ = e
+                if not ((u in blk and v in wht) or (u in wht and v in blk)):
                     raise ValueError(f"edge {e} does not join the two classes")
 
     # -- basic queries ------------------------------------------------------
@@ -389,7 +398,8 @@ def build_graph(region: HexRegion, q_weights: bool = False) -> PlanarMultigraph:
         for (x, _, _), u, e in zip(tri, region.up, region.slot[2]):
             if e >= 0 and not u:
                 weights[e] = QPoly.q_power(x)
-    edges = list(map(Edge, range(len(weights)), tails[0::2], tails[1::2], weights))
+    # tuple.__new__ skips Edge.__new__'s Python frame, as for the labels
+    edges = list(map(tuple.__new__, repeat(Edge), zip(range(len(weights)), tails[0::2], tails[1::2], weights)))
     ups = frozenset(compress(range(len(tri)), region.up))
     rotation = [ring(region, i) for i in range(len(tri))]
     labels = map(tuple.__new__, repeat(Triangle), tri)  # skips Triangle.__new__'s Python frame

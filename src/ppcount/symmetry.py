@@ -148,30 +148,54 @@ def _walk(gens: Tuple[SymmetryElement, ...]) -> Dict[SymmetryElement, Optional[t
     return walk
 
 
+# the permutations with one fixed point: an element whose permutation is one
+# reflects the hexagon
+_TRANSPOSITIONS = frozenset({(1, 0, 2), (0, 2, 1), (2, 1, 0)})
+
+
+def _is_transposition(perm) -> bool:
+    return perm in _TRANSPOSITIONS
+
+
+@functools.lru_cache(maxsize=None)
+def _group(gens: Tuple[SymmetryElement, ...]):
+    """The subgroup generated by gens as three parallel tuples: its elements
+    sorted, each one's inverse, and whether each one's permutation is a
+    transposition.  Computed once per generator tuple, as ``_walk`` is, and
+    shared between calls."""
+    G = tuple(sorted(_walk(gens)))
+    return G, tuple(map(inverse, G)), tuple(_is_transposition(g.perm) for g in G)
+
+
 def group_elements(cls: SymmetryClass) -> Tuple[SymmetryElement, ...]:
     """The subgroup generated by the class generators, sorted."""
-    return tuple(sorted(_walk(tuple(cls.generators))))
+    return _group(tuple(cls.generators))[0]
 
 
 def _act_region(cls: SymmetryClass, region: HexRegion) -> Dict[SymmetryElement, List[int]]:
     """The action of each element of the class's group on the triangles of
     the region, as one map per element from a vertex id of the region's Z
-    to its image's.  Only the generators act on coordinates: each is
-    checked against the box once, and its images against the region's
-    bounds and sums at once, as they range over the permuted (and flipped)
-    ranges of the region's own.  The flip takes the sum s to X + Y + Z - s =
-    2 * up_sum - 1 - s, so it swaps up and down.  It is folded into the
-    index key: the flip of the key 2 * (x * W + y) + up (the region's
-    ``at``) is K minus that key, with K = 2 * (B_p * W + B_r) + 1 for the
-    bounds B_p and B_r of the region's pair (p, r), so a flipping generator
-    needs no flipped coordinate or flag lists.  Every other element is
-    reached from one found before it by a generator, and its map, a list,
-    is composed from those two maps by one ``itemgetter``."""
+    to its image's, in ``group_elements`` order.  Only the generators act
+    on coordinates: each is checked against the box once, and its images
+    against the region's bounds and sums at once, as they range over the
+    permuted (and flipped) ranges of the region's own.  Those are read off
+    the region's bounds and up sum, not its triangles: a nonempty H(a,b,c)
+    meets every strip and holds an up and a down triangle, so its
+    coordinates span [0, B] under each bound B and its sums are
+    {up_sum - 1, up_sum}; an empty one has neither.  The flip takes the
+    sum s to X + Y + Z - s = 2 * up_sum - 1 - s, so it swaps up and down.
+    It is folded into the index key: the flip of the key
+    2 * (x * W + y) + up (the region's ``at``) is K minus that key, with
+    K = 2 * (B_p * W + B_r) + 1 for the bounds B_p and B_r of the region's
+    pair (p, r), so a flipping generator needs no flipped coordinate or
+    flag lists.  Every other element is reached from one found before it
+    by a generator, and its map, a list, is composed from those two maps by
+    one ``itemgetter``."""
     tri, up = region.triangles, region.up
     bounds, S, W, at, (p, r) = region.bounds, region.up_sum, region.width, region.at, region.pair
     cols = tuple(zip(*tri)) or ((), (), ())  # the x, y and z coordinates
-    ranges = [(min(c), max(c)) for c in cols] if tri else []
-    sums = set(map(sum, tri))
+    ranges = [(0, B) for B in bounds] if tri else []
+    sums = {S - 1, S} if tri else set()
     K = 2 * (bounds[p] * W + bounds[r]) + 1
     gen_maps = {}
     for g in cls.generators:
@@ -197,7 +221,7 @@ def _act_region(cls: SymmetryClass, region: HexRegion) -> Dict[SymmetryElement, 
             # triangles, so itemgetter gets none or at least two indices
             gen, h = step
             act[g] = list(itemgetter(*act[h])(gen_maps[gen])) if tri else []
-    return {g: act[g] for g in sorted(act)}
+    return {g: act[g] for g in group_elements(cls)}
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +357,6 @@ def gadget_multigraph(g: ParityGadget) -> PlanarMultigraph:
 # ---------------------------------------------------------------------------
 
 
-def _is_transposition(perm) -> bool:
-    return sum(1 for i in range(3) if perm[i] == i) == 1
-
-
 def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     """Graph whose perfect matchings count the cls-invariant tilings of H(a,b,c).
 
@@ -345,12 +365,12 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     """
     if not cls.box_fixed(region.abc):
         raise BoxError(f"H{region.abc} is not fixed by class {cls.id}")
-    G = group_elements(cls)
+    G, inverses, reflects = _group(tuple(cls.generators))
     tri = region.triangles  # Z's vertex i is tri[i]
     tails, slot = region.tails, region.slot  # unchecked: the result's check covers each ring read
     act = _act_region(cls, region)
     maps = tuple(act.values())
-    refl0 = [act[g] for g in G if not g.comp and _is_transposition(g.perm)]
+    refl0 = [act[g] for g, t in zip(G, reflects) if t and not g.comp]
 
     # vertex orbits, sorted, each found from its smallest member; fixedness
     # by a transpose-complement reflection is an orbit property
@@ -383,8 +403,8 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     downs, ups = tails[0::2] + [-1], tails[1::2] + [-1]
     erep = [-1] * (len(tails) >> 1)
     split = [([], []) for _ in slot]  # per axis k: (keeping, swapping) (map, slot[k']) pairs
-    for g, m in act.items():
-        ax = inverse(g).perm
+    for g, gi in zip(G, inverses):
+        m, ax = act[g], gi.perm
         for k, pair in enumerate(split):
             pair[g.comp].append((m, slot[ax[k]]))
     kept: Dict[int, bool] = {}  # surviving orbits by smallest edge id -> reversed
@@ -455,7 +475,7 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     # replace the bachelorhood vertex by a parity gadget whose attachments
     # follow the bachelor edges along the chamber boundary; the gadget's
     # vertices take the first ids
-    rays = _axis_rays(region, G, act)
+    rays = _axis_rays(region, [act[g] for g, t in zip(G, reflects) if t])
     n_gadget = 0
     if bachelor:
         border = _bachelor_order(region, rays, bachelor)
@@ -473,7 +493,7 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
 
     def add_edge(e, u, v):
         qedge_of[e] = len(qedges)
-        qedges.append(Edge(len(qedges), u, v))
+        qedges.append(tuple.__new__(Edge, (len(qedges), u, v, 1)))  # skips Edge.__new__'s Python frame
         qtails.append(u)
 
     for e, rev in kept.items():
@@ -491,7 +511,7 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
         for att, (e, _) in zip(gadget.attachments, border):
             rotation[att].append(2 * len(qedges) + 1)  # slot 4: the external edge
             add_edge(e, qid[orbit_of[downs[e]][0]], att)
-        qedges += [Edge(offset + e.eid, e.u, e.v) for e in gm.edges]
+        qedges += [tuple.__new__(Edge, (offset + eid, u, v, 1)) for eid, u, v, _ in gm.edges]
 
     # Reflections reverse the local rotation sense, so rotations must be read
     # off orbit members lying in consistently-oriented chambers (the sectors
@@ -540,15 +560,14 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     return g
 
 
-def _axis_rays(region, G, act) -> List[Tuple[int, int]]:
-    """Primitive directions (both halves) of the reflection axes of G."""
+def _axis_rays(region, reflections) -> List[Tuple[int, int]]:
+    """Primitive directions (both halves) of the axes of the reflections,
+    each given as its map on Z's vertices."""
     cx, cy = center2(region)
     tri = region.triangles
     dirs = set()
-    for g in G:
-        if not _is_transposition(g.perm):
-            continue
-        for t, s in zip(tri, act[g]):
+    for m in reflections:
+        for t, s in zip(tri, m):
             p, q = position2(t), position2(tri[s])
             d = (p[0] + q[0] - cx, p[1] + q[1] - cy)
             if d != (0, 0):

@@ -9,6 +9,7 @@ bipartition), so a rewrite of ``quotient_graph`` that changes any of them
 fails too.  A last digest pins what the elimination kernel computes and
 records on every small matrix the matrix route hands it, so a rewrite of
 ``exactalg._pf_mod`` that changes a pivot, a fill slot or an op fails.
+The ``verify`` sweep's answers at side 3 are pinned the same way.
 """
 
 import hashlib
@@ -163,3 +164,16 @@ def test_programs_match_golden_digest(primes, digest, kernel_matrices):
     for n, pairs, vals in kernel_matrices:
         h.update(repr(_pf_mod(n, pairs, [a % m for a in vals], m, record=True)).encode())
     assert h.hexdigest() == digest
+
+
+# sha256 of ``run_verify(3)``'s CSV with the micros column cut: 589 lines
+# "class,a,b,c,method,value", the bytes of
+# ``ppcount verify --max-side 3 | cut -d, -f1-6``
+VERIFY = "ea71c7e00123f884ed9a44e27416040fe0cbc8aafda7ad73b3601aab7d739500"
+
+
+def test_verify_matches_golden_digest():
+    csv, mismatches = cli.run_verify(3)
+    rows = [line.rsplit(",", 1)[0] + "\n" for line in csv.splitlines()]
+    assert mismatches == [] and len(rows) == 589
+    assert hashlib.sha256("".join(rows).encode()).hexdigest() == VERIFY

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -40,6 +40,31 @@ def test_full_group_contains_every_class():
     for cid in CLASSES:
         assert set(group_elements(CLASSES[cid])) <= full
     assert len(full) == 12
+
+
+def test_group_facts_are_computed_as_their_definitions():
+    # the sorted elements, the inverses and the transposition test are
+    # cached once per generator tuple
+    for cls in CLASSES.values():
+        assert group_elements(cls) == tuple(sorted(symmetry._walk(cls.generators)))
+    for g in group_elements(CLASSES[10]):
+        assert compose(inverse(g), g) == IDENTITY
+    for perm in permutations(range(3)):
+        fixed_points = sum(perm[i] == i for i in range(3))
+        assert symmetry._is_transposition(perm) == (fixed_points == 1), perm
+
+
+def test_region_spans_and_sums_equal_a_scan_of_its_triangles():
+    # _act_region reads them off the bounds and the up sum
+    for dims in product(range(9), repeat=3):
+        r = build_hexagon(*dims)
+        spans = [(min(col), max(col)) for col in zip(*r.triangles)]
+        sums = set(map(sum, r.triangles))
+        if r.triangles:
+            assert spans == [(0, B) for B in r.bounds], dims
+            assert sums == {r.up_sum - 1, r.up_sum}, dims
+        else:
+            assert spans == [] and sums == set(), dims
 
 
 def test_composed_action_equals_the_direct_triangle_images():
