@@ -34,27 +34,15 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def _tree_prod(factors: list) -> int:
-    """The product of the factors: left to right by ``math.prod`` up to 16
-    of them, as a balanced tree of pairwise products above that.  Big
-    factors of like size multiply faster in pairs than one at a time into a
-    growing product, but a tree is slower than ``math.prod`` on few."""
-    if len(factors) <= 16:
-        return math.prod(factors)
-    while len(factors) > 1:
-        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
-    return factors[0]
-
-
 def _n1(a: int, b: int, c: int) -> int:
     """MacMahon's product of (i + j + c - 1) / (i + j - 1) over i <= a,
     j <= b, with a <= b the two shortest sides: the product over j is
     perm(i + b + c - 1, b) / perm(i + b - 1, b), so the work grows with ab,
-    not with the longest side.  The rows multiply by ``_tree_prod``."""
+    not with the longest side."""
     a, b, c = sorted((a, b, c))
     rows = range(1, a + 1)
-    return _exact_div(_tree_prod([math.perm(i + b + c - 1, b) for i in rows]),
-                      _tree_prod([math.perm(i + b - 1, b) for i in rows]))
+    return _exact_div(math.prod(math.perm(i + b + c - 1, b) for i in rows),
+                      math.prod(math.perm(i + b - 1, b) for i in rows))
 
 
 def _n2(n: int, c: int) -> int:

@@ -304,8 +304,7 @@ class PlanarMultigraph:
         if bipartition is not None:
             blk, wht = bipartition
             for e in self.edges:
-                _, u, v, _ = e
-                if not ((u in blk and v in wht) or (u in wht and v in blk)):
+                if not ((e.u in blk and e.v in wht) or (e.u in wht and e.v in blk)):
                     raise ValueError(f"edge {e} does not join the two classes")
 
     # -- basic queries ------------------------------------------------------
@@ -398,8 +397,7 @@ def build_graph(region: HexRegion, q_weights: bool = False) -> PlanarMultigraph:
         for (x, _, _), u, e in zip(tri, region.up, region.slot[2]):
             if e >= 0 and not u:
                 weights[e] = QPoly.q_power(x)
-    # tuple.__new__ skips Edge.__new__'s Python frame, as for the labels
-    edges = list(map(tuple.__new__, repeat(Edge), zip(range(len(weights)), tails[0::2], tails[1::2], weights)))
+    edges = list(map(Edge, range(len(weights)), tails[0::2], tails[1::2], weights))
     ups = frozenset(compress(range(len(tri)), region.up))
     rotation = [ring(region, i) for i in range(len(tri))]
     labels = map(tuple.__new__, repeat(Triangle), tri)  # skips Triangle.__new__'s Python frame

@@ -273,14 +273,15 @@ def weighted_matching_sum(g: PlanarMultigraph, kappa=None):
     not, two assignments prove the window and it is evaluated whole.  The
     Pfaffian branch always takes the kernel's own bound.
     """
+    poly = _is_poly(g)
     if any(len(comp) % 2 for comp in g.components()):
-        return QPoly() if _is_poly(g) else 0
+        return QPoly() if poly else 0
     if g.bipartition is None:
         return pfaffian_abs(skew_matrix(flat_orientation(g)))
     sg = flat_signing(g)
     m = bipartite_matrix(sg)
     if m is None:
-        return QPoly() if _is_poly(g) else 0
-    if not m.poly:
+        return QPoly() if poly else 0
+    if not poly:
         return det(m)
     return det(m, *_certificates(sg, kappa))

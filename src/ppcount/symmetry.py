@@ -177,14 +177,14 @@ def _act_region(cls: SymmetryClass, region: HexRegion) -> Dict[SymmetryElement, 
     the region, as one map per element from a vertex id of the region's Z
     to its image's, in ``group_elements`` order.  Only the generators act
     on coordinates: each is checked against the box once, and its images
-    against the region's bounds and sums at once, as they range over the
-    permuted (and flipped) ranges of the region's own.  Those are read off
-    the region's bounds and up sum, not its triangles: a nonempty H(a,b,c)
-    meets every strip and holds an up and a down triangle, so its
-    coordinates span [0, B] under each bound B and its sums are
-    {up_sum - 1, up_sum}; an empty one has neither.  The flip takes the
-    sum s to X + Y + Z - s = 2 * up_sum - 1 - s, so it swaps up and down.
-    It is folded into the index key: the flip of the key
+    against the region's bounds.  A nonempty H(a,b,c) meets every strip, so
+    its coordinate k spans [0, B_k] for its bounds B, and an image's spans
+    [0, B_perm[k]], or [B_k - B_perm[k], B_k] under the flip: inside
+    [0, B_k] exactly when B_perm[k] <= B_k.  The image check is thus the
+    box condition restated on the bounds, and reads no triangle.  The flip
+    takes the sum s to X + Y + Z - s = 2 * up_sum - 1 - s, so it maps the
+    sums {up_sum - 1, up_sum} of Z's triangles to themselves and swaps up
+    and down.  It is folded into the index key: the flip of the key
     2 * (x * W + y) + up (the region's ``at``) is K minus that key, with
     K = 2 * (B_p * W + B_r) + 1 for the bounds B_p and B_r of the region's
     pair (p, r), so a flipping generator needs no flipped coordinate or
@@ -192,21 +192,15 @@ def _act_region(cls: SymmetryClass, region: HexRegion) -> Dict[SymmetryElement, 
     by a generator, and its map, a list, is composed from those two maps by
     one ``itemgetter``."""
     tri, up = region.triangles, region.up
-    bounds, S, W, at, (p, r) = region.bounds, region.up_sum, region.width, region.at, region.pair
+    bounds, W, at, (p, r) = region.bounds, region.width, region.at, region.pair
     cols = tuple(zip(*tri)) or ((), (), ())  # the x, y and z coordinates
-    ranges = [(0, B) for B in bounds] if tri else []
-    sums = {S - 1, S} if tri else set()
     K = 2 * (bounds[p] * W + bounds[r]) + 1
     gen_maps = {}
     for g in cls.generators:
         if not box_fixed(g, region.abc):
             raise BoxError(f"H{region.abc} is not fixed by {g}")
-        spans = [ranges[k] for k in g.perm] if ranges else []
-        image_sums = sums
-        if g.comp:
-            spans = [(B - hi, B - lo) for B, (lo, hi) in zip(bounds, spans)]
-            image_sums = {sum(bounds) - s for s in sums}
-        if not image_sums <= {S - 1, S} or any(lo < 0 or hi > B for B, (lo, hi) in zip(bounds, spans)):
+        # the image's coordinate k spans bounds[perm[k]] of the region's own
+        if tri and any(bounds[j] > B for B, j in zip(bounds, g.perm)):
             raise EmbeddingError(f"a symmetry image under {g} left the region")
         xs, ys = cols[g.perm[p]], cols[g.perm[r]]
         if g.comp:
@@ -493,7 +487,7 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
 
     def add_edge(e, u, v):
         qedge_of[e] = len(qedges)
-        qedges.append(tuple.__new__(Edge, (len(qedges), u, v, 1)))  # skips Edge.__new__'s Python frame
+        qedges.append(Edge(len(qedges), u, v))
         qtails.append(u)
 
     for e, rev in kept.items():
@@ -511,7 +505,7 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
         for att, (e, _) in zip(gadget.attachments, border):
             rotation[att].append(2 * len(qedges) + 1)  # slot 4: the external edge
             add_edge(e, qid[orbit_of[downs[e]][0]], att)
-        qedges += [tuple.__new__(Edge, (offset + eid, u, v, 1)) for eid, u, v, _ in gm.edges]
+        qedges += [Edge(offset + e.eid, e.u, e.v) for e in gm.edges]
 
     # Reflections reverse the local rotation sense, so rotations must be read
     # off orbit members lying in consistently-oriented chambers (the sectors

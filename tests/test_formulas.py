@@ -11,7 +11,6 @@ from reference import n6_long_side, n_class_via_ratios, ratio_steps
 from ppcount.cli import matrix_count
 from ppcount.formulas import (
     _immediate,
-    _n1,
     formula_work,
     n_class,
     q_box_product,
@@ -185,17 +184,6 @@ def test_n1_equals_the_hyperfactorial_form():
             for c in range(9):
                 hyper, rem = divmod(H(a + b + c) * H(a) * H(b) * H(c), H(a + b) * H(a + c) * H(b + c))
                 assert rem == 0 and n_class(1, (a, b, c)) == hyper, (a, b, c)
-
-
-def test_n1_equals_the_left_to_right_product():
-    # above 16 rows _n1 multiplies its row products as a balanced tree; it
-    # sorts the sides, so the sorted boxes with sides <= 24 cover every box
-    for a, b, c in itertools.combinations_with_replacement(range(25), 3):
-        rows = range(1, a + 1)
-        num = math.prod(math.perm(i + b + c - 1, b) for i in rows)
-        den = math.prod(math.perm(i + b - 1, b) for i in rows)
-        for dims in set(itertools.permutations((a, b, c))):
-            assert _n1(*dims) * den == num, dims
 
 
 @pytest.mark.parametrize("dims, value", [((0, 1, 100000), 1), ((1, 1, 1600), 1601), ((1600, 1, 1), 1601)])

@@ -43,10 +43,14 @@ def test_full_group_contains_every_class():
 
 
 def test_group_facts_are_computed_as_their_definitions():
-    # the sorted elements, the inverses and the transposition test are
-    # cached once per generator tuple
+    # the sorted elements, the inverses and the reflection flags are cached
+    # once per generator tuple, as parallel tuples that quotient_graph and
+    # _axis_rays read
     for cls in CLASSES.values():
-        assert group_elements(cls) == tuple(sorted(symmetry._walk(cls.generators)))
+        G, inverses, reflects = symmetry._group(tuple(cls.generators))
+        assert group_elements(cls) == G == tuple(sorted(symmetry._walk(cls.generators)))
+        assert inverses == tuple(map(inverse, G)), cls.id
+        assert reflects == tuple(symmetry._is_transposition(g.perm) for g in G), cls.id
     for g in group_elements(CLASSES[10]):
         assert compose(inverse(g), g) == IDENTITY
     for perm in permutations(range(3)):
@@ -55,7 +59,7 @@ def test_group_facts_are_computed_as_their_definitions():
 
 
 def test_region_spans_and_sums_equal_a_scan_of_its_triangles():
-    # _act_region reads them off the bounds and the up sum
+    # _act_region's image check and its flip rest on these facts
     for dims in product(range(9), repeat=3):
         r = build_hexagon(*dims)
         spans = [(min(col), max(col)) for col in zip(*r.triangles)]
