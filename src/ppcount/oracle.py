@@ -3,13 +3,12 @@ q-sums.
 
 This module is the independent reference the formula and determinant routes
 are checked against.  Class 1 (no symmetry) and ``q_sum`` build no partition:
-with the box's sides sorted, they walk every prefix of all rows but the
-last, as ``enumerate_partitions`` lists them, and add up the rows that may
-go under each prefix's last row, by number or by volume
-(``_prefix_tallies``).  The other classes prune one way only:
-``count_symmetric`` draws their candidates from the partitions fixed by H,
-the elements of the class's group that fix the height axis (of e, tau, kappa
-and kappa*tau).  Those act on the height matrix cell by cell
+with the box's sides sorted, one loop over the rows under the lid carries,
+for each row, the number of chains of rows that end at it, by number or
+packed by volume (``_row_transfer``); a box of one row streams its rows.
+The other classes prune one way only: ``count_symmetric`` draws their
+candidates from the partitions fixed by H, the elements of the class's group
+that fix the height axis (of e, tau, kappa and kappa*tau).  Those act on the height matrix cell by cell
 (``CELL_RULES``), so ``fixed_partitions`` gives each cell orbit's first cell
 a height and the rest of the orbit follows; class 3, whose H is trivial,
 builds every partition to compare it with its rho image.  Each candidate
@@ -20,7 +19,7 @@ undercount.  Nothing is kept from one call to the next.
 Both refuse, with ``SizeLimitError`` and before enumerating, a box holding
 more than ``MAX_PARTITIONS`` plane partitions (4x5x5 is admitted, 5x5x5 is
 not): the budget counts the box's partitions, not the candidates or the
-prefixes.  ``q_sum`` also refuses a box whose answer has degree abc over
+rows.  ``q_sum`` also refuses a box whose answer has degree abc over
 ``MAX_Q_SUM_DEGREE``, before it allocates the coefficients.
 """
 
@@ -28,8 +27,8 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from operator import itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from operator import lshift
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from .exactalg import QPoly
 from .symmetry import (
@@ -55,6 +54,10 @@ MAX_PARTITIONS = 2 * 10**7
 # partition budget alone admits 1x1x19999999; the q formula route reaches
 # 1x1x500000 too.
 MAX_Q_SUM_DEGREE = 500_000
+
+# Bits per coefficient in q_sum's packed ints: no coefficient passes the
+# box's partition count, which the budget holds to MAX_PARTITIONS.
+Q_FIELD_BITS = MAX_PARTITIONS.bit_length()
 
 
 class SizeLimitError(ValueError):
@@ -116,55 +119,50 @@ def enumerate_partitions(a: int, b: int, c: int) -> Iterator[Heights]:
     return tops if a == 1 else chain.from_iterable(map(extend, tops))
 
 
-def _prefix_tallies(a: int, b: int, c: int, tally: Callable) -> Iterator[tuple]:
-    """(tally(rows), v) for every prefix of a - 1 rows of a plane partition
-    in the box, taken with its sides sorted (a <= b <= c), in the order
-    enumerate_partitions lists them: rows are the rows that may go under the
-    prefix's last row (under the lid (c,) * b when a = 1), and v is the
-    prefix's volume.  Permuting the axes maps the box's partitions, as
-    stacks of cubes, onto each other and keeps their volumes, so the walk
-    takes as many rows as the shortest side: at most four under the budget.
-    Each row is held once with its volume, and the rows under a row, with
-    their tallies, are listed once per call.  Rows recur under other rows
-    only with three rows or more; with fewer, the rows under each row are
-    streamed into its tally and not kept."""
+def _row_transfer(a: int, b: int, c: int, width: int) -> Union[int, List[int]]:
+    """The box's plane partitions, counted by one loop over their rows: with
+    width 0 their number, else the q-sum's coefficients by volume.
+
+    With the sides sorted (a <= b <= c) a partition is a chain of a weakly
+    decreasing rows of b cells under the lid (c,) * b, each row at most the
+    one above it cell by cell.  Permuting the axes maps the box's
+    partitions, as stacks of cubes, onto each other and keeps their volumes,
+    so the loop takes as many rows as the shortest side.  It holds f[k], the
+    number of chains that end at row k, times 2 ** (width * |row k|).  Each
+    new row takes the sum of f over the rows at or above it, built one cell
+    at a time in descending lex order: raising cell j raises the cells
+    before it too, so every state stays a weakly decreasing row.  The
+    q-sum's coefficients are packed `width` bits apart; each counts some of
+    the box's partitions, so a width of MAX_PARTITIONS.bit_length() never
+    overflows once the budget is checked.  A box of one row at most streams
+    its rows and keeps none."""
     a, b, c = sorted((a, b, c))
-    if not a:  # one partition, the empty one, as in 1 x 0 x c
-        a, b = 1, 0
-    keep = a > 2
-    held: Dict[Tuple[int, ...], tuple] = {}  # row -> (row, its volume)
-    lists: Dict[Tuple[int, ...], list] = {}  # row -> the held pairs of the rows under it
-    tallies: Dict[Tuple[int, ...], tuple] = {}  # row -> (tally of the rows under it, its volume)
-    pairs: Dict[Tuple[int, ...], list] = {}  # row -> the tallies of the rows under it
-
-    def rows_under(bound: Tuple[int, ...]) -> list:
-        rows = lists.get(bound)
-        if rows is None:
-            rows = lists[bound] = [held.setdefault(row, (row, sum(row))) for row in _rows_at_most(bound)]
-        return rows
-
-    def tallied(row: Tuple[int, ...], v: int) -> tuple:
-        tv = tallies.get(row)
-        if tv is None:
-            tv = (tally(map(itemgetter(0), rows_under(row)) if keep else _rows_at_most(row)), v)
-            if keep:
-                tallies[row] = tv
-        return tv
-
-    def tallied_under(bound: Tuple[int, ...]) -> list:
-        tvs = pairs.get(bound)
-        if tvs is None:
-            tvs = pairs[bound] = [tallied(row, v) for row, v in rows_under(bound)]
-        return tvs
-
-    def ends(depth: int, bound: Tuple[int, ...], vol: int) -> Iterator[tuple]:
-        """The prefixes through bound, their row `depth` (the lid is row 0)."""
-        if depth == a - 2:
-            return ((t, vol + v) for t, v in tallied_under(bound))
-        return chain.from_iterable(ends(depth + 1, row, vol + v) for row, v in rows_under(bound))
-
-    lid = (c,) * b
-    return iter([tallied(lid, 0)]) if a == 1 else ends(0, lid, 0)
+    rows = _rows_at_most((c,) * b if a else ())  # ascending lex order
+    if a <= 1:
+        if not width:
+            return sum(1 for _ in rows)
+        hist = Counter(map(sum, rows))
+        return [hist[v] for v in range(a * b * c + 1)]
+    rows = list(rows)
+    index = {row: k for k, row in enumerate(rows)}
+    ups: List[List[Tuple[int, int]]] = [[] for _ in range(b)]  # per cell, (row, raised row)
+    for k in range(len(rows) - 1, -1, -1):
+        row = rows[k]
+        for j, h in enumerate(row):
+            if h < c:
+                ups[j].append((k, index[tuple(max(x, h + 1) for x in row[: j + 1]) + row[j + 1 :]]))
+    shifts = [width * sum(row) for row in rows]
+    f = [1 << s for s in shifts]  # the top row, under the lid
+    for _ in range(a - 1):
+        for pairs in ups:
+            for k, u in pairs:
+                f[k] += f[u]
+        f = list(map(lshift, f, shifts))
+    total = sum(f)
+    if not width:
+        return total
+    mask = (1 << width) - 1
+    return [total >> width * v & mask for v in range(a * b * c + 1)]
 
 
 def check_budget(a: int, b: int, c: int) -> None:
@@ -286,7 +284,7 @@ def count_symmetric(class_id: int, a: int, b: int, c: int) -> int:
         return 0
     check_budget(a, b, c)
     if not cls.generators:  # class 1: every partition counts, so none is built
-        return sum(n for n, _ in _prefix_tallies(a, b, c, lambda rows: sum(1 for _ in rows)))
+        return _row_transfer(a, b, c, 0)
     maps = [partition_map(g, box) for g in cls.generators]
     # the cell-by-cell walk is far slower than the row enumerator when it
     # prunes nothing, so class 3 takes every partition
@@ -302,19 +300,14 @@ def count_symmetric(class_id: int, a: int, b: int, c: int) -> int:
 
 
 def q_sum(a: int, b: int, c: int) -> QPoly:
-    """Sum of q^(volume) over all plane partitions in the box: for each
-    prefix of all rows but the last, the volumes of the rows that may go
-    under its last row, shifted by the prefix's volume.  Raises
-    SizeLimitError, before any work, past MAX_Q_SUM_DEGREE or the partition
-    budget."""
+    """Sum of q^(volume) over all plane partitions in the box, by the
+    row-transfer loop of the class-1 count with each row's chains shifted
+    Q_FIELD_BITS bits per cube.  Raises SizeLimitError, before any work,
+    past MAX_Q_SUM_DEGREE or the partition budget."""
     check_budget(a, b, c)
     if a * b * c > MAX_Q_SUM_DEGREE:
         raise SizeLimitError(
             f"box {a}x{b}x{c} has q-degree {a * b * c}; the oracle's q-sum takes at most {MAX_Q_SUM_DEGREE}"
         )
-    coeffs = [0] * (a * b * c + 1)
-    for hist, vol in _prefix_tallies(a, b, c, lambda rows: Counter(map(sum, rows)).items()):
-        for v, n in hist:
-            coeffs[vol + v] += n
-    return QPoly(coeffs)
+    return QPoly(_row_transfer(a, b, c, Q_FIELD_BITS))
 

@@ -165,8 +165,8 @@ def test_class_1_row_count_equals_the_enumeration():
 
 
 def test_class_1_walks_as_many_rows_as_the_shortest_side():
-    # a walk down the 2000 rows of 2000x1x1 would pass each prefix up through
-    # every level of the walk and take seconds; 1x1x2000 takes milliseconds
+    # sorted, 2000x1x1 is 1x1x2000: one row of one cell, whose 2001 heights
+    # are streamed and counted, not a loop over 2000 rows
     t0 = time.perf_counter()
     assert count_symmetric(1, 2000, 1, 1) == 2001
     assert q_sum(1, 2000, 1) == QPoly((1,) * 2001)
@@ -182,6 +182,24 @@ def test_class_1_count_builds_no_partition(monkeypatch):
     assert count_symmetric(1, 4, 4, 4) == 232848
     assert count_symmetric(1, 3, 0, 2) == count_symmetric(1, 0, 0, 0) == 1
     assert q_sum(2, 2, 2).subs(1) == 20
+
+
+@pytest.mark.parametrize(
+    "box", [(2, 2, 122), (2, 3, 35), (2, 4, 19), (2, 7, 8), (3, 3, 14), (4, 4, 6)], ids="{0[0]}x{0[1]}x{0[2]}".format
+)
+def test_row_transfer_on_the_largest_admitted_boxes_of_their_shape(box):
+    # the two-row boxes hold 6435 to 8855 row states; the next box of each
+    # shape is refused
+    check_budget(*box)
+    a, b, c = box
+    with pytest.raises(SizeLimitError):
+        check_budget(a, b, c + 1)
+    assert count_symmetric(1, *box) == n_class(1, box)
+    assert q_sum(*box) == q_box_product(*box)
+
+
+def test_q_sum_fields_hold_any_admitted_coefficient():
+    assert 2**oracle.Q_FIELD_BITS > MAX_PARTITIONS
 
 
 def _q_sum_by_enumeration(a, b, c):
