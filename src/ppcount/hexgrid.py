@@ -45,12 +45,14 @@ least product, (x, y) on ties; ``width`` = W is r's padded extent:
 * ``ring(region, i)`` lists the darts at vertex i counterclockwise: dart 2e
   sits at edge e's down end, 2e + 1 at its up end.
 
+``position2`` and ``center2`` place triangles and the center in exact
+doubled coordinates; ``symmetry`` reads its axes and chambers off them.
+
 All objects are immutable after construction.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import compress, repeat
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
@@ -160,12 +162,9 @@ def build_hexagon(a: int, b: int, c: int) -> HexRegion:
 
 
 def position2(t: Triangle) -> Tuple[int, int]:
-    """Exact planar position of the triangle center, doubled coordinates.
-
-    Returns (u, v) meaning the point (u/2, v*sqrt(3)/2); centers of adjacent
-    triangles differ by one of six fixed lattice directions, so rotation
-    systems and axis geometry can be computed with integer arithmetic only.
-    """
+    """Exact planar position of the triangle center, doubled coordinates:
+    (u, v) is the point (u/2, v*sqrt(3)/2), so the sign of a cross product
+    u1*v2 - v1*u2 is the true one, and axis geometry is integer-only."""
     x, y, z = t
     return (2 * x - y - z, y - z)
 
@@ -410,40 +409,3 @@ def q_weight_graph(region: HexRegion) -> PlanarMultigraph:
     """Z(a,b,c) with the q-weighting of the column-top edge class."""
     return build_graph(region, q_weights=True)
 
-
-# ---------------------------------------------------------------------------
-# exact angular order helpers (used by the quotient embedding)
-# ---------------------------------------------------------------------------
-
-
-def angle_half(p: Tuple[int, int]) -> int:
-    """0 for angles in [0, pi), 1 for [pi, 2*pi); the origin is invalid."""
-    u, v = p
-    if u == 0 and v == 0:
-        raise ValueError("zero vector has no angle")
-    return 0 if (v > 0 or (v == 0 and u > 0)) else 1
-
-
-def angle_cmp(p: Tuple[int, int], q: Tuple[int, int]) -> int:
-    """Exact ccw comparison of doubled-coordinate directions from angle 0."""
-    ha, hb = angle_half(p), angle_half(q)
-    if ha != hb:
-        return -1 if ha < hb else 1
-    cr = p[0] * q[1] - p[1] * q[0]
-    if cr == 0:
-        return 0
-    return -1 if cr > 0 else 1
-
-
-def radius2(p: Tuple[int, int]) -> int:
-    """Squared distance (times 4) of a doubled-coordinate point."""
-    u, v = p
-    return u * u + 3 * v * v
-
-
-def primitive_dir(p: Tuple[int, int]) -> Tuple[int, int]:
-    u, v = p
-    g = math.gcd(abs(u), abs(v))
-    if g == 0:
-        raise ValueError("zero vector has no direction")
-    return (u // g, v // g)

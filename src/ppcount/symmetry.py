@@ -44,6 +44,7 @@ matchings-with-bachelors count.
 from __future__ import annotations
 
 import functools
+import math
 from itertools import compress
 from operator import itemgetter, not_
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -55,12 +56,8 @@ from .hexgrid import (
     HexRegion,
     PlanarMultigraph,
     Triangle,
-    angle_cmp,
-    angle_half,
     center2,
     position2,
-    primitive_dir,
-    radius2,
     ring,
 )
 
@@ -469,10 +466,10 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     # replace the bachelorhood vertex by a parity gadget whose attachments
     # follow the bachelor edges along the chamber boundary; the gadget's
     # vertices take the first ids
-    rays = _axis_rays(region, [act[g] for g, t in zip(G, reflects) if t])
+    axes = _axis_rays(region, [act[g] for g, t in zip(G, reflects) if t])
     n_gadget = 0
     if bachelor:
-        border = _bachelor_order(region, rays, bachelor)
+        border = _bachelor_order(region, axes, bachelor)
         gadget = build_parity_gadget(len(border), "odd" if len(reps) % 2 else "even")
         n_gadget = len(gadget.vertices)
     qid = {r: n_gadget + i for i, r in enumerate(reps)}  # Z id -> quotient id
@@ -510,13 +507,13 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
     # Reflections reverse the local rotation sense, so rotations must be read
     # off orbit members lying in consistently-oriented chambers (the sectors
     # cut out by the reflection axes alternate in orientation).
-    parity_of = _chamber_parity_fn(region, rays)
+    parity_of = _chamber_parity_fn(region, axes)
     for r in reps:
         members = orbit_of[r]
         # the first member in a positive chamber is the smallest such one;
         # without axes there is one chamber, and it is positive
         src, on_axis = members[0], False
-        if rays:
+        if axes:
             off_axis = False
             for t in members:  # each member's parity is read once
                 par = parity_of(tri[t])
@@ -555,85 +552,84 @@ def quotient_graph(region: HexRegion, cls: SymmetryClass) -> PlanarMultigraph:
 
 
 def _axis_rays(region, reflections) -> List[Tuple[int, int]]:
-    """Primitive directions (both halves) of the axes of the reflections,
-    each given as its map on Z's vertices."""
+    """The primitive direction with angle in [0, pi) of each reflection's
+    axis (a reflection given as its map on Z's vertices), sorted ccw: p
+    before q when cross(p, q) > 0.  An axis is read off the first triangle
+    whose midpoint with its image is not the center; it goes unfound when
+    there is none, on a nonempty box with sides <= 8 only on the single
+    lozenge 1x1x0 under classes 2 and 7.  No chamber is needed there: the
+    quotient is one orbit plus its gadget vertex."""
     cx, cy = center2(region)
     tri = region.triangles
-    dirs = set()
+    axes = set()
     for m in reflections:
         for t, s in zip(tri, m):
-            p, q = position2(t), position2(tri[s])
-            d = (p[0] + q[0] - cx, p[1] + q[1] - cy)
-            if d != (0, 0):
-                dirs.add(primitive_dir(d))
-                dirs.add(primitive_dir((-d[0], -d[1])))
+            (pu, pv), (qu, qv) = position2(t), position2(tri[s])
+            u, v = pu + qu - cx, pv + qv - cy
+            if u or v:
+                g = math.gcd(u, v)
+                if v < 0 or (v == 0 and u < 0):  # angle in [pi, 2*pi)
+                    g = -g
+                axes.add((u // g, v // g))
                 break
-    return sorted(dirs, key=functools.cmp_to_key(angle_cmp))
+    return sorted(axes, key=functools.cmp_to_key(lambda p, q: p[1] * q[0] - p[0] * q[1]))
 
 
-def _chamber_parity_fn(region, rays):
-    """Orientation class (0/1) of the axis-chamber containing a triangle.
-
-    Returns None for triangles on a reflection axis; those keep at most one
-    quotient edge, so their rotation needs no orientation choice.
-    """
+def _chamber_parity_fn(region, axes):
+    """Orientation class (0/1) of the axis-chamber containing a triangle:
+    the number of axes it lies ccw of, mod 2, so the chambers alternate.
+    None for a triangle on an axis (a cross product of 0); those keep at
+    most one quotient edge, so their rotation needs no orientation choice."""
     cx, cy = center2(region)
-    # angle_cmp(ray, rel) with each ray's half-plane found once, here
-    halves = [(angle_half(ray), ray) for ray in rays]
 
     def parity_of(t: Triangle):
-        if not rays:
-            return 0
-        p = position2(t)
-        rel = (2 * p[0] - cx, 2 * p[1] - cy)
-        h = angle_half(rel)
-        cnt = 0
-        for hr, (ru, rv) in halves:
-            if hr != h:
-                cnt += hr < h
-                continue
-            cr = ru * rel[1] - rv * rel[0]
-            if cr == 0:
+        u, v = position2(t)
+        u, v = 2 * u - cx, 2 * v - cy  # relative to the center, doubled again
+        ccw = 0
+        for au, av in axes:
+            cr = au * v - av * u
+            if not cr:
                 return None
-            cnt += cr > 0
-        return cnt % 2
+            ccw ^= cr > 0
+        return ccw
 
     return parity_of
 
 
-def _bachelor_order(region, rays, orbits):
+def _bachelor_order(region, axes, orbits):
     """Bachelor edge orbits in planar order along the chamber boundary.
 
     Rerouted (reversed) edges have their midpoints on the reflection axes or
     at the center.  The quotient surface is the positively oriented base
-    chamber; its boundary runs in along the largest-angle axis ray, through
-    the center, and out along the smallest-angle ray.  Every bachelor orbit
-    has exactly one representative midpoint on that boundary, and walking it
-    gives the cyclic attachment order for the gadget.  An orbit is a pair
-    (smallest edge id, ids of the orbit's Z edges), as ``quotient_graph``
-    collects them.
+    chamber, ccw from ray_in = -axes[-1] to ray_out = axes[0]; its boundary
+    runs in along ray_in, through the center, and out along ray_out.  Each
+    orbit is keyed by its one midpoint on that boundary, in walking order:
+    the gadget's cyclic attachment order.  An orbit that meets the boundary
+    0 or >= 2 times raises EmbeddingError.  An orbit is a pair (smallest
+    edge id, ids of its Z edges), as ``quotient_graph`` collects them.
     """
     if len(orbits) == 1:
         return orbits
-    if not rays:
+    if not axes:
         raise EmbeddingError("multiple bachelor edges without reflection axes")
     cx, cy = center2(region)
     tri, tails = region.triangles, region.tails  # Z's vertex i is tri[i]
-    ray_in, ray_out = rays[-1], rays[0]
+    (iu, iv), (ou, ov) = axes[-1], axes[0]  # ray_in is -axes[-1], ray_out axes[0]
 
     def key(orbit):
-        mids = set()
+        keys = []
         for eid in orbit[1]:
             pu, pv = position2(tri[tails[2 * eid]]), position2(tri[tails[2 * eid + 1]])
-            mids.add((pu[0] + pv[0] - cx, pu[1] + pv[1] - cy))
-        if (0, 0) in mids:
-            return (1, 0)  # the center sits between the two boundary rays
-        on_in = [m for m in mids if primitive_dir(m) == ray_in]
-        if on_in:
-            return (0, -min(radius2(m) for m in on_in))
-        on_out = [m for m in mids if primitive_dir(m) == ray_out]
-        if on_out:
-            return (2, min(radius2(m) for m in on_out))
-        raise EmbeddingError("bachelor midpoint off the chamber boundary")
+            u, v = pu[0] + pv[0] - cx, pu[1] + pv[1] - cy
+            r2 = u * u + 3 * v * v  # a fixed multiple of the squared distance from the center
+            if not r2:
+                keys.append((1, 0))  # the center sits between the two boundary rays
+            elif iu * v == iv * u and iu * u + 3 * iv * v < 0:  # on ray_in
+                keys.append((0, -r2))
+            elif ou * v == ov * u and ou * u + 3 * ov * v > 0:  # on ray_out
+                keys.append((2, r2))
+        if len(keys) != 1:
+            raise EmbeddingError(f"bachelor orbit meets the chamber boundary {len(keys)} times")
+        return keys[0]
 
     return sorted(orbits, key=key)

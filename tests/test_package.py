@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -46,6 +47,21 @@ def test_star_import_gives_exactly_the_public_api():
     namespace.pop("__builtins__")
     assert set(namespace) == set(ppcount.__all__)
     assert not NOT_EXPORTED & set(ppcount.__all__)
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the runtime stays standard-library only: every import in the package
+    # is relative or names a standard-library module
+    for path in sorted((SRC / "ppcount").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
 def test_cold_import_of_the_cli_loads_neither_dataclasses_nor_inspect():

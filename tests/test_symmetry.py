@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations, permutations, product
 
@@ -325,6 +326,78 @@ def test_quotient_checks_that_an_axis_orbit_keeps_at_most_one_edge(monkeypatch):
     _tampered_parity(monkeypatch, lambda par: None)
     with pytest.raises(EmbeddingError, match="axis orbit .* kept [23] edges"):
         quotient_graph(build_hexagon(3, 3, 2), CLASSES[2])
+
+
+@pytest.mark.parametrize("cid", [2, 4, 6, 7, 8, 10])  # the classes with a reflection
+def test_chamber_parity_is_none_on_the_axes_and_flips_under_each_reflection(cid):
+    # parity_of(t) is None exactly when a reflection fixes t, and off the
+    # axes every element g gives parity(g(t)) = parity(t) XOR [g reflects].
+    # The single lozenge 1x1x0 is skipped: tau sends both its triangles
+    # through the center, so under classes 2 and 7 tau's axis is not found
+    # there, and class 2 reads parity 0 on both (the quotient is one orbit
+    # and its gadget vertex, and needs no chamber)
+    cls = CLASSES[cid]
+    G, _, reflects = symmetry._group(tuple(cls.generators))
+    assert any(reflects)
+    for dims in product(range(7), repeat=3):
+        if not cls.box_fixed(dims) or dims == (1, 1, 0):
+            continue
+        region = build_hexagon(*dims)
+        tri, act = region.triangles, _act_region(cls, region)
+        mirrors = [act[g] for g, r in zip(G, reflects) if r]
+        parity_of = symmetry._chamber_parity_fn(region, symmetry._axis_rays(region, mirrors))
+        for t in range(len(tri)):
+            par = parity_of(tri[t])
+            assert (par is None) == any(m[t] == t for m in mirrors), (dims, tri[t])
+            if par is not None:
+                for g, r in zip(G, reflects):
+                    assert parity_of(tri[act[g][t]]) == par ^ r, (dims, tri[t], g)
+
+
+def test_every_bachelor_orbit_meets_the_chamber_boundary_once(monkeypatch):
+    # the base chamber's boundary runs in along -axes[-1], through the
+    # center and out along axes[0]: a midpoint (relative to the center) is
+    # on it when it is 0 or a positive multiple of one of those two rays
+    calls = []
+    honest = symmetry._bachelor_order
+
+    def spy(region, axes, orbits):
+        calls.append((region, axes, orbits))
+        return honest(region, axes, orbits)
+
+    monkeypatch.setattr(symmetry, "_bachelor_order", spy)
+    for cls in CLASSES.values():
+        for dims in product(range(9), repeat=3):
+            if cls.box_fixed(dims):
+                quotient_graph(build_hexagon(*dims), cls)
+
+    def ray(u, v):
+        g = math.gcd(u, v)
+        return (u // g, v // g)
+
+    n = 0
+    for region, axes, orbits in calls:
+        cx, cy = hexgrid.center2(region)
+        rays = {axes[0], (-axes[-1][0], -axes[-1][1])} if axes else set()
+        for _, eids in orbits:
+            meets = 0
+            for e in eids:
+                down, up = (region.triangles[region.tails[d]] for d in (2 * e, 2 * e + 1))
+                (pu, pv), (qu, qv) = hexgrid.position2(down), hexgrid.position2(up)
+                m = (pu + qu - cx, pv + qv - cy)
+                meets += m == (0, 0) or ray(*m) in rays
+            assert meets == 1, (region, axes, sorted(eids))
+            n += 1
+    assert n == 1564  # 1031 of them in calls that sort two orbits or more
+
+
+def test_quotient_checks_that_each_bachelor_orbit_meets_the_chamber_boundary_once(monkeypatch):
+    # every triangle placed at one point: every midpoint collapses onto one
+    # point of the one axis found, so an orbit of several edges meets the
+    # boundary once per edge
+    monkeypatch.setattr(symmetry, "position2", lambda t: (1, 0))
+    with pytest.raises(EmbeddingError, match="bachelor orbit meets the chamber boundary 2 times"):
+        quotient_graph(build_hexagon(4, 4, 4), CLASSES[7])
 
 
 def test_composition_is_associative_and_closed():
